@@ -195,7 +195,8 @@ def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
 def _fig3_task(args):
     omega, omega0, g, n_spins, n_max, tol = args
     t0 = time.perf_counter()
-    basis = build_basis(n_spins, n_max)
+    # all spins are permutation-equivalent: one collective spin J = N/2
+    basis = build_basis(n_spins, n_max, n_collective=n_spins)
     h = build_dicke_hamiltonian(DickeParams(omega, omega0, g, n_spins), basis)
     gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
     var_p = variance(gs, p_tilde_minus(basis))
@@ -213,7 +214,8 @@ def _fig6_task(args):
     gamma_bar = bogoliubov.normal_modes(
         DickeParams(omega, omega0, g), g_renormalized=gbar
     ).gamma
-    basis = build_basis(n_clean + ens.m, n_max)
+    # the clean spins form one collective spin; the defects stay explicit
+    basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean)
     h = build_disordered_hamiltonian(p, ens, basis)
     gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
     xi = variance(gs, p_d(basis, omega, omega0, gamma_bar)) / (omega / 2.0)

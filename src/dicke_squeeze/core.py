@@ -28,6 +28,9 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+_FLOAT_FIELDS = ("omega", "omega0", "g", "a2_coeff")
+
+
 @dataclass(frozen=True)
 class DickeParams:
     """Parameters of a single-mode Dicke model instance.
@@ -45,6 +48,9 @@ class DickeParams:
     a2_coeff : float
         Coefficient D of the squared boson-displacement term D(a+a')^2,
         zero for a plain Dicke model.
+
+    omega, omega0, g and a2_coeff are stored as floats; non-finite values
+    are rejected.
     """
 
     omega: float
@@ -54,10 +60,25 @@ class DickeParams:
     a2_coeff: float = 0.0
 
     def __post_init__(self):
-        _require(self.omega > 0, "omega must be > 0")
-        _require(self.omega0 > 0, "omega0 must be > 0")
-        _require(self.g >= 0, "g must be >= 0")
-        _require(self.a2_coeff >= 0, "a2_coeff must be >= 0")
+        values = omega, omega0, g, a2_coeff = (self.omega, self.omega0, self.g, self.a2_coeff)
+        if not (type(omega) is type(omega0) is type(g) is type(a2_coeff) is float):
+            values = omega, omega0, g, a2_coeff = tuple(map(float, values))
+            for name, value in zip(_FLOAT_FIELDS, values):
+                object.__setattr__(self, name, value)
+        # One combined test on the valid path, which the analytic grids take
+        # once per point; the named checks run only to report a failure.
+        if not (
+            0 < omega < math.inf
+            and 0 < omega0 < math.inf
+            and 0 <= g < math.inf
+            and 0 <= a2_coeff < math.inf
+        ):
+            for name, value in zip(_FLOAT_FIELDS, values):
+                _require(math.isfinite(value), f"{name} must be finite, got {value}")
+            _require(omega > 0, "omega must be > 0")
+            _require(omega0 > 0, "omega0 must be > 0")
+            _require(g >= 0, "g must be >= 0")
+            _require(a2_coeff >= 0, "a2_coeff must be >= 0")
         _require(
             int(self.n_spins) == self.n_spins and self.n_spins >= 1,
             "n_spins must be an integer >= 1",

@@ -1,4 +1,4 @@
-"""Exact diagonalization over the truncated boson (x) spin product basis."""
+"""Exact diagonalization over a truncated boson (x) spin basis (product or collective-spin layout)."""
 
 from .basis import BasisDescriptor, build_basis, parity_diagonal
 from .hamiltonians import (

@@ -1,4 +1,8 @@
-"""Sparse Hamiltonian builders over the truncated product basis.
+"""Sparse Hamiltonian builders over the truncated boson (x) spin basis.
+
+The ideal and disordered builders take either spin layout of the basis (the
+product basis, or a collective block of permutation-equivalent spins plus
+explicit sites); the Ising ring needs the product basis.
 
 Every matrix is real-symmetric by construction (kron products and sums of
 exactly symmetric pieces), so H == H^T holds entry-for-entry, not just to
@@ -16,7 +20,6 @@ from ..core import DickeParams
 from ..disorder import DisorderEnsemble
 from .basis import BasisDescriptor
 from .operators import (
-    boson_number,
     boson_x,
     ising_xx_ring,
     spin_flip_total,
@@ -26,10 +29,15 @@ from .operators import (
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """A real-symmetric sparse Hamiltonian plus a human-readable label."""
+    """A real-symmetric sparse Hamiltonian plus a human-readable label.
+
+    ``parity`` is the (+-1) diagonal of a conserved parity when the builder
+    supplies one; the thermal oracle then diagonalizes its two blocks apart.
+    """
 
     matrix: sp.csr_matrix
     label: str
+    parity: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -48,14 +56,14 @@ def _lift_spin(op: sp.spmatrix, boson_dim: int) -> sp.csr_matrix:
     return sp.kron(sp.identity(boson_dim, format="csr"), op, format="csr")
 
 
-def _assemble(parts, label):
+def _assemble(parts, label, parity=None):
     total = parts[0]
     for part in parts[1:]:
         total = total + part
     total = total.tocsr()
     total.sum_duplicates()
     total.sort_indices()
-    return SparseHamiltonian(matrix=total, label=label)
+    return SparseHamiltonian(matrix=total, label=label, parity=parity)
 
 
 def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHamiltonian:
@@ -69,15 +77,15 @@ def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHam
         raise ValueError(
             f"basis holds {basis.n_spins} spins but params specify {p.n_spins}"
         )
-    n = basis.n_spins
+    n, n_c = basis.n_spins, basis.n_collective
     diag = np.add.outer(
-        p.omega * np.arange(basis.boson_dim), p.omega0 * spin_z_values(n)
+        p.omega * np.arange(basis.boson_dim), p.omega0 * spin_z_values(n, n_collective=n_c)
     ).ravel()
     parts = [sp.diags(diag, format="csr")]
     if p.g != 0.0:
         parts.append(
             (p.g / np.sqrt(n))
-            * sp.kron(boson_x(basis.n_max), spin_flip_total(n), format="csr")
+            * sp.kron(boson_x(basis.n_max), spin_flip_total(n, n_collective=n_c), format="csr")
         )
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
@@ -90,7 +98,8 @@ def build_disordered_hamiltonian(
 ) -> SparseHamiltonian:
     """Dicke model with defects: the first N spins carry (omega0, g), the last
     m carry their individual (omega'_i, g'_i); every coupling is collectively
-    normalized by 1/sqrt(N+m)."""
+    normalized by 1/sqrt(N+m). A collective block in the basis must hold spins
+    of equal (omega, g), i.e. clean spins."""
     total = d.n_clean + d.m
     if basis.n_spins != total:
         raise ValueError(
@@ -109,14 +118,15 @@ def build_disordered_hamiltonian(
     x_weights = np.concatenate(
         [np.full(d.n_clean, p.g), np.array([gp for _, gp in d.defects])]
     )
+    n_c = basis.n_collective
     diag = np.add.outer(
-        p.omega * np.arange(basis.boson_dim), spin_z_values(total, z_weights)
+        p.omega * np.arange(basis.boson_dim), spin_z_values(total, z_weights, n_c)
     ).ravel()
     parts = [sp.diags(diag, format="csr")]
     if np.any(x_weights != 0.0):
         parts.append(
             (1.0 / np.sqrt(total))
-            * sp.kron(boson_x(basis.n_max), spin_flip_total(total, x_weights), format="csr")
+            * sp.kron(boson_x(basis.n_max), spin_flip_total(total, x_weights, n_c), format="csr")
         )
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
@@ -129,7 +139,10 @@ def build_dicke_ising_hamiltonian(
 ) -> SparseHamiltonian:
     """Dicke model plus the nearest-neighbor ring term 4J sum_n S_x^n S_x^{n+1}
     with J = eta*omega0. For eta = 0 this takes exactly the plain-Dicke
-    construction path, so the matrices are bitwise identical."""
+    construction path, so the matrices are bitwise identical. The ring breaks
+    the permutation symmetry, so the basis must be the product basis."""
+    if basis.n_collective:
+        raise ValueError("the Ising ring breaks permutation symmetry: use n_collective=0")
     if basis.n_spins < 2:
         raise ValueError("the Ising ring needs n_spins >= 2")
     ideal = build_dicke_hamiltonian(p, basis)
@@ -144,7 +157,8 @@ def build_hopfield_hamiltonian(
     p: DickeParams, n_max_a: int, n_max_b: int
 ) -> SparseHamiltonian:
     """Two truncated bosons, omega0 b'b + omega a'a + g (a+a')(b+b'), plus the
-    a2_coeff term on the a mode. Index = n_a*(n_max_b+1) + n_b."""
+    a2_coeff term on the a mode. Index = n_a*(n_max_b+1) + n_b. Carries the
+    conserved parity (-1)^(n_a + n_b)."""
     dim_b = n_max_b + 1
     diag = np.add.outer(
         p.omega * np.arange(n_max_a + 1), p.omega0 * np.arange(dim_b)
@@ -157,7 +171,7 @@ def build_hopfield_hamiltonian(
         parts.append(
             p.a2_coeff * sp.kron((x @ x).tocsr(), sp.identity(dim_b, format="csr"), format="csr")
         )
-    return _assemble(parts, "hopfield")
+    return _assemble(parts, "hopfield", hopfield_parity_diagonal(n_max_a, n_max_b))
 
 
 def hopfield_parity_diagonal(n_max_a: int, n_max_b: int) -> np.ndarray:

@@ -4,22 +4,18 @@ Everything is kept real: Hamiltonian pieces are exactly symmetric matrices,
 momentum-like quadratures are represented by exactly antisymmetric generators
 M (the observable being i*M). Spin operators act on N-bit masks, bit i set
 meaning spin i up; S_z|up> = +1/2|up>.
+
+The spin primitives take the basis layout of ``basis.BasisDescriptor``: the
+first ``n_collective`` spins form one collective spin J = n_collective/2 on
+its symmetric states |k> (k up spins), with <k+1|J_+|k> = sqrt((k+1)(N_c-k)),
+and the other spins stay explicit sites. Per-spin weights must agree on the
+collective spins, which then carry that one weight.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def boson_annihilation(n_max: int) -> sp.csr_matrix:
-    """a with the hard cutoff a'|n_max> = 0; <n-1|a|n> = sqrt(n)."""
-    root = np.sqrt(np.arange(1, n_max + 1))
-    return sp.diags(root, offsets=1, format="csr")
-
-
-def boson_number(n_max: int) -> sp.csr_matrix:
-    return sp.diags(np.arange(n_max + 1, dtype=float), format="csr")
 
 
 def boson_x(n_max: int) -> sp.csr_matrix:
@@ -34,31 +30,37 @@ def boson_momentum_generator(n_max: int) -> sp.csr_matrix:
     return sp.diags([root, -root], offsets=[-1, 1], format="csr")
 
 
-def spin_z_values(n_spins: int, weights=None) -> np.ndarray:
-    """Diagonal of sum_i w_i S_z^i over the 2^N spin basis."""
-    if weights is None:
-        weights = np.ones(n_spins)
-    weights = np.asarray(weights, dtype=float)
-    s = np.arange(1 << n_spins, dtype=np.uint64)
-    diag = np.zeros(s.size)
-    for i in range(n_spins):
-        bit = ((s >> np.uint64(i)) & np.uint64(1)).astype(float)
-        diag += weights[i] * (bit - 0.5)
-    return diag
+def _split_weights(n_spins: int, weights, n_collective: int):
+    """(weight of the collective block, weights of the explicit sites)."""
+    weights = np.ones(n_spins) if weights is None else np.asarray(weights, dtype=float)
+    if n_collective and np.any(weights[:n_collective] != weights[0]):
+        raise ValueError("the collective spins must share one weight")
+    return (weights[0] if n_collective else 0.0), weights[n_collective:]
 
 
-def spin_x_total(n_spins: int, weights=None) -> sp.csr_matrix:
-    """sum_i w_i S_x^i: flips spin i with amplitude w_i/2 (symmetric)."""
-    if weights is None:
-        weights = np.ones(n_spins)
-    weights = np.asarray(weights, dtype=float)
-    dim = 1 << n_spins
-    s = np.arange(dim)
-    rows, cols, data = [], [], []
-    for i in range(n_spins):
-        rows.append(s)
-        cols.append(s ^ (1 << i))
-        data.append(np.full(dim, 0.5 * weights[i]))
+def _collective_raise(n_collective: int) -> sp.csr_matrix:
+    """J_+ on the n_collective + 1 symmetric states."""
+    k = np.arange(n_collective)
+    dim = n_collective + 1
+    return sp.diags(
+        np.sqrt((k + 1.0) * (n_collective - k)), offsets=-1, shape=(dim, dim), format="csr"
+    )
+
+
+def _with_collective(explicit: sp.csr_matrix, collective, n_collective: int) -> sp.csr_matrix:
+    """explicit (x) 1 + 1 (x) collective on the spin factor (explicit bits
+    major); the product layout returns ``explicit`` as it is."""
+    if n_collective == 0:
+        return explicit
+    mat = sp.kron(explicit, sp.identity(n_collective + 1, format="csr"), format="csr")
+    mat = mat + sp.kron(sp.identity(explicit.shape[0], format="csr"), collective, format="csr")
+    mat.sum_duplicates()
+    return mat
+
+
+def _csr(rows, cols, data, dim: int) -> sp.csr_matrix:
+    if not data:
+        return sp.csr_matrix((dim, dim))
     mat = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -67,23 +69,52 @@ def spin_x_total(n_spins: int, weights=None) -> sp.csr_matrix:
     return mat
 
 
-def spin_flip_total(n_spins: int, weights=None) -> sp.csr_matrix:
+def spin_z_values(n_spins: int, weights=None, n_collective: int = 0) -> np.ndarray:
+    """Diagonal of sum_i w_i S_z^i over the spin states."""
+    w_c, weights = _split_weights(n_spins, weights, n_collective)
+    s = np.arange(1 << weights.size, dtype=np.uint64)
+    diag = np.zeros(s.size)
+    for i in range(weights.size):
+        bit = ((s >> np.uint64(i)) & np.uint64(1)).astype(float)
+        diag += weights[i] * (bit - 0.5)
+    if n_collective:
+        jz = np.arange(n_collective + 1) - 0.5 * n_collective
+        diag = np.add.outer(diag, w_c * jz).ravel()
+    return diag
+
+
+def spin_x_total(n_spins: int, weights=None, n_collective: int = 0) -> sp.csr_matrix:
+    """sum_i w_i S_x^i: flips spin i with amplitude w_i/2 (symmetric)."""
+    w_c, weights = _split_weights(n_spins, weights, n_collective)
+    dim = 1 << weights.size
+    s = np.arange(dim)
+    rows, cols, data = [], [], []
+    for i in range(weights.size):
+        rows.append(s)
+        cols.append(s ^ (1 << i))
+        data.append(np.full(dim, 0.5 * weights[i]))
+    jp = _collective_raise(n_collective)
+    return _with_collective(_csr(rows, cols, data, dim), 0.5 * w_c * (jp + jp.T), n_collective)
+
+
+def spin_flip_total(n_spins: int, weights=None, n_collective: int = 0) -> sp.csr_matrix:
     """sum_i w_i (S_+^i + S_-^i): flips spin i with amplitude w_i (symmetric).
 
     This is the combination whose collective bosonization carries unit weight
     (sum_i (S_+^i + S_-^i) -> sqrt(N)(b' + b) near the polarized state), so it
     is what the spin-boson coupling terms are built from.
     """
-    return 2.0 * spin_x_total(n_spins, weights)
+    return 2.0 * spin_x_total(n_spins, weights, n_collective)
 
 
-def spin_pm_total(n_spins: int) -> sp.csr_matrix:
+def spin_pm_total(n_spins: int, n_collective: int = 0) -> sp.csr_matrix:
     """S_+ - S_- summed over sites (antisymmetric): +1 on an up-flip of any
     site, -1 on the corresponding down-flip."""
-    dim = 1 << n_spins
+    n_sites = n_spins - n_collective
+    dim = 1 << n_sites
     s = np.arange(dim)
     rows, cols, data = [], [], []
-    for i in range(n_spins):
+    for i in range(n_sites):
         bit = 1 << i
         down = s[(s & bit) == 0]
         # S_+ entry |s or bit><s|, S_- entry is minus its transpose
@@ -93,12 +124,8 @@ def spin_pm_total(n_spins: int) -> sp.csr_matrix:
         rows.append(down)
         cols.append(down | bit)
         data.append(-np.ones(down.size))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    jp = _collective_raise(n_collective)
+    return _with_collective(_csr(rows, cols, data, dim), jp - jp.T, n_collective)
 
 
 def ising_xx_ring(n_spins: int) -> sp.csr_matrix:
@@ -115,9 +142,4 @@ def ising_xx_ring(n_spins: int) -> sp.csr_matrix:
         rows.append(s)
         cols.append(s ^ mask)
         data.append(np.full(dim, 0.25))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return _csr(rows, cols, data, dim)

@@ -4,6 +4,9 @@ An observable O = i*M with M real antisymmetric is Hermitian, has exactly zero
 expectation value in any real state (v^T M v = 0 identically), and its
 variance in a real unit vector v is -v^T M^2 v = ||M v||^2, so everything
 stays in real arithmetic.
+
+The spin-model quadratures take either spin layout of the basis, except the
+Ising-model p_minus_k0, which needs the product basis.
 """
 
 from __future__ import annotations
@@ -44,17 +47,21 @@ def _combine(boson_part, spin_part, basis, label):
     return QuadratureOperator(generator=total, label=label)
 
 
+def _spin_pm(basis: BasisDescriptor) -> sp.csr_matrix:
+    return spin_pm_total(basis.n_spins, basis.n_collective)
+
+
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
     """Finite-size squeezed quadrature
     i/sqrt(2) (a'-a) - i/sqrt(2N) (S+ - S-)."""
     boson = (1.0 / math.sqrt(2.0)) * boson_momentum_generator(basis.n_max)
-    spin = (-1.0 / math.sqrt(2.0 * basis.n_spins)) * spin_pm_total(basis.n_spins)
+    spin = (-1.0 / math.sqrt(2.0 * basis.n_spins)) * _spin_pm(basis)
     return _combine(boson, spin, basis, "p_tilde_minus")
 
 
 def s_tilde_y(basis: BasisDescriptor) -> QuadratureOperator:
     """Collective spin quadrature i/sqrt(N) (S+ - S-)."""
-    spin = (1.0 / math.sqrt(basis.n_spins)) * spin_pm_total(basis.n_spins)
+    spin = (1.0 / math.sqrt(basis.n_spins)) * _spin_pm(basis)
     return _combine(None, spin, basis, "s_tilde_y")
 
 
@@ -71,7 +78,7 @@ def p_d(
     spin = (
         -math.sqrt(omega0 / (2.0 * n_total))
         * math.sin(gamma_bar)
-        * spin_pm_total(n_total)
+        * _spin_pm(basis)
     )
     return _combine(boson, spin, basis, "p_d")
 
@@ -85,7 +92,9 @@ def p_minus_k0(
 ) -> QuadratureOperator:
     """Zero-momentum squeezed quadrature of the Ising-coupled model,
     i sqrt(w_0/2) cos(g0) (a'-a)
-    - i sqrt(E_0/(2N)) sin(g0) (1-eta) (S+ - S-)."""
+    - i sqrt(E_0/(2N)) sin(g0) (1-eta) (S+ - S-). Needs the product basis."""
+    if basis.n_collective:
+        raise ValueError("the Ising model breaks permutation symmetry: use n_collective=0")
     boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0) * boson_momentum_generator(
         basis.n_max
     )
@@ -93,7 +102,7 @@ def p_minus_k0(
         -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins))
         * math.sin(gamma_k0)
         * (1.0 - eta)
-        * spin_pm_total(basis.n_spins)
+        * _spin_pm(basis)
     )
     return _combine(boson, spin, basis, "p_minus_k0")
 
@@ -149,10 +158,10 @@ def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:
     """<S^2> of the collective spin in the ground state, computed in real
     arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
-    n = basis.n_spins
-    sx = _lift_spin(spin_x_total(n), basis.boson_dim)
-    sz = _lift_spin(sp.diags(spin_z_values(n), format="csr"), basis.boson_dim)
-    k = _lift_spin(spin_pm_total(n), basis.boson_dim)
+    n, n_c = basis.n_spins, basis.n_collective
+    sx = _lift_spin(spin_x_total(n, n_collective=n_c), basis.boson_dim)
+    sz = _lift_spin(sp.diags(spin_z_values(n, n_collective=n_c), format="csr"), basis.boson_dim)
+    k = _lift_spin(_spin_pm(basis), basis.boson_dim)
     v = gs.vector
     sxv = sx @ v
     szv = sz @ v

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from dicke_squeeze import (
     map_ladder_to_dicke,
     validate_params,
 )
-from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian
+from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, build_hopfield_hamiltonian
 
 
 class TestValidation:
@@ -46,6 +47,21 @@ class TestValidation:
     def test_nan_frequency_rejected(self):
         with pytest.raises(ValueError, match="omega"):
             DickeParams(omega=math.nan, omega0=1, g=0.5)
+
+    @pytest.mark.parametrize("field", ["omega", "omega0", "g", "a2_coeff"])
+    def test_infinite_value_rejected(self, field):
+        kwargs = dict(omega=1.0, omega0=1.0, g=0.5, a2_coeff=0.0)
+        kwargs[field] = math.inf
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DickeParams(**kwargs)
+
+    def test_integer_inputs_stored_as_float(self):
+        p = DickeParams(omega=1, omega0=2, g=0, n_spins=3, a2_coeff=0)
+        assert all(type(v) is float for v in (p.omega, p.omega0, p.g, p.a2_coeff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_dicke_hamiltonian(p, build_basis(3, 4))
+            build_hopfield_hamiltonian(p, 4, 4)
 
 
 class TestCriticalCoupling:
