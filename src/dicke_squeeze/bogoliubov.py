@@ -112,7 +112,7 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
     if g == 0.0:
         gamma = 0.0  # decoupled oscillators: keep boson/spin labels stable
     phase = classify_phase(
-        DickeParams(p.omega, p.omega0, g, p.n_spins, p.a2_coeff)
+        p if g == p.g else DickeParams(p.omega, p.omega0, g, p.n_spins, p.a2_coeff)
     )
     return NormalModeData(
         eps_minus=math.sqrt(em_sq),

@@ -29,6 +29,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 _FLOAT_FIELDS = ("omega", "omega0", "g", "a2_coeff")
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,24 @@ class DickeParams:
             values = omega, omega0, g, a2_coeff = tuple(map(float, values))
             for name, value in zip(_FLOAT_FIELDS, values):
                 object.__setattr__(self, name, value)
+        n_spins = self.n_spins
         # One combined test on the valid path, which the analytic grids take
-        # once per point; the named checks run only to report a failure.
-        if not (
-            0 < omega < math.inf
-            and 0 < omega0 < math.inf
-            and 0 <= g < math.inf
-            and 0 <= a2_coeff < math.inf
+        # several times per point; the named checks run only on a failure.
+        if (
+            0 < omega < _INF
+            and 0 < omega0 < _INF
+            and 0 <= g < _INF
+            and 0 <= a2_coeff < _INF
+            and int(n_spins) == n_spins >= 1
         ):
-            for name, value in zip(_FLOAT_FIELDS, values):
-                _require(math.isfinite(value), f"{name} must be finite, got {value}")
-            _require(omega > 0, "omega must be > 0")
-            _require(omega0 > 0, "omega0 must be > 0")
-            _require(g >= 0, "g must be >= 0")
-            _require(a2_coeff >= 0, "a2_coeff must be >= 0")
-        _require(
-            int(self.n_spins) == self.n_spins and self.n_spins >= 1,
-            "n_spins must be an integer >= 1",
-        )
+            return
+        for name, value in zip(_FLOAT_FIELDS, values):
+            _require(math.isfinite(value), f"{name} must be finite, got {value}")
+        _require(omega > 0, "omega must be > 0")
+        _require(omega0 > 0, "omega0 must be > 0")
+        _require(g >= 0, "g must be >= 0")
+        _require(a2_coeff >= 0, "a2_coeff must be >= 0")
+        _require(int(n_spins) == n_spins and n_spins >= 1, "n_spins must be an integer >= 1")
 
 
 def validate_params(p: DickeParams) -> DickeParams:
