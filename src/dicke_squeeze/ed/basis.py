@@ -84,6 +84,6 @@ def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
     k + popcount(explicit bits).
     """
     explicit = np.bitwise_count(np.arange(1 << basis.n_explicit, dtype=np.uint64))
-    ups = np.add.outer(explicit.astype(np.int64), np.arange(basis.n_collective + 1))
+    ups = np.add.outer(explicit, np.arange(basis.n_collective + 1))
     total = np.add.outer(np.arange(basis.boson_dim), ups.ravel()).ravel()
     return np.where(total % 2 == 0, 1.0, -1.0)

@@ -53,9 +53,7 @@ def _with_collective(explicit: sp.csr_matrix, collective, n_collective: int) -> 
     if n_collective == 0:
         return explicit
     mat = sp.kron(explicit, sp.identity(n_collective + 1, format="csr"), format="csr")
-    mat = mat + sp.kron(sp.identity(explicit.shape[0], format="csr"), collective, format="csr")
-    mat.sum_duplicates()
-    return mat
+    return mat + sp.kron(sp.identity(explicit.shape[0], format="csr"), collective, format="csr")
 
 
 def _csr(rows, cols, data, dim: int) -> sp.csr_matrix:
