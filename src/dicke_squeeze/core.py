@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 # An "a << b" separation-of-scales condition is flagged once a > 0.1 * b.
@@ -29,7 +30,6 @@ def _require(condition: bool, message: str) -> None:
 
 
 _FLOAT_FIELDS = ("omega", "omega0", "g", "a2_coeff")
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class DickeParams:
         Coefficient D of the squared boson-displacement term D(a+a')^2,
         zero for a plain Dicke model.
 
-    omega, omega0, g and a2_coeff are stored as floats; non-finite values
-    are rejected.
+    omega, omega0, g and a2_coeff must be real numbers and are stored as
+    floats; non-finite values are rejected.
     """
 
     omega: float
@@ -61,29 +61,22 @@ class DickeParams:
     a2_coeff: float = 0.0
 
     def __post_init__(self):
-        values = omega, omega0, g, a2_coeff = (self.omega, self.omega0, self.g, self.a2_coeff)
-        if not (type(omega) is type(omega0) is type(g) is type(a2_coeff) is float):
-            values = omega, omega0, g, a2_coeff = tuple(map(float, values))
-            for name, value in zip(_FLOAT_FIELDS, values):
-                object.__setattr__(self, name, value)
-        n_spins = self.n_spins
-        # One combined test on the valid path, which the analytic grids take
-        # several times per point; the named checks run only on a failure.
-        if (
-            0 < omega < _INF
-            and 0 < omega0 < _INF
-            and 0 <= g < _INF
-            and 0 <= a2_coeff < _INF
-            and int(n_spins) == n_spins >= 1
-        ):
-            return
-        for name, value in zip(_FLOAT_FIELDS, values):
-            _require(math.isfinite(value), f"{name} must be finite, got {value}")
-        _require(omega > 0, "omega must be > 0")
-        _require(omega0 > 0, "omega0 must be > 0")
-        _require(g >= 0, "g must be >= 0")
-        _require(a2_coeff >= 0, "a2_coeff must be >= 0")
-        _require(int(n_spins) == n_spins and n_spins >= 1, "n_spins must be an integer >= 1")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not float:
+                _require(
+                    isinstance(value, numbers.Real),
+                    f"{name} must be a real number, got {value!r}",
+                )
+                object.__setattr__(self, name, float(value))
+        _require(0 < self.omega < math.inf, "omega must be finite and > 0")
+        _require(0 < self.omega0 < math.inf, "omega0 must be finite and > 0")
+        _require(0 <= self.g < math.inf, "g must be finite and >= 0")
+        _require(0 <= self.a2_coeff < math.inf, "a2_coeff must be finite and >= 0")
+        _require(
+            int(self.n_spins) == self.n_spins and self.n_spins >= 1,
+            "n_spins must be an integer >= 1",
+        )
 
 
 def validate_params(p: DickeParams) -> DickeParams:

@@ -47,21 +47,21 @@ def _combine(boson_part, spin_part, basis, label):
     return QuadratureOperator(generator=total, label=label)
 
 
-def _spin_pm(basis: BasisDescriptor) -> sp.csr_matrix:
-    return spin_pm_total(basis.n_spins, basis.n_collective)
-
-
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
     """Finite-size squeezed quadrature
     i/sqrt(2) (a'-a) - i/sqrt(2N) (S+ - S-)."""
     boson = (1.0 / math.sqrt(2.0)) * boson_momentum_generator(basis.n_max)
-    spin = (-1.0 / math.sqrt(2.0 * basis.n_spins)) * _spin_pm(basis)
+    spin = (-1.0 / math.sqrt(2.0 * basis.n_spins)) * spin_pm_total(
+        basis.n_spins, basis.n_collective
+    )
     return _combine(boson, spin, basis, "p_tilde_minus")
 
 
 def s_tilde_y(basis: BasisDescriptor) -> QuadratureOperator:
     """Collective spin quadrature i/sqrt(N) (S+ - S-)."""
-    spin = (1.0 / math.sqrt(basis.n_spins)) * _spin_pm(basis)
+    spin = (1.0 / math.sqrt(basis.n_spins)) * spin_pm_total(
+        basis.n_spins, basis.n_collective
+    )
     return _combine(None, spin, basis, "s_tilde_y")
 
 
@@ -78,7 +78,7 @@ def p_d(
     spin = (
         -math.sqrt(omega0 / (2.0 * n_total))
         * math.sin(gamma_bar)
-        * _spin_pm(basis)
+        * spin_pm_total(basis.n_spins, basis.n_collective)
     )
     return _combine(boson, spin, basis, "p_d")
 
@@ -102,7 +102,7 @@ def p_minus_k0(
         -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins))
         * math.sin(gamma_k0)
         * (1.0 - eta)
-        * _spin_pm(basis)
+        * spin_pm_total(basis.n_spins, basis.n_collective)
     )
     return _combine(boson, spin, basis, "p_minus_k0")
 
@@ -161,7 +161,7 @@ def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> flo
     n, n_c = basis.n_spins, basis.n_collective
     sx = _lift_spin(spin_x_total(n, n_collective=n_c), basis.boson_dim)
     sz = _lift_spin(sp.diags(spin_z_values(n, n_collective=n_c), format="csr"), basis.boson_dim)
-    k = _lift_spin(_spin_pm(basis), basis.boson_dim)
+    k = _lift_spin(spin_pm_total(n, n_collective=n_c), basis.boson_dim)
     v = gs.vector
     sxv = sx @ v
     szv = sz @ v

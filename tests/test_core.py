@@ -186,6 +186,10 @@ class TestJsonIngestion:
         p = dicke_params_from_file(path)
         assert p == DickeParams(1.0, 0.04, 0.1, 4, 0.0)
 
+    def test_string_value_rejected(self):
+        with pytest.raises(ValueError, match="g must be a real number"):
+            dicke_params_from_dict({"omega": 1.0, "omega0": 1.0, "g": "0.5"})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             dicke_params_from_dict({"omega": 1, "omega0": 1, "g": 0, "bogus": 2})
