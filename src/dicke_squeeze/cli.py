@@ -30,7 +30,6 @@ from .ed import (
     p_d,
     p_minus_k0,
     p_tilde_minus,
-    parity_diagonal,
     s_tilde_y,
     variance,
 )
@@ -198,7 +197,7 @@ def _fig3_task(args):
     # all spins are permutation-equivalent: one collective spin J = N/2
     basis = build_basis(n_spins, n_max, n_collective=n_spins)
     h = build_dicke_hamiltonian(DickeParams(omega, omega0, g, n_spins), basis)
-    gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h, tol=tol)
     var_p = variance(gs, p_tilde_minus(basis))
     var_s = variance(gs, s_tilde_y(basis))
     ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
@@ -217,7 +216,7 @@ def _fig6_task(args):
     # the clean spins form one collective spin; the defects stay explicit
     basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean)
     h = build_disordered_hamiltonian(p, ens, basis)
-    gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h, tol=tol)
     xi = variance(gs, p_d(basis, omega, omega0, gamma_bar)) / (omega / 2.0)
     ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
     return xi, gs.residual, ok, time.perf_counter() - t0
@@ -235,7 +234,7 @@ def _fig7_task(args):
     h = build_dicke_ising_hamiltonian(
         DickeParams(omega_k0, omega0, g, n_spins), eta, basis
     )
-    gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h, tol=tol)
     xi = variance(gs, p_minus_k0(basis, omega_k0, e0, gamma0, eta)) / (omega_k0 / 2.0)
     ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
     return xi, gs.residual, ok, time.perf_counter() - t0

@@ -206,7 +206,6 @@ def critical_coupling(p: DickeParams) -> float | None:
     transition in that regime. The returned value grows continuously and
     diverges as a2_coeff approaches g^2/omega0 from below.
     """
-    validate_params(p)
     bare = math.sqrt(p.omega * p.omega0) / 2.0
     if p.a2_coeff == 0:
         return bare

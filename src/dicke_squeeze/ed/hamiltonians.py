@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ..core import DickeParams
 from ..disorder import DisorderEnsemble
-from .basis import BasisDescriptor
+from .basis import BasisDescriptor, parity_diagonal
 from .operators import (
     boson_x,
     ising_xx_ring,
@@ -32,7 +32,9 @@ class SparseHamiltonian:
     """A real-symmetric sparse Hamiltonian plus a human-readable label.
 
     ``parity`` is the (+-1) diagonal of a conserved parity when the builder
-    supplies one; the thermal oracle then diagonalizes its two blocks apart.
+    supplies one (every builder here does); the thermal oracle then
+    diagonalizes its two blocks apart, and ``ground_state`` projects a
+    near-degenerate ground state onto it.
     """
 
     matrix: sp.csr_matrix
@@ -90,7 +92,7 @@ def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHam
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
         parts.append(p.a2_coeff * _lift_boson((x @ x).tocsr(), basis.spin_dim))
-    return _assemble(parts, "dicke")
+    return _assemble(parts, "dicke", parity_diagonal(basis))
 
 
 def build_disordered_hamiltonian(
@@ -111,7 +113,9 @@ def build_disordered_hamiltonian(
         ideal = build_dicke_hamiltonian(
             DickeParams(p.omega, p.omega0, p.g, d.n_clean, p.a2_coeff), basis
         )
-        return SparseHamiltonian(matrix=ideal.matrix, label="dicke-disordered")
+        return SparseHamiltonian(
+            matrix=ideal.matrix, label="dicke-disordered", parity=ideal.parity
+        )
     z_weights = np.concatenate(
         [np.full(d.n_clean, p.omega0), np.array([w for w, _ in d.defects])]
     )
@@ -131,7 +135,7 @@ def build_disordered_hamiltonian(
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
         parts.append(p.a2_coeff * _lift_boson((x @ x).tocsr(), basis.spin_dim))
-    return _assemble(parts, "dicke-disordered")
+    return _assemble(parts, "dicke-disordered", parity_diagonal(basis))
 
 
 def build_dicke_ising_hamiltonian(
@@ -147,10 +151,12 @@ def build_dicke_ising_hamiltonian(
         raise ValueError("the Ising ring needs n_spins >= 2")
     ideal = build_dicke_hamiltonian(p, basis)
     if eta == 0.0:
-        return SparseHamiltonian(matrix=ideal.matrix, label="dicke-ising")
+        return SparseHamiltonian(
+            matrix=ideal.matrix, label="dicke-ising", parity=ideal.parity
+        )
     coupling = 4.0 * eta * p.omega0
     ring = coupling * _lift_spin(ising_xx_ring(basis.n_spins), basis.boson_dim)
-    return _assemble([ideal.matrix, ring], "dicke-ising")
+    return _assemble([ideal.matrix, ring], "dicke-ising", ideal.parity)
 
 
 def build_hopfield_hamiltonian(

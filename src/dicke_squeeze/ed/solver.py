@@ -153,10 +153,13 @@ def ground_state(
     ||Hv - Ev|| <= tol * ||H||_inf, and the eigenvector sign is fixed so the
     largest-magnitude component is positive.
 
-    Near-degenerate ground states (gap < 1e-8) are flagged; when
-    ``parity_diag`` is given the deterministic parity-even combination is
-    selected by projection (falling back to odd if the even part vanishes).
+    Near-degenerate ground states (gap < 1e-8) are flagged; when a parity
+    diagonal is known (``parity_diag``, else ``h.parity``) the deterministic
+    parity-even combination is selected by projection (falling back to odd if
+    the even part vanishes).
     """
+    if parity_diag is None and isinstance(h, SparseHamiltonian):
+        parity_diag = h.parity
     mat = _as_matrix(h)
     dim = mat.shape[0]
     hnorm = matrix_inf_norm(mat)

@@ -1,5 +1,5 @@
 """Collective-spin layout of the ED basis against the product basis, and the
-parity-block Gibbs oracle against the full dense spectrum."""
+parity-block, Boltzmann-window Gibbs oracle against the full dense spectrum."""
 
 import math
 
@@ -29,6 +29,7 @@ from dicke_squeeze.ed import (
 )
 from dicke_squeeze.ed.operators import spin_z_values
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
+from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW
 
 # derandomized: the same examples on every run, so the suite stays reproducible
 _EXAMPLES = settings(derandomize=True, max_examples=12, deadline=None)
@@ -117,6 +118,56 @@ def test_parity_block_oracle_keeps_lowest_merged_pairs():
         assert thermal_variance(h, q, 0.1, n_eigenpairs=n_pairs) == pytest.approx(
             thermal_variance(h.matrix, q, 0.1, n_eigenpairs=n_pairs), rel=0.0, abs=1e-12
         )
+
+
+def test_boltzmann_window_matches_full_spectrum():
+    # criterion 03's truncation: both parity blocks hold 840-841 states
+    omega0 = 1.3
+    p = DickeParams(1.0, omega0, 0.6 * math.sqrt(omega0) / 2.0)
+    h = build_hopfield_hamiltonian(p, 40, 40)
+    q = hopfield_p_minus(40, 40, 1.0, omega0, normal_modes(p).gamma)
+    energies, vectors = la.eigh(h.matrix.toarray())
+    mv = q.generator @ vectors
+    moments = np.einsum("ij,ij->j", mv, mv)
+    smaller_block = min(np.count_nonzero(h.parity > 0), np.count_nonzero(h.parity < 0))
+    ref = min(1.0, omega0) / 2.0
+    for temperature in (0.05, 0.3, 0.5):
+        # the window must drop pairs from both blocks, not cover everything
+        window = h.matrix.diagonal().min() + BOLTZMANN_WINDOW * temperature
+        assert np.count_nonzero(energies <= window) < smaller_block
+        weights = np.exp(-(energies - energies[0]) / temperature)
+        xi_full = float((weights / weights.sum()) @ moments) / ref
+        for ham in (h, h.matrix):
+            xi = thermal_variance(ham, q, temperature) / ref
+            assert xi == pytest.approx(xi_full, rel=0.0, abs=1e-12)
+
+
+def test_spin_builders_carry_the_conserved_parity():
+    p = DickeParams(1.0, 1.2, 0.7, 3, 0.1)
+    product, collective = build_basis(3, 6), build_basis(3, 6, n_collective=3)
+    mixed = build_basis(3, 6, n_collective=2)
+    defect = DisorderEnsemble(2, ((2.0, 0.5),))
+    built = [
+        (build_dicke_hamiltonian(p, product), product),
+        (build_dicke_hamiltonian(p, collective), collective),
+        (build_disordered_hamiltonian(p, DisorderEnsemble(3, ()), collective), collective),
+        (build_disordered_hamiltonian(p, defect, mixed), mixed),
+        (build_dicke_ising_hamiltonian(p, 0.0, product), product),
+        (build_dicke_ising_hamiltonian(p, 0.3, product), product),
+    ]
+    for h, basis in built:
+        assert np.array_equal(h.parity, parity_diagonal(basis))
+        # conserved: H has no entry between the two parity sectors
+        assert np.all(np.outer(h.parity, h.parity)[h.matrix.nonzero()] > 0)
+
+
+def test_ground_state_defaults_to_the_builders_parity():
+    # near-degenerate wells, as in the solver's projection test
+    h = build_dicke_hamiltonian(DickeParams(1.0, 1e-12, 0.4, 1), build_basis(1, 24))
+    gs = ground_state(h)
+    assert gs.near_degenerate
+    assert float(np.sum(h.parity * gs.vector**2)) == pytest.approx(1.0, abs=1e-10)
+    assert np.array_equal(gs.vector, ground_state(h, parity_diag=h.parity).vector)
 
 
 class TestLayout:
