@@ -28,7 +28,6 @@ from .core import (
     ladder_params_from_dict,
     ladder_params_from_file,
     map_ladder_to_dicke,
-    validate_params,
 )
 from .disorder import (
     DisorderEnsemble,
@@ -84,5 +83,4 @@ __all__ = [
     "superradiant_modes",
     "thermal_squeezing_ratio",
     "two_mode_quadrature_coefficients",
-    "validate_params",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -52,7 +53,6 @@ class SweepResult:
     columns: list[str]
     rows: list[dict]
     meta: dict
-    wall_times: list[float] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
 
@@ -136,10 +136,6 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
             isinstance(v, int) and v >= 1 for v in n_max
         ):
             raise ConfigError("ed.n_max must be a list of positive integers")
-        if ed.get("convergence_report") and len(n_max) < 2:
-            raise ConfigError(
-                "a truncation-convergence report needs at least two ed.n_max entries"
-            )
     return cfg
 
 
@@ -189,55 +185,90 @@ def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
     return tuple(zip(omegas.tolist(), gs.tolist()))
 
 
-# -- ED tasks (top-level so a worker pool can pickle them) -------------------
+# -- ED presets: one task path (top-level so a worker pool can pickle it) ----
 
-def _fig3_task(args):
-    omega, omega0, g, n_spins, n_max, tol = args
-    t0 = time.perf_counter()
+def _fig3_point(p, n_max):
     # all spins are permutation-equivalent: one collective spin J = N/2
-    basis = build_basis(n_spins, n_max, n_collective=n_spins)
-    h = build_dicke_hamiltonian(DickeParams(omega, omega0, g, n_spins), basis)
-    gs = ground_state(h, tol=tol)
-    var_p = variance(gs, p_tilde_minus(basis))
-    var_s = variance(gs, s_tilde_y(basis))
-    ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
-    return var_p, var_s, gs.residual, ok, time.perf_counter() - t0
+    basis = build_basis(p.n_spins, n_max, n_collective=p.n_spins)
+    quadratures = [
+        ({"quadrature": "p_tilde_minus"}, p_tilde_minus(basis), 1.0),
+        ({"quadrature": "s_tilde_y"}, s_tilde_y(basis), 1.0),
+    ]
+    return build_dicke_hamiltonian(p, basis), quadratures
 
 
-def _fig6_task(args):
-    omega, omega0, g, n_clean, defects, n_max, tol = args
-    t0 = time.perf_counter()
-    ens = disorder.DisorderEnsemble(n_clean, defects)
-    p = DickeParams(omega, omega0, g, n_clean)
-    gbar = disorder.renormalized_coupling(g, n_clean, ens.m)
-    gamma_bar = bogoliubov.normal_modes(
-        DickeParams(omega, omega0, g), g_renormalized=gbar
-    ).gamma
+def _fig6_point(p, defects, n_max):
+    ens = disorder.DisorderEnsemble(p.n_spins, defects)
+    gbar = disorder.renormalized_coupling(p.g, p.n_spins, ens.m)
+    gamma_bar = bogoliubov.normal_modes(p, g_renormalized=gbar).gamma
     # the clean spins form one collective spin; the defects stay explicit
-    basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean)
-    h = build_disordered_hamiltonian(p, ens, basis)
-    gs = ground_state(h, tol=tol)
-    xi = variance(gs, p_d(basis, omega, omega0, gamma_bar)) / (omega / 2.0)
-    ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
-    return xi, gs.residual, ok, time.perf_counter() - t0
+    basis = build_basis(p.n_spins + ens.m, n_max, n_collective=p.n_spins)
+    q = p_d(basis, p.omega, p.omega0, gamma_bar)
+    return build_disordered_hamiltonian(p, ens, basis), [({}, q, p.omega / 2.0)]
 
 
-def _fig7_task(args):
-    omega_k0, omega0, g, eta, n_spins, n_max, tol = args
-    t0 = time.perf_counter()
+def _fig7_point(p, eta, n_max):
     ip = ising.IsingParams(
-        eta=eta, omega0=omega0, dispersion=omega_k0, g=g, n_spins=n_spins
+        eta=eta, omega0=p.omega0, dispersion=p.omega, g=p.g, n_spins=p.n_spins
     )
     gamma0 = ising.mixing_angle_k(ip, 0.0)
     e0 = ising.magnon_energy(ip, 0.0)
-    basis = build_basis(n_spins, n_max)
-    h = build_dicke_ising_hamiltonian(
-        DickeParams(omega_k0, omega0, g, n_spins), eta, basis
-    )
+    basis = build_basis(p.n_spins, n_max)
+    q = p_minus_k0(basis, p.omega, e0, gamma0, eta)
+    return build_dicke_ising_hamiltonian(p, eta, basis), [({}, q, p.omega / 2.0)]
+
+
+def _ed_task(task):
+    """Ground state of one (point, n_max): each quadrature's variance over its
+    normalization, the residual, and whether it meets tol * ||H||_inf."""
+    point, args, n_max, tol = task
+    h, quadratures = point(*args, n_max)
     gs = ground_state(h, tol=tol)
-    xi = variance(gs, p_minus_k0(basis, omega_k0, e0, gamma0, eta)) / (omega_k0 / 2.0)
-    ok = gs.residual <= tol * matrix_inf_norm(h.matrix)
-    return xi, gs.residual, ok, time.perf_counter() - t0
+    values = [(labels, variance(gs, q) / norm) for labels, q, norm in quadratures]
+    return values, gs.residual, gs.residual <= tol * matrix_inf_norm(h.matrix)
+
+
+def _run_ed(cfg, jobs, point, points, columns, value_field, meta) -> SweepResult:
+    """Solve every point at every ``ed.n_max`` on the one ED task path.
+
+    ``points`` holds one (warning label, row labels, args) per point, and
+    ``point(*args, n_max)`` returns the Hamiltonian and one (row labels,
+    quadrature, normalization) per row; ``value_field`` names the column
+    that gets the normalized variance. ``meta`` gains the largest spread of
+    a row's value over the truncations."""
+    if cfg["model"].get("a2_coeff", 0.0) != 0.0:
+        raise ConfigError(
+            "model.a2_coeff must be 0 for the ED presets: their quadrature "
+            "angles carry no squared-displacement term"
+        )
+    tol = cfg["ed"]["tol"]
+    grid = list(itertools.product(points, cfg["ed"]["n_max"]))
+    tasks = [(point, args, nm, tol) for (_, _, args), nm in grid]
+    rows, violations, by_key = [], [], {}
+    for ((label, point_labels, _), nm), (values, residual, ok) in zip(
+        grid, _run_tasks(_ed_task, tasks, jobs)
+    ):
+        for labels, value in values:
+            rows.append(
+                {
+                    **point_labels,
+                    "n_max": nm,
+                    **labels,
+                    value_field: value,
+                    "residual": residual,
+                    "residual_ok": ok,
+                    "method": "ed",
+                }
+            )
+            by_key.setdefault((*point_labels.values(), *labels.values()), []).append(value)
+        if not ok:
+            violations.append(
+                f"{cfg['experiment']} {label} n_max={nm}: residual {residual:.3e}"
+            )
+    deltas = [max(vals) - min(vals) for vals in by_key.values() if len(vals) > 1]
+    if deltas:
+        meta["max_truncation_delta"] = f"{max(deltas):.3e}"
+    return SweepResult(cfg["experiment"], columns, rows, meta, violations)
 
 
 def _run_tasks(func, tasks, jobs):
@@ -286,67 +317,22 @@ def run_fig2(cfg: dict, jobs: int = 1) -> SweepResult:
 def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     """Finite-size ground-state variances of the two squeezing witnesses
     against spin number, at the thermodynamic-limit critical coupling."""
-    omega = cfg["model"]["omega"]
-    omega0 = cfg["model"]["omega0"]
-    g = cfg["model"]["g"]
-    n_list = [int(v) for v in _grid(cfg["grids"]["n_spins"], "n_spins")]
-    n_maxes = cfg["ed"]["n_max"]
-    tol = cfg["ed"]["tol"]
-    tasks = [(omega, omega0, g, n, nm, tol) for n in n_list for nm in n_maxes]
-    outputs = _run_tasks(_fig3_task, tasks, jobs)
-    return _fig3_collect(cfg, tasks, outputs)
-
-
-def _fig3_collect(cfg, tasks, outputs):
-    rows, times, violations = [], [], []
-    for task, (var_p, var_s, residual, ok, wall) in zip(tasks, outputs):
-        _, _, _, n, nm, _ = task
-        for quadrature, value in (("p_tilde_minus", var_p), ("s_tilde_y", var_s)):
-            rows.append(
-                {
-                    "n_spins": n,
-                    "n_max": nm,
-                    "quadrature": quadrature,
-                    "variance": value,
-                    "residual": residual,
-                    "residual_ok": ok,
-                    "method": "ed",
-                }
-            )
-        times.append(wall)
-        if not ok:
-            violations.append(f"fig3 N={n} n_max={nm}: residual {residual:.3e}")
+    points = [
+        (f"N={n}", {"n_spins": n}, (_model(cfg, n_spins=n),))
+        for n in (int(v) for v in _grid(cfg["grids"]["n_spins"], "n_spins"))
+    ]
+    columns = [
+        "n_spins",
+        "n_max",
+        "quadrature",
+        "variance",
+        "residual",
+        "residual_ok",
+        "method",
+    ]
     meta = _meta(cfg)
     meta["large_n_limits"] = "var_p_tilde_minus -> 0, var_s_tilde_y -> 0.70711"
-    _note_truncation_delta(meta, rows, ("n_spins", "quadrature"), "variance")
-    return SweepResult(
-        experiment="fig3",
-        columns=[
-            "n_spins",
-            "n_max",
-            "quadrature",
-            "variance",
-            "residual",
-            "residual_ok",
-            "method",
-        ],
-        rows=rows,
-        meta=meta,
-        wall_times=times,
-        violations=violations,
-    )
-
-
-def _note_truncation_delta(meta, rows, key_fields, value_field):
-    groups = {}
-    for row in rows:
-        if row.get("n_max") is None:
-            continue
-        groups.setdefault(tuple(row[f] for f in key_fields), []).append(row[value_field])
-    deltas = [max(vals) - min(vals) for vals in groups.values() if len(vals) > 1]
-    if deltas:
-        meta["max_truncation_delta"] = f"{max(deltas):.3e}"
-
+    return _run_ed(cfg, jobs, _fig3_point, points, columns, "variance", meta)
 
 
 def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -442,114 +428,55 @@ def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
 def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
     """Squeezing ratio of the all-spin quadrature against defect fraction:
     exact diagonalization at both truncations plus the perturbative column."""
-    omega = cfg["model"]["omega"]
-    omega0 = cfg["model"]["omega0"]
-    g = cfg["model"]["g"]
-    n_list = [int(v) for v in _grid(cfg["grids"]["n_clean"], "n_clean")]
+    params = [
+        _model(cfg, n_spins=int(n)) for n in _grid(cfg["grids"]["n_clean"], "n_clean")
+    ]
     defects = _fig6_defects(cfg)
-    n_maxes = cfg["ed"]["n_max"]
-    tol = cfg["ed"]["tol"]
-    tasks = [(omega, omega0, g, n, defects, nm, tol) for n in n_list for nm in n_maxes]
-    outputs = _run_tasks(_fig6_task, tasks, jobs)
-    rows, times, violations = [], [], []
-    for task, (xi, residual, ok, wall) in zip(tasks, outputs):
-        _, _, _, n, _, nm, _ = task
-        fraction = len(defects) / (n + len(defects))
-        rows.append(
-            {
-                "n_clean": n,
-                "fraction": fraction,
-                "n_max": nm,
-                "xi": xi,
-                "residual": residual,
-                "residual_ok": ok,
-                "method": "ed",
-                "perturbative_valid": None,
-            }
+    m = len(defects)
+    points = [
+        (
+            f"N={p.n_spins}",
+            {"n_clean": p.n_spins, "fraction": m / (p.n_spins + m)},
+            (p, defects),
         )
-        times.append(wall)
-        if not ok:
-            violations.append(f"fig6 N={n} n_max={nm}: residual {residual:.3e}")
-    for n in n_list:
-        ens = disorder.DisorderEnsemble(n, defects)
+        for p in params
+    ]
+    columns = [
+        "n_clean",
+        "fraction",
+        "n_max",
+        "xi",
+        "residual",
+        "residual_ok",
+        "method",
+        "perturbative_valid",
+    ]
+    result = _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg))
+    for p, (_, labels, _) in zip(params, points):
         report = disorder.disorder_xi_perturbative(
-            DickeParams(omega, omega0, g, n), ens
+            p, disorder.DisorderEnsemble(p.n_spins, defects)
         )
-        rows.append(
+        result.rows.append(
             {
-                "n_clean": n,
-                "fraction": ens.m / (n + ens.m),
-                "n_max": None,
+                **labels,
                 "xi": report.xi,
-                "residual": None,
-                "residual_ok": None,
                 "method": "analytic",
                 "perturbative_valid": all(report.validity),
             }
         )
-    meta = _meta(cfg)
-    _note_truncation_delta(meta, rows, ("n_clean", "method"), "xi")
-    return SweepResult(
-        experiment="fig6",
-        columns=[
-            "n_clean",
-            "fraction",
-            "n_max",
-            "xi",
-            "residual",
-            "residual_ok",
-            "method",
-            "perturbative_valid",
-        ],
-        rows=rows,
-        meta=meta,
-        wall_times=times,
-        violations=violations,
-    )
+    return result
 
 
 def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
     """Squeezing ratio of the zero-momentum quadrature against the Ising
     coupling ratio at the clean critical coupling."""
-    omega = cfg["model"]["omega"]
-    omega0 = cfg["model"]["omega0"]
-    g = cfg["model"]["g"]
-    n_spins = int(cfg["model"].get("n_spins", 6))
-    etas = _grid(cfg["grids"]["eta"], "eta")
-    n_maxes = cfg["ed"]["n_max"]
-    tol = cfg["ed"]["tol"]
-    tasks = [
-        (omega, omega0, g, float(eta), n_spins, nm, tol)
-        for eta in etas
-        for nm in n_maxes
+    p = _model(cfg, n_spins=int(cfg["model"].get("n_spins", 6)))
+    points = [
+        (f"eta={eta:g}", {"eta": eta}, (p, eta))
+        for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))
     ]
-    outputs = _run_tasks(_fig7_task, tasks, jobs)
-    rows, times, violations = [], [], []
-    for task, (xi, residual, ok, wall) in zip(tasks, outputs):
-        _, _, _, eta, _, nm, _ = task
-        rows.append(
-            {
-                "eta": eta,
-                "n_max": nm,
-                "xi": xi,
-                "residual": residual,
-                "residual_ok": ok,
-                "method": "ed",
-            }
-        )
-        times.append(wall)
-        if not ok:
-            violations.append(f"fig7 eta={eta:g} n_max={nm}: residual {residual:.3e}")
-    meta = _meta(cfg)
-    _note_truncation_delta(meta, rows, ("eta",), "xi")
-    return SweepResult(
-        experiment="fig7",
-        columns=["eta", "n_max", "xi", "residual", "residual_ok", "method"],
-        rows=rows,
-        meta=meta,
-        wall_times=times,
-        violations=violations,
-    )
+    columns = ["eta", "n_max", "xi", "residual", "residual_ok", "method"]
+    return _run_ed(cfg, jobs, _fig7_point, points, columns, "xi", _meta(cfg))
 
 
 def run_sweep(cfg: dict, jobs: int = 1) -> SweepResult:

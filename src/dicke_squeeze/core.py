@@ -79,16 +79,6 @@ class DickeParams:
         )
 
 
-def validate_params(p: DickeParams) -> DickeParams:
-    """Return ``p`` unchanged if all invariants hold.
-
-    Dataclass construction already enforces the invariants; this re-checks an
-    instance that may have been built through other means (e.g. deserialized).
-    """
-    DickeParams(p.omega, p.omega0, p.g, p.n_spins, p.a2_coeff)
-    return p
-
-
 @dataclass(frozen=True)
 class LadderParams:
     """Two-leg spin ladder with intra-leg exchange and inter-leg coupling.

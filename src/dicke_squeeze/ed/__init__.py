@@ -9,7 +9,6 @@ from .hamiltonians import (
     build_hopfield_hamiltonian,
     hopfield_parity_diagonal,
 )
-from .io import dump_eigenvector, load_eigenvector
 from .quadratures import (
     QuadratureOperator,
     expectation_symmetric,
@@ -20,7 +19,6 @@ from .quadratures import (
     s_tilde_y,
     total_spin_expectation,
     variance,
-    variance_in_state,
     variance_symmetric,
 )
 from .solver import (
@@ -42,12 +40,10 @@ __all__ = [
     "build_dicke_ising_hamiltonian",
     "build_disordered_hamiltonian",
     "build_hopfield_hamiltonian",
-    "dump_eigenvector",
     "expectation_symmetric",
     "ground_state",
     "hopfield_p_minus",
     "hopfield_parity_diagonal",
-    "load_eigenvector",
     "lowest_eigenvalues",
     "p_d",
     "p_minus_k0",
@@ -57,6 +53,5 @@ __all__ = [
     "thermal_variance",
     "total_spin_expectation",
     "variance",
-    "variance_in_state",
     "variance_symmetric",
 ]

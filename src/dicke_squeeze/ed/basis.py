@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,16 @@ def build_basis(n_spins: int, n_max: int, n_collective: int = 0) -> BasisDescrip
     """Boson (x) spin basis; the first ``n_collective`` spins form one
     collective spin (0 keeps the product basis)."""
     return BasisDescriptor(n_spins=n_spins, n_max=n_max, n_collective=n_collective)
+
+
+def lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:
+    """A boson operator acting on the full basis: op (x) 1_spin."""
+    return sp.kron(op, sp.identity(spin_dim, format="csr"), format="csr")
+
+
+def lift_spin(op: sp.spmatrix, boson_dim: int) -> sp.csr_matrix:
+    """A spin operator acting on the full basis: 1_boson (x) op."""
+    return sp.kron(sp.identity(boson_dim, format="csr"), op, format="csr")
 
 
 def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:

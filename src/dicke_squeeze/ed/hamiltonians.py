@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ..core import DickeParams
 from ..disorder import DisorderEnsemble
-from .basis import BasisDescriptor, parity_diagonal
+from .basis import BasisDescriptor, lift_boson, lift_spin, parity_diagonal
 from .operators import (
     boson_x,
     ising_xx_ring,
@@ -48,14 +48,6 @@ class SparseHamiltonian:
     @property
     def is_symmetric(self) -> bool:
         return (self.matrix != self.matrix.T).nnz == 0
-
-
-def _lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:
-    return sp.kron(op, sp.identity(spin_dim, format="csr"), format="csr")
-
-
-def _lift_spin(op: sp.spmatrix, boson_dim: int) -> sp.csr_matrix:
-    return sp.kron(sp.identity(boson_dim, format="csr"), op, format="csr")
 
 
 def _assemble(parts, label, parity=None):
@@ -91,7 +83,7 @@ def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHam
         )
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
-        parts.append(p.a2_coeff * _lift_boson((x @ x).tocsr(), basis.spin_dim))
+        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
     return _assemble(parts, "dicke", parity_diagonal(basis))
 
 
@@ -134,7 +126,7 @@ def build_disordered_hamiltonian(
         )
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
-        parts.append(p.a2_coeff * _lift_boson((x @ x).tocsr(), basis.spin_dim))
+        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
     return _assemble(parts, "dicke-disordered", parity_diagonal(basis))
 
 
@@ -155,7 +147,7 @@ def build_dicke_ising_hamiltonian(
             matrix=ideal.matrix, label="dicke-ising", parity=ideal.parity
         )
     coupling = 4.0 * eta * p.omega0
-    ring = coupling * _lift_spin(ising_xx_ring(basis.n_spins), basis.boson_dim)
+    ring = coupling * lift_spin(ising_xx_ring(basis.n_spins), basis.boson_dim)
     return _assemble([ideal.matrix, ring], "dicke-ising", ideal.parity)
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisDescriptor
-from .hamiltonians import _lift_boson, _lift_spin
+from .basis import BasisDescriptor, lift_boson, lift_spin
 from .operators import boson_momentum_generator, spin_pm_total, spin_x_total, spin_z_values
 from .solver import GroundStateResult
 
@@ -38,9 +37,9 @@ class QuadratureOperator:
 def _combine(boson_part, spin_part, basis, label):
     parts = []
     if boson_part is not None:
-        parts.append(_lift_boson(boson_part, basis.spin_dim))
+        parts.append(lift_boson(boson_part, basis.spin_dim))
     if spin_part is not None:
-        parts.append(_lift_spin(spin_part, basis.boson_dim))
+        parts.append(lift_spin(spin_part, basis.boson_dim))
     total = parts[0] if len(parts) == 1 else (parts[0] + parts[1]).tocsr()
     total.sum_duplicates()
     total.sort_indices()
@@ -135,14 +134,6 @@ def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
     return float(mv @ mv)
 
 
-def variance_in_state(vector: np.ndarray, q: QuadratureOperator) -> float:
-    """Same as ``variance`` for a bare real unit vector."""
-    if q.dim != vector.size:
-        raise ValueError(f"dimension mismatch: operator {q.dim}, state {vector.size}")
-    mv = q.generator @ vector
-    return float(mv @ mv)
-
-
 def expectation_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
     """<v|S|v> for a real-symmetric sparse operator."""
     return float(vector @ (op @ vector))
@@ -159,9 +150,9 @@ def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> flo
     """<S^2> of the collective spin in the ground state, computed in real
     arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
     n, n_c = basis.n_spins, basis.n_collective
-    sx = _lift_spin(spin_x_total(n, n_collective=n_c), basis.boson_dim)
-    sz = _lift_spin(sp.diags(spin_z_values(n, n_collective=n_c), format="csr"), basis.boson_dim)
-    k = _lift_spin(spin_pm_total(n, n_collective=n_c), basis.boson_dim)
+    sx = lift_spin(spin_x_total(n, n_collective=n_c), basis.boson_dim)
+    sz = lift_spin(sp.diags(spin_z_values(n, n_collective=n_c), format="csr"), basis.boson_dim)
+    k = lift_spin(spin_pm_total(n, n_collective=n_c), basis.boson_dim)
     v = gs.vector
     sxv = sx @ v
     szv = sz @ v

@@ -39,7 +39,7 @@ from dicke_squeeze.ed import (
     total_spin_expectation,
     variance,
 )
-from dicke_squeeze.ed.hamiltonians import _lift_boson, _lift_spin
+from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.operators import boson_x, spin_x_total
 from dicke_squeeze.ed.quadratures import expectation_symmetric
 
@@ -399,10 +399,10 @@ def test_criterion_10_structural_invariants(tmp_path):
     h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
     gs = ground_state(h, parity_diag=parity_diagonal(basis))
     x_expect = abs(
-        expectation_symmetric(gs.vector, _lift_boson(boson_x(30), basis.spin_dim))
+        expectation_symmetric(gs.vector, lift_boson(boson_x(30), basis.spin_dim))
     )
     sx_expect = abs(
-        expectation_symmetric(gs.vector, _lift_spin(spin_x_total(3), basis.boson_dim))
+        expectation_symmetric(gs.vector, lift_spin(spin_x_total(3), basis.boson_dim))
     )
     spin_dev = abs(total_spin_expectation(gs, basis) - 1.5 * 2.5)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,37 @@ def _filtered(path):
     ]
 
 
+# small fig6/fig7 inputs for the ED-path tests shared with fig3; each gives at
+# least two tasks, so --jobs 2 really uses the pool
+_SMALL_ED = {
+    "fig6": {"grids": {"n_clean": [1, 2]}, "ed": {"n_max": [8]}},
+    "fig7": {"model": {"n_spins": 2}, "grids": {"eta": [0.5]}, "ed": {"n_max": [6, 8]}},
+}
+
+
+def _assert_pool_matches_serial(experiment, user_cfg):
+    cfg = cli.resolve_config(experiment, user_cfg)
+    serial = cli.run_experiment(experiment, cfg, jobs=1)
+    pooled = cli.run_experiment(experiment, cfg, jobs=2)
+    assert serial.rows == pooled.rows
+
+
+def _strict_warnings(tmp_path, capsys, experiment, user_cfg):
+    """Run ``experiment`` under --strict with tol 1e-30, which every solve
+    violates; return the stderr warnings with their residual values cut off."""
+    user_cfg = {**user_cfg, "ed": {**user_cfg["ed"], "tol": 1e-30}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user_cfg))
+    out = tmp_path / f"{experiment}.csv"
+    rc = cli.main([experiment, "--config", str(cfg), "--out", str(out), "--strict"])
+    assert rc == 2
+    assert out.exists()  # rows are still written, violations marked
+    lines = capsys.readouterr().err.splitlines()
+    for line in lines:
+        assert re.fullmatch(r"warning: .*: residual \d\.\d{3}e[+-]\d\d", line)
+    return [line.split(": residual")[0] for line in lines]
+
+
 class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(cli.ConfigError):
@@ -32,15 +64,6 @@ class TestConfig:
     def test_bad_n_max_rejected(self):
         with pytest.raises(cli.ConfigError, match="n_max"):
             cli.resolve_config("fig3", {"ed": {"n_max": [0]}})
-
-    def test_convergence_report_needs_two_truncations(self):
-        with pytest.raises(cli.ConfigError, match="convergence"):
-            cli.resolve_config(
-                "fig3", {"ed": {"n_max": [40], "convergence_report": True}}
-            )
-        cli.resolve_config(
-            "fig3", {"ed": {"n_max": [40, 50], "convergence_report": True}}
-        )
 
     def test_truncation_delta_recorded_in_metadata(self):
         cfg = cli.resolve_config(
@@ -91,14 +114,9 @@ class TestFig3:
         assert abs(p[10] - p[12]) < 1e-3
 
     def test_jobs_pool_deterministic(self):
-        cfg = cli.resolve_config(
+        _assert_pool_matches_serial(
             "fig3", {"grids": {"n_spins": [1, 2]}, "ed": {"n_max": [8]}}
         )
-        serial = cli.run_fig3(cfg, jobs=1)
-        pooled = cli.run_fig3(cfg, jobs=2)
-        assert [r["variance"] for r in serial.rows] == [
-            r["variance"] for r in pooled.rows
-        ]
 
 
 class TestFig4Fig5:
@@ -172,6 +190,41 @@ class TestFig6Fig7:
             r["variance"] for r in fig3_rows if r["quadrature"] == "p_tilde_minus"
         )
         assert row["xi"] == pytest.approx(var_p, rel=1e-10)
+
+    @pytest.mark.parametrize("experiment", ["fig6", "fig7"])
+    def test_jobs_pool_deterministic(self, experiment):
+        _assert_pool_matches_serial(experiment, _SMALL_ED[experiment])
+
+    @pytest.mark.parametrize(
+        "experiment, expected",
+        [
+            ("fig6", ["warning: fig6 N=1 n_max=8", "warning: fig6 N=2 n_max=8"]),
+            ("fig7", ["warning: fig7 eta=0.5 n_max=6", "warning: fig7 eta=0.5 n_max=8"]),
+        ],
+    )
+    def test_strict_mode_residual_violation(self, tmp_path, capsys, experiment, expected):
+        warnings = _strict_warnings(tmp_path, capsys, experiment, _SMALL_ED[experiment])
+        assert warnings == expected
+
+
+
+class TestEDPresets:
+    @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
+    def test_bad_model_values_are_a_config_error(self, tmp_path, capsys, experiment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"g": -0.5}}))
+        out = tmp_path / f"{experiment}.csv"
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad model parameters: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
+    def test_nonzero_a2_coeff_rejected(self, experiment):
+        # the quadrature angles of fig6 (normal_modes) and fig7 (IsingParams)
+        # carry no A^2 term, so an A^2 term in H alone would give a wrong xi
+        cfg = cli.resolve_config(experiment, {"model": {"a2_coeff": 0.25}})
+        with pytest.raises(cli.ConfigError, match="a2_coeff"):
+            cli.run_experiment(experiment, cfg)
 
 
 class TestSweep:
@@ -302,20 +355,11 @@ class TestMainEntry:
         missing = tmp_path / "missing.json"
         assert cli.main(["fig2", "--config", str(missing)]) == 1
 
-    def test_strict_mode_residual_violation(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "grids": {"n_spins": [2]},
-                    "ed": {"n_max": [8], "tol": 1e-30},
-                }
-            )
+    def test_strict_mode_residual_violation(self, tmp_path, capsys):
+        warnings = _strict_warnings(
+            tmp_path, capsys, "fig3", {"grids": {"n_spins": [2]}, "ed": {"n_max": [8]}}
         )
-        out = tmp_path / "fig3.csv"
-        rc = cli.main(["fig3", "--config", str(cfg), "--out", str(out), "--strict"])
-        assert rc == 2
-        assert out.exists()  # rows are still written, violations marked
+        assert warnings == ["warning: fig3 N=2 n_max=8"]
 
     def test_n_max_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,15 +15,13 @@ from dicke_squeeze import (
     dicke_params_from_file,
     ladder_params_from_dict,
     map_ladder_to_dicke,
-    validate_params,
 )
 from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, build_hopfield_hamiltonian
 
 
 class TestValidation:
     def test_accepts_valid(self):
-        p = DickeParams(omega=1, omega0=1, g=0.5, n_spins=6, a2_coeff=0)
-        assert validate_params(p) is p
+        DickeParams(omega=1, omega0=1, g=0.5, n_spins=6, a2_coeff=0)
 
     def test_accepts_weak_splitting_point(self):
         # realistic weak-splitting regime: transition at omega0/omega = 0.04

@@ -9,17 +9,16 @@ import scipy.sparse as sp
 from dicke_squeeze import DickeParams, DisorderEnsemble, normal_modes
 from dicke_squeeze.ed import (
     ConvergenceError,
+    GroundStateResult,
     build_basis,
     build_dicke_hamiltonian,
     build_dicke_ising_hamiltonian,
     build_disordered_hamiltonian,
     build_hopfield_hamiltonian,
-    dump_eigenvector,
     expectation_symmetric,
     ground_state,
     hopfield_p_minus,
     hopfield_parity_diagonal,
-    load_eigenvector,
     lowest_eigenvalues,
     p_d,
     p_minus_k0,
@@ -29,11 +28,10 @@ from dicke_squeeze.ed import (
     thermal_variance,
     total_spin_expectation,
     variance,
-    variance_in_state,
     variance_symmetric,
 )
+from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_x_total
-from dicke_squeeze.ed.hamiltonians import _lift_boson, _lift_spin
 
 
 # -- independent dense oracle (explicit loops, no reuse of package builders) --
@@ -313,7 +311,10 @@ class TestQuadratures:
         for _ in range(20):
             v = rng.normal(size=basis.dim)
             v /= np.linalg.norm(v)
-            assert variance_in_state(v, q) >= 0.0
+            gs = GroundStateResult(
+                energy=0.0, vector=v, residual=0.0, iterations=0, method="random", gap=0.0
+            )
+            assert variance(gs, q) >= 0.0
 
     def test_dimension_mismatch(self):
         basis = build_basis(2, 4)
@@ -339,8 +340,8 @@ class TestQuadratures:
         basis = build_basis(3, 30)
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
         gs = ground_state(h, parity_diag=parity_diagonal(basis))
-        x_op = _lift_boson(boson_x(30), basis.spin_dim)
-        sx_op = _lift_spin(spin_x_total(3), basis.boson_dim)
+        x_op = lift_boson(boson_x(30), basis.spin_dim)
+        sx_op = lift_spin(spin_x_total(3), basis.boson_dim)
         assert abs(expectation_symmetric(gs.vector, x_op)) < 1e-8
         assert abs(expectation_symmetric(gs.vector, sx_op)) < 1e-8
 
@@ -454,29 +455,3 @@ class TestHopfieldParity:
         diag = hopfield_parity_diagonal(2, 2)
         assert np.array_equal(diag, [1, -1, 1, -1, 1, -1, 1, -1, 1])
 
-
-class TestEigenvectorDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        vec = rng.normal(size=37)
-        path = tmp_path / "state.dsq"
-        dump_eigenvector(path, vec, version=3)
-        loaded, version = load_eigenvector(path)
-        assert version == 3
-        assert np.array_equal(loaded, vec)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "state.dsq"
-        dump_eigenvector(path, np.zeros(5))
-        raw = path.read_bytes()
-        assert raw[:4] == b"DSQ1"
-        assert int.from_bytes(raw[4:12], "little") == 5
-        assert raw[12] == 1
-        assert raw[13:16] == b"\x00\x00\x00"
-        assert len(raw) == 16 + 5 * 8
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "state.dsq"
-        path.write_bytes(b"XXXX" + bytes(12) + bytes(8))
-        with pytest.raises(ValueError, match="magic"):
-            load_eigenvector(path)
