@@ -130,12 +130,12 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
         if len(_grid(spec, name)) == 0:
             raise ConfigError(f"grid {name!r} is empty")
     ed = cfg.get("ed")
-    if ed is not None:
-        n_max = ed.get("n_max", [])
-        if not isinstance(n_max, list) or not all(
+    if ed is not None and "n_max" in ed:
+        n_max = ed["n_max"]
+        if not isinstance(n_max, list) or not n_max or not all(
             isinstance(v, int) and v >= 1 for v in n_max
         ):
-            raise ConfigError("ed.n_max must be a list of positive integers")
+            raise ConfigError("ed.n_max must be a nonempty list of positive integers")
     return cfg
 
 
@@ -451,12 +451,15 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
         "method",
         "perturbative_valid",
     ]
-    result = _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg))
-    for p, (_, labels, _) in zip(params, points):
-        report = disorder.disorder_xi_perturbative(
-            p, disorder.DisorderEnsemble(p.n_spins, defects)
-        )
-        result.rows.append(
+    analytic = []
+    for p, (label, labels, _) in zip(params, points):
+        try:
+            report = disorder.disorder_xi_perturbative(
+                p, disorder.DisorderEnsemble(p.n_spins, defects)
+            )
+        except ValueError as exc:
+            raise ConfigError(f"fig6 {label}: {exc}") from exc
+        analytic.append(
             {
                 **labels,
                 "xi": report.xi,
@@ -464,13 +467,15 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
                 "perturbative_valid": all(report.validity),
             }
         )
+    result = _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg))
+    result.rows.extend(analytic)
     return result
 
 
 def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
     """Squeezing ratio of the zero-momentum quadrature against the Ising
     coupling ratio at the clean critical coupling."""
-    p = _model(cfg, n_spins=int(cfg["model"].get("n_spins", 6)))
+    p = _model(cfg, n_spins=cfg["model"].get("n_spins", 6))
     points = [
         (f"eta={eta:g}", {"eta": eta}, (p, eta))
         for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))

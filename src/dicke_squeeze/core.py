@@ -29,6 +29,24 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` rejects non-real
+    and non-finite values."""
+    if type(value) is not float:
+        _require(isinstance(value, numbers.Real), f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
+    return value
+
+
+def integer_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` rejects anything but
+    an integral real >= ``minimum``."""
+    ok = isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    _require(ok and value >= minimum, f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 _FLOAT_FIELDS = ("omega", "omega0", "g", "a2_coeff")
 
 
@@ -50,8 +68,8 @@ class DickeParams:
         Coefficient D of the squared boson-displacement term D(a+a')^2,
         zero for a plain Dicke model.
 
-    omega, omega0, g and a2_coeff must be real numbers and are stored as
-    floats; non-finite values are rejected.
+    omega, omega0, g and a2_coeff must be finite real numbers and are stored
+    as floats; n_spins is stored as an int.
     """
 
     omega: float
@@ -62,21 +80,15 @@ class DickeParams:
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not float:
-                _require(
-                    isinstance(value, numbers.Real),
-                    f"{name} must be a real number, got {value!r}",
-                )
-                object.__setattr__(self, name, float(value))
-        _require(0 < self.omega < math.inf, "omega must be finite and > 0")
-        _require(0 < self.omega0 < math.inf, "omega0 must be finite and > 0")
-        _require(0 <= self.g < math.inf, "g must be finite and >= 0")
-        _require(0 <= self.a2_coeff < math.inf, "a2_coeff must be finite and >= 0")
-        _require(
-            int(self.n_spins) == self.n_spins and self.n_spins >= 1,
-            "n_spins must be an integer >= 1",
-        )
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
+        object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
+        _require(self.omega > 0, "omega must be > 0")
+        _require(self.omega0 > 0, "omega0 must be > 0")
+        _require(self.g >= 0, "g must be >= 0")
+        _require(self.a2_coeff >= 0, "a2_coeff must be >= 0")
+
+
+_LADDER_FLOAT_FIELDS = ("j_r", "j_b", "j_rb_x", "j_rb_y", "j_rb_z", "omega_r", "omega_b")
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,8 @@ class LadderParams:
     The fast leg (exchange ``j_r``, splitting ``omega_r``) provides dispersing
     collective modes; the slow leg (``j_b``, ``omega_b``) provides the
     near-independent spins. ``j_rb_*`` are the inter-leg exchange components.
+    Every field but n_sites must be a finite real number and is stored as a
+    float.
     """
 
     j_r: float
@@ -98,14 +112,13 @@ class LadderParams:
     n_sites: int
 
     def __post_init__(self):
+        for name in _LADDER_FLOAT_FIELDS:
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
+        object.__setattr__(self, "n_sites", integer_at_least("n_sites", self.n_sites, 2))
         _require(self.omega_r > 0, "omega_r must be > 0")
         _require(self.omega_b > 0, "omega_b must be > 0")
         _require(self.j_r >= 0, "j_r must be >= 0 (ferromagnetic leg)")
         _require(self.j_b >= 0, "j_b must be >= 0 (ferromagnetic leg)")
-        _require(
-            int(self.n_sites) == self.n_sites and self.n_sites >= 2,
-            "n_sites must be an integer >= 2",
-        )
 
 
 @dataclass(frozen=True)
@@ -230,7 +243,7 @@ def dicke_params_from_dict(d: dict) -> DickeParams:
 
 
 def ladder_params_from_dict(d: dict) -> LadderParams:
-    fields = ("j_r", "j_b", "j_rb_x", "j_rb_y", "j_rb_z", "omega_r", "omega_b", "n_sites")
+    fields = (*_LADDER_FLOAT_FIELDS, "n_sites")
     unknown = set(d) - set(fields)
     if unknown:
         raise ValueError(f"unknown ladder parameter keys: {sorted(unknown)}")

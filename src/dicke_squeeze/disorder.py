@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .bogoliubov import normal_modes
-from .core import DickeParams
+from .core import DickeParams, finite_real, integer_at_least
 
 # A defect is flagged non-perturbative when alpha*cos(gammabar)*g' exceeds
 # this fraction of |omega'|.
@@ -24,17 +24,21 @@ class DisorderEnsemble:
     """N clean spins plus an explicit list of (omega_prime, g_prime) defects.
 
     omega_prime may be negative (defect aligned against the clean spins) but
-    never zero: a vanishing splitting closes the perturbative gap.
+    never zero: a vanishing splitting closes the perturbative gap. Both must
+    be finite real numbers and are stored as floats.
     """
 
     n_clean: int
     defects: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if int(self.n_clean) != self.n_clean or self.n_clean < 1:
-            raise ValueError("n_clean must be an integer >= 1")
-        object.__setattr__(self, "defects", tuple(tuple(d) for d in self.defects))
-        for i, (w, gp) in enumerate(self.defects):
+        object.__setattr__(self, "n_clean", integer_at_least("n_clean", self.n_clean, 1))
+        defects = tuple(
+            (finite_real(f"defect {i}: omega_prime", w), finite_real(f"defect {i}: g_prime", gp))
+            for i, (w, gp) in enumerate(self.defects)
+        )
+        object.__setattr__(self, "defects", defects)
+        for i, (w, gp) in enumerate(defects):
             if w == 0:
                 raise ValueError(f"defect {i}: omega_prime must be nonzero")
             if gp < 0:

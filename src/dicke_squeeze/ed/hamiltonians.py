@@ -32,9 +32,8 @@ class SparseHamiltonian:
     """A real-symmetric sparse Hamiltonian plus a human-readable label.
 
     ``parity`` is the (+-1) diagonal of a conserved parity when the builder
-    supplies one (every builder here does); the thermal oracle then
-    diagonalizes its two blocks apart, and ``ground_state`` projects a
-    near-degenerate ground state onto it.
+    supplies one (every builder here does); ``ground_state`` and the thermal
+    oracle then diagonalize its two blocks apart.
     """
 
     matrix: sp.csr_matrix

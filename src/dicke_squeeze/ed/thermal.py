@@ -9,9 +9,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
-from .hamiltonians import SparseHamiltonian
 from .quadratures import QuadratureOperator
-from .solver import _as_matrix, ground_state
+from .solver import _as_matrix, ground_state, parity_blocks
 
 # refuse dense decompositions beyond this size
 _DENSE_SPECTRUM_LIMIT = 20000
@@ -42,14 +41,14 @@ def thermal_variance(
     it has relative weight below e^-40, so together they move the variance by
     less than dim*e^-40*||M||^2. The retained pairs are averaged as
     ||M v_j||^2 with Boltzmann weights (eigenstate means vanish identically
-    for real eigenvectors, and the thermal mean inherits that). A
-    SparseHamiltonian carrying a parity diagonal is diagonalized block by
-    block (even, odd), each within the same window, and the two spectra are
-    merged; ``n_eigenpairs`` keeps the lowest of the merged spectrum. The
-    retained spectrum must cover the ensemble: exp(-(E_cut - E_0)/T) < 1e-10,
-    where E_cut is the highest kept eigenvalue, or the window edge when the
-    window drops pairs; otherwise a ValueError reports the violated tail
-    bound. T = 0 returns the ground-state variance.
+    for real eigenvectors, and the thermal mean inherits that). Each parity
+    block (``parity_blocks``) is diagonalized within the same window, and the
+    spectra are merged; ``n_eigenpairs`` keeps the lowest of the merged
+    spectrum. The retained spectrum must cover the ensemble:
+    exp(-(E_cut - E_0)/T) < 1e-10, where E_cut is the highest kept
+    eigenvalue, or the window edge when the window drops pairs; otherwise a
+    ValueError reports the violated tail bound. T = 0 returns the
+    ground-state variance.
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
@@ -68,16 +67,10 @@ def thermal_variance(
         )
     if n_eigenpairs is not None and n_eigenpairs < 1:
         raise ValueError("n_eigenpairs must be >= 1")
-    if isinstance(h, SparseHamiltonian) and h.parity is not None:
-        blocks = [np.flatnonzero(h.parity > 0), np.flatnonzero(h.parity < 0)]
-    else:
-        blocks = [slice(None)]
     window = mat.diagonal().min() + BOLTZMANN_WINDOW * temperature
     energies, second_moments = [], []
-    for idx in blocks:
+    for idx in parity_blocks(h):
         block = mat[idx][:, idx].toarray()
-        if block.shape[0] == 0:
-            continue
         w, vectors = la.eigh(block, subset_by_value=[-np.inf, window])
         mv = q.generator[:, idx] @ vectors
         energies.append(w)

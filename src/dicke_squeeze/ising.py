@@ -16,6 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .bogoliubov import SuperradiantInputError, _pair_modes
+from .core import finite_real, integer_at_least
 
 # the leading-order magnon description degrades as |eta| grows; warn past this
 ETA_WARNING_THRESHOLD = 0.3
@@ -33,6 +34,9 @@ class IsingParams:
                  k -> omega_k (e.g. from an EffectiveDickeSpec)
     g          : collective spin-boson coupling
     n_spins    : chain length N (ring)
+
+    eta, omega0, g and a flat dispersion must be finite real numbers and are
+    stored as floats.
     """
 
     eta: float
@@ -42,12 +46,15 @@ class IsingParams:
     n_spins: int
 
     def __post_init__(self):
+        for name in ("eta", "omega0", "g"):
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
+        if not callable(self.dispersion):
+            object.__setattr__(self, "dispersion", finite_real("dispersion", self.dispersion))
+        object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
         if self.omega0 <= 0:
             raise ValueError("omega0 must be > 0")
         if self.g < 0:
             raise ValueError("g must be >= 0")
-        if int(self.n_spins) != self.n_spins or self.n_spins < 1:
-            raise ValueError("n_spins must be an integer >= 1")
 
     @property
     def eta_warning(self) -> bool:

@@ -33,7 +33,6 @@ from dicke_squeeze.ed import (
     p_d,
     p_minus_k0,
     p_tilde_minus,
-    parity_diagonal,
     s_tilde_y,
     thermal_variance,
     total_spin_expectation,
@@ -155,7 +154,7 @@ def test_criterion_06_finite_size_variances():
         basis50 = build_basis(n, 50)
         for n_max, basis in ((40, basis40), (50, basis50)):
             h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, n), basis)
-            gs = ground_state(h, parity_diag=parity_diagonal(basis))
+            gs = ground_state(h)
             variances[(n, n_max)] = (
                 variance(gs, p_tilde_minus(basis)),
                 variance(gs, s_tilde_y(basis)),
@@ -246,7 +245,7 @@ def _disorder_ed_xi(n_clean, defects, g, n_max, tol=1e-10, collective=False):
     gamma_bar = normal_modes(DickeParams(1.0, 1.0, g), g_renormalized=gbar).gamma
     basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean if collective else 0)
     h = build_disordered_hamiltonian(p, ens, basis)
-    gs = ground_state(h, tol=tol, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h, tol=tol)
     return variance(gs, p_d(basis, 1.0, 1.0, gamma_bar)) / 0.5
 
 
@@ -342,7 +341,7 @@ def test_criterion_09b_ising_monotone_saturation():
             h = build_dicke_ising_hamiltonian(
                 DickeParams(1.0, 1.0, 0.5, 6), float(eta), basis
             )
-            gs = ground_state(h, parity_diag=parity_diagonal(basis))
+            gs = ground_state(h)
             q = p_minus_k0(basis, 1.0, e0, gamma0, float(eta))
             per_truncation[n_max] = variance(gs, q) / 0.5
         xis[float(eta)] = per_truncation[50]
@@ -397,7 +396,7 @@ def test_criterion_10_structural_invariants(tmp_path):
     # parity and collective-spin conservation in the ideal model
     basis = build_basis(3, 30)
     h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
-    gs = ground_state(h, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h)
     x_expect = abs(
         expectation_symmetric(gs.vector, lift_boson(boson_x(30), basis.spin_dim))
     )

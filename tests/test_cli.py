@@ -62,8 +62,9 @@ class TestConfig:
             cli.resolve_config("fig2", {"grids": {"g_over_omega": []}})
 
     def test_bad_n_max_rejected(self):
-        with pytest.raises(cli.ConfigError, match="n_max"):
-            cli.resolve_config("fig3", {"ed": {"n_max": [0]}})
+        for n_max in ([0], []):
+            with pytest.raises(cli.ConfigError, match="n_max"):
+                cli.resolve_config("fig3", {"ed": {"n_max": n_max}})
 
     def test_truncation_delta_recorded_in_metadata(self):
         cfg = cli.resolve_config(
@@ -209,13 +210,32 @@ class TestFig6Fig7:
 
 
 class TestEDPresets:
-    @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
-    def test_bad_model_values_are_a_config_error(self, tmp_path, capsys, experiment):
+    @pytest.mark.parametrize(
+        "experiment, model",
+        [
+            pytest.param("fig3", {"g": -0.5}, id="fig3"),
+            pytest.param("fig6", {"g": -0.5}, id="fig6"),
+            pytest.param("fig7", {"g": -0.5}, id="fig7"),
+            pytest.param("fig7", {"n_spins": "six"}, id="fig7-six"),
+        ],
+    )
+    def test_bad_model_values_are_a_config_error(self, tmp_path, capsys, experiment, model):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"g": -0.5}}))
+        cfg.write_text(json.dumps({"model": model}))
         out = tmp_path / f"{experiment}.csv"
         assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: bad model parameters: ")
+        assert not out.exists()
+
+    def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):
+        # m = 0 leaves gbar = g = g_c, where the perturbative column is undefined
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"disorder": {"m": 0}}))
+        out = tmp_path / "fig6.csv"
+        assert cli.main(["fig6", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fig6 N=1: ")
+        assert "perturbation theory invalid" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])

@@ -37,7 +37,7 @@ _N_MAX = 20
 
 
 def _observables(h, basis, gamma):
-    gs = ground_state(h, parity_diag=parity_diagonal(basis))
+    gs = ground_state(h)
     return gs.energy, [
         variance(gs, p_tilde_minus(basis)),
         variance(gs, s_tilde_y(basis)),
@@ -162,12 +162,13 @@ def test_spin_builders_carry_the_conserved_parity():
 
 
 def test_ground_state_defaults_to_the_builders_parity():
-    # near-degenerate wells, as in the solver's projection test
+    # near-degenerate wells, as in the solver's even-block test: the blocks
+    # come from the parity the builder attached
     h = build_dicke_hamiltonian(DickeParams(1.0, 1e-12, 0.4, 1), build_basis(1, 24))
     gs = ground_state(h)
     assert gs.near_degenerate
     assert float(np.sum(h.parity * gs.vector**2)) == pytest.approx(1.0, abs=1e-10)
-    assert np.array_equal(gs.vector, ground_state(h, parity_diag=h.parity).vector)
+    assert np.all(gs.vector[h.parity < 0] == 0.0)
 
 
 class TestLayout:

@@ -36,6 +36,7 @@ class TestValidation:
             (dict(omega=1, omega0=1, g=-0.1), "g"),
             (dict(omega=1, omega0=1, g=0.5, a2_coeff=-1e-9), "a2_coeff"),
             (dict(omega=1, omega0=1, g=0.5, n_spins=0), "n_spins"),
+            (dict(omega=1, omega0=1, g=0.5, n_spins="six"), "n_spins"),
         ],
     )
     def test_rejects_and_names_field(self, kwargs, field):
@@ -56,6 +57,7 @@ class TestValidation:
     def test_integer_inputs_stored_as_float(self):
         p = DickeParams(omega=1, omega0=2, g=0, n_spins=3, a2_coeff=0)
         assert all(type(v) is float for v in (p.omega, p.omega0, p.g, p.a2_coeff))
+        assert type(DickeParams(1, 1, 0, n_spins=3.0).n_spins) is int
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_dicke_hamiltonian(p, build_basis(3, 4))
@@ -115,6 +117,21 @@ class TestLadderMapping:
         )
         base.update(overrides)
         return LadderParams(**base)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", ["j_r", "j_b", "j_rb_x", "j_rb_y", "j_rb_z", "omega_r", "omega_b"]
+    )
+    def test_non_finite_value_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            self._params(**{field: bad})
+
+    def test_non_real_and_non_integral_values_rejected(self):
+        with pytest.raises(ValueError, match="j_r must be a real number"):
+            self._params(j_r="10")
+        for n_sites in (2.5, math.inf, "six"):
+            with pytest.raises(ValueError, match="n_sites must be an integer"):
+                self._params(n_sites=n_sites)
 
     def test_dispersion_endpoints(self):
         spec = map_ladder_to_dicke(self._params())

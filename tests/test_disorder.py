@@ -27,6 +27,15 @@ def test_ensemble_validation():
         DisorderEnsemble(3, ((1.0, -0.5),))
     with pytest.raises(ValueError, match="n_clean"):
         DisorderEnsemble(0, ())
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="defect 0: omega_prime must be finite"):
+            DisorderEnsemble(3, ((bad, 1.0),))
+        with pytest.raises(ValueError, match="defect 1: g_prime must be finite"):
+            DisorderEnsemble(3, ((2.0, 1.0), (2.0, bad)))
+        with pytest.raises(ValueError, match="n_clean must be an integer"):
+            DisorderEnsemble(bad, ())
+    with pytest.raises(ValueError, match="omega_prime must be a real number"):
+        DisorderEnsemble(3, (("2", 1.0),))
     assert DisorderEnsemble(3, ()).m == 0
 
 
@@ -97,6 +106,12 @@ def test_coupling_term_positive_for_down_defects():
             DickeParams(1, 1.2, 0.35), DisorderEnsemble(60, defects)
         )
         assert report.term_coupling > 0
+
+
+def test_defects_stored_as_floats():
+    ens = DisorderEnsemble(3, [[2, 1]])
+    assert ens.defects == ((2.0, 1.0),)
+    assert all(type(v) is float for v in ens.defects[0])
 
 
 def test_flipped_defect_reverses_coupling_sign():

@@ -167,3 +167,24 @@ class TestSqueezedQuadratureCoefficients:
         assert math.isfinite(bw) and math.isfinite(sw)
         with pytest.raises(SuperradiantInputError):
             dicke_ising_modes(ip, 0.0)
+
+
+class TestIsingParamsValidation:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["eta", "omega0", "g", "dispersion"])
+    def test_non_finite_value_rejected(self, field, bad):
+        kwargs = dict(eta=0.1, omega0=1.0, dispersion=1.0, g=0.4, n_spins=6)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            IsingParams(**kwargs)
+
+    def test_non_real_values_rejected(self):
+        with pytest.raises(ValueError, match="eta must be a real number"):
+            IsingParams(eta="0.1", omega0=1.0, dispersion=1.0, g=0.4, n_spins=6)
+        with pytest.raises(ValueError, match="n_spins must be an integer"):
+            IsingParams(eta=0.1, omega0=1.0, dispersion=1.0, g=0.4, n_spins=math.nan)
+
+    def test_callable_dispersion_kept(self):
+        ip = IsingParams(eta=0, omega0=1, dispersion=lambda k: 1.0 + k * k, g=0, n_spins=6)
+        assert ip.omega_k(0.5) == 1.25
+        assert type(ip.eta) is float
