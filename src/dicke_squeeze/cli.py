@@ -21,7 +21,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, bogoliubov, disorder, ising
-from .core import DickeParams, PhaseLabel, classify_phase, ladder_params_from_dict, map_ladder_to_dicke
+from .core import (
+    DickeParams,
+    PhaseLabel,
+    classify_phase,
+    finite_real,
+    integer_at_least,
+    ladder_params_from_dict,
+    map_ladder_to_dicke,
+)
 from .ed import (
     build_basis,
     build_dicke_hamiltonian,
@@ -130,23 +138,34 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
         if len(_grid(spec, name)) == 0:
             raise ConfigError(f"grid {name!r} is empty")
     ed = cfg.get("ed")
+    if ed is not None and not isinstance(ed, dict):
+        raise ConfigError("ed must be an object")
     if ed is not None and "n_max" in ed:
         n_max = ed["n_max"]
         if not isinstance(n_max, list) or not n_max or not all(
             isinstance(v, int) and v >= 1 for v in n_max
         ):
             raise ConfigError("ed.n_max must be a nonempty list of positive integers")
+    if ed is not None and "tol" in ed:
+        # the residual check compares against tol * ||H||: a tol <= 0 would
+        # flag every row, a non-number fails deep inside the solver
+        tol = ed["tol"]
+        numeric = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+        if not (numeric and math.isfinite(tol) and tol > 0):
+            raise ConfigError(f"ed.tol must be a finite number > 0, got {tol!r}")
     return cfg
 
 
 def _grid(spec, name: str) -> np.ndarray:
-    if isinstance(spec, dict):
-        try:
+    try:
+        if isinstance(spec, dict):
             return np.linspace(spec["min"], spec["max"], int(spec["count"]))
-        except KeyError as exc:
-            raise ConfigError(f"grid {name!r} needs min/max/count") from exc
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
+        if isinstance(spec, (list, tuple)):
+            return np.asarray(spec, dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"grid {name!r} needs min/max/count") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid {name!r} must hold numbers: {exc}") from exc
     raise ConfigError(f"grid {name!r} must be a list or a min/max/count object")
 
 
@@ -213,7 +232,8 @@ def _fig7_point(p, eta, n_max):
     )
     gamma0 = ising.mixing_angle_k(ip, 0.0)
     e0 = ising.magnon_energy(ip, 0.0)
-    basis = build_basis(p.n_spins, n_max)
+    # the ring, the coupling and the quadrature commute with translation: k = 0
+    basis = build_basis(p.n_spins, n_max, k0=True)
     q = p_minus_k0(basis, p.omega, e0, gamma0, eta)
     return build_dicke_ising_hamiltonian(p, eta, basis), [({}, q, p.omega / 2.0)]
 
@@ -406,23 +426,27 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
 
 def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
     spec = cfg.get("disorder", {})
-    m = int(spec.get("m", 1))
-    omega = cfg["model"]["omega"]
-    if "omega_prime_range" in spec or "g_prime_range" in spec:
+    drawn = "omega_prime_range" in spec or "g_prime_range" in spec
+    try:
+        m = integer_at_least("disorder.m", spec.get("m", 1), 0)
+        if drawn:
+            counter = integer_at_least("disorder.counter", spec.get("counter", 0), 0)
+        else:
+            omega_prime = finite_real("disorder.omega_prime", spec.get("omega_prime", 2.1))
+            g_prime = finite_real("disorder.g_prime", spec.get("g_prime", 2.0))
+    except ValueError as exc:
+        raise ConfigError(f"bad disorder parameters: {exc}") from exc
+    if drawn:
         seed = cfg.get("rng_seed")
         if seed is None:
             raise ConfigError("random defect ranges need rng_seed")
+        if "omega_prime_range" not in spec or "g_prime_range" not in spec:
+            raise ConfigError("random defects need both omega_prime_range and g_prime_range")
         return disorder_samples(
-            seed,
-            int(spec.get("counter", 0)),
-            m,
-            spec["omega_prime_range"],
-            spec["g_prime_range"],
+            seed, counter, m, spec["omega_prime_range"], spec["g_prime_range"]
         )
-    return tuple(
-        (spec.get("omega_prime", 2.1) * omega, spec.get("g_prime", 2.0) * omega)
-        for _ in range(m)
-    )
+    omega = cfg["model"]["omega"]
+    return tuple((omega_prime * omega, g_prime * omega) for _ in range(m))
 
 
 def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -476,6 +500,8 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
     """Squeezing ratio of the zero-momentum quadrature against the Ising
     coupling ratio at the clean critical coupling."""
     p = _model(cfg, n_spins=cfg["model"].get("n_spins", 6))
+    if p.n_spins < 2:
+        raise ConfigError(f"fig7 needs model.n_spins >= 2 for the Ising ring, got {p.n_spins}")
     points = [
         (f"eta={eta:g}", {"eta": eta}, (p, eta))
         for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))

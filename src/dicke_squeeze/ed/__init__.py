@@ -1,4 +1,5 @@
-"""Exact diagonalization over a truncated boson (x) spin basis (product or collective-spin layout)."""
+"""Exact diagonalization over a truncated boson (x) spin basis (product,
+collective-spin or k = 0 ring layout)."""
 
 from .basis import BasisDescriptor, build_basis, parity_diagonal
 from .hamiltonians import (

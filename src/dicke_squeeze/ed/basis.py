@@ -13,10 +13,18 @@ plain spin-1/2^N product basis, s an N-bit mask with bit i set meaning spin i
 up. Hamiltonians invariant under permuting the collective spins conserve
 their J^2, and their ground state lies in the J = n_collective/2 sector this
 basis keeps.
+
+With ``k0`` set the spins instead form a ring in its zero-momentum sector:
+s indexes the translation orbits of the N-bit masks (ordered by their
+smallest member, the representative r), and spin state s is the orbit sum
+|r~> = L_r^(-1/2) sum_{t < L_r} T^t |r>, with T the cyclic shift by one site
+and L_r the orbit length. Hamiltonians invariant under T conserve the
+momentum, and for the Ising ring the ground state lies in k = 0.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,7 @@ class BasisDescriptor:
     n_spins: int
     n_max: int
     n_collective: int = 0
+    k0: bool = False
 
     def __post_init__(self):
         if int(self.n_spins) != self.n_spins or self.n_spins < 1:
@@ -38,6 +47,8 @@ class BasisDescriptor:
             0 <= self.n_collective <= self.n_spins
         ):
             raise ValueError("n_collective must be an integer in 0..n_spins")
+        if self.k0 and self.n_collective:
+            raise ValueError("the k = 0 ring layout has no collective block: use n_collective=0")
 
     @property
     def n_explicit(self) -> int:
@@ -45,6 +56,8 @@ class BasisDescriptor:
 
     @property
     def spin_dim(self) -> int:
+        if self.k0:
+            return translation_orbits(self.n_spins)[0].size
         return (self.n_collective + 1) << self.n_explicit
 
     @property
@@ -70,10 +83,38 @@ class BasisDescriptor:
         return divmod(index, self.spin_dim)
 
 
-def build_basis(n_spins: int, n_max: int, n_collective: int = 0) -> BasisDescriptor:
+def build_basis(
+    n_spins: int, n_max: int, n_collective: int = 0, k0: bool = False
+) -> BasisDescriptor:
     """Boson (x) spin basis; the first ``n_collective`` spins form one
-    collective spin (0 keeps the product basis)."""
-    return BasisDescriptor(n_spins=n_spins, n_max=n_max, n_collective=n_collective)
+    collective spin (0 keeps the product basis), or with ``k0`` the spins
+    form a ring held in its zero-momentum sector."""
+    return BasisDescriptor(n_spins=n_spins, n_max=n_max, n_collective=n_collective, k0=k0)
+
+
+@functools.lru_cache(maxsize=8)
+def translation_orbits(n_spins: int) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(representatives, P) of the zero-momentum sector of an n_spins ring.
+
+    The representatives are the smallest N-bit mask of each translation
+    orbit, ascending; P is the 2^N x (number of orbits) isometry whose column
+    r is the normalized orbit sum |r~>. An operator O on the product spins
+    that commutes with the translation restricts to the sector as P^T O P.
+    Cached per N: every point of a sweep shares one P (read-only).
+    """
+    masks = np.arange(1 << n_spins, dtype=np.int64)
+    full = (1 << n_spins) - 1
+    smallest, shifted = masks, masks
+    for _ in range(n_spins - 1):
+        shifted = ((shifted << 1) | (shifted >> (n_spins - 1))) & full
+        smallest = np.minimum(smallest, shifted)
+    reps, orbit = np.unique(smallest, return_inverse=True)
+    length = np.bincount(orbit)
+    isometry = sp.csr_matrix(
+        (1.0 / np.sqrt(length[orbit]), (masks, orbit)), shape=(masks.size, reps.size)
+    )
+    reps.setflags(write=False)
+    return reps, isometry
 
 
 def lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:
@@ -92,9 +133,13 @@ def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
     All Hamiltonians built here (ideal, disordered, Ising-coupled) commute
     with it: the coupling flips one spin while shifting n by one, and the
     Ising term flips spins in pairs. The up count of a spin state is
-    k + popcount(explicit bits).
+    k + popcount(explicit bits), or in the k = 0 layout the popcount of the
+    orbit representative (translation keeps it).
     """
-    explicit = np.bitwise_count(np.arange(1 << basis.n_explicit, dtype=np.uint64))
-    ups = np.add.outer(explicit, np.arange(basis.n_collective + 1))
-    total = np.add.outer(np.arange(basis.boson_dim), ups.ravel()).ravel()
+    if basis.k0:
+        ups = np.bitwise_count(translation_orbits(basis.n_spins)[0].astype(np.uint64))
+    else:
+        explicit = np.bitwise_count(np.arange(1 << basis.n_explicit, dtype=np.uint64))
+        ups = np.add.outer(explicit, np.arange(basis.n_collective + 1)).ravel()
+    total = np.add.outer(np.arange(basis.boson_dim), ups).ravel()
     return np.where(total % 2 == 0, 1.0, -1.0)

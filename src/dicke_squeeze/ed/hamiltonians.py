@@ -1,8 +1,9 @@
 """Sparse Hamiltonian builders over the truncated boson (x) spin basis.
 
-The ideal and disordered builders take either spin layout of the basis (the
-product basis, or a collective block of permutation-equivalent spins plus
-explicit sites); the Ising ring needs the product basis.
+The ideal and disordered builders take any spin layout of the basis (the
+product basis, a collective block of permutation-equivalent spins plus
+explicit sites, or the k = 0 ring sector when every spin has one weight); the
+Ising ring takes the product basis or the k = 0 ring sector.
 
 Every matrix is real-symmetric by construction (kron products and sums of
 exactly symmetric pieces), so H == H^T holds entry-for-entry, not just to
@@ -11,6 +12,7 @@ rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,20 @@ def _assemble(parts, label, parity=None):
     return SparseHamiltonian(matrix=total, label=label, parity=parity)
 
 
+@functools.lru_cache(maxsize=4)
+def _coupling_term(basis: BasisDescriptor) -> sp.csr_matrix:
+    """(a + a') (x) sum_i (S_+^i + S_-^i) on ``basis``. Cached: the points of
+    a sweep at one basis scale the same (read-only) matrix."""
+    flip = spin_flip_total(basis.n_spins, None, basis.n_collective, basis.k0)
+    return sp.kron(boson_x(basis.n_max), flip, format="csr")
+
+
+@functools.lru_cache(maxsize=4)
+def _ring_term(basis: BasisDescriptor) -> sp.csr_matrix:
+    """1 (x) sum_n S_x^n S_x^{n+1} on ``basis``, cached like the coupling."""
+    return lift_spin(ising_xx_ring(basis.n_spins, basis.k0), basis.boson_dim)
+
+
 def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHamiltonian:
     """omega a'a + omega0 sum_i S_z^i + (g/sqrt(N)) (a+a') sum_i (S_+^i+S_-^i),
     plus a2_coeff * (a+a')^2 when present (squared after truncation).
@@ -70,16 +86,12 @@ def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHam
         raise ValueError(
             f"basis holds {basis.n_spins} spins but params specify {p.n_spins}"
         )
-    n, n_c = basis.n_spins, basis.n_collective
-    diag = np.add.outer(
-        p.omega * np.arange(basis.boson_dim), p.omega0 * spin_z_values(n, n_collective=n_c)
-    ).ravel()
+    n = basis.n_spins
+    z = spin_z_values(n, None, basis.n_collective, basis.k0)
+    diag = np.add.outer(p.omega * np.arange(basis.boson_dim), p.omega0 * z).ravel()
     parts = [sp.diags(diag, format="csr")]
     if p.g != 0.0:
-        parts.append(
-            (p.g / np.sqrt(n))
-            * sp.kron(boson_x(basis.n_max), spin_flip_total(n, n_collective=n_c), format="csr")
-        )
+        parts.append((p.g / np.sqrt(n)) * _coupling_term(basis))
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
         parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
@@ -113,15 +125,17 @@ def build_disordered_hamiltonian(
     x_weights = np.concatenate(
         [np.full(d.n_clean, p.g), np.array([gp for _, gp in d.defects])]
     )
-    n_c = basis.n_collective
+    n_c, k0 = basis.n_collective, basis.k0
     diag = np.add.outer(
-        p.omega * np.arange(basis.boson_dim), spin_z_values(total, z_weights, n_c)
+        p.omega * np.arange(basis.boson_dim), spin_z_values(total, z_weights, n_c, k0)
     ).ravel()
     parts = [sp.diags(diag, format="csr")]
     if np.any(x_weights != 0.0):
         parts.append(
             (1.0 / np.sqrt(total))
-            * sp.kron(boson_x(basis.n_max), spin_flip_total(total, x_weights, n_c), format="csr")
+            * sp.kron(
+                boson_x(basis.n_max), spin_flip_total(total, x_weights, n_c, k0), format="csr"
+            )
         )
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
@@ -135,7 +149,8 @@ def build_dicke_ising_hamiltonian(
     """Dicke model plus the nearest-neighbor ring term 4J sum_n S_x^n S_x^{n+1}
     with J = eta*omega0. For eta = 0 this takes exactly the plain-Dicke
     construction path, so the matrices are bitwise identical. The ring breaks
-    the permutation symmetry, so the basis must be the product basis."""
+    the permutation symmetry but keeps the translation, so the basis is the
+    product basis or its k = 0 ring sector (``k0``)."""
     if basis.n_collective:
         raise ValueError("the Ising ring breaks permutation symmetry: use n_collective=0")
     if basis.n_spins < 2:
@@ -146,8 +161,7 @@ def build_dicke_ising_hamiltonian(
             matrix=ideal.matrix, label="dicke-ising", parity=ideal.parity
         )
     coupling = 4.0 * eta * p.omega0
-    ring = coupling * lift_spin(ising_xx_ring(basis.n_spins), basis.boson_dim)
-    return _assemble([ideal.matrix, ring], "dicke-ising", ideal.parity)
+    return _assemble([ideal.matrix, coupling * _ring_term(basis)], "dicke-ising", ideal.parity)
 
 
 def build_hopfield_hamiltonian(

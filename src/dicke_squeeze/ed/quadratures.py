@@ -5,12 +5,14 @@ expectation value in any real state (v^T M v = 0 identically), and its
 variance in a real unit vector v is -v^T M^2 v = ||M v||^2, so everything
 stays in real arithmetic.
 
-The spin-model quadratures take either spin layout of the basis, except the
-Ising-model p_minus_k0, which needs the product basis.
+The spin-model quadratures take any spin layout of the basis, except the
+Ising-model p_minus_k0, which needs the product basis or the k = 0 ring
+sector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,13 +36,24 @@ class QuadratureOperator:
         return self.generator.shape[0]
 
 
-def _combine(boson_part, spin_part, basis, label):
-    parts = []
-    if boson_part is not None:
-        parts.append(lift_boson(boson_part, basis.spin_dim))
-    if spin_part is not None:
-        parts.append(lift_spin(spin_part, basis.boson_dim))
-    total = parts[0] if len(parts) == 1 else (parts[0] + parts[1]).tocsr()
+@functools.lru_cache(maxsize=4)
+def _quadrature_terms(basis: BasisDescriptor) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(a'-a) (x) 1 and 1 (x) (S+ - S-) on ``basis``. Cached: the points of a
+    sweep at one basis scale the same (read-only) pair."""
+    boson = lift_boson(boson_momentum_generator(basis.n_max), basis.spin_dim)
+    spin = lift_spin(
+        spin_pm_total(basis.n_spins, basis.n_collective, basis.k0), basis.boson_dim
+    )
+    return boson, spin
+
+
+def _combine(boson_coeff, spin_coeff, basis, label):
+    """boson_coeff (a'-a) (x) 1 + spin_coeff 1 (x) (S+ - S-); a None boson_coeff
+    drops the boson term."""
+    boson, spin = _quadrature_terms(basis)
+    total = spin_coeff * spin
+    if boson_coeff is not None:
+        total = (boson_coeff * boson + total).tocsr()
     total.sum_duplicates()
     total.sort_indices()
     return QuadratureOperator(generator=total, label=label)
@@ -49,19 +62,13 @@ def _combine(boson_part, spin_part, basis, label):
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
     """Finite-size squeezed quadrature
     i/sqrt(2) (a'-a) - i/sqrt(2N) (S+ - S-)."""
-    boson = (1.0 / math.sqrt(2.0)) * boson_momentum_generator(basis.n_max)
-    spin = (-1.0 / math.sqrt(2.0 * basis.n_spins)) * spin_pm_total(
-        basis.n_spins, basis.n_collective
-    )
-    return _combine(boson, spin, basis, "p_tilde_minus")
+    spin = -1.0 / math.sqrt(2.0 * basis.n_spins)
+    return _combine(1.0 / math.sqrt(2.0), spin, basis, "p_tilde_minus")
 
 
 def s_tilde_y(basis: BasisDescriptor) -> QuadratureOperator:
     """Collective spin quadrature i/sqrt(N) (S+ - S-)."""
-    spin = (1.0 / math.sqrt(basis.n_spins)) * spin_pm_total(
-        basis.n_spins, basis.n_collective
-    )
-    return _combine(None, spin, basis, "s_tilde_y")
+    return _combine(None, 1.0 / math.sqrt(basis.n_spins), basis, "s_tilde_y")
 
 
 def p_d(
@@ -70,15 +77,8 @@ def p_d(
     """All-spin squeezed quadrature for the disordered model,
     i sqrt(omega/2) cos(gb) (a'-a) - i sqrt(omega0/(2(N+m))) sin(gb) (S+ - S-),
     summed over every spin in the basis (clean and defect alike)."""
-    n_total = basis.n_spins
-    boson = math.sqrt(omega / 2.0) * math.cos(gamma_bar) * boson_momentum_generator(
-        basis.n_max
-    )
-    spin = (
-        -math.sqrt(omega0 / (2.0 * n_total))
-        * math.sin(gamma_bar)
-        * spin_pm_total(basis.n_spins, basis.n_collective)
-    )
+    boson = math.sqrt(omega / 2.0) * math.cos(gamma_bar)
+    spin = -math.sqrt(omega0 / (2.0 * basis.n_spins)) * math.sin(gamma_bar)
     return _combine(boson, spin, basis, "p_d")
 
 
@@ -91,18 +91,12 @@ def p_minus_k0(
 ) -> QuadratureOperator:
     """Zero-momentum squeezed quadrature of the Ising-coupled model,
     i sqrt(w_0/2) cos(g0) (a'-a)
-    - i sqrt(E_0/(2N)) sin(g0) (1-eta) (S+ - S-). Needs the product basis."""
+    - i sqrt(E_0/(2N)) sin(g0) (1-eta) (S+ - S-). Needs the product basis
+    or its k = 0 ring sector, which holds the Ising ground state."""
     if basis.n_collective:
         raise ValueError("the Ising model breaks permutation symmetry: use n_collective=0")
-    boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0) * boson_momentum_generator(
-        basis.n_max
-    )
-    spin = (
-        -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins))
-        * math.sin(gamma_k0)
-        * (1.0 - eta)
-        * spin_pm_total(basis.n_spins, basis.n_collective)
-    )
+    boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0)
+    spin = -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins)) * math.sin(gamma_k0) * (1.0 - eta)
     return _combine(boson, spin, basis, "p_minus_k0")
 
 
@@ -149,10 +143,10 @@ def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:
     """<S^2> of the collective spin in the ground state, computed in real
     arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
-    n, n_c = basis.n_spins, basis.n_collective
-    sx = lift_spin(spin_x_total(n, n_collective=n_c), basis.boson_dim)
-    sz = lift_spin(sp.diags(spin_z_values(n, n_collective=n_c), format="csr"), basis.boson_dim)
-    k = lift_spin(spin_pm_total(n, n_collective=n_c), basis.boson_dim)
+    n, n_c, k0 = basis.n_spins, basis.n_collective, basis.k0
+    sx = lift_spin(spin_x_total(n, None, n_c, k0), basis.boson_dim)
+    sz = lift_spin(sp.diags(spin_z_values(n, None, n_c, k0), format="csr"), basis.boson_dim)
+    k = lift_spin(spin_pm_total(n, n_c, k0), basis.boson_dim)
     v = gs.vector
     sxv = sx @ v
     szv = sz @ v

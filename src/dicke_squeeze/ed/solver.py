@@ -55,10 +55,19 @@ class GroundStateResult:
     """Lowest eigenpair of a real-symmetric matrix.
 
     residual is ||H v - E v||_2. gap is the distance between the lowest
-    levels of the two parity blocks (inf for a single block); near_degenerate
-    marks gaps below 1e-8, in which case the even block's state is taken.
-    iterations counts ARPACK matvecs over all blocks (0 when every block was
-    solved densely).
+    levels the solver found in the two parity blocks (inf for a single
+    block); near_degenerate marks gaps below 1e-8, in which case the even
+    block's state is taken. iterations counts ARPACK matvecs over all blocks
+    (0 when every block was solved densely).
+
+    On a dense solve gap is the block gap. On an ARPACK block it need not
+    be: the search stays in the symmetry sector of its start vector (see
+    ``_arpack``), so on the product basis of the Ising ring it is the
+    distance between the even and odd k = 0 levels (at N = 6, eta = 0.5,
+    n_max = 50 it reads 0.900, the true block gap being 0.142). In the k = 0
+    ring layout (``BasisDescriptor.k0``) gap is the even-k0 vs odd-k0
+    distance, taken over the reflection-even states when the block is
+    solved by ARPACK.
     """
 
     energy: float
@@ -98,8 +107,19 @@ def _arpack(mat, k, tol, max_iter):
     below the contract near theta = 0, and on diag(0, 1, ..., 2999) it
     returns 1, missing the zero level. On H + 2||H||_inf the spectrum lies in
     [||H||_inf, 3||H||_inf], so tol' = tol/30 stops at or below
-    tol/10 * ||H||_inf, 10x under the contract. On the fig7 points that holds xi within 5.2e-12 of a dense
-    solve (2.5e-11 at tol/3) for 7% more matvecs."""
+    tol/10 * ||H||_inf, 10x under the contract. On the product-basis fig7
+    points that held xi within 5.2e-12 of a dense solve (2.5e-11 at tol/3)
+    for 7% more matvecs.
+
+    The all-ones start vector is invariant under every permutation of the
+    product spins. Where H commutes with some of them (the ring's
+    translation and reflection; all of them in the ideal model), the Krylov
+    space never leaves the sector they fix, and ARPACK returns the block's
+    lowest level within that sector. That is the ground state wherever the
+    ground state is symmetric (for the Ising ring it lies in k = 0), but a
+    block's true lowest level can lie outside it: on the product basis at
+    N = 6, eta = 0.5, n_max = 50 the odd-block level returned is 0.759 above
+    that block's lowest level from a dense eigh."""
     shift = 2.0 * matrix_inf_norm(mat)
     matvecs = 0
 

@@ -192,6 +192,23 @@ class TestFig6Fig7:
         )
         assert row["xi"] == pytest.approx(var_p, rel=1e-10)
 
+    def test_fig7_beyond_six_spins(self, tmp_path):
+        # N = 10 in the k = 0 sector: dim 108 * 41 = 4428, ARPACK blocks of
+        # 2214. A dense solve of the same sector gives xi = 0.78391493997777;
+        # ARPACK read 9.2e-13 off it, and N = 6 / 8 / 12 give 0.78377 /
+        # 0.78373 / 0.78413, so 1e-10 tells the N apart with room for the solver
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"model": {"n_spins": 10}, "grids": {"eta": [0.5]}, "ed": {"n_max": [40]}}
+            )
+        )
+        out = tmp_path / "fig7.csv"
+        assert cli.main(["fig7", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = _read_rows(out)
+        assert row["residual_ok"] == "true"
+        assert float(row["xi"]) == pytest.approx(0.78391493997777, rel=0.0, abs=1e-10)
+
     @pytest.mark.parametrize("experiment", ["fig6", "fig7"])
     def test_jobs_pool_deterministic(self, experiment):
         _assert_pool_matches_serial(experiment, _SMALL_ED[experiment])
@@ -225,6 +242,38 @@ class TestEDPresets:
         out = tmp_path / f"{experiment}.csv"
         assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: bad model parameters: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, user_cfg, message",
+        [
+            pytest.param("fig3", {"ed": {"tol": "tight"}}, "ed.tol", id="tol-str"),
+            pytest.param("fig3", {"ed": {"tol": -1}}, "ed.tol", id="tol-negative"),
+            pytest.param("fig7", {"ed": {"tol": math.nan}}, "ed.tol", id="tol-nan"),
+            pytest.param("fig6", {"disorder": {"m": "one"}}, "disorder.m", id="m-str"),
+            pytest.param("fig6", {"disorder": {"m": 1.7}}, "disorder.m", id="m-fraction"),
+            pytest.param(
+                "fig6", {"disorder": {"omega_prime": "2"}}, "disorder.omega_prime", id="omega-prime"
+            ),
+            pytest.param("fig6", {"disorder": {"g_prime": "2"}}, "disorder.g_prime", id="g-prime"),
+            pytest.param("fig7", {"model": {"n_spins": 1}}, "n_spins >= 2", id="fig7-one-spin"),
+            pytest.param("fig7", {"grids": {"eta": ["a"]}}, "grid 'eta'", id="grid-str"),
+            pytest.param("fig3", {"ed": 5}, "ed must be an object", id="ed-int"),
+            pytest.param(
+                "fig6",
+                {"disorder": {"omega_prime_range": [1, 2]}, "rng_seed": 1},
+                "g_prime_range",
+                id="one-range",
+            ),
+        ],
+    )
+    def test_bad_settings_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user_cfg))
+        out = tmp_path / f"{experiment}.csv"
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):

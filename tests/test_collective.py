@@ -1,15 +1,17 @@
-"""Collective-spin layout of the ED basis against the product basis, and the
-parity-block, Boltzmann-window Gibbs oracle against the full dense spectrum."""
+"""Collective-spin and k = 0 ring layouts of the ED basis against the product
+basis, and the parity-block, Boltzmann-window Gibbs oracle against the full
+dense spectrum."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dicke_squeeze import DickeParams, DisorderEnsemble, normal_modes
+from dicke_squeeze import DickeParams, DisorderEnsemble, IsingParams, normal_modes
+from dicke_squeeze.ising import magnon_energy, mixing_angle_k
 from dicke_squeeze.ed import (
     build_basis,
     build_dicke_hamiltonian,
@@ -27,7 +29,8 @@ from dicke_squeeze.ed import (
     total_spin_expectation,
     variance,
 )
-from dicke_squeeze.ed.operators import spin_z_values
+from dicke_squeeze.ed.basis import translation_orbits
+from dicke_squeeze.ed.operators import spin_flip_total, spin_z_values
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
 from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW
 
@@ -91,6 +94,36 @@ def test_disordered_model_collective_matches_product(n_clean, defects, g, gamma)
     )
 
 
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    n_spins=st.integers(2, 8),
+    eta=st.floats(0.0, 3.0),
+    g=st.floats(0.0, 0.9),
+    n_max=st.integers(2, 5),
+)
+# the generated examples stop at N = 7: pin the largest ring at a fig7-like
+# point and at the corner of the range
+@example(n_spins=8, eta=0.5, g=0.5, n_max=3)
+@example(n_spins=8, eta=3.0, g=0.9, n_max=3)
+def test_ising_ground_state_lies_in_k0(n_spins, eta, g, n_max):
+    # fig7 solves only the k = 0 sector: its lowest level must be the global
+    # one, found here by a dense eigh of the whole product-basis matrix
+    p = DickeParams(1.0, 1.0, g, n_spins)
+    ip = IsingParams(eta=eta, omega0=1.0, dispersion=1.0, g=g, n_spins=n_spins)
+    angle, e0 = mixing_angle_k(ip, 0.0), magnon_energy(ip, 0.0)
+    product, sector = build_basis(n_spins, n_max), build_basis(n_spins, n_max, k0=True)
+    h_product = build_dicke_ising_hamiltonian(p, eta, product)
+    h_sector = build_dicke_ising_hamiltonian(p, eta, sector)
+    lowest = la.eigh(h_product.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+    gs_sector = ground_state(h_sector)
+    assert abs(gs_sector.energy - lowest) <= DEFAULT_TOL * matrix_inf_norm(h_product.matrix)
+    # dense: ARPACK's all-ones start vector would itself stay in k = 0
+    gs_product = ground_state(h_product, method="dense")
+    xi_product = variance(gs_product, p_minus_k0(product, 1.0, e0, angle, eta))
+    xi_sector = variance(gs_sector, p_minus_k0(sector, 1.0, e0, angle, eta))
+    assert xi_sector == pytest.approx(xi_product, rel=0.0, abs=1e-9)
+
+
 @_EXAMPLES
 @given(
     omega0=st.floats(0.5, 2.0),
@@ -146,6 +179,7 @@ def test_spin_builders_carry_the_conserved_parity():
     p = DickeParams(1.0, 1.2, 0.7, 3, 0.1)
     product, collective = build_basis(3, 6), build_basis(3, 6, n_collective=3)
     mixed = build_basis(3, 6, n_collective=2)
+    ring = build_basis(3, 6, k0=True)
     defect = DisorderEnsemble(2, ((2.0, 0.5),))
     built = [
         (build_dicke_hamiltonian(p, product), product),
@@ -154,6 +188,8 @@ def test_spin_builders_carry_the_conserved_parity():
         (build_disordered_hamiltonian(p, defect, mixed), mixed),
         (build_dicke_ising_hamiltonian(p, 0.0, product), product),
         (build_dicke_ising_hamiltonian(p, 0.3, product), product),
+        (build_dicke_ising_hamiltonian(p, 0.3, ring), ring),
+        (build_dicke_hamiltonian(p, ring), ring),
     ]
     for h, basis in built:
         assert np.array_equal(h.parity, parity_diagonal(basis))
@@ -215,6 +251,47 @@ class TestLayout:
         with pytest.raises(ValueError, match="share one weight"):
             build_disordered_hamiltonian(
                 DickeParams(1, 1, 0.3, 2), DisorderEnsemble(2, ((2.0, 1.0),)), basis
+            )
+
+    def test_k0_ring_dims(self):
+        assert [build_basis(n, 0, k0=True).spin_dim for n in (2, 6, 10, 12)] == [3, 14, 108, 352]
+        # fig7 default at N = 6, n_max = 50: parity blocks of 358 and 356
+        parity = parity_diagonal(build_basis(6, 50, k0=True))
+        assert parity.size == 714
+        assert np.count_nonzero(parity > 0) == 358
+        assert np.count_nonzero(parity < 0) == 356
+
+    def test_k0_orbit_sums_are_translation_invariant_and_orthonormal(self):
+        n = 6
+        reps, isometry = translation_orbits(n)
+        masks = np.arange(1 << n)
+        shifted = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
+        shift = np.zeros((1 << n, 1 << n))
+        shift[shifted, masks] = 1.0
+        dense = isometry.toarray()
+        assert np.allclose(dense.T @ dense, np.eye(reps.size), rtol=0.0, atol=1e-15)
+        assert np.array_equal(shift @ dense, dense)
+        # each column's smallest member is its representative
+        assert np.array_equal([np.flatnonzero(col)[0] for col in dense.T], reps)
+
+    def test_k0_parity_counts_representative_ups(self):
+        basis = build_basis(4, 1, k0=True)
+        reps = translation_orbits(4)[0]
+        assert reps.tolist() == [0, 1, 3, 5, 7, 15]
+        ups = np.array([0, 1, 2, 2, 3, 4])
+        expected = np.concatenate([(-1.0) ** ups, (-1.0) ** (ups + 1)])
+        assert np.array_equal(parity_diagonal(basis), expected)
+
+    def test_k0_rejects_collective_block_and_unequal_weights(self):
+        with pytest.raises(ValueError, match="k = 0"):
+            build_basis(4, 2, n_collective=4, k0=True)
+        with pytest.raises(ValueError, match="one weight"):
+            spin_flip_total(3, [1.0, 2.0, 1.0], k0=True)
+        with pytest.raises(ValueError, match="one weight"):
+            build_disordered_hamiltonian(
+                DickeParams(1, 1, 0.3, 2),
+                DisorderEnsemble(2, ((2.0, 1.0),)),
+                build_basis(3, 4, k0=True),
             )
 
     def test_ising_model_rejects_collective_block(self):

@@ -135,6 +135,10 @@ class TestBuilders:
                 DickeParams(1, 1, 0.5, 2), DisorderEnsemble(2, ((2.1, 2.0),)), basis
             ),
             build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 3), 0.3, basis),
+            # orbit lengths 1, 2, 3 and 6 meet in the projected entries
+            build_dicke_ising_hamiltonian(
+                DickeParams(1, 1, 0.5, 6), 0.3, build_basis(6, 8, k0=True)
+            ),
             build_hopfield_hamiltonian(DickeParams(1, 1, 0.3), 8, 9),
         ]
         for h in builds:
@@ -342,6 +346,7 @@ class TestQuadratures:
             s_tilde_y(basis),
             p_d(basis, 1.0, 1.0, math.pi / 4),
             p_minus_k0(basis, 1.0, 1.2, 0.6, 0.1),
+            p_minus_k0(build_basis(6, 8, k0=True), 1.0, 1.2, 0.6, 0.1),
             hopfield_p_minus(6, 7, 1.0, 1.0, math.pi / 4),
         ]
         for q in ops:
