@@ -14,6 +14,7 @@ from .bogoliubov import (
     squeezing_ratio_ground,
     superradiant_modes,
     thermal_squeezing_ratio,
+    thermal_squeezing_ratios,
     two_mode_quadrature_coefficients,
 )
 from .core import (
@@ -82,5 +83,6 @@ __all__ = [
     "squeezing_ratio_ground",
     "superradiant_modes",
     "thermal_squeezing_ratio",
+    "thermal_squeezing_ratios",
     "two_mode_quadrature_coefficients",
 ]

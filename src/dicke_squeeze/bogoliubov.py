@@ -222,42 +222,42 @@ def _coth(x: float) -> float:
     return 1.0 + 2.0 / math.expm1(2.0 * x)
 
 
-def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:
-    """Squeezing ratio of the soft-mode quadrature at temperature T >= 0:
+def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
+    """Squeezing ratio of the soft-mode quadrature at each temperature T >= 0
+    in ``temperatures``:
 
         xi(T) = (eps_minus / min(omega, omega0)) * coth(eps_minus / (2 T)).
 
-    T = 0 returns the ground-state ratio. A critical instance (eps_minus = 0)
-    at T > 0 genuinely diverges and returns xi = inf so sweeps can record it.
-    Superradiant inputs are rejected: the quadratic treatment is invalid near
-    and above the classical transition temperature there.
+    The phase check and the normal modes are evaluated once; only coth runs
+    per temperature, in scalar ``math`` so every entry is bit-identical to a
+    one-temperature call. T = 0 gives the ground-state ratio. A critical
+    instance (eps_minus = 0) at T > 0 genuinely diverges and gives xi = inf
+    so sweeps can record it. Superradiant inputs are rejected: the quadratic
+    treatment is invalid near and above the classical transition temperature
+    there. Any T < 0 rejects all of ``temperatures``.
     """
-    if temperature < 0:
+    temperatures = list(temperatures)  # read twice, so no iterator runs dry
+    if any(t < 0 for t in temperatures):
         raise ValueError("temperature must be >= 0")
-    phase = classify_phase(p)
-    if phase is PhaseLabel.SUPERRADIANT:
+    if classify_phase(p) is PhaseLabel.SUPERRADIANT:
         raise SuperradiantInputError(
             "thermal squeezing ratio is defined in the normal phase only"
         )
-    if temperature == 0.0:
-        report = squeezing_ratio_ground(p)
-        return SqueezingReport(
-            xi=report.xi,
-            reference_variance=report.reference_variance,
-            quadrature_id="p_minus",
-            temperature=0.0,
-        )
-    m = normal_modes(p)
-    ref = min(p.omega, p.omega0)
-    if m.eps_minus == 0.0:
-        xi = math.inf
-    else:
-        xi = (m.eps_minus / ref) * _coth(m.eps_minus / (2.0 * temperature))
+    eps = normal_modes(p).eps_minus
+    ground = eps / min(p.omega, p.omega0)
+    if eps == 0.0:
+        return [math.inf if t else ground for t in temperatures]
+    return [ground * _coth(eps / (2.0 * t)) if t else ground for t in temperatures]
+
+
+def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:
+    """``thermal_squeezing_ratios`` at one temperature, with its normalization."""
+    (xi,) = thermal_squeezing_ratios(p, (temperature,))
     return SqueezingReport(
         xi=xi,
-        reference_variance=ref / 2.0,
+        reference_variance=reference_variance(p),
         quadrature_id="p_minus",
-        temperature=temperature,
+        temperature=temperature or 0.0,
     )
 
 

@@ -355,33 +355,67 @@ def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     return _run_ed(cfg, jobs, _fig3_point, points, columns, "variance", meta)
 
 
+def _temperatures(cfg: dict, name: str) -> list[float]:
+    """The temperature grid ``name`` as floats, each finite and >= 0."""
+    temps = _grid(cfg["grids"][name], name).tolist()
+    for kt in temps:
+        if not (math.isfinite(kt) and kt >= 0):
+            raise ConfigError(f"grid {name!r} must hold finite temperatures >= 0, got {kt!r}")
+    return temps
+
+
+def _normal_instance(cfg: dict, label: str, **overrides) -> DickeParams:
+    """The model instance of one thermal-map point; the thermal ratio is
+    defined in the normal (or no-transition) phase only."""
+    p = _model(cfg, **overrides)
+    if classify_phase(p) is PhaseLabel.SUPERRADIANT:
+        raise ConfigError(
+            f"{cfg['experiment']} {label}: g={p.g:g} lies above the critical "
+            "coupling; the thermal ratio is defined in the normal phase only"
+        )
+    return p
+
+
 def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     """Thermal squeezing ratio over temperature and distance to the critical
-    coupling, for one resonant and one detuned spin splitting."""
+    coupling, for one resonant and one detuned spin splitting. Pairs whose
+    coupling would be negative are skipped and counted in the metadata."""
     omega = cfg["model"]["omega"]
-    ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega")
-    deltas = _grid(cfg["grids"]["gc_minus_g_over_omega"], "gc_minus_g_over_omega")
-    temps = _grid(cfg["grids"]["kt_over_omega"], "kt_over_omega")
-    rows = []
+    ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
+    deltas = _grid(cfg["grids"]["gc_minus_g_over_omega"], "gc_minus_g_over_omega").tolist()
+    temps = _temperatures(cfg, "kt_over_omega")
+    points, skipped = [], 0
     for ratio in ratios:
-        omega0 = float(ratio) * omega
+        if not ratio > 0:
+            raise ConfigError(f"grid 'omega0_over_omega' must hold values > 0, got {ratio!r}")
+        omega0 = ratio * omega
         gc = math.sqrt(omega * omega0) / 2.0
         for delta in deltas:
-            g = gc - float(delta) * omega
+            g = gc - delta * omega
             if g < 0:
+                skipped += 1
                 continue
-            p = _model(cfg, omega0=omega0, g=g)
-            for kt in temps:
-                xi = bogoliubov.thermal_squeezing_ratio(p, float(kt) * omega).xi
-                rows.append(
-                    {
-                        "omega0_over_omega": float(ratio),
-                        "gc_minus_g_over_omega": float(delta),
-                        "kt_over_omega": float(kt),
-                        "xi": xi,
-                        "method": "analytic",
-                    }
-                )
+            label = f"omega0_over_omega={ratio:g} gc_minus_g_over_omega={delta:g}"
+            points.append((ratio, delta, _normal_instance(cfg, label, omega0=omega0, g=g)))
+    if not points:
+        raise ConfigError("fig4: every (omega0, gc - g) pair gives g < 0; nothing to compute")
+    kts = [kt * omega for kt in temps]
+    rows = []
+    for ratio, delta, p in points:
+        xis = bogoliubov.thermal_squeezing_ratios(p, kts)
+        rows.extend(
+            {
+                "omega0_over_omega": ratio,
+                "gc_minus_g_over_omega": delta,
+                "kt_over_omega": kt,
+                "xi": xi,
+                "method": "analytic",
+            }
+            for kt, xi in zip(temps, xis)
+        )
+    meta = _meta(cfg)
+    if skipped:
+        meta["skipped_points"] = skipped
     return SweepResult(
         experiment="fig4",
         columns=[
@@ -392,7 +426,7 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
             "method",
         ],
         rows=rows,
-        meta=_meta(cfg),
+        meta=meta,
     )
 
 
@@ -401,21 +435,25 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     weak coupling; the optimum sits away from the critical splitting."""
     omega = cfg["model"]["omega"]
     g = cfg["model"]["g"]
-    ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega")
-    temps = _grid(cfg["grids"]["kt_over_omega"], "kt_over_omega")
-    rows = []
-    for kt in temps:
-        for ratio in ratios:
-            p = _model(cfg, omega0=float(ratio) * omega, g=g)
-            xi = bogoliubov.thermal_squeezing_ratio(p, float(kt) * omega).xi
-            rows.append(
-                {
-                    "omega0_over_omega": float(ratio),
-                    "kt_over_omega": float(kt),
-                    "xi": xi,
-                    "method": "analytic",
-                }
-            )
+    ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
+    temps = _temperatures(cfg, "kt_over_omega")
+    params = [
+        _normal_instance(cfg, f"omega0_over_omega={ratio:g}", omega0=ratio * omega, g=g)
+        for ratio in ratios
+    ]
+    kts = [kt * omega for kt in temps]
+    # xis[j] holds instance j's xi over the temperatures; rows run T-major
+    xis = [bogoliubov.thermal_squeezing_ratios(p, kts) for p in params]
+    rows = [
+        {
+            "omega0_over_omega": ratio,
+            "kt_over_omega": kt,
+            "xi": xi_t[i],
+            "method": "analytic",
+        }
+        for i, kt in enumerate(temps)
+        for ratio, xi_t in zip(ratios, xis)
+    ]
     return SweepResult(
         experiment="fig5",
         columns=["omega0_over_omega", "kt_over_omega", "xi", "method"],
@@ -563,22 +601,22 @@ def _sweep_xi_thermal(cfg):
     if "g" not in grids or "kt" not in grids:
         raise ConfigError("xi_thermal sweep needs g and kt grids")
     tc_mask = bool(cfg.get("sweep", {}).get("tc_mask", False))
+    temps = _temperatures(cfg, "kt")
     rows = []
     for g in _grid(grids["g"], "g"):
         p = _model(cfg, g=float(g))
         superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
-        t_c = (
-            bogoliubov.classical_critical_temperature(p) if superradiant else None
-        )
-        for kt in _grid(grids["kt"], "kt"):
-            if superradiant:
-                xi = 0.0 if tc_mask else math.nan
-            else:
-                xi = bogoliubov.thermal_squeezing_ratio(p, float(kt)).xi
+        if superradiant:
+            t_c = bogoliubov.classical_critical_temperature(p)
+            xis = [0.0 if tc_mask else math.nan] * len(temps)
+        else:
+            t_c = None
+            xis = bogoliubov.thermal_squeezing_ratios(p, temps)
+        for kt, xi in zip(temps, xis):
             rows.append(
                 {
                     "g": float(g),
-                    "kt": float(kt),
+                    "kt": kt,
                     "xi": xi,
                     "t_c": t_c,
                     "masked": superradiant and tc_mask,
@@ -719,8 +757,13 @@ def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:
     elapsed_s = f" elapsed_s: {elapsed:.3f}" if elapsed is not None else ""
     lines.append(f"# generated: {stamp}{elapsed_s}")
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_value(row.get(c)) for c in result.columns))
+    # column at a time: an all-float column skips the type dispatch
+    cells = []
+    for name in result.columns:
+        column = [row.get(name) for row in result.rows]
+        exact = all(type(v) is float for v in column)
+        cells.append(list(map("%.17g".__mod__ if exact else _format_value, column)))
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dicke_squeeze import (
     DickeParams,
     PhaseLabel,
     SuperradiantInputError,
     classical_critical_temperature,
+    classify_phase,
     normal_modes,
     single_mode_variances,
     spin_squeezing_parameter,
     squeezing_ratio_ground,
     superradiant_modes,
     thermal_squeezing_ratio,
+    thermal_squeezing_ratios,
     two_mode_quadrature_coefficients,
 )
 
@@ -227,6 +231,65 @@ class TestThermal:
         xi = thermal_squeezing_ratio(DickeParams(1, 1, 0.5 - 5e-13), 1.0).xi
         eps = normal_modes(DickeParams(1, 1, 0.5 - 5e-13)).eps_minus
         assert xi == pytest.approx(eps * (2.0 / eps), rel=1e-8)
+
+
+class TestBatchedThermal:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        omega=st.floats(0.2, 3.0),
+        omega0=st.floats(0.2, 3.0),
+        a2_coeff=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        fraction=st.floats(0.0, 1.0),
+        temps=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1, max_size=8),
+    )
+    # no transition (a2_coeff >= g^2/omega0), and normal with a2_coeff > 0
+    @example(omega=1.0, omega0=1.0, a2_coeff=0.3, fraction=0.5, temps=[0.0, 0.2])
+    @example(omega=1.0, omega0=1.0, a2_coeff=0.05, fraction=0.9, temps=[0.2, 0.0, 5.0])
+    def test_batched_equals_scalar_bit_for_bit(self, omega, omega0, a2_coeff, fraction, temps):
+        # g^2 <= omega*omega0/4 + a2_coeff*omega0 keeps the instance out of
+        # the superradiant phase, up to rounding at fraction = 1
+        g = fraction * math.sqrt(omega * omega0 / 4.0 + a2_coeff * omega0)
+        p = DickeParams(omega, omega0, g, a2_coeff=a2_coeff)
+        assume(classify_phase(p) is not PhaseLabel.SUPERRADIANT)
+        batched = thermal_squeezing_ratios(p, temps)
+        assert batched == [thermal_squeezing_ratio(p, t).xi for t in temps]
+        # and both follow the closed form, coth written through tanh here
+        eps = normal_modes(p).eps_minus
+        for t, xi in zip(temps, batched):
+            if t == 0.0:
+                assert xi == eps / min(omega, omega0)
+            elif eps == 0.0:
+                assert xi == math.inf
+            else:
+                expected = eps / min(omega, omega0) / math.tanh(eps / (2.0 * t))
+                assert xi == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_temperature_and_critical_point(self):
+        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), [0.0, 0.0]) == [0.5, 0.5]
+        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.5), [0.0, 0.1, 2.0]) == [
+            0.0,
+            math.inf,
+            math.inf,
+        ]
+        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), []) == []
+        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), iter([0.0])) == [0.5]
+
+    @pytest.mark.parametrize(
+        "g, temperature, error, message",
+        [
+            pytest.param(0.7, 0.1, SuperradiantInputError, "normal phase", id="superradiant"),
+            pytest.param(0.3, -0.1, ValueError, "temperature", id="negative-temperature"),
+            # the temperature is checked before the phase on both paths
+            pytest.param(0.7, -0.1, ValueError, "temperature", id="both"),
+        ],
+    )
+    def test_scalar_and_batched_reject_alike(self, g, temperature, error, message):
+        p = DickeParams(1, 1, g)
+        with pytest.raises(error, match=message) as scalar:
+            thermal_squeezing_ratio(p, temperature)
+        with pytest.raises(error, match=message) as batched:
+            thermal_squeezing_ratios(p, [0.2, temperature])
+        assert type(scalar.value) is type(batched.value)
 
 
 class TestClassicalCriticalTemperature:

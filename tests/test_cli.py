@@ -163,6 +163,107 @@ class TestFig4Fig5:
         assert 0.04 < best < 0.2
 
 
+class TestThermalPresets:
+    @pytest.mark.parametrize(
+        "experiment, user_cfg, message",
+        [
+            pytest.param(
+                "fig4",
+                {"grids": {"gc_minus_g_over_omega": [0.1, -0.1]}},
+                "above the critical coupling",
+                id="fig4-negative-distance",
+            ),
+            pytest.param(
+                "fig4", {"grids": {"kt_over_omega": [0.1, -0.1]}}, "grid 'kt_over_omega'",
+                id="fig4-negative-kt",
+            ),
+            pytest.param(
+                "fig5", {"grids": {"kt_over_omega": [-0.01]}}, "grid 'kt_over_omega'",
+                id="fig5-negative-kt",
+            ),
+            pytest.param(
+                "fig5", {"grids": {"kt_over_omega": [math.inf]}}, "grid 'kt_over_omega'",
+                id="fig5-infinite-kt",
+            ),
+            pytest.param(
+                "sweep",
+                {"grids": {"g": [0.3], "kt": [0.1, -0.1]}, "sweep": {"quantity": "xi_thermal"}},
+                "grid 'kt'",
+                id="sweep-negative-kt",
+            ),
+            pytest.param(
+                "fig4", {"grids": {"omega0_over_omega": [-1.0]}}, "grid 'omega0_over_omega'",
+                id="fig4-negative-omega0",
+            ),
+            pytest.param(
+                "fig4", {"grids": {"omega0_over_omega": [1.0, 0.0]}}, "grid 'omega0_over_omega'",
+                id="fig4-zero-omega0",
+            ),
+            pytest.param(
+                "fig5", {"model": {"g": 0.5}}, "above the critical coupling",
+                id="fig5-superradiant",
+            ),
+        ],
+    )
+    def test_bad_grids_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user_cfg))
+        out = tmp_path / f"{experiment}.csv"
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_fig4_with_every_pair_skipped_is_a_config_error(self, tmp_path, capsys):
+        # g_c = 0.5 at omega0 = omega = 1: both distances give g < 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"grids": {"omega0_over_omega": [1.0], "gc_minus_g_over_omega": [0.6, 0.8]}}
+            )
+        )
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["fig4", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fig4: ") and "g < 0" in err
+        assert not out.exists()
+
+    def test_fig4_counts_skipped_pairs(self, tmp_path):
+        # g_c = 0.5 and 1: only (1, 0.6) gives g < 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "grids": {
+                        "omega0_over_omega": [1.0, 4.0],
+                        "gc_minus_g_over_omega": [0.2, 0.6],
+                        "kt_over_omega": [0.1],
+                    }
+                }
+            )
+        )
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["fig4", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "# skipped-points: 1" in out.read_text().splitlines()
+        pairs = [(r["omega0_over_omega"], r["gc_minus_g_over_omega"]) for r in _read_rows(out)]
+        assert pairs == [("1", "0.20000000000000001"), ("4", "0.20000000000000001"), ("4", "0.59999999999999998")]
+
+    def test_fig5_rows_are_temperature_major(self):
+        cfg = cli.resolve_config(
+            "fig5", {"grids": {"omega0_over_omega": [0.1, 0.2], "kt_over_omega": [0.02, 0.01]}}
+        )
+        rows = cli.run_fig5(cfg).rows
+        assert [(r["kt_over_omega"], r["omega0_over_omega"]) for r in rows] == [
+            (0.02, 0.1), (0.02, 0.2), (0.01, 0.1), (0.01, 0.2)
+        ]
+        for r in rows:
+            p = DickeParams(1.0, r["omega0_over_omega"], 0.1)
+            assert r["xi"] == thermal_squeezing_ratio(p, r["kt_over_omega"]).xi
+
+    def test_fig4_default_skips_nothing(self):
+        assert "skipped_points" not in cli.run_fig4(cli.resolve_config("fig4")).meta
+
+
 class TestFig6Fig7:
     def test_fig6_structure(self):
         cfg = cli.resolve_config(
@@ -412,6 +513,46 @@ class TestMainEntry:
         cli.main(["fig2", "--config", str(cfg), "--out", str(out)])
         row = _read_rows(out)[0]
         assert float(row["xi"]) == squeezing_ratio_ground(DickeParams(1, 1, 0.3)).xi
+
+    def test_csv_bytes_for_every_cell_kind(self, tmp_path):
+        # "x" is all Python float (the "%.17g" path), "t_c" mixes float and
+        # None like the xi_thermal sweep, every other column takes _format_value
+        columns = ["none", "flag", "count", "np_int", "x", "np_x", "t_c", "label"]
+        kinds = [
+            (None, True, 0, np.int64(-7), 0.1, np.float64(1 / 3), None, "ideal"),
+            (None, False, -12, np.int64(2**40), math.inf, np.float64(-0.0), 1.5, "a b"),
+            (None, True, 10**20, np.int32(5), -math.inf, np.float64(math.nan), None, ""),
+            (None, False, 1, np.uint8(255), math.nan, np.float64(math.inf), -0.0, "trk"),
+            (None, True, 2, np.int64(0), -0.0, np.float64(1e-300), 1e-300, "x"),
+            (None, False, 3, np.int64(1), 1e-300, np.float64(2.5), math.nan, "y"),
+        ]
+        rows = [dict(zip(columns, values)) for values in kinds]
+        del rows[1]["none"]  # a missing cell reads as None
+        meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
+        result = cli.SweepResult("sweep", columns, rows, {**meta, "skipped_points": 2})
+        out = tmp_path / "cells.csv"
+        cli.write_csv(out, result)
+        expected = (
+            "# dicke-squeeze 0\n"
+            "# experiment: sweep\n"
+            "# config-hash: abc\n"
+            "# seed: none\n"
+            "# skipped-points: 2\n"
+            "none,flag,count,np_int,x,np_x,t_c,label\n"
+            ",true,0,-7,0.10000000000000001,0.33333333333333331,,ideal\n"
+            ",false,-12,1099511627776,inf,-0,1.5,a b\n"
+            ",true,100000000000000000000,5,-inf,nan,,\n"
+            ",false,1,255,nan,inf,-0,trk\n"
+            ",true,2,0,-0,1e-300,1e-300,x\n"
+            ",false,3,1,1e-300,2.5,nan,y\n"
+        )
+        text = "".join(
+            line for line in out.read_text().splitlines(keepends=True)
+            if not line.startswith("# generated:")
+        )
+        assert text == expected
+        by_row = [",".join(cli._format_value(row.get(c)) for c in columns) for row in rows]
+        assert text.splitlines()[6:] == by_row
 
     def test_usage_error(self, capsys):
         assert cli.main(["not-an-experiment"]) == 1
