@@ -205,7 +205,8 @@ def two_mode_quadrature_coefficients(p: DickeParams) -> tuple[float, float]:
                   - i sqrt(omega0/2) sin(gamma) (b' - b),
 
     returned as (sqrt(omega/2) cos gamma, sqrt(omega0/2) sin gamma). The
-    finite-size operator builders consume these directly.
+    finite-size quadratures (``ed.p_d``, ``ed.p_minus_k0``) compute their
+    own weights from their instance's mixing angle.
     """
     m = normal_modes(p)
     return (
@@ -232,9 +233,10 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     per temperature, in scalar ``math`` so every entry is bit-identical to a
     one-temperature call. T = 0 gives the ground-state ratio. A critical
     instance (eps_minus = 0) at T > 0 genuinely diverges and gives xi = inf
-    so sweeps can record it. Superradiant inputs are rejected: the quadratic
-    treatment is invalid near and above the classical transition temperature
-    there. Any T < 0 rejects all of ``temperatures``.
+    so sweeps can record it; a T so large that eps_minus/(2T) underflows
+    gives the large-T limit 2T/min(omega, omega0). Superradiant inputs are
+    rejected: the quadratic treatment is invalid near and above the classical
+    transition temperature there. Any T < 0 rejects all of ``temperatures``.
     """
     temperatures = list(temperatures)  # read twice, so no iterator runs dry
     if any(t < 0 for t in temperatures):
@@ -244,10 +246,21 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
             "thermal squeezing ratio is defined in the normal phase only"
         )
     eps = normal_modes(p).eps_minus
-    ground = eps / min(p.omega, p.omega0)
+    omega_min = min(p.omega, p.omega0)
+    ground = eps / omega_min
     if eps == 0.0:
         return [math.inf if t else ground for t in temperatures]
-    return [ground * _coth(eps / (2.0 * t)) if t else ground for t in temperatures]
+    return [_thermal_xi(ground, eps, omega_min, t) if t else ground for t in temperatures]
+
+
+def _thermal_xi(ground: float, eps: float, omega_min: float, t: float) -> float:
+    x = eps / (2.0 * t)
+    if x == 0.0:
+        # eps/(2T) underflowed (2T overflows near T = 1e308): coth(x) -> 1/x
+        # leaves the large-T limit xi = 2T/min(omega, omega0), inf where that
+        # overflows too
+        return 2.0 * (t / omega_min)
+    return ground * _coth(x)
 
 
 def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:

@@ -33,8 +33,6 @@ from .core import (
 from .ed import (
     build_basis,
     build_dicke_hamiltonian,
-    build_dicke_ising_hamiltonian,
-    build_disordered_hamiltonian,
     ground_state,
     p_d,
     p_minus_k0,
@@ -183,14 +181,52 @@ def _meta(cfg: dict) -> dict:
     }
 
 
+def _checked(what: str, check, *args, **kwargs):
+    """check(*args, **kwargs), with a rejection reported as bad ``what``
+    parameters."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} parameters: {exc}") from exc
+
+
 def _model(cfg: dict, **overrides) -> DickeParams:
     merged = dict(cfg.get("model", {}))
     merged.update(overrides)
     merged.setdefault("n_spins", 1)
-    try:
-        return DickeParams(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from exc
+    return _checked("model", DickeParams, **merged)
+
+
+def _model_real(cfg: dict, name: str, default=None) -> float:
+    """model.<name> as a float, checked before a grid is scaled by it."""
+    return _checked("model", finite_real, name, cfg["model"].get(name, default))
+
+
+def _disorder_int(spec: dict, name: str, default: int, minimum: int) -> int:
+    value = spec.get(name, default)
+    return _checked("disorder", integer_at_least, f"disorder.{name}", value, minimum)
+
+
+def _defect_sampler(cfg: dict, spec: dict):
+    """counter -> the m defects of sample ``counter`` drawn from a random-defect
+    spec, once rng_seed is set, m is an integer >= 0 and each range holds two
+    finite numbers."""
+    if "omega_prime_range" not in spec or "g_prime_range" not in spec:
+        raise ConfigError("random defects need both omega_prime_range and g_prime_range")
+    seed = cfg.get("rng_seed")
+    if seed is None:
+        raise ConfigError("random defect ranges need rng_seed")
+    m = _disorder_int(spec, "m", 1, 0)
+    ranges = []
+    for name in ("omega_prime_range", "g_prime_range"):
+        bounds = spec[name]
+        name = f"disorder.{name}"
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise ConfigError(
+                f"bad disorder parameters: {name} must hold two numbers, got {bounds!r}"
+            )
+        ranges.append(tuple(_checked("disorder", finite_real, name, v) for v in bounds))
+    return lambda counter: disorder_samples(seed, counter, m, *ranges)
 
 
 def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
@@ -223,7 +259,7 @@ def _fig6_point(p, defects, n_max):
     # the clean spins form one collective spin; the defects stay explicit
     basis = build_basis(p.n_spins + ens.m, n_max, n_collective=p.n_spins)
     q = p_d(basis, p.omega, p.omega0, gamma_bar)
-    return build_disordered_hamiltonian(p, ens, basis), [({}, q, p.omega / 2.0)]
+    return build_dicke_hamiltonian(p, basis, disorder=ens), [({}, q, p.omega / 2.0)]
 
 
 def _fig7_point(p, eta, n_max):
@@ -235,7 +271,7 @@ def _fig7_point(p, eta, n_max):
     # the ring, the coupling and the quadrature commute with translation: k = 0
     basis = build_basis(p.n_spins, n_max, k0=True)
     q = p_minus_k0(basis, p.omega, e0, gamma0, eta)
-    return build_dicke_ising_hamiltonian(p, eta, basis), [({}, q, p.omega / 2.0)]
+    return build_dicke_hamiltonian(p, basis, eta=eta), [({}, q, p.omega / 2.0)]
 
 
 def _ed_task(task):
@@ -306,8 +342,8 @@ def run_fig2(cfg: dict, jobs: int = 1) -> SweepResult:
     """Ground-state squeezing ratio against coupling at resonance, with and
     without the TRK-valued squared-displacement term."""
     grid = _grid(cfg["grids"]["g_over_omega"], "g_over_omega")
-    omega = cfg["model"].get("omega", 1.0)
-    omega0 = cfg["model"].get("omega0", omega)
+    omega = _model_real(cfg, "omega", 1.0)
+    omega0 = _model_real(cfg, "omega0", omega)
     rows = []
     for g_ratio in grid:
         g = float(g_ratio) * omega
@@ -380,7 +416,7 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     """Thermal squeezing ratio over temperature and distance to the critical
     coupling, for one resonant and one detuned spin splitting. Pairs whose
     coupling would be negative are skipped and counted in the metadata."""
-    omega = cfg["model"]["omega"]
+    omega = _model_real(cfg, "omega")
     ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
     deltas = _grid(cfg["grids"]["gc_minus_g_over_omega"], "gc_minus_g_over_omega").tolist()
     temps = _temperatures(cfg, "kt_over_omega")
@@ -433,7 +469,7 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
 def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     """Thermal squeezing ratio over temperature and spin splitting at fixed
     weak coupling; the optimum sits away from the critical splitting."""
-    omega = cfg["model"]["omega"]
+    omega = _model_real(cfg, "omega")
     g = cfg["model"]["g"]
     ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
     temps = _temperatures(cfg, "kt_over_omega")
@@ -464,25 +500,12 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
 
 def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
     spec = cfg.get("disorder", {})
-    drawn = "omega_prime_range" in spec or "g_prime_range" in spec
-    try:
-        m = integer_at_least("disorder.m", spec.get("m", 1), 0)
-        if drawn:
-            counter = integer_at_least("disorder.counter", spec.get("counter", 0), 0)
-        else:
-            omega_prime = finite_real("disorder.omega_prime", spec.get("omega_prime", 2.1))
-            g_prime = finite_real("disorder.g_prime", spec.get("g_prime", 2.0))
-    except ValueError as exc:
-        raise ConfigError(f"bad disorder parameters: {exc}") from exc
-    if drawn:
-        seed = cfg.get("rng_seed")
-        if seed is None:
-            raise ConfigError("random defect ranges need rng_seed")
-        if "omega_prime_range" not in spec or "g_prime_range" not in spec:
-            raise ConfigError("random defects need both omega_prime_range and g_prime_range")
-        return disorder_samples(
-            seed, counter, m, spec["omega_prime_range"], spec["g_prime_range"]
-        )
+    if "omega_prime_range" in spec or "g_prime_range" in spec:
+        return _defect_sampler(cfg, spec)(_disorder_int(spec, "counter", 0, 0))
+    m = _disorder_int(spec, "m", 1, 0)
+    omega_prime = spec.get("omega_prime", 2.1)
+    omega_prime = _checked("disorder", finite_real, "disorder.omega_prime", omega_prime)
+    g_prime = _checked("disorder", finite_real, "disorder.g_prime", spec.get("g_prime", 2.0))
     omega = cfg["model"]["omega"]
     return tuple((omega_prime * omega, g_prime * omega) for _ in range(m))
 
@@ -635,10 +658,8 @@ def _sweep_ladder(cfg):
     ladder_cfg = cfg.get("sweep", {}).get("ladder")
     if not ladder_cfg:
         raise ConfigError("ladder_dispersion sweep needs sweep.ladder parameters")
-    try:
-        spec = map_ladder_to_dicke(ladder_params_from_dict(ladder_cfg))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ladder parameters: {exc}") from exc
+    params = _checked("ladder", ladder_params_from_dict, ladder_cfg)
+    spec = _checked("ladder", map_ladder_to_dicke, params)
     rows = [
         {
             "k_index": i,
@@ -665,22 +686,13 @@ def _sweep_disorder_samples(cfg):
     spec = sweep.get("disorder")
     if not spec:
         raise ConfigError("disorder_sample sweep needs sweep.disorder parameters")
-    seed = cfg.get("rng_seed")
-    if seed is None:
-        raise ConfigError("disorder_sample sweep needs rng_seed")
-    count = int(sweep.get("samples", 1))
-    m = int(spec.get("m", 1))
-    n_clean = int(spec.get("n_clean", 1))
-    omega_range = spec.get("omega_prime_range")
-    g_range = spec.get("g_prime_range")
-    if not omega_range or not g_range:
-        raise ConfigError(
-            "disorder_sample needs omega_prime_range and g_prime_range"
-        )
+    draw = _defect_sampler(cfg, spec)
+    count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
+    n_clean = _disorder_int(spec, "n_clean", 1, 1)
     p = _model(cfg)
     rows = []
     for sample in range(count):
-        defects = disorder_samples(seed, sample, m, omega_range, g_range)
+        defects = draw(sample)
         ens = disorder.DisorderEnsemble(n_clean, defects)
         report = disorder.disorder_xi_perturbative(p, ens)
         for j, (omega_prime, g_prime) in enumerate(defects):

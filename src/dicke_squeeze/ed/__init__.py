@@ -1,14 +1,13 @@
 """Exact diagonalization over a truncated boson (x) spin basis (product,
 collective-spin or k = 0 ring layout)."""
 
-from .basis import BasisDescriptor, build_basis, parity_diagonal
+from .basis import BasisDescriptor, build_basis
 from .hamiltonians import (
     SparseHamiltonian,
     build_dicke_hamiltonian,
-    build_dicke_ising_hamiltonian,
-    build_disordered_hamiltonian,
     build_hopfield_hamiltonian,
     hopfield_parity_diagonal,
+    parity_diagonal,
 )
 from .quadratures import (
     QuadratureOperator,
@@ -38,8 +37,6 @@ __all__ = [
     "SparseHamiltonian",
     "build_basis",
     "build_dicke_hamiltonian",
-    "build_dicke_ising_hamiltonian",
-    "build_disordered_hamiltonian",
     "build_hopfield_hamiltonian",
     "expectation_symmetric",
     "ground_state",

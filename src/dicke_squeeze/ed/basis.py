@@ -125,21 +125,3 @@ def lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:
 def lift_spin(op: sp.spmatrix, boson_dim: int) -> sp.csr_matrix:
     """A spin operator acting on the full basis: 1_boson (x) op."""
     return sp.kron(sp.identity(boson_dim, format="csr"), op, format="csr")
-
-
-def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
-    """Diagonal (+-1) of the conserved parity (-1)^(n + number of up spins).
-
-    All Hamiltonians built here (ideal, disordered, Ising-coupled) commute
-    with it: the coupling flips one spin while shifting n by one, and the
-    Ising term flips spins in pairs. The up count of a spin state is
-    k + popcount(explicit bits), or in the k = 0 layout the popcount of the
-    orbit representative (translation keeps it).
-    """
-    if basis.k0:
-        ups = np.bitwise_count(translation_orbits(basis.n_spins)[0].astype(np.uint64))
-    else:
-        explicit = np.bitwise_count(np.arange(1 << basis.n_explicit, dtype=np.uint64))
-        ups = np.add.outer(explicit, np.arange(basis.n_collective + 1)).ravel()
-    total = np.add.outer(np.arange(basis.boson_dim), ups).ravel()
-    return np.where(total % 2 == 0, 1.0, -1.0)

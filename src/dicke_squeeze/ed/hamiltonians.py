@@ -1,9 +1,9 @@
 """Sparse Hamiltonian builders over the truncated boson (x) spin basis.
 
-The ideal and disordered builders take any spin layout of the basis (the
-product basis, a collective block of permutation-equivalent spins plus
-explicit sites, or the k = 0 ring sector when every spin has one weight); the
-Ising ring takes the product basis or the k = 0 ring sector.
+One builder covers the Dicke model and its two perturbations, defects and
+the Ising ring; the spin primitives of ``operators`` carry the basis layout
+(product spins, a collective block of permutation-equivalent spins plus
+explicit sites, or the k = 0 ring sector), so nothing here reads it.
 
 Every matrix is real-symmetric by construction (kron products and sums of
 exactly symmetric pieces), so H == H^T holds entry-for-entry, not just to
@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from ..core import DickeParams
 from ..disorder import DisorderEnsemble
-from .basis import BasisDescriptor, lift_boson, lift_spin, parity_diagonal
+from .basis import BasisDescriptor, lift_boson, lift_spin
 from .operators import (
     boson_x,
     ising_xx_ring,
@@ -31,7 +31,7 @@ from .operators import (
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """A real-symmetric sparse Hamiltonian plus a human-readable label.
+    """A real-symmetric sparse Hamiltonian.
 
     ``parity`` is the (+-1) diagonal of a conserved parity when the builder
     supplies one (every builder here does); ``ground_state`` and the thermal
@@ -39,7 +39,6 @@ class SparseHamiltonian:
     """
 
     matrix: sp.csr_matrix
-    label: str
     parity: np.ndarray | None = None
 
     @property
@@ -51,117 +50,85 @@ class SparseHamiltonian:
         return (self.matrix != self.matrix.T).nnz == 0
 
 
-def _assemble(parts, label, parity=None):
+def _assemble(parts, parity):
     total = parts[0]
     for part in parts[1:]:
         total = total + part
     total = total.tocsr()
     total.sum_duplicates()
     total.sort_indices()
-    return SparseHamiltonian(matrix=total, label=label, parity=parity)
+    return SparseHamiltonian(matrix=total, parity=parity)
 
 
 @functools.lru_cache(maxsize=4)
 def _coupling_term(basis: BasisDescriptor) -> sp.csr_matrix:
     """(a + a') (x) sum_i (S_+^i + S_-^i) on ``basis``. Cached: the points of
     a sweep at one basis scale the same (read-only) matrix."""
-    flip = spin_flip_total(basis.n_spins, None, basis.n_collective, basis.k0)
-    return sp.kron(boson_x(basis.n_max), flip, format="csr")
+    return sp.kron(boson_x(basis.n_max), spin_flip_total(basis), format="csr")
 
 
 @functools.lru_cache(maxsize=4)
 def _ring_term(basis: BasisDescriptor) -> sp.csr_matrix:
     """1 (x) sum_n S_x^n S_x^{n+1} on ``basis``, cached like the coupling."""
-    return lift_spin(ising_xx_ring(basis.n_spins, basis.k0), basis.boson_dim)
+    return lift_spin(ising_xx_ring(basis), basis.boson_dim)
 
 
-def build_dicke_hamiltonian(p: DickeParams, basis: BasisDescriptor) -> SparseHamiltonian:
+def build_dicke_hamiltonian(
+    p: DickeParams,
+    basis: BasisDescriptor,
+    disorder: DisorderEnsemble | None = None,
+    eta: float = 0.0,
+) -> SparseHamiltonian:
     """omega a'a + omega0 sum_i S_z^i + (g/sqrt(N)) (a+a') sum_i (S_+^i+S_-^i),
     plus a2_coeff * (a+a')^2 when present (squared after truncation).
 
     The coupling enters through S_+ + S_-, whose collective bosonization has
     unit weight; with this normalization the finite-size model shares the
-    quadratic model's critical coupling sqrt(omega*omega0)/2."""
-    if basis.n_spins != p.n_spins:
+    quadratic model's critical coupling sqrt(omega*omega0)/2.
+
+    ``disorder`` adds its m defects after the p.n_spins = n_clean clean spins:
+    defect i carries (omega'_i, g'_i) and every coupling is collectively
+    normalized by 1/sqrt(N+m). ``eta`` adds the nearest-neighbor ring
+    4J sum_n S_x^n S_x^{n+1} with J = eta*omega0, which breaks the permutation
+    symmetry but keeps the translation. With no defects and eta = 0 this is
+    the ideal model, built the same way. The two perturbations do not
+    combine.
+    """
+    defects = () if disorder is None else disorder.defects
+    if disorder is not None and disorder.n_clean != p.n_spins:
         raise ValueError(
-            f"basis holds {basis.n_spins} spins but params specify {p.n_spins}"
+            f"params specify {p.n_spins} spins but the ensemble has "
+            f"n_clean={disorder.n_clean}"
         )
+    if basis.n_spins != p.n_spins + len(defects):
+        raise ValueError(
+            f"basis holds {basis.n_spins} spins but the model needs "
+            f"{p.n_spins + len(defects)}"
+        )
+    if defects and eta != 0.0:
+        raise ValueError("the Ising ring and defects do not combine: pass one of them")
     n = basis.n_spins
-    z = spin_z_values(n, None, basis.n_collective, basis.k0)
-    diag = np.add.outer(p.omega * np.arange(basis.boson_dim), p.omega0 * z).ravel()
+    coupling = None
+    if defects:
+        z = spin_z_values(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
+        x_weights = [p.g] * p.n_spins + [gp for _, gp in defects]
+        if any(x_weights):
+            flip = spin_flip_total(basis, x_weights)
+            coupling = (1.0 / np.sqrt(n)) * sp.kron(boson_x(basis.n_max), flip, format="csr")
+    else:
+        z = p.omega0 * spin_z_values(basis)
+        if p.g != 0.0:
+            coupling = (p.g / np.sqrt(n)) * _coupling_term(basis)
+    diag = np.add.outer(p.omega * np.arange(basis.boson_dim), z).ravel()
     parts = [sp.diags(diag, format="csr")]
-    if p.g != 0.0:
-        parts.append((p.g / np.sqrt(n)) * _coupling_term(basis))
+    if coupling is not None:
+        parts.append(coupling)
     if p.a2_coeff != 0.0:
         x = boson_x(basis.n_max)
         parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
-    return _assemble(parts, "dicke", parity_diagonal(basis))
-
-
-def build_disordered_hamiltonian(
-    p: DickeParams, d: DisorderEnsemble, basis: BasisDescriptor
-) -> SparseHamiltonian:
-    """Dicke model with defects: the first N spins carry (omega0, g), the last
-    m carry their individual (omega'_i, g'_i); every coupling is collectively
-    normalized by 1/sqrt(N+m). A collective block in the basis must hold spins
-    of equal (omega, g), i.e. clean spins."""
-    total = d.n_clean + d.m
-    if basis.n_spins != total:
-        raise ValueError(
-            f"basis holds {basis.n_spins} spins but the ensemble needs N+m={total}"
-        )
-    if d.m == 0:
-        # no defects: take the plain construction path so the matrices are
-        # identical entry for entry
-        ideal = build_dicke_hamiltonian(
-            DickeParams(p.omega, p.omega0, p.g, d.n_clean, p.a2_coeff), basis
-        )
-        return SparseHamiltonian(
-            matrix=ideal.matrix, label="dicke-disordered", parity=ideal.parity
-        )
-    z_weights = np.concatenate(
-        [np.full(d.n_clean, p.omega0), np.array([w for w, _ in d.defects])]
-    )
-    x_weights = np.concatenate(
-        [np.full(d.n_clean, p.g), np.array([gp for _, gp in d.defects])]
-    )
-    n_c, k0 = basis.n_collective, basis.k0
-    diag = np.add.outer(
-        p.omega * np.arange(basis.boson_dim), spin_z_values(total, z_weights, n_c, k0)
-    ).ravel()
-    parts = [sp.diags(diag, format="csr")]
-    if np.any(x_weights != 0.0):
-        parts.append(
-            (1.0 / np.sqrt(total))
-            * sp.kron(
-                boson_x(basis.n_max), spin_flip_total(total, x_weights, n_c, k0), format="csr"
-            )
-        )
-    if p.a2_coeff != 0.0:
-        x = boson_x(basis.n_max)
-        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
-    return _assemble(parts, "dicke-disordered", parity_diagonal(basis))
-
-
-def build_dicke_ising_hamiltonian(
-    p: DickeParams, eta: float, basis: BasisDescriptor
-) -> SparseHamiltonian:
-    """Dicke model plus the nearest-neighbor ring term 4J sum_n S_x^n S_x^{n+1}
-    with J = eta*omega0. For eta = 0 this takes exactly the plain-Dicke
-    construction path, so the matrices are bitwise identical. The ring breaks
-    the permutation symmetry but keeps the translation, so the basis is the
-    product basis or its k = 0 ring sector (``k0``)."""
-    if basis.n_collective:
-        raise ValueError("the Ising ring breaks permutation symmetry: use n_collective=0")
-    if basis.n_spins < 2:
-        raise ValueError("the Ising ring needs n_spins >= 2")
-    ideal = build_dicke_hamiltonian(p, basis)
-    if eta == 0.0:
-        return SparseHamiltonian(
-            matrix=ideal.matrix, label="dicke-ising", parity=ideal.parity
-        )
-    coupling = 4.0 * eta * p.omega0
-    return _assemble([ideal.matrix, coupling * _ring_term(basis)], "dicke-ising", ideal.parity)
+    if eta != 0.0:
+        parts.append((4.0 * eta * p.omega0) * _ring_term(basis))
+    return _assemble(parts, parity_diagonal(basis))
 
 
 def build_hopfield_hamiltonian(
@@ -179,10 +146,21 @@ def build_hopfield_hamiltonian(
         parts.append(p.g * sp.kron(boson_x(n_max_a), boson_x(n_max_b), format="csr"))
     if p.a2_coeff != 0.0:
         x = boson_x(n_max_a)
-        parts.append(
-            p.a2_coeff * sp.kron((x @ x).tocsr(), sp.identity(dim_b, format="csr"), format="csr")
-        )
-    return _assemble(parts, "hopfield", hopfield_parity_diagonal(n_max_a, n_max_b))
+        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), dim_b))
+    return _assemble(parts, hopfield_parity_diagonal(n_max_a, n_max_b))
+
+
+def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
+    """Diagonal (+-1) of the conserved parity (-1)^(n + number of up spins).
+
+    All Hamiltonians built here (ideal, disordered, Ising-coupled) commute
+    with it: the coupling flips one spin while shifting n by one, and the
+    Ising term flips spins in pairs. A spin state's up count is S_z + N/2,
+    exact in floating point (S_z is a sum of +-1/2 terms).
+    """
+    ups = spin_z_values(basis) + 0.5 * basis.n_spins
+    total = np.add.outer(np.arange(basis.boson_dim), ups).ravel()
+    return np.where(total % 2 == 0, 1.0, -1.0)
 
 
 def hopfield_parity_diagonal(n_max_a: int, n_max_b: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisDescriptor, lift_boson, lift_spin
-from .operators import boson_momentum_generator, spin_pm_total, spin_x_total, spin_z_values
+from .operators import boson_momentum_generator, spin_flip_total, spin_pm_total, spin_z_values
 from .solver import GroundStateResult
 
 
@@ -29,7 +29,6 @@ class QuadratureOperator:
     """Observable i*generator with generator exactly antisymmetric."""
 
     generator: sp.csr_matrix
-    label: str
 
     @property
     def dim(self) -> int:
@@ -41,13 +40,10 @@ def _quadrature_terms(basis: BasisDescriptor) -> tuple[sp.csr_matrix, sp.csr_mat
     """(a'-a) (x) 1 and 1 (x) (S+ - S-) on ``basis``. Cached: the points of a
     sweep at one basis scale the same (read-only) pair."""
     boson = lift_boson(boson_momentum_generator(basis.n_max), basis.spin_dim)
-    spin = lift_spin(
-        spin_pm_total(basis.n_spins, basis.n_collective, basis.k0), basis.boson_dim
-    )
-    return boson, spin
+    return boson, lift_spin(spin_pm_total(basis), basis.boson_dim)
 
 
-def _combine(boson_coeff, spin_coeff, basis, label):
+def _combine(boson_coeff, spin_coeff, basis):
     """boson_coeff (a'-a) (x) 1 + spin_coeff 1 (x) (S+ - S-); a None boson_coeff
     drops the boson term."""
     boson, spin = _quadrature_terms(basis)
@@ -56,19 +52,19 @@ def _combine(boson_coeff, spin_coeff, basis, label):
         total = (boson_coeff * boson + total).tocsr()
     total.sum_duplicates()
     total.sort_indices()
-    return QuadratureOperator(generator=total, label=label)
+    return QuadratureOperator(generator=total)
 
 
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
     """Finite-size squeezed quadrature
     i/sqrt(2) (a'-a) - i/sqrt(2N) (S+ - S-)."""
     spin = -1.0 / math.sqrt(2.0 * basis.n_spins)
-    return _combine(1.0 / math.sqrt(2.0), spin, basis, "p_tilde_minus")
+    return _combine(1.0 / math.sqrt(2.0), spin, basis)
 
 
 def s_tilde_y(basis: BasisDescriptor) -> QuadratureOperator:
     """Collective spin quadrature i/sqrt(N) (S+ - S-)."""
-    return _combine(None, 1.0 / math.sqrt(basis.n_spins), basis, "s_tilde_y")
+    return _combine(None, 1.0 / math.sqrt(basis.n_spins), basis)
 
 
 def p_d(
@@ -79,7 +75,7 @@ def p_d(
     summed over every spin in the basis (clean and defect alike)."""
     boson = math.sqrt(omega / 2.0) * math.cos(gamma_bar)
     spin = -math.sqrt(omega0 / (2.0 * basis.n_spins)) * math.sin(gamma_bar)
-    return _combine(boson, spin, basis, "p_d")
+    return _combine(boson, spin, basis)
 
 
 def p_minus_k0(
@@ -97,7 +93,7 @@ def p_minus_k0(
         raise ValueError("the Ising model breaks permutation symmetry: use n_collective=0")
     boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0)
     spin = -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins)) * math.sin(gamma_k0) * (1.0 - eta)
-    return _combine(boson, spin, basis, "p_minus_k0")
+    return _combine(boson, spin, basis)
 
 
 def hopfield_p_minus(
@@ -113,7 +109,7 @@ def hopfield_p_minus(
     ).tocsr()
     total.sum_duplicates()
     total.sort_indices()
-    return QuadratureOperator(generator=total, label="hopfield_p_minus")
+    return QuadratureOperator(generator=total)
 
 
 def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
@@ -143,10 +139,9 @@ def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:
     """<S^2> of the collective spin in the ground state, computed in real
     arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
-    n, n_c, k0 = basis.n_spins, basis.n_collective, basis.k0
-    sx = lift_spin(spin_x_total(n, None, n_c, k0), basis.boson_dim)
-    sz = lift_spin(sp.diags(spin_z_values(n, None, n_c, k0), format="csr"), basis.boson_dim)
-    k = lift_spin(spin_pm_total(n, n_c, k0), basis.boson_dim)
+    sx = lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim)
+    sz = lift_spin(sp.diags(spin_z_values(basis), format="csr"), basis.boson_dim)
+    k = lift_spin(spin_pm_total(basis), basis.boson_dim)
     v = gs.vector
     sxv = sx @ v
     szv = sz @ v

@@ -28,12 +28,7 @@ TAIL_BOUND = 1e-10
 BOLTZMANN_WINDOW = 40.0
 
 
-def thermal_variance(
-    h,
-    q: QuadratureOperator,
-    temperature: float,
-    n_eigenpairs: int | None = None,
-) -> float:
+def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     """Gibbs-weighted variance of the observable i*M at the given temperature.
 
     Diagonalizes ``h`` densely, but only up to the Boltzmann window
@@ -43,8 +38,7 @@ def thermal_variance(
     ||M v_j||^2 with Boltzmann weights (eigenstate means vanish identically
     for real eigenvectors, and the thermal mean inherits that). Each parity
     block (``parity_blocks``) is diagonalized within the same window, and the
-    spectra are merged; ``n_eigenpairs`` keeps the lowest of the merged
-    spectrum. The retained spectrum must cover the ensemble:
+    spectra are merged. The retained spectrum must cover the ensemble:
     exp(-(E_cut - E_0)/T) < 1e-10, where E_cut is the highest kept
     eigenvalue, or the window edge when the window drops pairs; otherwise a
     ValueError reports the violated tail bound. T = 0 returns the
@@ -65,8 +59,6 @@ def thermal_variance(
             f"thermal oracle needs a dense spectrum; dim={dim} exceeds "
             f"{_DENSE_SPECTRUM_LIMIT}"
         )
-    if n_eigenpairs is not None and n_eigenpairs < 1:
-        raise ValueError("n_eigenpairs must be >= 1")
     window = mat.diagonal().min() + BOLTZMANN_WINDOW * temperature
     energies, second_moments = [], []
     for idx in parity_blocks(h):
@@ -76,21 +68,17 @@ def thermal_variance(
         energies.append(w)
         second_moments.append(np.einsum("ij,ij->j", mv, mv))
     energies = np.concatenate(energies)
-    windowed = energies.size < dim
     order = np.argsort(energies, kind="stable")
-    if n_eigenpairs is not None and n_eigenpairs < order.size:
-        order = order[:n_eigenpairs]
-        windowed = False
     energies = energies[order]
     second_moments = np.concatenate(second_moments)[order]
-    # past the window edge the spectrum starts above E_0 + W*T
-    e_cut = window if windowed else energies[-1]
+    # when the window dropped pairs, the spectrum past it starts above E_0 + W*T
+    e_cut = window if energies.size < dim else energies[-1]
     beta = 1.0 / temperature
     tail = np.exp(-beta * (e_cut - energies[0]))
     if tail >= TAIL_BOUND:
         raise ValueError(
             f"Boltzmann tail bound violated: exp(-beta*(E_cut-E_0)) = {tail:.3e} "
-            f">= {TAIL_BOUND:.0e}; increase the truncation or n_eigenpairs"
+            f">= {TAIL_BOUND:.0e}; increase the truncation"
         )
     weights = np.exp(-beta * (energies - energies[0]))
     weights /= weights.sum()

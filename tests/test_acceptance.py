@@ -24,8 +24,6 @@ from dicke_squeeze import (
 from dicke_squeeze.ed import (
     build_basis,
     build_dicke_hamiltonian,
-    build_dicke_ising_hamiltonian,
-    build_disordered_hamiltonian,
     build_hopfield_hamiltonian,
     ground_state,
     hopfield_p_minus,
@@ -39,7 +37,7 @@ from dicke_squeeze.ed import (
     variance,
 )
 from dicke_squeeze.ed.basis import lift_boson, lift_spin
-from dicke_squeeze.ed.operators import boson_x, spin_x_total
+from dicke_squeeze.ed.operators import boson_x, spin_flip_total
 from dicke_squeeze.ed.quadratures import expectation_symmetric
 
 
@@ -244,7 +242,7 @@ def _disorder_ed_xi(n_clean, defects, g, n_max, tol=1e-10, collective=False):
     gbar = renormalized_coupling(g, n_clean, ens.m)
     gamma_bar = normal_modes(DickeParams(1.0, 1.0, g), g_renormalized=gbar).gamma
     basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean if collective else 0)
-    h = build_disordered_hamiltonian(p, ens, basis)
+    h = build_dicke_hamiltonian(p, basis, disorder=ens)
     gs = ground_state(h, tol=tol)
     return variance(gs, p_d(basis, 1.0, 1.0, gamma_bar)) / 0.5
 
@@ -338,9 +336,7 @@ def test_criterion_09b_ising_monotone_saturation():
         per_truncation = {}
         for n_max in (40, 50):
             basis = build_basis(6, n_max)
-            h = build_dicke_ising_hamiltonian(
-                DickeParams(1.0, 1.0, 0.5, 6), float(eta), basis
-            )
+            h = build_dicke_hamiltonian(DickeParams(1.0, 1.0, 0.5, 6), basis, eta=float(eta))
             gs = ground_state(h)
             q = p_minus_k0(basis, 1.0, e0, gamma0, float(eta))
             per_truncation[n_max] = variance(gs, q) / 0.5
@@ -363,7 +359,7 @@ def test_criterion_09b_ising_monotone_saturation():
 def test_criterion_09c_ising_zero_coupling_bitwise():
     basis = build_basis(6, 40)
     ideal = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), basis)
-    ising_h = build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 6), 0.0, basis)
+    ising_h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), basis, eta=0.0)
     ok = (
         np.array_equal(ideal.matrix.data, ising_h.matrix.data)
         and np.array_equal(ideal.matrix.indices, ising_h.matrix.indices)
@@ -401,7 +397,7 @@ def test_criterion_10_structural_invariants(tmp_path):
         expectation_symmetric(gs.vector, lift_boson(boson_x(30), basis.spin_dim))
     )
     sx_expect = abs(
-        expectation_symmetric(gs.vector, lift_spin(spin_x_total(3), basis.boson_dim))
+        expectation_symmetric(gs.vector, lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim))
     )
     spin_dev = abs(total_spin_expectation(gs, basis) - 1.5 * 2.5)
 

@@ -264,6 +264,18 @@ class TestBatchedThermal:
                 expected = eps / min(omega, omega0) / math.tanh(eps / (2.0 * t))
                 assert xi == pytest.approx(expected, rel=1e-12)
 
+    def test_temperature_past_overflow_gives_the_large_t_limit(self):
+        # 2T overflows, so eps/(2T) = 0: xi -> 2T/min(omega, omega0), inf where
+        # that overflows too
+        assert thermal_squeezing_ratio(DickeParams(1, 1, 0.3), 1e308).xi == math.inf
+        assert thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e308, math.inf]) == [
+            2e307,
+            math.inf,
+        ]
+        # the largest T below the underflow still takes the closed form
+        xi = thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e300])[0]
+        assert xi == pytest.approx(2e299, rel=1e-12)
+
     def test_zero_temperature_and_critical_point(self):
         assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), [0.0, 0.0]) == [0.5, 0.5]
         assert thermal_squeezing_ratios(DickeParams(1, 1, 0.5), [0.0, 0.1, 2.0]) == [

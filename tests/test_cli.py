@@ -29,6 +29,19 @@ _SMALL_ED = {
 }
 
 
+def _random_defects(**ranges):
+    """fig6 with drawn defects; ``ranges`` overrides the valid defaults."""
+    spec = {"omega_prime_range": [1, 2], "g_prime_range": [0, 1], **ranges}
+    return {"disorder": spec, "rng_seed": 1}
+
+
+def _disorder_sweep(samples=1, **disorder):
+    """A disorder_sample sweep; ``disorder`` overrides the valid defaults."""
+    spec = {"omega_prime_range": [1, 2], "g_prime_range": [0, 1], **disorder}
+    sweep = {"quantity": "disorder_sample", "samples": samples, "disorder": spec}
+    return {"sweep": sweep, "rng_seed": 1}
+
+
 def _assert_pool_matches_serial(experiment, user_cfg):
     cfg = cli.resolve_config(experiment, user_cfg)
     serial = cli.run_experiment(experiment, cfg, jobs=1)
@@ -203,6 +216,12 @@ class TestThermalPresets:
                 "fig5", {"model": {"g": 0.5}}, "above the critical coupling",
                 id="fig5-superradiant",
             ),
+            pytest.param("fig2", {"model": {"omega": "1"}}, "bad model parameters", id="fig2-omega"),
+            pytest.param(
+                "fig2", {"model": {"omega0": "1"}}, "bad model parameters", id="fig2-omega0"
+            ),
+            pytest.param("fig4", {"model": {"omega": "1"}}, "bad model parameters", id="fig4-omega"),
+            pytest.param("fig5", {"model": {"omega": "1"}}, "bad model parameters", id="fig5-omega"),
         ],
     )
     def test_bad_grids_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
@@ -365,6 +384,30 @@ class TestEDPresets:
                 {"disorder": {"omega_prime_range": [1, 2]}, "rng_seed": 1},
                 "g_prime_range",
                 id="one-range",
+            ),
+            pytest.param(
+                "fig6", _random_defects(omega_prime_range=["a", 2]),
+                "disorder.omega_prime_range", id="range-str",
+            ),
+            pytest.param(
+                "fig6", _random_defects(omega_prime_range=[1]),
+                "disorder.omega_prime_range", id="range-one-number",
+            ),
+            pytest.param(
+                "fig6", _random_defects(g_prime_range=1), "disorder.g_prime_range",
+                id="range-scalar",
+            ),
+            pytest.param(
+                "sweep", _disorder_sweep(omega_prime_range=[1]), "disorder.omega_prime_range",
+                id="sweep-range-one-number",
+            ),
+            pytest.param("sweep", _disorder_sweep(m="one"), "disorder.m", id="sweep-m-str"),
+            pytest.param("sweep", _disorder_sweep(m=1.7), "disorder.m", id="sweep-m-fraction"),
+            pytest.param(
+                "sweep", _disorder_sweep(n_clean=0), "disorder.n_clean", id="sweep-n-clean"
+            ),
+            pytest.param(
+                "sweep", _disorder_sweep(samples=2.5), "sweep.samples", id="sweep-samples"
             ),
         ],
     )

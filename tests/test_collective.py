@@ -15,8 +15,6 @@ from dicke_squeeze.ising import magnon_energy, mixing_angle_k
 from dicke_squeeze.ed import (
     build_basis,
     build_dicke_hamiltonian,
-    build_dicke_ising_hamiltonian,
-    build_disordered_hamiltonian,
     build_hopfield_hamiltonian,
     ground_state,
     hopfield_p_minus,
@@ -87,7 +85,7 @@ def test_disordered_model_collective_matches_product(n_clean, defects, g, gamma)
     ens = DisorderEnsemble(n_clean, tuple(defects))
     p = DickeParams(1.0, 1.0, g, n_clean)
     _assert_same_ground_state(
-        lambda basis: build_disordered_hamiltonian(p, ens, basis),
+        lambda basis: build_dicke_hamiltonian(p, basis, disorder=ens),
         n_clean + ens.m,
         n_clean,
         gamma,
@@ -112,8 +110,8 @@ def test_ising_ground_state_lies_in_k0(n_spins, eta, g, n_max):
     ip = IsingParams(eta=eta, omega0=1.0, dispersion=1.0, g=g, n_spins=n_spins)
     angle, e0 = mixing_angle_k(ip, 0.0), magnon_energy(ip, 0.0)
     product, sector = build_basis(n_spins, n_max), build_basis(n_spins, n_max, k0=True)
-    h_product = build_dicke_ising_hamiltonian(p, eta, product)
-    h_sector = build_dicke_ising_hamiltonian(p, eta, sector)
+    h_product = build_dicke_hamiltonian(p, product, eta=eta)
+    h_sector = build_dicke_hamiltonian(p, sector, eta=eta)
     lowest = la.eigh(h_product.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
     gs_sector = ground_state(h_sector)
     assert abs(gs_sector.energy - lowest) <= DEFAULT_TOL * matrix_inf_norm(h_product.matrix)
@@ -141,16 +139,6 @@ def test_parity_block_oracle_matches_full_spectrum(omega0, g_fraction, temperatu
     full = float((weights / weights.sum()) @ np.einsum("ij,ij->j", mv, mv))
     assert thermal_variance(h, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
     assert thermal_variance(h.matrix, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
-
-
-def test_parity_block_oracle_keeps_lowest_merged_pairs():
-    p = DickeParams(1.0, 1.0, 0.3)
-    h = build_hopfield_hamiltonian(p, 12, 12)
-    q = hopfield_p_minus(12, 12, 1.0, 1.0, normal_modes(p).gamma)
-    for n_pairs in (60, 101):
-        assert thermal_variance(h, q, 0.1, n_eigenpairs=n_pairs) == pytest.approx(
-            thermal_variance(h.matrix, q, 0.1, n_eigenpairs=n_pairs), rel=0.0, abs=1e-12
-        )
 
 
 def test_boltzmann_window_matches_full_spectrum():
@@ -181,14 +169,15 @@ def test_spin_builders_carry_the_conserved_parity():
     mixed = build_basis(3, 6, n_collective=2)
     ring = build_basis(3, 6, k0=True)
     defect = DisorderEnsemble(2, ((2.0, 0.5),))
+    p_clean = DickeParams(1.0, 1.2, 0.7, 2, 0.1)
     built = [
         (build_dicke_hamiltonian(p, product), product),
         (build_dicke_hamiltonian(p, collective), collective),
-        (build_disordered_hamiltonian(p, DisorderEnsemble(3, ()), collective), collective),
-        (build_disordered_hamiltonian(p, defect, mixed), mixed),
-        (build_dicke_ising_hamiltonian(p, 0.0, product), product),
-        (build_dicke_ising_hamiltonian(p, 0.3, product), product),
-        (build_dicke_ising_hamiltonian(p, 0.3, ring), ring),
+        (build_dicke_hamiltonian(p, collective, disorder=DisorderEnsemble(3, ())), collective),
+        (build_dicke_hamiltonian(p_clean, mixed, disorder=defect), mixed),
+        (build_dicke_hamiltonian(p, product, eta=0.0), product),
+        (build_dicke_hamiltonian(p, product, eta=0.3), product),
+        (build_dicke_hamiltonian(p, ring, eta=0.3), ring),
         (build_dicke_hamiltonian(p, ring), ring),
     ]
     for h, basis in built:
@@ -246,11 +235,11 @@ class TestLayout:
 
     def test_block_needs_one_weight(self):
         with pytest.raises(ValueError, match="share one weight"):
-            spin_z_values(3, [1.0, 2.0, 1.0], n_collective=2)
+            spin_z_values(build_basis(3, 0, n_collective=2), [1.0, 2.0, 1.0])
         basis = build_basis(3, 4, n_collective=3)
         with pytest.raises(ValueError, match="share one weight"):
-            build_disordered_hamiltonian(
-                DickeParams(1, 1, 0.3, 2), DisorderEnsemble(2, ((2.0, 1.0),)), basis
+            build_dicke_hamiltonian(
+                DickeParams(1, 1, 0.3, 2), basis, disorder=DisorderEnsemble(2, ((2.0, 1.0),))
             )
 
     def test_k0_ring_dims(self):
@@ -286,17 +275,17 @@ class TestLayout:
         with pytest.raises(ValueError, match="k = 0"):
             build_basis(4, 2, n_collective=4, k0=True)
         with pytest.raises(ValueError, match="one weight"):
-            spin_flip_total(3, [1.0, 2.0, 1.0], k0=True)
+            spin_flip_total(build_basis(3, 0, k0=True), [1.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="one weight"):
-            build_disordered_hamiltonian(
+            build_dicke_hamiltonian(
                 DickeParams(1, 1, 0.3, 2),
-                DisorderEnsemble(2, ((2.0, 1.0),)),
                 build_basis(3, 4, k0=True),
+                disorder=DisorderEnsemble(2, ((2.0, 1.0),)),
             )
 
     def test_ising_model_rejects_collective_block(self):
         basis = build_basis(4, 6, n_collective=4)
         with pytest.raises(ValueError, match="permutation"):
-            build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 4), 0.3, basis)
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis, eta=0.3)
         with pytest.raises(ValueError, match="permutation"):
             p_minus_k0(basis, 1.0, 1.2, 0.6, 0.3)

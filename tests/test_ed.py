@@ -15,8 +15,6 @@ from dicke_squeeze.ed import (
     SparseHamiltonian,
     build_basis,
     build_dicke_hamiltonian,
-    build_dicke_ising_hamiltonian,
-    build_disordered_hamiltonian,
     build_hopfield_hamiltonian,
     expectation_symmetric,
     ground_state,
@@ -35,7 +33,7 @@ from dicke_squeeze.ed import (
 )
 from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.solver import DEFAULT_TOL, DENSE_DIM_LIMIT, matrix_inf_norm
-from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_x_total
+from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total
 
 
 # -- independent dense oracle (explicit loops, no reuse of package builders) --
@@ -131,13 +129,13 @@ class TestBuilders:
         basis = build_basis(3, 8)
         builds = [
             build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3, 0.2), basis),
-            build_disordered_hamiltonian(
-                DickeParams(1, 1, 0.5, 2), DisorderEnsemble(2, ((2.1, 2.0),)), basis
+            build_dicke_hamiltonian(
+                DickeParams(1, 1, 0.5, 2), basis, disorder=DisorderEnsemble(2, ((2.1, 2.0),))
             ),
-            build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 3), 0.3, basis),
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 3), basis, eta=0.3),
             # orbit lengths 1, 2, 3 and 6 meet in the projected entries
-            build_dicke_ising_hamiltonian(
-                DickeParams(1, 1, 0.5, 6), 0.3, build_basis(6, 8, k0=True)
+            build_dicke_hamiltonian(
+                DickeParams(1, 1, 0.5, 6), build_basis(6, 8, k0=True), eta=0.3
             ),
             build_hopfield_hamiltonian(DickeParams(1, 1, 0.3), 8, 9),
         ]
@@ -148,15 +146,33 @@ class TestBuilders:
     def test_disorder_reduces_to_ideal(self):
         basis = build_basis(3, 6)
         ideal = build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 3), basis)
-        disordered = build_disordered_hamiltonian(
-            DickeParams(1, 1, 0.4, 3), DisorderEnsemble(3, ()), basis
+        disordered = build_dicke_hamiltonian(
+            DickeParams(1, 1, 0.4, 3), basis, disorder=DisorderEnsemble(3, ())
         )
         assert (ideal.matrix != disordered.matrix).nnz == 0
 
+    def test_rejects_mismatched_spin_counts(self):
+        ens = DisorderEnsemble(2, ((2.0, 0.5),))
+        # params and ensemble disagree on the clean spins
+        with pytest.raises(ValueError, match="n_clean=2"):
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 3), build_basis(3, 4), disorder=ens)
+        # the basis must hold the clean spins plus the defects
+        with pytest.raises(ValueError, match="basis holds 2 spins"):
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 2), build_basis(2, 4), disorder=ens)
+        with pytest.raises(ValueError, match="basis holds 3 spins"):
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 2), build_basis(3, 4))
+
+    def test_rejects_ring_with_defects(self):
+        ens = DisorderEnsemble(2, ((2.0, 0.5),))
+        with pytest.raises(ValueError, match="do not combine"):
+            build_dicke_hamiltonian(
+                DickeParams(1, 1, 0.4, 2), build_basis(3, 4), disorder=ens, eta=0.3
+            )
+
     def test_all_couplings_zero_is_diagonal(self):
         basis = build_basis(2, 4)
-        h = build_disordered_hamiltonian(
-            DickeParams(1, 1, 0.0, 1), DisorderEnsemble(1, ((2.0, 0.0),)), basis
+        h = build_dicke_hamiltonian(
+            DickeParams(1, 1, 0.0, 1), basis, disorder=DisorderEnsemble(1, ((2.0, 0.0),))
         )
         off = h.matrix - sp.diags(h.matrix.diagonal())
         assert off.nnz == 0
@@ -164,8 +180,8 @@ class TestBuilders:
     def test_disorder_weights_placement(self):
         # diagonal carries omega0 for clean spins and omega' for the defect
         basis = build_basis(2, 0)
-        h = build_disordered_hamiltonian(
-            DickeParams(1, 0.7, 0.0, 1), DisorderEnsemble(1, ((2.5, 0.0),)), basis
+        h = build_dicke_hamiltonian(
+            DickeParams(1, 0.7, 0.0, 1), basis, disorder=DisorderEnsemble(1, ((2.5, 0.0),))
         )
         # spin bit 0 = clean (omega0), bit 1 = defect (omega')
         diag = h.matrix.diagonal()
@@ -177,7 +193,7 @@ class TestBuilders:
     def test_ising_zero_coupling_bitwise_identical(self):
         basis = build_basis(4, 10)
         ideal = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis)
-        ising = build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 4), 0.0, basis)
+        ising = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis, eta=0.0)
         assert np.array_equal(ideal.matrix.data, ising.matrix.data)
         assert np.array_equal(ideal.matrix.indices, ising.matrix.indices)
         assert np.array_equal(ideal.matrix.indptr, ising.matrix.indptr)
@@ -186,7 +202,7 @@ class TestBuilders:
         # 4J sum S_x S_x is diagonal in the x basis: eigenvalues are
         # J * sum s_n s_{n+1} over sign configurations
         n = 4
-        ring = (ising_xx_ring(n) * 4.0).toarray()  # J = 1
+        ring = (ising_xx_ring(build_basis(n, 0)) * 4.0).toarray()  # J = 1
         expected = []
         for config in range(2**n):
             signs = [1 if config & (1 << i) else -1 for i in range(n)]
@@ -199,7 +215,7 @@ class TestBuilders:
         # kron-product construction
         n, eta, omega0 = 4, 0.7, 1.0
         basis = build_basis(n, 0)
-        h = build_dicke_ising_hamiltonian(DickeParams(1, omega0, 0.0, n), eta, basis)
+        h = build_dicke_hamiltonian(DickeParams(1, omega0, 0.0, n), basis, eta=eta)
         sz = np.diag([-0.5, 0.5])  # basis index 0 = spin down
         sx = np.array([[0.0, 0.5], [0.5, 0.0]])
         eye = np.eye(2)
@@ -229,7 +245,7 @@ class TestGroundState:
     def test_lower_parity_block_is_lifted(self):
         # the odd block holds the ground level, 3 below the even block's
         h = SparseHamiltonian(
-            sp.diags([2.0, -1.0, 3.0, 0.5]).tocsr(), "diag", np.array([1.0, -1.0, 1.0, -1.0])
+            sp.diags([2.0, -1.0, 3.0, 0.5]).tocsr(), np.array([1.0, -1.0, 1.0, -1.0])
         )
         for method in ("dense", "lanczos"):
             gs = ground_state(h, method=method)
@@ -310,9 +326,9 @@ def _solver_instance(kind, n_spins, omega0, g, eta):
     if kind == "disordered":
         ens = DisorderEnsemble(n_spins, ((2.0 * omega0, g),))
         basis = build_basis(n_spins + 1, 12, n_collective=n_spins)
-        return build_disordered_hamiltonian(p, ens, basis)
+        return build_dicke_hamiltonian(p, basis, disorder=ens)
     if kind == "ising":
-        return build_dicke_ising_hamiltonian(p, eta, build_basis(n_spins, 12))
+        return build_dicke_hamiltonian(p, build_basis(n_spins, 12), eta=eta)
     return build_hopfield_hamiltonian(p, 12, 12)
 
 
@@ -397,7 +413,7 @@ class TestQuadratures:
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
         gs = ground_state(h)
         x_op = lift_boson(boson_x(30), basis.spin_dim)
-        sx_op = lift_spin(spin_x_total(3), basis.boson_dim)
+        sx_op = lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim)
         assert abs(expectation_symmetric(gs.vector, x_op)) < 1e-8
         assert abs(expectation_symmetric(gs.vector, sx_op)) < 1e-8
 
@@ -411,7 +427,7 @@ class TestQuadratures:
 
     def test_ising_breaks_total_spin(self):
         basis = build_basis(4, 20)
-        h = build_dicke_ising_hamiltonian(DickeParams(1, 1, 0.5, 4), 0.5, basis)
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis, eta=0.5)
         gs = ground_state(h)
         assert total_spin_expectation(gs, basis) < 2.0 * 3.0 - 1e-6
 
@@ -479,8 +495,6 @@ class TestThermalOracle:
         q = hopfield_p_minus(10, 10, 1.0, 1.0, m.gamma)
         with pytest.raises(ValueError, match="tail"):
             thermal_variance(h, q, 1000.0)
-        with pytest.raises(ValueError, match="tail"):
-            thermal_variance(h, q, 0.5, n_eigenpairs=3)
 
     def test_negative_temperature_rejected(self):
         p = DickeParams(1, 1, 0.3)
