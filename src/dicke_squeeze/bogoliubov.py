@@ -109,8 +109,6 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
             "superradiant input: eps_minus^2 < 0 for "
             f"g={g:g} (use superradiant_modes)"
         )
-    if g == 0.0:
-        gamma = 0.0  # decoupled oscillators: keep boson/spin labels stable
     phase = classify_phase(
         p if g == p.g else DickeParams(p.omega, p.omega0, g, p.n_spins, p.a2_coeff)
     )

@@ -216,6 +216,10 @@ def _defect_sampler(cfg: dict, spec: dict):
     seed = cfg.get("rng_seed")
     if seed is None:
         raise ConfigError("random defect ranges need rng_seed")
+    # the Philox key is one uint64
+    seed = _checked("disorder", integer_at_least, "rng_seed", seed, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"bad disorder parameters: rng_seed must be below 2**64, got {seed}")
     m = _disorder_int(spec, "m", 1, 0)
     ranges = []
     for name in ("omega_prime_range", "g_prime_range"):

@@ -42,7 +42,10 @@ def finite_real(name: str, value) -> float:
 def integer_at_least(name: str, value, minimum: int) -> int:
     """``value`` as an int; a ValueError naming ``name`` rejects anything but
     an integral real >= ``minimum``."""
-    ok = isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    # an Integral skips isfinite, which overflows on ints beyond float range
+    ok = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    )
     _require(ok and value >= minimum, f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

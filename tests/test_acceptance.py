@@ -262,10 +262,14 @@ def test_criterion_08b_disorder_perturbative_regime_cross_check():
     )
     # Tolerance pinned at 2%. The first-order formula is a thermodynamic-limit
     # statement; at N=6 the clean collective sector (renormalized coupling
-    # 0.463, soft mode 0.27) still carries a finite-size variance offset of
-    # about +0.07, so the measured deviation sits near +20% regardless of
-    # truncation. The same comparison passes at the same N for couplings
-    # farther from critical (e.g. rel dev 1.7% at g=0.45, 3.8% at g=0.4).
+    # 0.463, soft mode 0.27) still carries a finite-size offset in xi of
+    # +0.115: ED of the defect-free N=6 sector at the renormalized coupling
+    # reads 0.387 against the formula's 0.272. The ED-vs-formula difference
+    # here is +0.070, so -0.045 is left after the offset, nearly flat in g
+    # (-0.054 at g=0.4, -0.049 at g=0.45). The measured deviation sits near
+    # +20% regardless of truncation. The same comparison passes at the same
+    # N for couplings farther from critical (e.g. rel dev 1.7% at g=0.45,
+    # 3.8% at g=0.4).
     assert rel < 0.02, (
         f"ED-vs-formula relative deviation {rel:.3f} exceeds 0.02: the N=6 "
         "clean sector's near-critical finite-size offset dominates the "

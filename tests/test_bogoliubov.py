@@ -95,6 +95,14 @@ class TestNormalModes:
         assert normal_modes(DickeParams(1, 1, 0)).gamma == 0.0
         assert normal_modes(DickeParams(1, 2, 0)).gamma == 0.0
 
+    def test_gamma_follows_the_softer_oscillator_at_decoupling(self):
+        # omega0 < omega: the minus mode is the spin at g = 0 as for any g > 0
+        assert normal_modes(DickeParams(1, 0.5, 0)).gamma == math.pi / 2
+        for g in (0.0, 1e-9):
+            assert single_mode_variances(DickeParams(1, 0.5, g)) == pytest.approx(
+                (0.5, 0.25), abs=1e-9
+            )
+
 
 class TestSuperradiantModes:
     def test_derived_point(self):

@@ -409,6 +409,18 @@ class TestEDPresets:
             pytest.param(
                 "sweep", _disorder_sweep(samples=2.5), "sweep.samples", id="sweep-samples"
             ),
+            # the Philox key is one uint64
+            *[
+                pytest.param(
+                    experiment, {**make(), "rng_seed": seed},
+                    "bad disorder parameters: rng_seed", id=f"{experiment}-seed-{name}",
+                )
+                for experiment, make in (("fig6", _random_defects), ("sweep", _disorder_sweep))
+                for name, seed in (
+                    ("negative", -1), ("fraction", 1.5), ("str", "1"), ("2**64", 2**64),
+                    ("huge", 10**400),
+                )
+            ],
         ],
     )
     def test_bad_settings_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):

@@ -32,7 +32,13 @@ from dicke_squeeze.ed import (
     variance_symmetric,
 )
 from dicke_squeeze.ed.basis import lift_boson, lift_spin
-from dicke_squeeze.ed.solver import DEFAULT_TOL, DENSE_DIM_LIMIT, matrix_inf_norm
+from dicke_squeeze.ed.solver import (
+    DEFAULT_TOL,
+    DENSE_DIM_LIMIT,
+    _lower_band,
+    matrix_inf_norm,
+    parity_blocks,
+)
 from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total
 
 
@@ -319,6 +325,91 @@ class TestGroundState:
         assert np.allclose(lowest_eigenvalues(h, 6), dense, rtol=0.0, atol=1e-9)
 
 
+def _blocks(h):
+    return [h.matrix[idx][:, idx] for idx in parity_blocks(h)]
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize(
+        "layout",
+        ["product", "collective", "mixed", "k0", "hopfield"],
+    )
+    def test_band_equals_dense_block_bitwise(self, layout):
+        p = DickeParams(1.0, 1.2, 0.45, 3)
+        if layout == "product":
+            h = build_dicke_hamiltonian(p, build_basis(3, 12), eta=0.3)
+        elif layout == "collective":
+            h = build_dicke_hamiltonian(p, build_basis(3, 12, n_collective=3))
+        elif layout == "mixed":
+            ens = DisorderEnsemble(3, ((2.0, 0.3), (1.5, 0.6)))
+            h = build_dicke_hamiltonian(p, build_basis(5, 12, n_collective=3), disorder=ens)
+        elif layout == "k0":
+            h = build_dicke_hamiltonian(
+                DickeParams(1.0, 1.2, 0.45, 6), build_basis(6, 12, k0=True), eta=0.5
+            )
+        else:
+            h = build_hopfield_hamiltonian(p, 12, 12)
+        for block in _blocks(h):
+            ab, dense = _lower_band(block), block.toarray()
+            n, rows = dense.shape[0], ab.shape[0]
+            assert rows < n // 2  # the boson-major index keeps every block banded
+            for d in range(rows):
+                assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
+                assert not ab[d, n - d :].any()
+            assert not np.tril(dense, -rows).any()
+
+    def test_band_sums_duplicate_entries(self):
+        # a CSR matrix may store one entry twice; both copies count
+        data, indices = np.array([0.5, 0.5, 0.5, 0.5, 2.0]), np.array([0, 0, 1, 0, 1])
+        mat = sp.csr_matrix((data, indices, np.array([0, 3, 5])), shape=(2, 2))
+        assert np.array_equal(_lower_band(mat), [[1.0, 2.0], [0.5, 0.0]])
+
+    def test_degenerate_lowest_level_lies_in_its_eigenspace(self):
+        # two identical decoupled copies of one Dicke block: the lowest level
+        # is exactly doubly degenerate
+        basis = build_basis(4, 30, n_collective=4)
+        block = _blocks(build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis))[0]
+        h = sp.block_diag((block, block), format="csr")
+        assert h.shape[0] <= DENSE_DIM_LIMIT
+        w, v = la.eigh(block.toarray(), subset_by_index=[0, 1])
+        assert w[1] - w[0] > 1e-3
+        gs = ground_state(h)
+        assert (gs.method, gs.iterations) == ("dense", 0)
+        assert gs.residual <= DEFAULT_TOL * matrix_inf_norm(h)
+        assert gs.energy == pytest.approx(w[0], abs=1e-12)
+        n = block.shape[0]
+        in_space = np.hypot(v[:, 0] @ gs.vector[:n], v[:, 0] @ gs.vector[n:])
+        assert in_space == pytest.approx(1.0, abs=1e-12)
+
+    def test_diagonal_blocks_are_exact(self):
+        one = ground_state(sp.csr_matrix([[2.5]]))
+        assert (one.energy, one.residual, one.method, one.iterations) == (2.5, 0.0, "dense", 0)
+        assert np.array_equal(one.vector, [1.0])
+        h = SparseHamiltonian(
+            sp.diags([0.25, -0.75, 0.125, -0.25, 1.0]).tocsr(),
+            np.array([1.0, 1.0, -1.0, -1.0, 1.0]),
+        )
+        gs = ground_state(h)
+        assert (gs.energy, gs.residual, gs.gap) == (-0.75, 0.0, 0.5)
+        assert np.array_equal(gs.vector, [0.0, 1.0, 0.0, 0.0, 0.0])
+
+    def test_direct_path_reports_dense(self):
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 12), build_basis(12, 50, n_collective=12))
+        assert max(block.shape[0] for block in _blocks(h)) <= DENSE_DIM_LIMIT
+        gs = ground_state(h)
+        assert (gs.method, gs.iterations) == ("dense", 0)
+        assert gs.residual <= DEFAULT_TOL * matrix_inf_norm(h.matrix)
+        w = la.eigh(h.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])
+        assert gs.energy == pytest.approx(w[0], rel=0.0, abs=1e-12)
+
+    def test_lowest_eigenvalues_from_the_band(self):
+        h = build_hopfield_hamiltonian(DickeParams(1, 1.3, 0.4), 15, 15)
+        assert h.dim <= DENSE_DIM_LIMIT
+        full = la.eigvalsh(h.matrix.toarray())
+        assert np.allclose(lowest_eigenvalues(h, 6), full[:6], rtol=0.0, atol=1e-12)
+        assert np.allclose(lowest_eigenvalues(h, h.dim), full, rtol=0.0, atol=1e-12)
+
+
 def _solver_instance(kind, n_spins, omega0, g, eta):
     p = DickeParams(1.0, omega0, g, n_spins)
     if kind == "dicke":
@@ -466,6 +557,48 @@ class TestHopfieldOracle:
         assert gaps[1] == pytest.approx(modes.eps_minus, abs=1e-6)
         # eps_plus appears once enough soft quanta lie below it
         assert any(abs(gap - modes.eps_plus) < 1e-5 for gap in gaps)
+
+
+# Derandomized normal-phase instances of the two-boson model against its
+# closed-form normal modes. n_max = 25 keeps both parity blocks at 338 states,
+# under DENSE_DIM_LIMIT, so the ground state and both block spectra come from
+# the band solve. Bounds from a 7 x 9 grid over the drawn range (omega0 x
+# g/g_c): the four lowest levels of each block deviate by up to 2.6e-9 (the
+# truncation, largest at omega0 = 2, g = 0.8 g_c), the variances by 9.3e-15
+# relative.
+LADDER_ATOL = 1e-8
+VARIANCE_RTOL = 1e-13
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(omega0=st.floats(0.5, 2.0), g_fraction=st.floats(0.0, 0.8))
+def test_hopfield_band_solve_matches_normal_modes(omega0, g_fraction):
+    n_max = 25
+    p = DickeParams(1.0, omega0, g_fraction * math.sqrt(omega0) / 2.0)
+    modes = normal_modes(p)
+    h = build_hopfield_hamiltonian(p, n_max, n_max)
+    gs = ground_state(h)
+    assert (gs.method, gs.iterations) == ("dense", 0)
+    # each parity block holds the levels j*eps- + k*eps+ with (-1)^(j+k) its parity
+    for parity, block in zip((1, -1), _blocks(h)):
+        assert block.shape[0] <= DENSE_DIM_LIMIT
+        ladder = sorted(
+            j * modes.eps_minus + k * modes.eps_plus
+            for j in range(8)
+            for k in range(8)
+            if (-1) ** (j + k) == parity
+        )
+        levels = lowest_eigenvalues(block, 4) - gs.energy
+        assert np.allclose(levels, ladder[:4], rtol=0.0, atol=LADDER_ATOL)
+    q_p = hopfield_p_minus(n_max, n_max, 1.0, omega0, modes.gamma)
+    assert variance(gs, q_p) == pytest.approx(modes.eps_minus / 2.0, rel=VARIANCE_RTOL)
+    c, s = math.cos(modes.gamma), math.sin(modes.gamma)
+    x_a = sp.kron(boson_x(n_max), sp.identity(n_max + 1), format="csr") / math.sqrt(2.0)
+    x_b = sp.kron(sp.identity(n_max + 1), boson_x(n_max), format="csr") / math.sqrt(2.0 * omega0)
+    x_minus = (c * x_a - s * x_b).tocsr()
+    assert variance_symmetric(gs.vector, x_minus) == pytest.approx(
+        1.0 / (2.0 * modes.eps_minus), rel=VARIANCE_RTOL
+    )
 
 
 class TestThermalOracle:
