@@ -141,7 +141,7 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
     if ed is not None and "n_max" in ed:
         n_max = ed["n_max"]
         if not isinstance(n_max, list) or not n_max or not all(
-            isinstance(v, int) and v >= 1 for v in n_max
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in n_max
         ):
             raise ConfigError("ed.n_max must be a nonempty list of positive integers")
     if ed is not None and "tol" in ed:
@@ -157,8 +157,14 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
 def _grid(spec, name: str) -> np.ndarray:
     try:
         if isinstance(spec, dict):
-            return np.linspace(spec["min"], spec["max"], int(spec["count"]))
+            # linspace would truncate a fractional count and take a bool as 0 or 1
+            count = spec["count"]
+            if isinstance(count, bool):
+                raise ValueError(f"count must be an integer >= 0, got {count!r}")
+            return np.linspace(spec["min"], spec["max"], integer_at_least("count", count, 0))
         if isinstance(spec, (list, tuple)):
+            if any(isinstance(v, bool) for v in spec):
+                raise ValueError(f"a bool is not a grid value, got {spec!r}")
             return np.asarray(spec, dtype=float)
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs min/max/count") from exc
@@ -335,7 +341,7 @@ def _run_tasks(func, tasks, jobs):
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             return pool.map(func, tasks)
     return [func(t) for t in tasks]
 
@@ -377,10 +383,8 @@ def run_fig2(cfg: dict, jobs: int = 1) -> SweepResult:
 def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     """Finite-size ground-state variances of the two squeezing witnesses
     against spin number, at the thermodynamic-limit critical coupling."""
-    points = [
-        (f"N={n}", {"n_spins": n}, (_model(cfg, n_spins=n),))
-        for n in (int(v) for v in _grid(cfg["grids"]["n_spins"], "n_spins"))
-    ]
+    params = [_model(cfg, n_spins=v) for v in _grid(cfg["grids"]["n_spins"], "n_spins").tolist()]
+    points = [(f"N={p.n_spins}", {"n_spins": p.n_spins}, (p,)) for p in params]
     columns = [
         "n_spins",
         "n_max",
@@ -517,9 +521,7 @@ def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
 def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
     """Squeezing ratio of the all-spin quadrature against defect fraction:
     exact diagonalization at both truncations plus the perturbative column."""
-    params = [
-        _model(cfg, n_spins=int(n)) for n in _grid(cfg["grids"]["n_clean"], "n_clean")
-    ]
+    params = [_model(cfg, n_spins=n) for n in _grid(cfg["grids"]["n_clean"], "n_clean").tolist()]
     defects = _fig6_defects(cfg)
     m = len(defects)
     points = [

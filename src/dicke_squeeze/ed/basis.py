@@ -4,15 +4,15 @@ Basis states are |n, s> with n the boson occupation (0..n_max, hard cutoff)
 and s the index of the spin state. Flat index = n * spin_dim + s, so the
 boson occupation is the major axis.
 
-The spin factor holds the first ``n_collective`` spins as one collective spin
-J = n_collective/2 in its symmetric (Dicke) states |k>, k = number of up spins
-(n_collective + 1 levels), tensored with the remaining spins as explicit
-sites: s = e * (n_collective + 1) + k, with e a bitmask whose bit j set means
-spin n_collective + j points up. With n_collective = 0 (or 1) this is the
-plain spin-1/2^N product basis, s an N-bit mask with bit i set meaning spin i
-up. Hamiltonians invariant under permuting the collective spins conserve
-their J^2, and their ground state lies in the J = n_collective/2 sector this
-basis keeps.
+The spin index is a mixed-radix number with one digit per block
+(``BasisDescriptor.blocks``): s = sum_b d_b * stride_b. A block holds n_b
+permutation-equivalent spins in their symmetric (Dicke) states, and its digit
+d_b = 0..n_b counts their up spins. The first ``n_collective`` spins form one
+block, the digit of stride 1; every other spin is a block of one, a bit of
+radix 2. With n_collective = 0 (or 1) this is the plain spin-1/2^N product
+basis, s an N-bit mask with bit i set meaning spin i up. Hamiltonians
+invariant under permuting a block's spins conserve its J^2, and their ground
+state lies in the J = n_b/2 sector this basis keeps.
 
 With ``k0`` set the spins instead form a ring in its zero-momentum sector:
 s indexes the translation orbits of the N-bit masks (ordered by their
@@ -55,7 +55,18 @@ class BasisDescriptor:
         return self.n_spins - self.n_collective
 
     @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """(spin count, stride) of each digit of the spin index, in spin
+        order: the collective block at stride 1 (when n_collective > 0), then
+        one block per explicit spin. On the k = 0 layout, the digits of the
+        product spins the sector is built from."""
+        n_c = self.n_collective
+        head = ((n_c, 1),) if n_c else ()
+        return head + tuple((1, (n_c + 1) << j) for j in range(self.n_explicit))
+
+    @property
     def spin_dim(self) -> int:
+        """The product of the blocks' radices n_b + 1, or the orbit count."""
         if self.k0:
             return translation_orbits(self.n_spins)[0].size
         return (self.n_collective + 1) << self.n_explicit

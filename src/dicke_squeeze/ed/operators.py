@@ -2,19 +2,17 @@
 
 Everything is kept real: Hamiltonian pieces are exactly symmetric matrices,
 momentum-like quadratures are represented by exactly antisymmetric generators
-M (the observable being i*M). Spin operators act on N-bit masks, bit i set
-meaning spin i up; S_z|up> = +1/2|up>.
+M (the observable being i*M); S_z|up> = +1/2|up>.
 
-The spin primitives take a ``basis.BasisDescriptor`` and return the operator
-on its spin factor; ``_on_layout`` is the one place that reads the layout. On
-a collective block (the first ``n_collective`` spins as one spin J =
-n_collective/2 on its symmetric states |k>, k up spins, with
-<k+1|J_+|k> = sqrt((k+1)(N_c-k))) per-spin weights must agree on the block,
-which then carries that one weight. On the k = 0 ring sector the operator is
-P^T O P, with O built on the product spins and P the cached orbit-sum
-isometry of ``basis.translation_orbits``; that restriction holds for
-operators that commute with the translation, so every spin must carry the
-same weight.
+The spin primitives take a ``basis.BasisDescriptor`` and read its spin index
+as the mixed-radix number of ``basis.blocks``: digit d_b counts the up spins
+of block b, and J_+ on the block takes d_b to d_b + 1 with amplitude
+sqrt((d_b+1)(n_b-d_b)) (1 on an explicit spin, a block of one). Every flip
+term comes from the one raise operator R = sum_b w_b J_+^b, so the spins of a
+block share its one weight. On the k = 0 ring sector the operator is P^T O P,
+with O built on the product spins and P the cached orbit-sum isometry of
+``basis.translation_orbits``; that restriction holds for operators that
+commute with the translation, so every spin must carry the same weight.
 """
 
 from __future__ import annotations
@@ -37,107 +35,77 @@ def boson_momentum_generator(n_max: int) -> sp.csr_matrix:
     return sp.diags([root, -root], offsets=[-1, 1], format="csr")
 
 
-def _on_layout(basis: BasisDescriptor, sites, block=None, sign: float = 1.0):
-    """The spin operator on ``basis``'s layout, given its part ``sites`` on the
-    explicit spins and ``block`` on the collective spin. A diagonal comes as
-    a vector, anything else as a matrix that is exactly symmetric (sign +1)
-    or antisymmetric (sign -1).
-
-    - k = 0 ring: P^T sites P, averaged with its transpose to keep that
-      exact (the product's summation order is not mirror-symmetric); a
-      diagonal takes its value on each orbit's representative, which
-      translation keeps.
-    - collective block: sites (x) 1 + 1 (x) block (explicit bits major).
-    - product spins: ``sites`` as it is.
-    """
-    if basis.k0:
-        reps, isometry = translation_orbits(basis.n_spins)
-        if sites.ndim == 1:
-            return sites[reps]
-        sector = (isometry.T @ sites @ isometry).tocsr()
-        return (0.5 * (sector + sign * sector.T)).tocsr()
-    if not basis.n_collective:
-        return sites
-    if sites.ndim == 1:
-        return np.add.outer(sites, block).ravel()
-    mat = sp.kron(sites, sp.identity(basis.n_collective + 1, format="csr"), format="csr")
-    return mat + sp.kron(sp.identity(sites.shape[0], format="csr"), block, format="csr")
+def _on_layout(basis: BasisDescriptor, op, sign: float = 1.0):
+    """``op``, built on the spin index of ``basis.blocks``, on ``basis``'s
+    layout. Only the k = 0 ring reads differently: a diagonal (a vector)
+    takes its value on each orbit's representative, which translation keeps,
+    and a matrix becomes P^T op P, averaged with its transpose to keep it
+    exactly symmetric (sign +1) or antisymmetric (sign -1), the product's
+    summation order not being mirror-symmetric."""
+    if not basis.k0:
+        return op
+    reps, isometry = translation_orbits(basis.n_spins)
+    if op.ndim == 1:
+        return op[reps]
+    sector = (isometry.T @ op @ isometry).tocsr()
+    return (0.5 * (sector + sign * sector.T)).tocsr()
 
 
-def _split_weights(basis: BasisDescriptor, weights):
-    """(weight of the collective block, weights of the explicit sites)."""
-    n_c = basis.n_collective
+def _digits(basis: BasisDescriptor, weights):
+    """(n, stride, w, d) of ``basis.blocks``: each block's spin count, stride
+    and one weight, and d[b, s] its digit in every spin index s."""
+    n, stride = np.array(basis.blocks).T
     weights = np.ones(basis.n_spins) if weights is None else np.asarray(weights, dtype=float)
-    if n_c and np.any(weights[:n_c] != weights[0]):
+    if weights.shape != (basis.n_spins,):
+        raise ValueError(f"need one weight per spin ({basis.n_spins}), got {weights.shape}")
+    if np.any(weights[: basis.n_collective] != weights[0]):
         raise ValueError("the collective spins must share one weight")
     if basis.k0 and np.any(weights != weights[0]):
         raise ValueError("the k = 0 ring layout needs one weight for every spin")
-    return (weights[0] if n_c else 0.0), weights[n_c:]
+    # s is the row-major flat index over the radices n_b + 1, block 0 fastest
+    digits = np.indices(tuple(n[::-1] + 1)).reshape(n.size, -1)[::-1]
+    return n, stride, weights[np.cumsum(n) - n], digits
 
 
-def _collective_raise(n_collective: int) -> sp.csr_matrix:
-    """J_+ on the n_collective + 1 symmetric states."""
-    k = np.arange(n_collective)
-    dim = n_collective + 1
-    return sp.diags(
-        np.sqrt((k + 1.0) * (n_collective - k)), offsets=-1, shape=(dim, dim), format="csr"
-    )
-
-
-def _flips(n_bits: int, terms) -> sp.csr_matrix:
-    """sum of |s><s ^ mask| times amplitude over the (mask, amplitude) pairs
-    in ``terms``, on the n_bits-bit masks s; an amplitude is one number or
-    one per s."""
-    s = np.arange(1 << n_bits)
-    if not terms:
-        return sp.csr_matrix((s.size, s.size))
-    masks, amplitudes = zip(*terms)
-    mat = sp.coo_matrix(
-        (
-            np.concatenate([np.broadcast_to(a, s.shape) for a in amplitudes]),
-            (np.tile(s, len(masks)), np.concatenate([s ^ mask for mask in masks])),
-        ),
-        shape=(s.size, s.size),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
+    """R = sum_b w_b J_+^b: s -> s + stride_b where d_b < n_b, with amplitude
+    w_b sqrt((d_b+1)(n_b-d_b))."""
+    n, stride, w, d = _digits(basis, weights)
+    block, s = np.nonzero(d < n[:, None])
+    up = d[block, s]
+    amplitude = w[block] * np.sqrt((up + 1.0) * (n[block] - up))
+    return sp.coo_matrix((amplitude, (s + stride[block], s)), shape=(d.shape[1],) * 2).tocsr()
 
 
 def spin_z_values(basis: BasisDescriptor, weights=None) -> np.ndarray:
     """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``."""
-    w_c, weights = _split_weights(basis, weights)
-    s = np.arange(1 << weights.size, dtype=np.uint64)
-    diag = np.zeros(s.size)
-    for i in range(weights.size):
-        bit = ((s >> np.uint64(i)) & np.uint64(1)).astype(float)
-        diag += weights[i] * (bit - 0.5)
-    jz = np.arange(basis.n_collective + 1) - 0.5 * basis.n_collective
-    return _on_layout(basis, diag, w_c * jz)
+    n, _, w, d = _digits(basis, weights)
+    diag = np.zeros(d.shape[1])
+    # the explicit spins in order, then the collective block (row 0): the
+    # summation order fixes the diagonal's rounding
+    for b in [*range(1, n.size), 0] if basis.n_collective else range(n.size):
+        diag += w[b] * (d[b] - 0.5 * n[b])
+    return _on_layout(basis, diag)
 
 
 def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
-    """sum_i w_i (S_+^i + S_-^i): flips spin i with amplitude w_i (symmetric).
+    """sum_i w_i (S_+^i + S_-^i) = R + R^T: flips spin i with amplitude w_i
+    (symmetric).
 
     This is the combination whose collective bosonization carries unit weight
     (sum_i (S_+^i + S_-^i) -> sqrt(N)(b' + b) near the polarized state), so it
     is what the spin-boson coupling terms are built from; S_x is half of it
     (exactly, as halving is exact in floating point).
     """
-    w_c, weights = _split_weights(basis, weights)
-    sites = _flips(weights.size, [(1 << i, w) for i, w in enumerate(weights)])
-    jp = _collective_raise(basis.n_collective)
-    return _on_layout(basis, sites, w_c * (jp + jp.T))
+    up = _raise(basis, weights)
+    return _on_layout(basis, up + up.T)
 
 
 def spin_pm_total(basis: BasisDescriptor) -> sp.csr_matrix:
-    """S_+ - S_- summed over sites (antisymmetric): +1 on an up-flip of any
-    site, -1 on the corresponding down-flip."""
-    n_sites = basis.n_explicit
-    s = np.arange(1 << n_sites)
-    # <s|S_+|s ^ bit> = 1 where s has the bit up, <s|S_-|s ^ bit> = 1 where down
-    sites = _flips(n_sites, [(1 << i, np.where(s >> i & 1, 1.0, -1.0)) for i in range(n_sites)])
-    jp = _collective_raise(basis.n_collective)
-    return _on_layout(basis, sites, jp - jp.T, sign=-1.0)
+    """S_+ - S_- summed over sites, R - R^T (antisymmetric): +1 on an up-flip
+    of any site, -1 on the corresponding down-flip."""
+    up = _raise(basis)
+    return _on_layout(basis, up - up.T, sign=-1.0)
 
 
 def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
@@ -149,5 +117,9 @@ def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
         raise ValueError("the Ising ring breaks permutation symmetry: use n_collective=0")
     if n < 2:
         raise ValueError("the ring term needs n_spins >= 2")
-    bonds = [((1 << i) | (1 << ((i + 1) % n)), 0.25) for i in range(n)]
-    return _on_layout(basis, _flips(n, bonds))
+    s = np.arange(1 << n)
+    sites = np.arange(n)
+    flipped = (s ^ ((1 << sites) | (1 << (sites + 1) % n))[:, None]).ravel()
+    # tocsr sums duplicates: the N = 2 ring's two bonds flip the same pair
+    ring = sp.coo_matrix((np.full(flipped.size, 0.25), (np.tile(s, n), flipped)), (s.size,) * 2)
+    return _on_layout(basis, ring.tocsr())

@@ -75,7 +75,7 @@ class TestConfig:
             cli.resolve_config("fig2", {"grids": {"g_over_omega": []}})
 
     def test_bad_n_max_rejected(self):
-        for n_max in ([0], []):
+        for n_max in ([0], [], [True], [8, False]):
             with pytest.raises(cli.ConfigError, match="n_max"):
                 cli.resolve_config("fig3", {"ed": {"n_max": n_max}})
 
@@ -93,6 +93,33 @@ class TestConfig:
         )
         with pytest.raises(cli.ConfigError):
             cli._grid({"min": 0}, "x")
+        assert len(cli._grid({"min": 0, "max": 1, "count": 3.0}, "x")) == 3
+        for count in (2.7, -1, True, "3", math.inf):
+            with pytest.raises(cli.ConfigError, match="count must be an integer >= 0"):
+                cli._grid({"min": 0, "max": 1, "count": count}, "x")
+
+    def test_pool_holds_no_more_workers_than_tasks(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return [func(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert cli._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert sizes == [3, 2]
 
     def test_hash_stable_under_key_order(self):
         a = cli.config_hash({"b": 1, "a": {"y": 2, "x": 3}})
@@ -379,6 +406,22 @@ class TestEDPresets:
             pytest.param("fig7", {"model": {"n_spins": 1}}, "n_spins >= 2", id="fig7-one-spin"),
             pytest.param("fig7", {"grids": {"eta": ["a"]}}, "grid 'eta'", id="grid-str"),
             pytest.param("fig3", {"ed": 5}, "ed must be an object", id="ed-int"),
+            # a fractional spin count is rejected, not truncated to N = 2 or 1
+            pytest.param(
+                "fig3", {"grids": {"n_spins": [2.5]}}, "bad model parameters: n_spins",
+                id="fig3-fractional-n",
+            ),
+            pytest.param(
+                "fig6", {"grids": {"n_clean": [1.5]}}, "bad model parameters: n_spins",
+                id="fig6-fractional-n-clean",
+            ),
+            pytest.param(
+                "fig3", {"grids": {"n_spins": [True]}}, "grid 'n_spins'", id="grid-bool"
+            ),
+            pytest.param(
+                "fig7", {"grids": {"eta": {"min": 0, "max": 0.5, "count": 2.7}}},
+                "count must be an integer >= 0", id="grid-fractional-count",
+            ),
             pytest.param(
                 "fig6",
                 {"disorder": {"omega_prime_range": [1, 2]}, "rng_seed": 1},

@@ -3,6 +3,7 @@ basis, and the parity-block, Boltzmann-window Gibbs oracle against the full
 dense spectrum."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dicke_squeeze.ed import (
     variance,
 )
 from dicke_squeeze.ed.basis import translation_orbits
-from dicke_squeeze.ed.operators import spin_flip_total, spin_z_values
+from dicke_squeeze.ed.operators import spin_flip_total, spin_pm_total, spin_z_values
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
 from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW
 
@@ -228,12 +229,52 @@ class TestLayout:
         expected = np.concatenate([(-1.0) ** ups, (-1.0) ** (ups + 1)])
         assert np.array_equal(parity_diagonal(basis), expected)
 
+    @pytest.mark.parametrize(
+        "n_spins, n_collective", [(n, c) for n in range(2, 7) for c in range(2, n + 1)]
+    )
+    def test_mixed_layout_operators_against_symmetrized_product(self, n_spins, n_collective):
+        # P_sym maps block state |k> (x) explicit bits e to the normalized sum
+        # of the product masks with k of the first n_collective bits up: P_sym
+        # = U / sqrt(C(n_collective, k)) with U 0/1, so with dyadic weights
+        # U^T O U is exact and only the normalization rounds
+        basis = build_basis(n_spins, 0, n_collective=n_collective)
+        masks = np.arange(1 << n_spins)
+        k = np.array([bin(m).count("1") for m in masks & ((1 << n_collective) - 1)])
+        u = np.zeros((masks.size, basis.spin_dim))
+        u[masks, (masks >> n_collective) * (n_collective + 1) + k] = 1.0
+        count = np.tile(
+            [math.comb(n_collective, j) for j in range(n_collective + 1)],
+            1 << (n_spins - n_collective),
+        )
+        norm = np.sqrt(np.outer(count, count))
+        explicit = 1.25 + 0.25 * np.arange(n_spins - n_collective)
+        w_z = np.concatenate([np.full(n_collective, 0.75), explicit])
+        w_x = np.concatenate([np.full(n_collective, 1.5), explicit[::-1]])
+
+        def total(op, weights):
+            # site 0 is the lowest bit, so it sits rightmost in the kron product
+            sites = [[op if j == n_spins - 1 - i else np.eye(2) for j in range(n_spins)]
+                     for i in range(n_spins)]
+            return sum(w * reduce(np.kron, ops) for w, ops in zip(weights, sites))
+
+        flip, pm = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0], [1.0, 0.0]])
+        pairs = [
+            (np.diag(spin_z_values(basis, w_z)), total(np.diag([-0.5, 0.5]), w_z)),
+            (spin_flip_total(basis, w_x).toarray(), total(flip, w_x)),
+            (spin_pm_total(basis).toarray(), total(pm, [1.0] * n_spins)),
+        ]
+        for layout, product in pairs:
+            assert np.allclose(layout, (u.T @ product @ u) / norm, rtol=0.0, atol=1e-15)
+
     def test_total_spin_is_maximal(self):
         basis = build_basis(5, 20, n_collective=5)
         gs = ground_state(build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 5), basis))
         assert total_spin_expectation(gs, basis) == pytest.approx(2.5 * 3.5, abs=1e-8)
 
     def test_block_needs_one_weight(self):
+        for weights in ([1.0, 2.0], [1.0, 2.0, 1.0, 5.0]):
+            with pytest.raises(ValueError, match="one weight per spin"):
+                spin_flip_total(build_basis(3, 0), weights)
         with pytest.raises(ValueError, match="share one weight"):
             spin_z_values(build_basis(3, 0, n_collective=2), [1.0, 2.0, 1.0])
         basis = build_basis(3, 4, n_collective=3)
