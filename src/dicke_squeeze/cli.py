@@ -158,10 +158,8 @@ def _grid(spec, name: str) -> np.ndarray:
     try:
         if isinstance(spec, dict):
             # linspace would truncate a fractional count and take a bool as 0 or 1
-            count = spec["count"]
-            if isinstance(count, bool):
-                raise ValueError(f"count must be an integer >= 0, got {count!r}")
-            return np.linspace(spec["min"], spec["max"], integer_at_least("count", count, 0))
+            count = integer_at_least("count", spec["count"], 0)
+            return np.linspace(spec["min"], spec["max"], count)
         if isinstance(spec, (list, tuple)):
             if any(isinstance(v, bool) for v in spec):
                 raise ValueError(f"a bool is not a grid value, got {spec!r}")
@@ -548,16 +546,13 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
             report = disorder.disorder_xi_perturbative(
                 p, disorder.DisorderEnsemble(p.n_spins, defects)
             )
+            xi, valid = report.xi, all(report.validity)
+        except disorder.CriticalSectorError:
+            # the ED rows still stand at the critical point; the formula has none
+            xi, valid = None, False
         except ValueError as exc:
             raise ConfigError(f"fig6 {label}: {exc}") from exc
-        analytic.append(
-            {
-                **labels,
-                "xi": report.xi,
-                "method": "analytic",
-                "perturbative_valid": all(report.validity),
-            }
-        )
+        analytic.append({**labels, "xi": xi, "method": "analytic", "perturbative_valid": valid})
     result = _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg))
     result.rows.extend(analytic)
     return result
@@ -760,6 +755,26 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _format_column(column: list) -> list[str]:
+    """``_format_value`` of every cell, formatting each distinct value once.
+
+    Grid columns repeat a few values over many rows, and "%.17g" is most of
+    the cost of a large CSV. An all-float column is deduplicated by IEEE bit
+    pattern, not by value: a value key would merge -0.0 with 0.0 (they
+    compare equal) and write one text for both. An all-str column is its own
+    text.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        values = np.fromiter(column, np.float64, len(column))
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
+        return np.array(texts, dtype=object)[inverse].tolist()
+    if kinds == {str}:
+        return column
+    return list(map(_format_value, column))
+
+
 def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:
     meta = result.meta
     lines = [
@@ -775,12 +790,10 @@ def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:
     elapsed_s = f" elapsed_s: {elapsed:.3f}" if elapsed is not None else ""
     lines.append(f"# generated: {stamp}{elapsed_s}")
     lines.append(",".join(result.columns))
-    # column at a time: an all-float column skips the type dispatch
-    cells = []
-    for name in result.columns:
-        column = [row.get(name) for row in result.rows]
-        exact = all(type(v) is float for v in column)
-        cells.append(list(map("%.17g".__mod__ if exact else _format_value, column)))
+    cells = [
+        _format_column(list(map(dict.get, result.rows, itertools.repeat(name))))
+        for name in result.columns
+    ]
     lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

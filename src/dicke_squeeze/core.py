@@ -33,7 +33,9 @@ def finite_real(name: str, value) -> float:
     """``value`` as a float; a ValueError naming ``name`` rejects non-real
     and non-finite values."""
     if type(value) is not float:
-        _require(isinstance(value, numbers.Real), f"{name} must be a real number, got {value!r}")
+        # a bool is a Real to Python, but a JSON true is no frequency
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        _require(real, f"{name} must be a real number, got {value!r}")
         value = float(value)
     _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
     return value
@@ -42,9 +44,11 @@ def finite_real(name: str, value) -> float:
 def integer_at_least(name: str, value, minimum: int) -> int:
     """``value`` as an int; a ValueError naming ``name`` rejects anything but
     an integral real >= ``minimum``."""
-    # an Integral skips isfinite, which overflows on ints beyond float range
-    ok = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    # an Integral skips isfinite, which overflows on ints beyond float range;
+    # a bool is an Integral, but a JSON true is no count
+    ok = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value)
     )
     _require(ok and value >= minimum, f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

@@ -19,6 +19,11 @@ from .core import DickeParams, finite_real, integer_at_least
 PERTURBATIVITY_THRESHOLD = 0.1
 
 
+class CriticalSectorError(ValueError):
+    """The renormalized clean sector is critical (eps_minus_bar = 0), where
+    the first-order formula divides by zero."""
+
+
 @dataclass(frozen=True)
 class DisorderEnsemble:
     """N clean spins plus an explicit list of (omega_prime, g_prime) defects.
@@ -77,7 +82,7 @@ def _clean_sector(p: DickeParams, d: DisorderEnsemble):
     gbar = renormalized_coupling(p.g, d.n_clean, d.m)
     modes = normal_modes(p, g_renormalized=gbar)
     if modes.eps_minus <= 0.0:
-        raise ValueError(
+        raise CriticalSectorError(
             "critical or superradiant after renormalization; "
             "perturbation theory invalid (eps_minus_bar <= 0)"
         )

@@ -29,17 +29,20 @@ from .hamiltonians import SparseHamiltonian
 # Largest parity block solved directly. Lowest pair of one even block at
 # g = 0.5, n_max = 50 (2 vCPUs, OpenBLAS, median of 31; band is the
 # half-bandwidth; eigsh as in _arpack; dense eigh is
-# la.eigh(block.toarray(), subset_by_index=[0, 0])):
+# la.eigh(block.toarray(), subset_by_index=[0, 0]); the Ising row is the
+# median over fig7's default eta grid, 0 to 1.5 in 16 steps, range in []):
 #
-#   block dim   builder                 band   banded   eigsh    dense eigh
-#     332       collective Dicke N=12     7    2.4 ms   3.1 ms    5.9 ms
-#     358       Ising ring k0 N=6        10    4.7 ms   3.3 ms    6.9 ms
-#     638       collective Dicke N=24    13   14.5 ms   4.6 ms   24.9 ms
+#   block dim   builder                 band   banded           eigsh            dense eigh
+#     332       collective Dicke N=12     7    3.5 ms           4.0 ms            6.7 ms
+#     358       Ising ring k0 N=6        10    4.6 [3.5-5.7]    3.3 [2.3-4.4]     7.3 ms
+#     638       collective Dicke N=24    13   11.8 ms           5.5 ms           26.5 ms
 #
 # Up to the limit the band solve is exact to rounding and within ~1.5 ms of
 # eigsh, which is tol-accurate (forced on fig6 it moves xi by up to 1.0e-11).
+# On fig7's blocks eigsh is the faster at every eta of the grid (both blocks
+# timed in turn: median 10.2 against 7.6 ms); the wider band costs there.
 # The banded reduction grows as n^2 b and eigsh about as n, so above the
-# limit eigsh wins (3x at dim 638).
+# limit eigsh wins (2x at dim 638).
 DENSE_DIM_LIMIT = 400
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 5000

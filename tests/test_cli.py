@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_squeeze import DickeParams, squeezing_ratio_ground, thermal_squeezing_ratio
 from dicke_squeeze import cli
@@ -249,6 +251,10 @@ class TestThermalPresets:
             ),
             pytest.param("fig4", {"model": {"omega": "1"}}, "bad model parameters", id="fig4-omega"),
             pytest.param("fig5", {"model": {"omega": "1"}}, "bad model parameters", id="fig5-omega"),
+            pytest.param(
+                "fig2", {"model": {"omega0": True}}, "bad model parameters: omega0",
+                id="fig2-omega0-bool",
+            ),
         ],
     )
     def test_bad_grids_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
@@ -400,6 +406,10 @@ class TestEDPresets:
             pytest.param("fig6", {"disorder": {"m": "one"}}, "disorder.m", id="m-str"),
             pytest.param("fig6", {"disorder": {"m": 1.7}}, "disorder.m", id="m-fraction"),
             pytest.param(
+                "fig6", {"disorder": {"m": True}, "grids": {"n_clean": [2]}}, "disorder.m",
+                id="m-bool",
+            ),
+            pytest.param(
                 "fig6", {"disorder": {"omega_prime": "2"}}, "disorder.omega_prime", id="omega-prime"
             ),
             pytest.param("fig6", {"disorder": {"g_prime": "2"}}, "disorder.g_prime", id="g-prime"),
@@ -476,14 +486,29 @@ class TestEDPresets:
         assert not out.exists()
 
     def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):
-        # m = 0 leaves gbar = g = g_c, where the perturbative column is undefined
+        # m = 0 leaves gbar = g = g_c, where the perturbative column is
+        # undefined: the ED rows stay, the analytic row has an empty xi
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"disorder": {"m": 0}}))
+        cfg.write_text(json.dumps({"disorder": {"m": 0}, "grids": {"n_clean": [2]}}))
+        out = tmp_path / "fig6.csv"
+        assert cli.main(["fig6", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = _read_rows(out)
+        assert [(r["method"], r["n_max"]) for r in rows] == [
+            ("ed", "40"), ("ed", "50"), ("analytic", "")
+        ]
+        for row in rows[:2]:
+            assert row["residual_ok"] == "true" and 0.0 < float(row["xi"]) < 1.0
+        assert rows[2]["xi"] == "" and rows[2]["perturbative_valid"] == "false"
+
+    def test_fig6_without_defects_above_critical_coupling(self, tmp_path, capsys):
+        # beyond g_c the normal modes have no real eps_minus: still an error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"g": 0.6}, "disorder": {"m": 0}}))
         out = tmp_path / "fig6.csv"
         assert cli.main(["fig6", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: fig6 N=1: ")
-        assert "perturbation theory invalid" in err
+        assert err.startswith("error: fig6 N=1: ") and "superradiant input" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
@@ -583,6 +608,35 @@ class TestPhiloxSampler:
         assert first != other
 
 
+# floats from a small pool, so values repeat within a column; -math.nan keeps
+# the sign bit, and 0.0 == -0.0
+_FLOAT_POOL = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.1, 1 / 3, 1e-300, 5e-324, -2.5]
+)
+_TEXT = st.text(alphabet="ab-", max_size=3)
+_ANY_CELL = st.one_of(
+    _FLOAT_POOL, _TEXT, st.none(), st.booleans(), st.integers(-(10**20), 10**20),
+    _FLOAT_POOL.map(np.float64),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns of equal length: all float, all str, or any cell kind."""
+    n_rows = draw(st.integers(0, 24))
+    kinds = draw(st.lists(st.sampled_from([_FLOAT_POOL, _TEXT, _ANY_CELL]), min_size=1, max_size=4))
+    return [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+
+
+def _body(directory, columns, rows):
+    """The data lines write_csv gives for ``rows``."""
+    meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
+    out = directory / "body.csv"
+    cli.write_csv(out, cli.SweepResult("sweep", columns, rows, meta))
+    lines = out.read_text().splitlines()
+    return lines[lines.index(",".join(columns)) + 1:]
+
+
 class TestMainEntry:
     def test_success_and_csv(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -651,6 +705,30 @@ class TestMainEntry:
         assert text == expected
         by_row = [",".join(cli._format_value(row.get(c)) for c in columns) for row in rows]
         assert text.splitlines()[6:] == by_row
+
+    def test_float_column_keeps_every_bit_pattern(self, tmp_path):
+        # an all-float column is formatted once per distinct bit pattern:
+        # 0.0 and -0.0 compare equal but must keep their own texts
+        nan, inf = math.nan, math.inf
+        x = [0.0, -0.0, 0.0, -0.0, -0.0, nan, -nan, nan, inf, -inf, inf, 0.1, 0.1, 2.5, 0.1, 0.0]
+        want = [
+            "0", "-0", "0", "-0", "-0", "nan", "nan", "nan", "inf", "-inf", "inf",
+            "0.10000000000000001", "0.10000000000000001", "2.5", "0.10000000000000001", "0",
+        ]
+        rows = [{"x": v, "y": -v} for v in x]
+        assert _body(tmp_path, ["x", "y"], rows) == [
+            f"{a},{b}" for a, b in zip(want, (cli._format_value(-v) for v in x))
+        ]
+        assert _body(tmp_path, ["y", "x"], rows[::-1])[-1] == "-0,0"
+
+    # derandomized: the same examples on every run, so the suite stays reproducible
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(table=_tables())
+    def test_csv_body_equals_row_by_row_format(self, tmp_path_factory, table):
+        columns = [f"c{i}" for i in range(len(table))]
+        rows = [dict(zip(columns, cells)) for cells in zip(*table)]
+        by_row = [",".join(cli._format_value(row[c]) for c in columns) for row in rows]
+        assert _body(tmp_path_factory.mktemp("csv"), columns, rows) == by_row
 
     def test_usage_error(self, capsys):
         assert cli.main(["not-an-experiment"]) == 1

@@ -37,6 +37,9 @@ class TestValidation:
             (dict(omega=1, omega0=1, g=0.5, a2_coeff=-1e-9), "a2_coeff"),
             (dict(omega=1, omega0=1, g=0.5, n_spins=0), "n_spins"),
             (dict(omega=1, omega0=1, g=0.5, n_spins="six"), "n_spins"),
+            # a bool is an Integral and a Real to Python, never a parameter here
+            (dict(omega=1, omega0=1, g=0.3, n_spins=True), "n_spins must be an integer"),
+            (dict(omega=1, omega0=True, g=0.3), "omega0"),
         ],
     )
     def test_rejects_and_names_field(self, kwargs, field):
