@@ -252,7 +252,7 @@ def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
 
 def _fig3_point(p, n_max):
     # all spins are permutation-equivalent: one collective spin J = N/2
-    basis = build_basis(p.n_spins, n_max, n_collective=p.n_spins)
+    basis = build_basis(p.n_spins, n_max, (p.n_spins,))
     quadratures = [
         ({"quadrature": "p_tilde_minus"}, p_tilde_minus(basis), 1.0),
         ({"quadrature": "s_tilde_y"}, s_tilde_y(basis), 1.0),
@@ -264,8 +264,9 @@ def _fig6_point(p, defects, n_max):
     ens = disorder.DisorderEnsemble(p.n_spins, defects)
     gbar = disorder.renormalized_coupling(p.g, p.n_spins, ens.m)
     gamma_bar = bogoliubov.normal_modes(p, g_renormalized=gbar).gamma
-    # the clean spins form one collective spin; the defects stay explicit
-    basis = build_basis(p.n_spins + ens.m, n_max, n_collective=p.n_spins)
+    # one collective spin holds the clean spins, one more each run of equal defects
+    runs = (len(list(run)) for _, run in itertools.groupby(ens.defects))
+    basis = build_basis(p.n_spins + ens.m, n_max, (p.n_spins, *runs))
     q = p_d(basis, p.omega, p.omega0, gamma_bar)
     return build_dicke_hamiltonian(p, basis, disorder=ens), [({}, q, p.omega / 2.0)]
 
@@ -595,11 +596,10 @@ def _sweep_xi_ground(cfg):
     if "g" not in grids:
         raise ConfigError("xi_ground sweep needs a g grid")
     gs = _grid(grids["g"], "g")
-    omega0s = (
-        _grid(grids["omega0"], "omega0")
-        if "omega0" in grids
-        else [cfg["model"]["omega0"]]
-    )
+    if "omega0" in grids:
+        omega0s = _grid(grids["omega0"], "omega0")
+    else:
+        omega0s = [_model_real(cfg, "omega0")]
     rows = []
     for omega0 in omega0s:
         for g in gs:
@@ -624,7 +624,9 @@ def _sweep_xi_thermal(cfg):
     grids = cfg["grids"]
     if "g" not in grids or "kt" not in grids:
         raise ConfigError("xi_thermal sweep needs g and kt grids")
-    tc_mask = bool(cfg.get("sweep", {}).get("tc_mask", False))
+    tc_mask = cfg.get("sweep", {}).get("tc_mask", False)
+    if not isinstance(tc_mask, bool):
+        raise ConfigError(f"sweep.tc_mask must be true or false, got {tc_mask!r}")
     temps = _temperatures(cfg, "kt")
     rows = []
     for g in _grid(grids["g"], "g"):
@@ -688,6 +690,7 @@ def _sweep_disorder_samples(cfg):
     if not spec:
         raise ConfigError("disorder_sample sweep needs sweep.disorder parameters")
     draw = _defect_sampler(cfg, spec)
+    _disorder_int(spec, "m", 1, 1)  # its rows are per defect
     count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
     n_clean = _disorder_int(spec, "n_clean", 1, 1)
     p = _model(cfg)

@@ -5,14 +5,15 @@ and s the index of the spin state. Flat index = n * spin_dim + s, so the
 boson occupation is the major axis.
 
 The spin index is a mixed-radix number with one digit per block
-(``BasisDescriptor.blocks``): s = sum_b d_b * stride_b. A block holds n_b
-permutation-equivalent spins in their symmetric (Dicke) states, and its digit
-d_b = 0..n_b counts their up spins. The first ``n_collective`` spins form one
-block, the digit of stride 1; every other spin is a block of one, a bit of
-radix 2. With n_collective = 0 (or 1) this is the plain spin-1/2^N product
-basis, s an N-bit mask with bit i set meaning spin i up. Hamiltonians
-invariant under permuting a block's spins conserve its J^2, and their ground
-state lies in the J = n_b/2 sector this basis keeps.
+(``BasisDescriptor.blocks``): s = sum_b d_b * stride_b, block 0 fastest. A
+block holds n_b permutation-equivalent spins in their symmetric (Dicke)
+states, and its digit d_b = 0..n_b counts their up spins. The tuple
+``collective`` gives the spin counts of the leading blocks, in spin order;
+every remaining spin is a block of one, a bit of radix 2. With ``collective``
+empty this is the plain spin-1/2^N product basis, s an N-bit mask with bit i
+set meaning spin i up. Hamiltonians invariant under permuting a block's spins
+conserve its J^2, and their ground state lies in the J = n_b/2 sector this
+basis keeps.
 
 With ``k0`` set the spins instead form a ring in its zero-momentum sector:
 s indexes the translation orbits of the N-bit masks (ordered by their
@@ -25,6 +26,7 @@ momentum, and for the Ising ring the ground state lies in k = 0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 class BasisDescriptor:
     n_spins: int
     n_max: int
-    n_collective: int = 0
+    collective: tuple[int, ...] = ()
     k0: bool = False
 
     def __post_init__(self):
@@ -43,33 +45,28 @@ class BasisDescriptor:
             raise ValueError("n_spins must be an integer >= 1")
         if int(self.n_max) != self.n_max or self.n_max < 0:
             raise ValueError("n_max must be an integer >= 0")
-        if int(self.n_collective) != self.n_collective or not (
-            0 <= self.n_collective <= self.n_spins
-        ):
-            raise ValueError("n_collective must be an integer in 0..n_spins")
-        if self.k0 and self.n_collective:
-            raise ValueError("the k = 0 ring layout has no collective block: use n_collective=0")
-
-    @property
-    def n_explicit(self) -> int:
-        return self.n_spins - self.n_collective
+        sizes = tuple(self.collective)
+        if any(int(n) != n or n < 1 for n in sizes) or sum(sizes) > self.n_spins:
+            raise ValueError(f"collective must be integers >= 1 summing to <= n_spins: {sizes}")
+        object.__setattr__(self, "collective", tuple(map(int, sizes)))
+        if self.k0 and self.collective:
+            raise ValueError("the k = 0 ring layout has no collective block: use collective=()")
 
     @property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """(spin count, stride) of each digit of the spin index, in spin
-        order: the collective block at stride 1 (when n_collective > 0), then
-        one block per explicit spin. On the k = 0 layout, the digits of the
-        product spins the sector is built from."""
-        n_c = self.n_collective
-        head = ((n_c, 1),) if n_c else ()
-        return head + tuple((1, (n_c + 1) << j) for j in range(self.n_explicit))
+        order: the ``collective`` blocks, then one block per remaining spin.
+        On the k = 0 layout, the digits of the product spins the sector is
+        built from."""
+        sizes = self.collective + (1,) * (self.n_spins - sum(self.collective))
+        return tuple((n, math.prod(k + 1 for k in sizes[:b])) for b, n in enumerate(sizes))
 
     @property
     def spin_dim(self) -> int:
         """The product of the blocks' radices n_b + 1, or the orbit count."""
         if self.k0:
             return translation_orbits(self.n_spins)[0].size
-        return (self.n_collective + 1) << self.n_explicit
+        return math.prod(n + 1 for n in self.collective) << (self.n_spins - sum(self.collective))
 
     @property
     def boson_dim(self) -> int:
@@ -95,12 +92,12 @@ class BasisDescriptor:
 
 
 def build_basis(
-    n_spins: int, n_max: int, n_collective: int = 0, k0: bool = False
+    n_spins: int, n_max: int, collective: tuple[int, ...] = (), k0: bool = False
 ) -> BasisDescriptor:
-    """Boson (x) spin basis; the first ``n_collective`` spins form one
-    collective spin (0 keeps the product basis), or with ``k0`` the spins
-    form a ring held in its zero-momentum sector."""
-    return BasisDescriptor(n_spins=n_spins, n_max=n_max, n_collective=n_collective, k0=k0)
+    """Boson (x) spin basis; the leading spins form one collective spin per
+    entry of ``collective`` (empty keeps the product basis), or with ``k0``
+    the spins form a ring held in its zero-momentum sector."""
+    return BasisDescriptor(n_spins=n_spins, n_max=n_max, collective=collective, k0=k0)
 
 
 @functools.lru_cache(maxsize=8)

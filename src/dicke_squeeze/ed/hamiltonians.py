@@ -2,7 +2,7 @@
 
 One builder covers the Dicke model and its two perturbations, defects and
 the Ising ring; the spin primitives of ``operators`` carry the basis layout
-(product spins, a collective block of permutation-equivalent spins plus
+(product spins, collective blocks of permutation-equivalent spins beside
 explicit sites, or the k = 0 ring sector), so nothing here reads it.
 
 Every matrix is real-symmetric by construction (kron products and sums of

@@ -8,8 +8,9 @@ The spin primitives take a ``basis.BasisDescriptor`` and read its spin index
 as the mixed-radix number of ``basis.blocks``: digit d_b counts the up spins
 of block b, and J_+ on the block takes d_b to d_b + 1 with amplitude
 sqrt((d_b+1)(n_b-d_b)) (1 on an explicit spin, a block of one). Every flip
-term comes from the one raise operator R = sum_b w_b J_+^b, so the spins of a
-block share its one weight. On the k = 0 ring sector the operator is P^T O P,
+term comes from the one raise operator R = sum_b w_b J_+^b, and S_z is
+sum_b w_b (d_b - n_b/2) summed over the blocks in order, so the spins of a
+block must share one weight. On the k = 0 ring sector the operator is P^T O P,
 with O built on the product spins and P the cached orbit-sum isometry of
 ``basis.translation_orbits``; that restriction holds for operators that
 commute with the translation, so every spin must carry the same weight.
@@ -58,13 +59,14 @@ def _digits(basis: BasisDescriptor, weights):
     weights = np.ones(basis.n_spins) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (basis.n_spins,):
         raise ValueError(f"need one weight per spin ({basis.n_spins}), got {weights.shape}")
-    if np.any(weights[: basis.n_collective] != weights[0]):
-        raise ValueError("the collective spins must share one weight")
+    w = weights[np.cumsum(n) - n]
+    if np.any(weights != np.repeat(w, n)):
+        raise ValueError("the spins of each block must share one weight")
     if basis.k0 and np.any(weights != weights[0]):
         raise ValueError("the k = 0 ring layout needs one weight for every spin")
     # s is the row-major flat index over the radices n_b + 1, block 0 fastest
     digits = np.indices(tuple(n[::-1] + 1)).reshape(n.size, -1)[::-1]
-    return n, stride, weights[np.cumsum(n) - n], digits
+    return n, stride, w, digits
 
 
 def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
@@ -80,11 +82,7 @@ def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
 def spin_z_values(basis: BasisDescriptor, weights=None) -> np.ndarray:
     """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``."""
     n, _, w, d = _digits(basis, weights)
-    diag = np.zeros(d.shape[1])
-    # the explicit spins in order, then the collective block (row 0): the
-    # summation order fixes the diagonal's rounding
-    for b in [*range(1, n.size), 0] if basis.n_collective else range(n.size):
-        diag += w[b] * (d[b] - 0.5 * n[b])
+    diag = sum(w_b * (d_b - 0.5 * n_b) for n_b, w_b, d_b in zip(n, w, d))
     return _on_layout(basis, diag)
 
 
@@ -113,8 +111,8 @@ def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
     amplitude 1/4 (for N = 2 the single bond is counted twice, matching the
     literal ring sum); on the product spins or the k = 0 ring sector."""
     n = basis.n_spins
-    if basis.n_collective:
-        raise ValueError("the Ising ring breaks permutation symmetry: use n_collective=0")
+    if basis.collective:
+        raise ValueError("the Ising ring breaks permutation symmetry: use collective=()")
     if n < 2:
         raise ValueError("the ring term needs n_spins >= 2")
     s = np.arange(1 << n)

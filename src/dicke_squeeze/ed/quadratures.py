@@ -89,8 +89,8 @@ def p_minus_k0(
     i sqrt(w_0/2) cos(g0) (a'-a)
     - i sqrt(E_0/(2N)) sin(g0) (1-eta) (S+ - S-). Needs the product basis
     or its k = 0 ring sector, which holds the Ising ground state."""
-    if basis.n_collective:
-        raise ValueError("the Ising model breaks permutation symmetry: use n_collective=0")
+    if basis.collective:
+        raise ValueError("the Ising model breaks permutation symmetry: use collective=()")
     boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0)
     spin = -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins)) * math.sin(gamma_k0) * (1.0 - eta)
     return _combine(boson, spin, basis)

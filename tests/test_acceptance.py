@@ -241,7 +241,7 @@ def _disorder_ed_xi(n_clean, defects, g, n_max, tol=1e-10, collective=False):
     p = DickeParams(1.0, 1.0, g, n_clean)
     gbar = renormalized_coupling(g, n_clean, ens.m)
     gamma_bar = normal_modes(DickeParams(1.0, 1.0, g), g_renormalized=gbar).gamma
-    basis = build_basis(n_clean + ens.m, n_max, n_collective=n_clean if collective else 0)
+    basis = build_basis(n_clean + ens.m, n_max, (n_clean,) if collective else ())
     h = build_dicke_hamiltonian(p, basis, disorder=ens)
     gs = ground_state(h, tol=tol)
     return variance(gs, p_d(basis, 1.0, 1.0, gamma_bar)) / 0.5

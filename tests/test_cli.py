@@ -462,6 +462,24 @@ class TestEDPresets:
             pytest.param(
                 "sweep", _disorder_sweep(samples=2.5), "sweep.samples", id="sweep-samples"
             ),
+            # its rows are per defect: m = 0 would write a header-only CSV
+            pytest.param("sweep", _disorder_sweep(m=0), "disorder.m", id="sweep-m-zero"),
+            *[
+                pytest.param(
+                    "sweep",
+                    {"model": {"omega0": omega0}, "grids": {"g": [0.3]},
+                     "sweep": {"quantity": "xi_ground"}},
+                    "bad model parameters: omega0", id=f"sweep-omega0-{name}",
+                )
+                for name, omega0 in (("str", "x"), ("numeric-str", "2"))
+            ],
+            # a JSON string "false" is truthy to Python
+            pytest.param(
+                "sweep",
+                {"grids": {"g": [0.7], "kt": [0.1]},
+                 "sweep": {"quantity": "xi_thermal", "tc_mask": "false"}},
+                "sweep.tc_mask", id="sweep-tc-mask-str",
+            ),
             # the Philox key is one uint64
             *[
                 pytest.param(
@@ -510,6 +528,16 @@ class TestEDPresets:
         err = capsys.readouterr().err
         assert err.startswith("error: fig6 N=1: ") and "superradiant input" in err
         assert not out.exists()
+
+    def test_fig6_equal_defects_form_one_block(self):
+        # each run of equal defects is one collective spin; distinct ones
+        # stay sites: N = 6, n_max = 50
+        p = DickeParams(1.0, 1.0, 0.5, 6)
+        a, b = (2.1, 2.0), (1.5, 2.0)
+        for defects, dim in (((a,) * 3, 7 * 4 * 51), ((a, a, b), 7 * 3 * 2 * 51),
+                             ((a, b, a), 7 * 8 * 51)):
+            h, _ = cli._fig6_point(p, defects, 50)
+            assert h.dim == dim
 
     @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
     def test_nonzero_a2_coeff_rejected(self, experiment):

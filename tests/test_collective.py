@@ -47,9 +47,9 @@ def _observables(h, basis, gamma):
     ]
 
 
-def _assert_same_ground_state(build, n_spins, n_collective, gamma):
+def _assert_same_ground_state(build, n_spins, blocks, gamma):
     product = build_basis(n_spins, _N_MAX)
-    collective = build_basis(n_spins, _N_MAX, n_collective=n_collective)
+    collective = build_basis(n_spins, _N_MAX, blocks)
     h_product = build(product)
     e_product, v_product = _observables(h_product, product, gamma)
     e_collective, v_collective = _observables(build(collective), collective, gamma)
@@ -69,7 +69,7 @@ def test_ideal_model_collective_matches_product(n_spins, omega0, g, a2_coeff, ga
     # g reaches 0.9 > g_c = sqrt(omega0)/2 for omega0 < 3.24: both phases
     p = DickeParams(1.0, omega0, g, n_spins, a2_coeff)
     _assert_same_ground_state(
-        lambda basis: build_dicke_hamiltonian(p, basis), n_spins, n_spins, gamma
+        lambda basis: build_dicke_hamiltonian(p, basis), n_spins, (n_spins,), gamma
     )
 
 
@@ -88,9 +88,36 @@ def test_disordered_model_collective_matches_product(n_clean, defects, g, gamma)
     _assert_same_ground_state(
         lambda basis: build_dicke_hamiltonian(p, basis, disorder=ens),
         n_clean + ens.m,
-        n_clean,
+        (n_clean,),
         gamma,
     )
+
+
+@_EXAMPLES
+@given(
+    n_clean=st.integers(1, 6),
+    m=st.integers(2, 3),
+    # a negative splitting points the defects up: the J = m/2 block must
+    # still hold the ground state
+    omega_prime=st.floats(0.5, 3.0) | st.floats(-3.0, -0.5),
+    g_prime=st.floats(0.0, 2.0),
+    g=st.floats(0.0, 0.8),
+    gamma=st.floats(0.0, math.pi / 2),
+)
+def test_equal_defects_as_one_block_match_explicit_sites(
+    n_clean, m, omega_prime, g_prime, g, gamma
+):
+    # fig6's layout for m equal defects: dim (N+1)(m+1)(n_max+1), not
+    # (N+1) 2^m (n_max+1); both solved dense, so only rounding separates them
+    ens = DisorderEnsemble(n_clean, ((omega_prime, g_prime),) * m)
+    p = DickeParams(1.0, 1.0, g, n_clean)
+    results = []
+    for blocks in ((n_clean,), (n_clean, m)):
+        basis = build_basis(n_clean + m, _N_MAX, blocks)
+        gs = ground_state(build_dicke_hamiltonian(p, basis, disorder=ens), method="dense")
+        results.append((gs.energy, variance(gs, p_d(basis, 1.0, 1.0, gamma)) / 0.5))
+    assert results[1][0] == pytest.approx(results[0][0], rel=0.0, abs=1e-12)
+    assert results[1][1] == pytest.approx(results[0][1], rel=0.0, abs=1e-12)
 
 
 @settings(derandomize=True, max_examples=24, deadline=None)
@@ -166,8 +193,8 @@ def test_boltzmann_window_matches_full_spectrum():
 
 def test_spin_builders_carry_the_conserved_parity():
     p = DickeParams(1.0, 1.2, 0.7, 3, 0.1)
-    product, collective = build_basis(3, 6), build_basis(3, 6, n_collective=3)
-    mixed = build_basis(3, 6, n_collective=2)
+    product, collective = build_basis(3, 6), build_basis(3, 6, (3,))
+    mixed, two_blocks = build_basis(3, 6, (2,)), build_basis(4, 6, (2, 2))
     ring = build_basis(3, 6, k0=True)
     defect = DisorderEnsemble(2, ((2.0, 0.5),))
     p_clean = DickeParams(1.0, 1.2, 0.7, 2, 0.1)
@@ -176,6 +203,12 @@ def test_spin_builders_carry_the_conserved_parity():
         (build_dicke_hamiltonian(p, collective), collective),
         (build_dicke_hamiltonian(p, collective, disorder=DisorderEnsemble(3, ())), collective),
         (build_dicke_hamiltonian(p_clean, mixed, disorder=defect), mixed),
+        (
+            build_dicke_hamiltonian(
+                p_clean, two_blocks, disorder=DisorderEnsemble(2, ((2.0, 0.5),) * 2)
+            ),
+            two_blocks,
+        ),
         (build_dicke_hamiltonian(p, product, eta=0.0), product),
         (build_dicke_hamiltonian(p, product, eta=0.3), product),
         (build_dicke_hamiltonian(p, ring, eta=0.3), ring),
@@ -200,22 +233,28 @@ def test_ground_state_defaults_to_the_builders_parity():
 class TestLayout:
     def test_dims(self):
         assert build_basis(12, 50).dim == 208896
-        assert build_basis(12, 50, n_collective=12).dim == 663
+        assert build_basis(12, 50, (12,)).dim == 663
         # fig6 default at N = 6 clean spins plus one explicit defect
-        assert build_basis(7, 50, n_collective=6).dim == 714
-        assert build_basis(3, 4, n_collective=0) == build_basis(3, 4)
+        assert build_basis(7, 50, (6,)).dim == 714
+        # fig6 at m = 3 equal defects: one block of three, or three sites
+        assert build_basis(9, 50, (6, 3)).dim == 1428
+        assert build_basis(9, 50, (6,)).dim == 2856
+        assert build_basis(3, 4, ()) == build_basis(3, 4)
+        assert build_basis(3, 4, [2]) == build_basis(3, 4, (2,))
+        assert build_basis(6, 0, (3, 2)).blocks == ((3, 1), (2, 4), (1, 12))
 
     def test_rejects_bad_block_size(self):
-        with pytest.raises(ValueError, match="n_collective"):
-            build_basis(3, 4, n_collective=4)
-        with pytest.raises(ValueError, match="n_collective"):
-            build_basis(3, 4, n_collective=-1)
+        # a zero, negative or fractional block, and blocks holding more spins
+        # than the basis
+        for blocks in ((4,), (0,), (-1,), (1.5,), (2, 0), (2, 2)):
+            with pytest.raises(ValueError, match="collective"):
+                build_basis(3, 4, blocks)
 
     def test_single_collective_spin_is_the_product_basis(self):
         # one spin in the block: k is bit 0, so indices and matrices coincide
         p = DickeParams(1.0, 1.3, 0.4, 3, 0.1)
         product = build_basis(3, 6)
-        single = build_basis(3, 6, n_collective=1)
+        single = build_basis(3, 6, (1,))
         assert single.dim == product.dim
         h_product = build_dicke_hamiltonian(p, product).matrix
         h_single = build_dicke_hamiltonian(p, single).matrix
@@ -223,33 +262,36 @@ class TestLayout:
         assert np.array_equal(parity_diagonal(product), parity_diagonal(single))
 
     def test_parity_counts_block_and_explicit_ups(self):
-        basis = build_basis(3, 1, n_collective=2)
+        basis = build_basis(3, 1, (2,))
         # spin index s = e * 3 + k: up count k + e
         ups = np.array([0, 1, 2, 1, 2, 3])
         expected = np.concatenate([(-1.0) ** ups, (-1.0) ** (ups + 1)])
         assert np.array_equal(parity_diagonal(basis), expected)
 
     @pytest.mark.parametrize(
-        "n_spins, n_collective", [(n, c) for n in range(2, 7) for c in range(2, n + 1)]
+        "n_spins, blocks",
+        [pytest.param(n, (c,), id=f"{n}-{c}") for n in range(2, 7) for c in range(2, n + 1)]
+        + [pytest.param(6, (3, 2), id="6-3-2")],
     )
-    def test_mixed_layout_operators_against_symmetrized_product(self, n_spins, n_collective):
-        # P_sym maps block state |k> (x) explicit bits e to the normalized sum
-        # of the product masks with k of the first n_collective bits up: P_sym
-        # = U / sqrt(C(n_collective, k)) with U 0/1, so with dyadic weights
-        # U^T O U is exact and only the normalization rounds
-        basis = build_basis(n_spins, 0, n_collective=n_collective)
+    def test_mixed_layout_operators_against_symmetrized_product(self, n_spins, blocks):
+        # P_sym maps the block digits (up counts d_b) to the normalized sum of
+        # the product masks with d_b of block b's bits up: P_sym = U / sqrt(c)
+        # with U 0/1 and c the number of masks in a column, so with dyadic
+        # weights U^T O U is exact and only the normalization rounds
+        basis = build_basis(n_spins, 0, blocks)
         masks = np.arange(1 << n_spins)
-        k = np.array([bin(m).count("1") for m in masks & ((1 << n_collective) - 1)])
+        column, first = 0, 0
+        for n, stride in basis.blocks:
+            ups = np.array([bin(m).count("1") for m in (masks >> first) & ((1 << n) - 1)])
+            column, first = column + ups * stride, first + n
         u = np.zeros((masks.size, basis.spin_dim))
-        u[masks, (masks >> n_collective) * (n_collective + 1) + k] = 1.0
-        count = np.tile(
-            [math.comb(n_collective, j) for j in range(n_collective + 1)],
-            1 << (n_spins - n_collective),
-        )
+        u[masks, column] = 1.0
+        count = u.sum(axis=0)
         norm = np.sqrt(np.outer(count, count))
-        explicit = 1.25 + 0.25 * np.arange(n_spins - n_collective)
-        w_z = np.concatenate([np.full(n_collective, 0.75), explicit])
-        w_x = np.concatenate([np.full(n_collective, 1.5), explicit[::-1]])
+        # one dyadic weight per block, a different one on each
+        sizes = [n for n, _ in basis.blocks]
+        w_z = np.repeat(0.75 + 0.25 * np.arange(len(sizes)), sizes)
+        w_x = np.repeat(1.5 - 0.125 * np.arange(len(sizes)), sizes)
 
         def total(op, weights):
             # site 0 is the lowest bit, so it sits rightmost in the kron product
@@ -267,7 +309,7 @@ class TestLayout:
             assert np.allclose(layout, (u.T @ product @ u) / norm, rtol=0.0, atol=1e-15)
 
     def test_total_spin_is_maximal(self):
-        basis = build_basis(5, 20, n_collective=5)
+        basis = build_basis(5, 20, (5,))
         gs = ground_state(build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 5), basis))
         assert total_spin_expectation(gs, basis) == pytest.approx(2.5 * 3.5, abs=1e-8)
 
@@ -276,8 +318,11 @@ class TestLayout:
             with pytest.raises(ValueError, match="one weight per spin"):
                 spin_flip_total(build_basis(3, 0), weights)
         with pytest.raises(ValueError, match="share one weight"):
-            spin_z_values(build_basis(3, 0, n_collective=2), [1.0, 2.0, 1.0])
-        basis = build_basis(3, 4, n_collective=3)
+            spin_z_values(build_basis(3, 0, (2,)), [1.0, 2.0, 1.0])
+        # the second block as well as the first
+        with pytest.raises(ValueError, match="share one weight"):
+            spin_flip_total(build_basis(5, 0, (2, 2)), [1.0, 1.0, 1.0, 2.0, 3.0])
+        basis = build_basis(3, 4, (3,))
         with pytest.raises(ValueError, match="share one weight"):
             build_dicke_hamiltonian(
                 DickeParams(1, 1, 0.3, 2), basis, disorder=DisorderEnsemble(2, ((2.0, 1.0),))
@@ -314,7 +359,7 @@ class TestLayout:
 
     def test_k0_rejects_collective_block_and_unequal_weights(self):
         with pytest.raises(ValueError, match="k = 0"):
-            build_basis(4, 2, n_collective=4, k0=True)
+            build_basis(4, 2, (4,), k0=True)
         with pytest.raises(ValueError, match="one weight"):
             spin_flip_total(build_basis(3, 0, k0=True), [1.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="one weight"):
@@ -325,7 +370,7 @@ class TestLayout:
             )
 
     def test_ising_model_rejects_collective_block(self):
-        basis = build_basis(4, 6, n_collective=4)
+        basis = build_basis(4, 6, (4,))
         with pytest.raises(ValueError, match="permutation"):
             build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis, eta=0.3)
         with pytest.raises(ValueError, match="permutation"):

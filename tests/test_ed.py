@@ -339,10 +339,10 @@ class TestBandSolve:
         if layout == "product":
             h = build_dicke_hamiltonian(p, build_basis(3, 12), eta=0.3)
         elif layout == "collective":
-            h = build_dicke_hamiltonian(p, build_basis(3, 12, n_collective=3))
+            h = build_dicke_hamiltonian(p, build_basis(3, 12, (3,)))
         elif layout == "mixed":
             ens = DisorderEnsemble(3, ((2.0, 0.3), (1.5, 0.6)))
-            h = build_dicke_hamiltonian(p, build_basis(5, 12, n_collective=3), disorder=ens)
+            h = build_dicke_hamiltonian(p, build_basis(5, 12, (3,)), disorder=ens)
         elif layout == "k0":
             h = build_dicke_hamiltonian(
                 DickeParams(1.0, 1.2, 0.45, 6), build_basis(6, 12, k0=True), eta=0.5
@@ -367,7 +367,7 @@ class TestBandSolve:
     def test_degenerate_lowest_level_lies_in_its_eigenspace(self):
         # two identical decoupled copies of one Dicke block: the lowest level
         # is exactly doubly degenerate
-        basis = build_basis(4, 30, n_collective=4)
+        basis = build_basis(4, 30, (4,))
         block = _blocks(build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis))[0]
         h = sp.block_diag((block, block), format="csr")
         assert h.shape[0] <= DENSE_DIM_LIMIT
@@ -394,7 +394,7 @@ class TestBandSolve:
         assert np.array_equal(gs.vector, [0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_direct_path_reports_dense(self):
-        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 12), build_basis(12, 50, n_collective=12))
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 12), build_basis(12, 50, (12,)))
         assert max(block.shape[0] for block in _blocks(h)) <= DENSE_DIM_LIMIT
         gs = ground_state(h)
         assert (gs.method, gs.iterations) == ("dense", 0)
@@ -413,10 +413,10 @@ class TestBandSolve:
 def _solver_instance(kind, n_spins, omega0, g, eta):
     p = DickeParams(1.0, omega0, g, n_spins)
     if kind == "dicke":
-        return build_dicke_hamiltonian(p, build_basis(n_spins, 12, n_collective=n_spins))
+        return build_dicke_hamiltonian(p, build_basis(n_spins, 12, (n_spins,)))
     if kind == "disordered":
         ens = DisorderEnsemble(n_spins, ((2.0 * omega0, g),))
-        basis = build_basis(n_spins + 1, 12, n_collective=n_spins)
+        basis = build_basis(n_spins + 1, 12, (n_spins,))
         return build_dicke_hamiltonian(p, basis, disorder=ens)
     if kind == "ising":
         return build_dicke_hamiltonian(p, build_basis(n_spins, 12), eta=eta)
