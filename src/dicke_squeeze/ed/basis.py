@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ..core import integer_at_least
+
 
 @dataclass(frozen=True)
 class BasisDescriptor:
@@ -41,14 +43,12 @@ class BasisDescriptor:
     k0: bool = False
 
     def __post_init__(self):
-        if int(self.n_spins) != self.n_spins or self.n_spins < 1:
-            raise ValueError("n_spins must be an integer >= 1")
-        if int(self.n_max) != self.n_max or self.n_max < 0:
-            raise ValueError("n_max must be an integer >= 0")
-        sizes = tuple(self.collective)
-        if any(int(n) != n or n < 1 for n in sizes) or sum(sizes) > self.n_spins:
-            raise ValueError(f"collective must be integers >= 1 summing to <= n_spins: {sizes}")
-        object.__setattr__(self, "collective", tuple(map(int, sizes)))
+        object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
+        object.__setattr__(self, "n_max", integer_at_least("n_max", self.n_max, 0))
+        sizes = tuple(integer_at_least("collective entry", n, 1) for n in self.collective)
+        if sum(sizes) > self.n_spins:
+            raise ValueError(f"collective must sum to <= n_spins: {sizes}")
+        object.__setattr__(self, "collective", sizes)
         if self.k0 and self.collective:
             raise ValueError("the k = 0 ring layout has no collective block: use collective=()")
 

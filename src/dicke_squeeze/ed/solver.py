@@ -8,11 +8,13 @@ flat index is boson-major (n * spin_dim + s): the coupling links n to n +- 1
 and everything else stays inside one n, so every block is a band matrix of
 small half-bandwidth b (7 for fig3 at N = 12, 10 for fig7, 14 for the
 Hopfield model at n_max = 25). The direct solve reads that band from the
-sparse block, takes E_0 from LAPACK's banded reduction (O(n^2 b), no dense
-n x n matrix) and the vector from two steps of banded inverse iteration; it
-is still labelled "dense". Both start vectors are fixed (all ones for ARPACK,
-a seed-0 Gaussian draw for the inverse iteration), so results are bitwise
-reproducible for a fixed thread configuration.
+sparse block and finds the lowest level by shifted inverse iteration on
+banded Cholesky factors of B - sigma (O(n b^2) each, about ten per block, no
+dense n x n matrix). A factorization succeeds only when sigma lies below
+every level, so the last one certifies the level found as the block's lowest.
+The direct solve is still labelled "dense". Both start vectors are fixed (all
+ones for ARPACK, a seed-0 Gaussian draw for the inverse iteration), so
+results are bitwise reproducible for a fixed thread configuration.
 """
 
 from __future__ import annotations
@@ -27,48 +29,72 @@ import scipy.sparse.linalg as spla
 from .hamiltonians import SparseHamiltonian
 
 # Largest parity block solved directly. Lowest pair of one even block at
-# g = 0.5, n_max = 50 (2 vCPUs, OpenBLAS, median of 31; band is the
-# half-bandwidth; eigsh as in _arpack; dense eigh is
-# la.eigh(block.toarray(), subset_by_index=[0, 0]); the Ising row is the
-# median over fig7's default eta grid, 0 to 1.5 in 16 steps, range in []):
+# g = 0.5 (n_max = 50, 80 at N = 96; 2 vCPUs, OpenBLAS; median of 31, of 9 at
+# N = 96, in two runs; band is the half-bandwidth; banded is _band_lowest,
+# eigsh as in _arpack, dense eigh is la.eigh(block.toarray(),
+# subset_by_index=[0, 0])):
 #
-#   block dim   builder                 band   banded           eigsh            dense eigh
-#     332       collective Dicke N=12     7    3.5 ms           4.0 ms            6.7 ms
-#     358       Ising ring k0 N=6        10    4.6 [3.5-5.7]    3.3 [2.3-4.4]     7.3 ms
-#     638       collective Dicke N=24    13   11.8 ms           5.5 ms           26.5 ms
+#   block dim   builder                   band   banded        eigsh         dense eigh
+#     332       collective Dicke N=12       7    1.0 / 1.4     3.4 / 4.1     5.5 / 6.0 ms
+#     358       Ising ring k0 N=6, eta=0   10    1.3 / 1.4     2.5 / 3.0     6.7 / 6.9 ms
+#     638       collective Dicke N=24      13    1.3 / 2.0     3.4 / 7.7      23 / 24 ms
+#    1250       collective Dicke N=48      25    4.3 / 5.0     6.5 / 8.3     108 / 117 ms
+#    3929       collective Dicke N=96      49     25 / 29       23 / 27         -
 #
-# Up to the limit the band solve is exact to rounding and within ~1.5 ms of
-# eigsh, which is tol-accurate (forced on fig6 it moves xi by up to 1.0e-11).
-# On fig7's blocks eigsh is the faster at every eta of the grid (both blocks
-# timed in turn: median 10.2 against 7.6 ms); the wider band costs there.
-# The banded reduction grows as n^2 b and eigsh about as n, so above the
-# limit eigsh wins (2x at dim 638).
-DENSE_DIM_LIMIT = 400
+# Over fig7's default eta grid (0 to 1.5 in 16 steps) both blocks take
+# 3.2 [1.9-3.7] ms banded against 6.5 [4.3-8.6] ms by eigsh (median [range]).
+# The banded solve costs about ten Cholesky factorizations of O(n b^2) each,
+# eigsh some hundred products with the sparse block (about 5 entries a row
+# here), so the band loses once b is wide: it wins by 1.3-1.7x at dim 1250
+# and loses at 3929. The limit sits at the last clear win. Up to it the band
+# solve is exact to rounding, while eigsh is tol-accurate (forced on fig6 it
+# moves xi by up to 1.0e-11).
+DENSE_DIM_LIMIT = 1250
+# Largest matrix whose k lowest levels lowest_eigenvalues takes from LAPACK's
+# band reduction (eig_banded, O(n^2 b)) rather than eigsh. k = 6 on the even
+# Dicke blocks above: 13 against 7.2 ms at dim 638, 51 against 13 ms at 1250.
+BAND_REDUCTION_LIMIT = 400
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 5000
 NEAR_DEGENERATE_GAP = 1e-8
 
-# Shift of the banded inverse iteration, in units of ||B||_inf of the block:
-# it solves (B - (E_0 - delta)) x' = x with delta = INVERSE_SHIFT*||B||_inf.
-# delta must exceed the error of E_0, or B - (E_0 - delta) is not positive
-# definite and the banded Cholesky of solveh_banded fails. The banded
-# reduction is backward stable, |E_0 - lambda_0| <= c*(b+1)*eps*||B||; on the
-# fig3 N = 12, fig7 N = 6 and Hopfield blocks it measured <= 2.8e-16*||B||,
-# and the Cholesky still ran at delta = 1e-15*||B||: 1e-12 leaves a margin of
-# ~1000 on both. Each step scales an excited component against the ground
-# one by delta/(lambda_i - E_0 + delta) <= delta/gap, so INVERSE_STEPS = 2
-# from a start x leave (delta/gap)^2/|<x|v_0>| of them: 1e-18 at a block gap
-# of 1e-2*||B|| and an overlap of 0.01, below rounding. The same scale is the
-# least residual the direct solve is held to: a rounded eigenvector already
-# has ||Bv - Ev|| up to ~sqrt(n)*(2b+2)*eps*||B||, 2e-13 at n = 400, b = 21,
-# so a smaller tol is left to the caller's residual check instead of raising.
+# Final shift of the banded inverse iteration, in units of ||B||_inf of the
+# block: once the iterate's residual r = ||Bx - rho x|| is at most
+# SWITCH_RESIDUAL*||B||_inf, the last INVERSE_STEPS steps solve
+# (B - sigma) x' = x at sigma = rho - delta, delta = INVERSE_SHIFT*||B||_inf.
+# The Cholesky factorization of B - sigma succeeds only when sigma < E_0, up
+# to its backward error of ~(b+1)*eps*||B|| (6e-15*||B|| at b = 25, so 1e-12
+# leaves a margin of ~200), and rho >= E_0: its success puts rho within delta
+# of the block's lowest level. If rho is an excited level, or more than delta
+# above E_0, it fails and the iteration goes on. At the switch rho - E_0 is at
+# most r^2/gap, so sigma lies in [E_0 - delta, E_0) and each final step
+# scales an excited component against the ground one by at most
+# delta/(lambda_i - E_0 + delta) <= delta/gap: 1e-12 over the two steps for a
+# pair split by 1e-6*||B|| (the tests hold it to 1e-12 there). The same scale
+# is the least residual the direct solve is held to: a rounded eigenvector
+# already has ||Bv - Ev|| up to ~sqrt(n)*(2b+2)*eps*||B||, 2e-13 at n = 400,
+# b = 21, so a smaller tol is left to the caller's residual check instead of
+# raising.
 INVERSE_SHIFT = 1e-12
 INVERSE_STEPS = 2
+# Before the switch the shift is max(rho - r, last accepted shift): once r is
+# below the gap, rho - r lies below E_0 and the steps converge about
+# quadratically (r fell from 1.3e-6 to 2.6e-12 in one step on the fig3 N = 12
+# block). At 1e-10 the iterate already meets the default residual contract,
+# and the final steps certify and polish it. Switching at 1e-6 still left
+# every vector within 1e-13 of a dense eigh on the blocks above and on 300
+# random band matrices: a final shift above E_0 fails its factorization and
+# is bisected back.
+SWITCH_RESIDUAL = 1e-10
+# Cap on the steps of one block, failed factorizations included. The fig3,
+# fig7 and Dicke N = 24 blocks take 8-9; 300 random band matrices (dim <= 400,
+# b <= 25) took a median of 12 and at most 22.
+MAX_SHIFTS = 60
 
 
 class ConvergenceError(RuntimeError):
     """A solve missed its residual contract: ARPACK within the restart cap,
-    or banded inverse iteration in INVERSE_STEPS steps."""
+    or banded inverse iteration within MAX_SHIFTS steps."""
 
     def __init__(self, iterations: int, tolerance: float):
         self.iterations = iterations
@@ -88,9 +114,10 @@ class GroundStateResult:
     block); near_degenerate marks gaps below 1e-8, in which case the even
     block's state is taken. iterations counts ARPACK matvecs over all blocks
     (0 when every block was solved directly). method is "dense" when every
-    block was solved directly: by the banded eigenvalue and inverse
-    iteration of ``_band_lowest``, exact to rounding, with no dense matrix
-    formed; "lanczos" when some block went to ARPACK.
+    block was solved directly: by shifted inverse iteration on banded
+    Cholesky factors (``_band_lowest``), exact to rounding and certified as the
+    block's lowest level, with no dense matrix formed; "lanczos" when some
+    block went to ARPACK.
 
     On a direct solve gap is the block gap. On an ARPACK block it need not
     be: the search stays in the symmetry sector of its start vector (see
@@ -134,21 +161,32 @@ def matrix_inf_norm(mat: sp.spmatrix) -> float:
 def _lower_band(mat: sp.spmatrix) -> np.ndarray:
     """The lower band of a symmetric sparse matrix in LAPACK's lower band
     storage, ab[i - j, j] = H[i, j] for i >= j, with as many rows as the
-    half-bandwidth + 1. Read from the stored entries; no dense copy."""
-    low = sp.tril(mat, format="coo")
-    low.sum_duplicates()
-    offset = low.row - low.col
-    ab = np.zeros((int(offset.max(initial=0)) + 1, mat.shape[0]))
-    ab[offset, low.col] = low.data
-    return ab
+    half-bandwidth + 1. Read from the stored entries, a duplicate entry
+    summed by bincount over the flat band index; no dense copy."""
+    coo = mat.tocoo()
+    low = coo.row >= coo.col
+    offset, col = coo.row[low] - coo.col[low], coo.col[low]
+    rows, n = int(offset.max(initial=0)) + 1, mat.shape[0]
+    flat = np.ravel_multi_index((offset, col), (rows, n))
+    return np.bincount(flat, weights=coo.data[low], minlength=rows * n).reshape(rows, n)
 
 
 def _band_lowest(block: sp.spmatrix, tol: float):
-    """(E_0, v) of one block from its band. A diagonal block (half-bandwidth
-    0) gives its smallest entry and the unit vector there, exactly. Otherwise
-    E_0 comes from ``eig_banded`` and v from INVERSE_STEPS steps of inverse
-    iteration at E_0 - INVERSE_SHIFT*||B||_inf; ConvergenceError when the
-    residual ||Bv - (v.Bv) v|| exceeds max(tol, INVERSE_SHIFT)*||B||_inf.
+    """(E_0, v) of one block from its band, by shifted inverse iteration on
+    banded Cholesky factors. A diagonal block (half-bandwidth 0) gives its
+    smallest entry and the unit vector there, exactly.
+
+    Every shift sigma is tried by a Cholesky factorization of B - sigma: it
+    succeeds only while sigma < E_0, and a failure bisects sigma back toward
+    the last accepted shift. The first shift is the Gershgorin lower bound less
+    INVERSE_SHIFT*||B||_inf. Each step solves with the factor, takes the
+    Rayleigh quotient rho and the residual r = ||Bx - rho x||, and moves to
+    max(rho - r, last accepted shift). Once r <= SWITCH_RESIDUAL*||B||_inf it
+    takes INVERSE_STEPS steps at rho - INVERSE_SHIFT*||B||_inf and returns
+    rho: that factorization succeeding certifies rho as the block's lowest
+    level to INVERSE_SHIFT*||B||_inf. ConvergenceError after MAX_SHIFTS steps,
+    or when the residual ||Bv - (v.Bv) v|| exceeds
+    max(tol, INVERSE_SHIFT)*||B||_inf; ValueError on a non-finite entry.
 
     The start vector is a fixed Gaussian draw (seed 0), so its overlap with
     the lowest level is generic. The all-ones vector is not: it is invariant
@@ -157,25 +195,50 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     permutations fix (see ``_arpack``), where inverse iteration from it never
     arrives."""
     ab = _lower_band(block)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = ab.shape[1]
     if ab.shape[0] == 1:
         i = int(np.argmin(ab[0]))
-        vector = np.zeros(ab.shape[1])
+        vector = np.zeros(n)
         vector[i] = 1.0
         return float(ab[0, i]), vector
-    norm = matrix_inf_norm(block)
-    energy = la.eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(0, 0))[0]
-    ab[0] -= energy - INVERSE_SHIFT * norm
-    vector = np.random.default_rng(0).standard_normal(ab.shape[1])
-    try:
-        for _ in range(INVERSE_STEPS):
-            vector = la.solveh_banded(ab, vector, lower=True)
+    # radius[i] = sum_{j != i} |B_ij|: the entries below the diagonal of
+    # column i, then row i's entries left of it
+    mag = np.abs(ab)
+    radius = mag[1:].sum(axis=0)
+    for d in range(1, ab.shape[0]):
+        radius[d:] += mag[d, : n - d]
+    norm = float(np.max(radius + mag[0])) or 1.0
+    delta = INVERSE_SHIFT * norm
+    lower = float(np.min(ab[0] - radius))
+    # every level lies at least norm above lower - norm: a safe floor to
+    # bisect toward before any factorization has succeeded
+    floor, shift, final, factor = lower - norm, lower - delta, False, None
+    vector = np.random.default_rng(0).standard_normal(n)
+    for count in range(1, MAX_SHIFTS + 1):
+        if factor is None or shift != floor:
+            shifted = ab.copy()
+            shifted[0] -= shift
+            try:
+                factor = la.cholesky_banded(shifted, lower=True, check_finite=False)
+            except la.LinAlgError:
+                shift, final = 0.5 * (shift + floor), False
+                continue
+            floor = shift
+        for _ in range(INVERSE_STEPS if final else 1):
+            vector = la.cho_solve_banded((factor, True), vector, check_finite=False)
             vector /= np.linalg.norm(vector)
-    except la.LinAlgError as exc:
-        raise ConvergenceError(INVERSE_STEPS, tol) from exc
-    hv = block @ vector
-    if np.linalg.norm(hv - (vector @ hv) * vector) > max(tol, INVERSE_SHIFT) * norm:
-        raise ConvergenceError(INVERSE_STEPS, tol)
-    return float(energy), vector
+        hv = block @ vector
+        energy = float(vector @ hv)
+        residual = float(np.linalg.norm(hv - energy * vector))
+        if final:
+            if residual > max(tol, INVERSE_SHIFT) * norm:
+                raise ConvergenceError(count, tol)
+            return energy, vector
+        final = residual <= SWITCH_RESIDUAL * norm
+        shift = energy - delta if final else max(energy - residual, floor)
+    raise ConvergenceError(MAX_SHIFTS, tol)
 
 
 def _arpack(mat, k, tol, max_iter):
@@ -274,12 +337,12 @@ def ground_state(
 
 def lowest_eigenvalues(h, k: int, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> np.ndarray:
     """The k lowest eigenvalues of the whole matrix: from its band up to
-    DENSE_DIM_LIMIT (or when k is the full dim), ARPACK above."""
+    BAND_REDUCTION_LIMIT (or when k is the full dim), ARPACK above."""
     mat = _as_matrix(h)
     dim = mat.shape[0]
     if k < 1 or k > dim:
         raise ValueError(f"k must be in 1..{dim}")
-    if dim <= DENSE_DIM_LIMIT or k == dim:
+    if dim <= BAND_REDUCTION_LIMIT or k == dim:
         return la.eig_banded(
             _lower_band(mat), lower=True, eigvals_only=True, select="i", select_range=(0, k - 1)
         )

@@ -33,8 +33,10 @@ from dicke_squeeze.ed import (
 )
 from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.solver import (
+    BAND_REDUCTION_LIMIT,
     DEFAULT_TOL,
     DENSE_DIM_LIMIT,
+    _band_lowest,
     _lower_band,
     matrix_inf_norm,
     parity_blocks,
@@ -101,6 +103,28 @@ class TestBasis:
 
     def test_pure_spin_basis_allowed(self):
         assert build_basis(4, 0).dim == 16
+
+    def test_integral_floats_are_stored_as_ints(self):
+        # 3.0 spins once failed in spin_dim's shift, and n_max = 4.0 made dim
+        # the float 40.0
+        for basis, dim in (
+            (build_basis(3.0, 4), 40),
+            (build_basis(3, 4.0), 40),
+            (build_basis(3, 4, (2.0,)), 30),
+        ):
+            assert basis == build_basis(3, 4, basis.collective)
+            assert type(basis.n_spins) is int and type(basis.n_max) is int
+            assert all(type(n) is int for n in basis.collective)
+            assert type(basis.dim) is int and basis.dim == dim
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((True, 4), "n_spins"), ((3, False), "n_max"), ((3, 4, (True,)), "collective")],
+    )
+    def test_bools_are_not_counts(self, args, name):
+        # a JSON true once ran as N = 1
+        with pytest.raises(ValueError, match=name):
+            build_basis(*args)
 
 
 class TestBuilders:
@@ -318,9 +342,9 @@ class TestGroundState:
     def test_lowest_eigenvalues_dense_and_lanczos_agree(self):
         # g chosen so the low levels n- * eps- + n+ * eps+ are all distinct
         # (a Krylov space from one vector resolves one copy per eigenvalue);
-        # dim 2025 is above the dense limit, so lowest_eigenvalues runs ARPACK
+        # dim 2025 is above the band limit, so lowest_eigenvalues runs ARPACK
         h = build_hopfield_hamiltonian(DickeParams(1, 1, 0.35), 44, 44)
-        assert h.dim > DENSE_DIM_LIMIT
+        assert h.dim > BAND_REDUCTION_LIMIT
         dense = la.eigh(h.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 5])
         assert np.allclose(lowest_eigenvalues(h, 6), dense, rtol=0.0, atol=1e-9)
 
@@ -402,12 +426,123 @@ class TestBandSolve:
         w = la.eigh(h.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])
         assert gs.energy == pytest.approx(w[0], rel=0.0, abs=1e-12)
 
+    def test_first_shift_above_the_level_bisects_back(self, monkeypatch):
+        # fig7's even block at eta = 0, n_max = 50: after the first step from
+        # the Gershgorin bound, rho - r = -2.99 lies above E_0 = -3.18, so that
+        # factorization fails and the shift is bisected back
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 50, k0=True))
+        block = _blocks(h)[0]
+        diagonal = block.diagonal()
+        assert (block.shape[0], _lower_band(block).shape[0] - 1) == (358, 10)
+        failed = []
+        factor = la.cholesky_banded
+
+        def recorded(shifted, **kwargs):
+            try:
+                return factor(shifted, **kwargs)
+            except la.LinAlgError:
+                # the shift, read back off the first diagonal entry
+                failed.append(diagonal[0] - shifted[0, 0])
+                raise
+
+        monkeypatch.setattr(la, "cholesky_banded", recorded)
+        _assert_band_lowest_matches(block.toarray())
+        e0 = la.eigvalsh(block.toarray(), subset_by_index=[0, 0])[0]
+        assert (e0, failed[0]) == pytest.approx((-3.1843, -2.9937), abs=1e-4)
+
+    def test_close_pair_gives_the_lower_vector(self):
+        # two interleaved copies of one block, the second raised by
+        # 1e-6*||B||_inf: the lowest pair's vectors are the block's vector on
+        # the even or on the odd indices, exactly, and any mix of them passes
+        # a 1e-10 residual contract up to a weight of ~1e-4 on the upper one
+        rng = np.random.default_rng(5)
+        a = _random_band(rng, 150, 6)
+        split = 1e-6 * np.abs(a).sum(axis=1).max()
+        dense = np.kron(a, np.eye(2)) + np.kron(np.eye(150), np.diag([0.0, split]))
+        w, v = la.eigh(a, subset_by_index=[0, 1])
+        assert w[1] - w[0] > 1e4 * split
+        energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+        assert abs(energy - w[0]) <= BAND_ENERGY_ATOL * np.abs(dense).sum(axis=1).max()
+        assert np.linalg.norm(vector[1::2]) <= BAND_VECTOR_ATOL
+        assert abs(abs(vector[::2] @ v[:, 0]) - 1.0) <= BAND_VECTOR_ATOL
+
+    def test_laplacian_starts_on_its_lowest_level(self):
+        # a weighted graph Laplacian's Gershgorin bound is its lowest level 0,
+        # with the constant vector
+        rng = np.random.default_rng(3)
+        off = [rng.uniform(0.5, 1.5, 60 - d) for d in range(1, 4)]
+        dense = sum(np.diag(-w, -d) + np.diag(-w, d) for d, w in enumerate(off, 1))
+        dense -= np.diag(dense.sum(axis=1))
+        energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+        assert abs(energy) <= BAND_ENERGY_ATOL * np.abs(dense).sum(axis=1).max()
+        assert abs(abs(vector.sum()) / math.sqrt(60) - 1.0) <= BAND_VECTOR_ATOL
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        basis = build_basis(4, 10, (4,))
+        mat = build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis).matrix.tolil()
+        mat[3, 3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ground_state(mat.tocsr())
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ground_state(sp.diags([1.0, bad, 2.0]).tocsr())
+
     def test_lowest_eigenvalues_from_the_band(self):
         h = build_hopfield_hamiltonian(DickeParams(1, 1.3, 0.4), 15, 15)
-        assert h.dim <= DENSE_DIM_LIMIT
+        assert h.dim <= BAND_REDUCTION_LIMIT
         full = la.eigvalsh(h.matrix.toarray())
         assert np.allclose(lowest_eigenvalues(h, 6), full[:6], rtol=0.0, atol=1e-12)
         assert np.allclose(lowest_eigenvalues(h, h.dim), full, rtol=0.0, atol=1e-12)
+
+
+def _random_band(rng, dim, band):
+    """A symmetric dim x dim matrix with Gaussian entries on its 2*band + 1
+    central diagonals."""
+    dense = np.diag(rng.standard_normal(dim))
+    for d in range(1, min(band, dim - 1) + 1):
+        off = np.diag(rng.standard_normal(dim - d), -d)
+        dense += off + off.T
+    return dense
+
+
+# E_0 and the vector of the band solve against a dense eigh
+BAND_ENERGY_ATOL = 1e-14
+BAND_VECTOR_ATOL = 1e-12
+
+
+def _assert_band_lowest_matches(dense):
+    norm = np.abs(dense).sum(axis=1).max()
+    energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+    w, v = la.eigh(dense)
+    # levels within 1e-10*||B||_inf of E_0 count as one eigenspace
+    space = v[:, w - w[0] <= 1e-10 * norm]
+    assert abs(energy - w[0]) <= BAND_ENERGY_ATOL * norm
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+    # distance from the lowest eigenspace, whatever its dimension
+    assert np.linalg.norm(vector - space @ (space.T @ vector)) <= BAND_VECTOR_ATOL
+
+
+# derandomized: random band matrices over six decades of scale each way.
+# "psd" shifts the matrix so its lowest level is 0 to rounding; "pair" is two
+# interleaved copies of one matrix, so the lowest level is exactly doubly
+# degenerate and the vector is only fixed up to its eigenspace
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "psd", "pair"]),
+    dim=st.integers(2, 400),
+    band=st.integers(1, 25),
+    scale=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_lowest_matches_dense_eigh(kind, dim, band, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "pair":
+        dense = np.kron(_random_band(rng, max(dim // 2, 1), band // 2), np.eye(2))
+    else:
+        dense = _random_band(rng, dim, band)
+    if kind == "psd":
+        dense -= la.eigvalsh(dense, subset_by_index=[0, 0])[0] * np.eye(dim)
+    _assert_band_lowest_matches(dense * 10.0**scale / np.abs(dense).sum(axis=1).max())
 
 
 def _solver_instance(kind, n_spins, omega0, g, eta):
@@ -561,8 +696,8 @@ class TestHopfieldOracle:
 
 # Derandomized normal-phase instances of the two-boson model against its
 # closed-form normal modes. n_max = 25 keeps both parity blocks at 338 states,
-# under DENSE_DIM_LIMIT, so the ground state and both block spectra come from
-# the band solve. Bounds from a 7 x 9 grid over the drawn range (omega0 x
+# under BAND_REDUCTION_LIMIT, so the ground state and both block spectra come
+# from the band solve. Bounds from a 7 x 9 grid over the drawn range (omega0 x
 # g/g_c): the four lowest levels of each block deviate by up to 2.6e-9 (the
 # truncation, largest at omega0 = 2, g = 0.8 g_c), the variances by 9.3e-15
 # relative.
@@ -581,7 +716,7 @@ def test_hopfield_band_solve_matches_normal_modes(omega0, g_fraction):
     assert (gs.method, gs.iterations) == ("dense", 0)
     # each parity block holds the levels j*eps- + k*eps+ with (-1)^(j+k) its parity
     for parity, block in zip((1, -1), _blocks(h)):
-        assert block.shape[0] <= DENSE_DIM_LIMIT
+        assert block.shape[0] <= BAND_REDUCTION_LIMIT
         ladder = sorted(
             j * modes.eps_minus + k * modes.eps_plus
             for j in range(8)
