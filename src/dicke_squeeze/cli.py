@@ -271,12 +271,16 @@ def _fig6_point(p, defects, n_max):
     return build_dicke_hamiltonian(p, basis, disorder=ens), [({}, q, p.omega / 2.0)]
 
 
-def _fig7_point(p, eta, n_max):
+def _fig7_mode(p, eta):
+    """(E_0, gamma_0): the k = 0 magnon's energy and mixing angle at ``eta``;
+    ValueError where eta is not finite or E_0 <= 0."""
     ip = ising.IsingParams(
         eta=eta, omega0=p.omega0, dispersion=p.omega, g=p.g, n_spins=p.n_spins
     )
-    gamma0 = ising.mixing_angle_k(ip, 0.0)
-    e0 = ising.magnon_energy(ip, 0.0)
+    return ising.magnon_energy(ip, 0.0), ising.mixing_angle_k(ip, 0.0)
+
+
+def _fig7_point(p, eta, e0, gamma0, n_max):
     # the ring, the coupling and the quadrature commute with translation: k = 0
     basis = build_basis(p.n_spins, n_max, k0=True)
     q = p_minus_k0(basis, p.omega, e0, gamma0, eta)
@@ -566,7 +570,7 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
     if p.n_spins < 2:
         raise ConfigError(f"fig7 needs model.n_spins >= 2 for the Ising ring, got {p.n_spins}")
     points = [
-        (f"eta={eta:g}", {"eta": eta}, (p, eta))
+        (f"eta={eta:g}", {"eta": eta}, (p, eta, *_checked("ising", _fig7_mode, p, eta)))
         for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))
     ]
     columns = ["eta", "n_max", "xi", "residual", "residual_ok", "method"]
@@ -608,7 +612,7 @@ def _sweep_xi_ground(cfg):
                 {
                     "omega0": float(omega0),
                     "g": float(g),
-                    "xi": bogoliubov.squeezing_ratio_ground(p).xi,
+                    "xi": _checked("model", bogoliubov.squeezing_ratio_ground, p).xi,
                     "method": "analytic",
                 }
             )
@@ -633,7 +637,7 @@ def _sweep_xi_thermal(cfg):
         p = _model(cfg, g=float(g))
         superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
         if superradiant:
-            t_c = bogoliubov.classical_critical_temperature(p)
+            t_c = _checked("model", bogoliubov.classical_critical_temperature, p)
             xis = [0.0 if tc_mask else math.nan] * len(temps)
         else:
             t_c = None
@@ -698,7 +702,7 @@ def _sweep_disorder_samples(cfg):
     for sample in range(count):
         defects = draw(sample)
         ens = disorder.DisorderEnsemble(n_clean, defects)
-        report = disorder.disorder_xi_perturbative(p, ens)
+        report = _checked("disorder", disorder.disorder_xi_perturbative, p, ens)
         for j, (omega_prime, g_prime) in enumerate(defects):
             rows.append(
                 {

@@ -56,8 +56,7 @@ class BasisDescriptor:
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """(spin count, stride) of each digit of the spin index, in spin
         order: the ``collective`` blocks, then one block per remaining spin.
-        On the k = 0 layout, the digits of the product spins the sector is
-        built from."""
+        On the k = 0 layout, the bits of the orbit representatives."""
         sizes = self.collective + (1,) * (self.n_spins - sum(self.collective))
         return tuple((n, math.prod(k + 1 for k in sizes[:b])) for b, n in enumerate(sizes))
 
@@ -101,14 +100,12 @@ def build_basis(
 
 
 @functools.lru_cache(maxsize=8)
-def translation_orbits(n_spins: int) -> tuple[np.ndarray, sp.csr_matrix]:
-    """(representatives, P) of the zero-momentum sector of an n_spins ring.
+def translation_orbits(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, orbit, length) of the zero-momentum sector of an n_spins ring.
 
-    The representatives are the smallest N-bit mask of each translation
-    orbit, ascending; P is the 2^N x (number of orbits) isometry whose column
-    r is the normalized orbit sum |r~>. An operator O on the product spins
-    that commutes with the translation restricts to the sector as P^T O P.
-    Cached per N: every point of a sweep shares one P (read-only).
+    reps holds the smallest N-bit mask of each translation orbit, ascending;
+    orbit[x] is the index of mask x's orbit and length[i] the size of orbit i.
+    Cached per N and read-only: every point of a sweep shares them.
     """
     masks = np.arange(1 << n_spins, dtype=np.int64)
     full = (1 << n_spins) - 1
@@ -118,11 +115,9 @@ def translation_orbits(n_spins: int) -> tuple[np.ndarray, sp.csr_matrix]:
         smallest = np.minimum(smallest, shifted)
     reps, orbit = np.unique(smallest, return_inverse=True)
     length = np.bincount(orbit)
-    isometry = sp.csr_matrix(
-        (1.0 / np.sqrt(length[orbit]), (masks, orbit)), shape=(masks.size, reps.size)
-    )
-    reps.setflags(write=False)
-    return reps, isometry
+    for array in (reps, orbit, length):
+        array.setflags(write=False)
+    return reps, orbit, length
 
 
 def lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:

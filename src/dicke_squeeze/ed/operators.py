@@ -4,16 +4,17 @@ Everything is kept real: Hamiltonian pieces are exactly symmetric matrices,
 momentum-like quadratures are represented by exactly antisymmetric generators
 M (the observable being i*M); S_z|up> = +1/2|up>.
 
-The spin primitives take a ``basis.BasisDescriptor`` and read its spin index
-as the mixed-radix number of ``basis.blocks``: digit d_b counts the up spins
-of block b, and J_+ on the block takes d_b to d_b + 1 with amplitude
-sqrt((d_b+1)(n_b-d_b)) (1 on an explicit spin, a block of one). Every flip
-term comes from the one raise operator R = sum_b w_b J_+^b, and S_z is
-sum_b w_b (d_b - n_b/2) summed over the blocks in order, so the spins of a
-block must share one weight. On the k = 0 ring sector the operator is P^T O P,
-with O built on the product spins and P the cached orbit-sum isometry of
-``basis.translation_orbits``; that restriction holds for operators that
-commute with the translation, so every spin must carry the same weight.
+The spin primitives take a ``basis.BasisDescriptor`` and build on its own
+spin states, read as mixed-radix numbers over ``basis.blocks``: digit d_b
+counts the up spins of block b, and J_+ on the block takes d_b to d_b + 1
+with amplitude sqrt((d_b+1)(n_b-d_b)) (1 on an explicit spin, a block of
+one). Every flip term comes from the one raise operator R = sum_b w_b J_+^b,
+and S_z is sum_b w_b (d_b - n_b/2) summed over the blocks in order, so the
+spins of a block must share one weight. On the k = 0 ring sector the states
+are the orbit representatives r, and a term taking r to the mask x lands on
+x's orbit i, scaled by sqrt(L_r/L_i): for an operator O that commutes with
+the translation, <i~|O|r~> = sum_{x in orbit i} O_xr sqrt(L_r/L_i). That
+holds only when every spin carries the same weight.
 """
 
 from __future__ import annotations
@@ -36,25 +37,26 @@ def boson_momentum_generator(n_max: int) -> sp.csr_matrix:
     return sp.diags([root, -root], offsets=[-1, 1], format="csr")
 
 
-def _on_layout(basis: BasisDescriptor, op, sign: float = 1.0):
-    """``op``, built on the spin index of ``basis.blocks``, on ``basis``'s
-    layout. Only the k = 0 ring reads differently: a diagonal (a vector)
-    takes its value on each orbit's representative, which translation keeps,
-    and a matrix becomes P^T op P, averaged with its transpose to keep it
-    exactly symmetric (sign +1) or antisymmetric (sign -1), the product's
-    summation order not being mirror-symmetric."""
-    if not basis.k0:
-        return op
-    reps, isometry = translation_orbits(basis.n_spins)
-    if op.ndim == 1:
-        return op[reps]
-    sector = (isometry.T @ op @ isometry).tocsr()
-    return (0.5 * (sector + sign * sector.T)).tocsr()
+def _fold(basis: BasisDescriptor, amplitude, target, source) -> sp.csr_matrix:
+    """The spin matrix with amplitude[j] from state source[j] (a position in
+    ``basis``'s states) to the spin index target[j], duplicates summed. On
+    the k = 0 ring the target mask is folded onto its orbit."""
+    if basis.k0:
+        _, orbit, length = translation_orbits(basis.n_spins)
+        target = orbit[target]
+        amplitude = amplitude * np.sqrt(length[source] / length[target])
+    return sp.coo_matrix((amplitude, (target, source)), shape=(basis.spin_dim,) * 2).tocsr()
+
+
+def _states(basis: BasisDescriptor) -> np.ndarray:
+    """``basis``'s spin states as spin indices of its blocks: 0..spin_dim-1,
+    or the orbit representatives on the k = 0 ring."""
+    return translation_orbits(basis.n_spins)[0] if basis.k0 else np.arange(basis.spin_dim)
 
 
 def _digits(basis: BasisDescriptor, weights):
     """(n, stride, w, d) of ``basis.blocks``: each block's spin count, stride
-    and one weight, and d[b, s] its digit in every spin index s."""
+    and one weight, and d[b, s] its digit in every spin state s."""
     n, stride = np.array(basis.blocks).T
     weights = np.ones(basis.n_spins) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (basis.n_spins,):
@@ -64,9 +66,7 @@ def _digits(basis: BasisDescriptor, weights):
         raise ValueError("the spins of each block must share one weight")
     if basis.k0 and np.any(weights != weights[0]):
         raise ValueError("the k = 0 ring layout needs one weight for every spin")
-    # s is the row-major flat index over the radices n_b + 1, block 0 fastest
-    digits = np.indices(tuple(n[::-1] + 1)).reshape(n.size, -1)[::-1]
-    return n, stride, w, digits
+    return n, stride, w, _states(basis) // stride[:, None] % (n[:, None] + 1)
 
 
 def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
@@ -76,14 +76,13 @@ def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     block, s = np.nonzero(d < n[:, None])
     up = d[block, s]
     amplitude = w[block] * np.sqrt((up + 1.0) * (n[block] - up))
-    return sp.coo_matrix((amplitude, (s + stride[block], s)), shape=(d.shape[1],) * 2).tocsr()
+    return _fold(basis, amplitude, _states(basis)[s] + stride[block], s)
 
 
 def spin_z_values(basis: BasisDescriptor, weights=None) -> np.ndarray:
     """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``."""
     n, _, w, d = _digits(basis, weights)
-    diag = sum(w_b * (d_b - 0.5 * n_b) for n_b, w_b, d_b in zip(n, w, d))
-    return _on_layout(basis, diag)
+    return sum(w_b * (d_b - 0.5 * n_b) for n_b, w_b, d_b in zip(n, w, d))
 
 
 def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
@@ -96,14 +95,14 @@ def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     (exactly, as halving is exact in floating point).
     """
     up = _raise(basis, weights)
-    return _on_layout(basis, up + up.T)
+    return up + up.T
 
 
 def spin_pm_total(basis: BasisDescriptor) -> sp.csr_matrix:
     """S_+ - S_- summed over sites, R - R^T (antisymmetric): +1 on an up-flip
     of any site, -1 on the corresponding down-flip."""
     up = _raise(basis)
-    return _on_layout(basis, up - up.T, sign=-1.0)
+    return up - up.T
 
 
 def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
@@ -115,9 +114,10 @@ def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
         raise ValueError("the Ising ring breaks permutation symmetry: use collective=()")
     if n < 2:
         raise ValueError("the ring term needs n_spins >= 2")
-    s = np.arange(1 << n)
+    s = _states(basis)
     sites = np.arange(n)
     flipped = (s ^ ((1 << sites) | (1 << (sites + 1) % n))[:, None]).ravel()
     # tocsr sums duplicates: the N = 2 ring's two bonds flip the same pair
-    ring = sp.coo_matrix((np.full(flipped.size, 0.25), (np.tile(s, n), flipped)), (s.size,) * 2)
-    return _on_layout(basis, ring.tocsr())
+    ring = _fold(basis, np.full(flipped.size, 0.25), flipped, np.tile(np.arange(s.size), n))
+    # folded onto k = 0 the ring is symmetric only to rounding
+    return (0.5 * (ring + ring.T)).tocsr() if basis.k0 else ring

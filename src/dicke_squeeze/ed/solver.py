@@ -12,9 +12,9 @@ sparse block and finds the lowest level by shifted inverse iteration on
 banded Cholesky factors of B - sigma (O(n b^2) each, about ten per block, no
 dense n x n matrix). A factorization succeeds only when sigma lies below
 every level, so the last one certifies the level found as the block's lowest.
-The direct solve is still labelled "dense". Both start vectors are fixed (all
-ones for ARPACK, a seed-0 Gaussian draw for the inverse iteration), so
-results are bitwise reproducible for a fixed thread configuration.
+The direct solve is still labelled "dense". Both paths start from one fixed
+seed-0 Gaussian vector, so results are bitwise reproducible for a fixed
+thread configuration.
 """
 
 from __future__ import annotations
@@ -119,14 +119,8 @@ class GroundStateResult:
     block's lowest level, with no dense matrix formed; "lanczos" when some
     block went to ARPACK.
 
-    On a direct solve gap is the block gap. On an ARPACK block it need not
-    be: the search stays in the symmetry sector of its start vector (see
-    ``_arpack``), so on the product basis of the Ising ring it is the
-    distance between the even and odd k = 0 levels (at N = 6, eta = 0.5,
-    n_max = 50 it reads 0.900, the true block gap being 0.142). In the k = 0
-    ring layout (``BasisDescriptor.k0``) gap is the even-k0 vs odd-k0
-    distance, taken over the reflection-even states when the block is
-    solved by ARPACK.
+    In the k = 0 ring layout (``BasisDescriptor.k0``) gap is the distance
+    between the even and odd k = 0 levels.
     """
 
     energy: float
@@ -171,6 +165,17 @@ def _lower_band(mat: sp.spmatrix) -> np.ndarray:
     return np.bincount(flat, weights=coo.data[low], minlength=rows * n).reshape(rows, n)
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """The start vector of both solves: a seed-0 Gaussian draw, whose overlap
+    with every level is generic. A symmetric vector is not: the all-ones
+    vector is invariant under every permutation of the product spins, so
+    where H commutes with some of them the Krylov space never leaves the
+    sector they fix, and levels outside it (a parity block's lowest on the
+    Ising ring's product basis, excited levels of the ideal model) are
+    missed."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _band_lowest(block: sp.spmatrix, tol: float):
     """(E_0, v) of one block from its band, by shifted inverse iteration on
     banded Cholesky factors. A diagonal block (half-bandwidth 0) gives its
@@ -188,12 +193,7 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     or when the residual ||Bv - (v.Bv) v|| exceeds
     max(tol, INVERSE_SHIFT)*||B||_inf; ValueError on a non-finite entry.
 
-    The start vector is a fixed Gaussian draw (seed 0), so its overlap with
-    the lowest level is generic. The all-ones vector is not: it is invariant
-    under every permutation of the product spins, and on the product basis of
-    the Ising ring a block's lowest level can lie outside the sector those
-    permutations fix (see ``_arpack``), where inverse iteration from it never
-    arrives."""
+    It starts from ``_start_vector``."""
     ab = _lower_band(block)
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -215,7 +215,7 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     # every level lies at least norm above lower - norm: a safe floor to
     # bisect toward before any factorization has succeeded
     floor, shift, final, factor = lower - norm, lower - delta, False, None
-    vector = np.random.default_rng(0).standard_normal(n)
+    vector = _start_vector(n)
     for count in range(1, MAX_SHIFTS + 1):
         if factor is None or shift != floor:
             shifted = ab.copy()
@@ -243,7 +243,7 @@ def _band_lowest(block: sp.spmatrix, tol: float):
 
 def _arpack(mat, k, tol, max_iter):
     """(values, vectors, matvecs) of the k lowest eigenpairs by ARPACK from
-    the all-ones start vector, each with residual below tol * ||H||_inf.
+    ``_start_vector``, each with residual below tol * ||H||_inf.
 
     ARPACK stops at a Ritz residual <= tol' * max(|theta|, eps^(2/3)): far
     below the contract near theta = 0, and on diag(0, 1, ..., 2999) it
@@ -251,17 +251,7 @@ def _arpack(mat, k, tol, max_iter):
     [||H||_inf, 3||H||_inf], so tol' = tol/30 stops at or below
     tol/10 * ||H||_inf, 10x under the contract. On the product-basis fig7
     points that held xi within 5.2e-12 of a dense solve (2.5e-11 at tol/3)
-    for 7% more matvecs.
-
-    The all-ones start vector is invariant under every permutation of the
-    product spins. Where H commutes with some of them (the ring's
-    translation and reflection; all of them in the ideal model), the Krylov
-    space never leaves the sector they fix, and ARPACK returns the block's
-    lowest level within that sector. That is the ground state wherever the
-    ground state is symmetric (for the Ising ring it lies in k = 0), but a
-    block's true lowest level can lie outside it: on the product basis at
-    N = 6, eta = 0.5, n_max = 50 the odd-block level returned is 0.759 above
-    that block's lowest level from a dense eigh."""
+    for 7% more matvecs."""
     shift = 2.0 * matrix_inf_norm(mat)
     matvecs = 0
 
@@ -273,7 +263,7 @@ def _arpack(mat, k, tol, max_iter):
     op = spla.LinearOperator(mat.shape, matvec=matvec, dtype=float)
     try:
         w, vectors = spla.eigsh(
-            op, k=k, which="SA", v0=np.ones(mat.shape[0]), tol=tol / 30.0, maxiter=max_iter
+            op, k=k, which="SA", v0=_start_vector(mat.shape[0]), tol=tol / 30.0, maxiter=max_iter
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(matvecs, tol) from exc

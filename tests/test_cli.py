@@ -480,6 +480,24 @@ class TestEDPresets:
                  "sweep": {"quantity": "xi_thermal", "tc_mask": "false"}},
                 "sweep.tc_mask", id="sweep-tc-mask-str",
             ),
+            # the closed forms past g_c need a2_coeff = 0
+            pytest.param(
+                "sweep",
+                {"model": {"a2_coeff": 0.5}, "grids": {"g": [0.2, 2.0]},
+                 "sweep": {"quantity": "xi_ground"}},
+                "bad model parameters: superradiant", id="sweep-xi-ground-a2",
+            ),
+            pytest.param(
+                "sweep",
+                {"model": {"a2_coeff": 0.5}, "grids": {"g": [0.2, 2.0], "kt": [0.1]},
+                 "sweep": {"quantity": "xi_thermal"}},
+                "bad model parameters: classical critical", id="sweep-xi-thermal-a2",
+            ),
+            # the renormalized coupling of 4 clean spins and one defect passes g_c
+            pytest.param(
+                "sweep", {**_disorder_sweep(n_clean=4, m=1), "model": {"g": 0.6}},
+                "bad disorder parameters: superradiant", id="sweep-disorder-past-gc",
+            ),
             # the Philox key is one uint64
             *[
                 pytest.param(
@@ -501,6 +519,27 @@ class TestEDPresets:
         assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [(math.nan, "finite"), (-0.5, "E_k=0"), (-2.0, "E_k=-3")],
+        ids=["nan", "minus-half", "minus-two"],
+    )
+    def test_fig7_bad_eta_is_rejected_before_any_task(
+        self, tmp_path, capsys, monkeypatch, eta, message
+    ):
+        # with --jobs 2 a task's ValueError would be raised in a pool worker
+        def no_tasks(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(cli, "_run_tasks", no_tasks)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": {"eta": [0.1, eta]}}))
+        out = tmp_path / "fig7.csv"
+        assert cli.main(["fig7", "--jobs", "2", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ising parameters: ") and message in err
         assert not out.exists()
 
     def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):

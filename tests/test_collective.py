@@ -29,7 +29,12 @@ from dicke_squeeze.ed import (
     variance,
 )
 from dicke_squeeze.ed.basis import translation_orbits
-from dicke_squeeze.ed.operators import spin_flip_total, spin_pm_total, spin_z_values
+from dicke_squeeze.ed.operators import (
+    ising_xx_ring,
+    spin_flip_total,
+    spin_pm_total,
+    spin_z_values,
+)
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
 from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW
 
@@ -45,6 +50,15 @@ def _observables(h, basis, gamma):
         variance(gs, s_tilde_y(basis)),
         variance(gs, p_d(basis, 1.0, 1.0, gamma)),
     ]
+
+
+def _orbit_isometry(n_spins):
+    """The 2^N x orbits isometry whose column i is the normalized orbit sum
+    of orbit i, from ``translation_orbits``."""
+    reps, orbit, length = translation_orbits(n_spins)
+    isometry = np.zeros((orbit.size, reps.size))
+    isometry[np.arange(orbit.size), orbit] = 1.0 / np.sqrt(length[orbit])
+    return isometry
 
 
 def _assert_same_ground_state(build, n_spins, blocks, gamma):
@@ -338,16 +352,34 @@ class TestLayout:
 
     def test_k0_orbit_sums_are_translation_invariant_and_orthonormal(self):
         n = 6
-        reps, isometry = translation_orbits(n)
+        reps = translation_orbits(n)[0]
         masks = np.arange(1 << n)
         shifted = ((masks << 1) | (masks >> (n - 1))) & ((1 << n) - 1)
         shift = np.zeros((1 << n, 1 << n))
         shift[shifted, masks] = 1.0
-        dense = isometry.toarray()
+        dense = _orbit_isometry(n)
         assert np.allclose(dense.T @ dense, np.eye(reps.size), rtol=0.0, atol=1e-15)
         assert np.array_equal(shift @ dense, dense)
         # each column's smallest member is its representative
         assert np.array_equal([np.flatnonzero(col)[0] for col in dense.T], reps)
+
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_k0_operators_fold_the_product_operators(self, n_spins):
+        # the folded operators equal P^T O P of the product-layout ones,
+        # symmetrized as a symmetric or antisymmetric operator is
+        isometry = _orbit_isometry(n_spins)
+        product, sector = build_basis(n_spins, 0), build_basis(n_spins, 0, k0=True)
+        for op, sign in ((spin_flip_total, 1.0), (spin_pm_total, -1.0), (ising_xx_ring, 1.0)):
+            projected = isometry.T @ op(product).toarray() @ isometry
+            expected = 0.5 * (projected + sign * projected.T)
+            assert np.allclose(op(sector).toarray(), expected, rtol=0.0, atol=1e-15)
+        assert np.array_equal(
+            spin_z_values(sector), spin_z_values(product)[translation_orbits(n_spins)[0]]
+        )
+        h = build_dicke_hamiltonian(
+            DickeParams(1.0, 1.2, 0.45, n_spins), build_basis(n_spins, 6, k0=True), eta=0.3
+        )
+        assert h.is_symmetric
 
     def test_k0_parity_counts_representative_ups(self):
         basis = build_basis(4, 1, k0=True)

@@ -348,6 +348,19 @@ class TestGroundState:
         dense = la.eigh(h.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 5])
         assert np.allclose(lowest_eigenvalues(h, 6), dense, rtol=0.0, atol=1e-9)
 
+    def test_arpack_leaves_the_permutation_symmetric_sector(self):
+        # a start vector every spin permutation fixes keeps the Krylov space in
+        # their symmetric sector, which misses the ideal model's fourth level
+        # (dim 704, above the band limit) and, on the product basis of the
+        # Ising ring, the lowest level of one parity block
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 10))
+        assert h.dim > BAND_REDUCTION_LIMIT
+        dense = la.eigvalsh(h.matrix.toarray())
+        assert np.allclose(lowest_eigenvalues(h, 4), dense[:4], rtol=0.0, atol=1e-9)
+        ring = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 50), eta=0.5)
+        arpack, direct = ground_state(ring, method="lanczos"), ground_state(ring, method="dense")
+        assert arpack.gap == pytest.approx(direct.gap, rel=0.0, abs=1e-8)
+
 
 def _blocks(h):
     return [h.matrix[idx][:, idx] for idx in parity_blocks(h)]
