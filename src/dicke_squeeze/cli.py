@@ -40,7 +40,6 @@ from .ed import (
     s_tilde_y,
     variance,
 )
-from .ed.solver import matrix_inf_norm
 
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "sweep")
 
@@ -294,7 +293,7 @@ def _ed_task(task):
     h, quadratures = point(*args, n_max)
     gs = ground_state(h, tol=tol)
     values = [(labels, variance(gs, q) / norm) for labels, q, norm in quadratures]
-    return values, gs.residual, gs.residual <= tol * matrix_inf_norm(h.matrix)
+    return values, gs.residual, gs.residual <= tol * gs.norm
 
 
 def _run_ed(cfg, jobs, point, points, columns, value_field, meta) -> SweepResult:

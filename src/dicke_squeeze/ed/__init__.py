@@ -1,5 +1,7 @@
 """Exact diagonalization over a truncated boson (x) spin basis (product,
-collective-spin or k = 0 ring layout)."""
+collective-spin or k = 0 ring layout). Operators are held as Kronecker
+factors, and each conserved-parity block is built from them; no full-dim
+matrix is formed unless a caller asks for one."""
 
 from .basis import BasisDescriptor, build_basis
 from .hamiltonians import (

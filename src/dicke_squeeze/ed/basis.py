@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core import integer_at_least
 
@@ -118,13 +117,3 @@ def translation_orbits(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     for array in (reps, orbit, length):
         array.setflags(write=False)
     return reps, orbit, length
-
-
-def lift_boson(op: sp.spmatrix, spin_dim: int) -> sp.csr_matrix:
-    """A boson operator acting on the full basis: op (x) 1_spin."""
-    return sp.kron(op, sp.identity(spin_dim, format="csr"), format="csr")
-
-
-def lift_spin(op: sp.spmatrix, boson_dim: int) -> sp.csr_matrix:
-    """A spin operator acting on the full basis: 1_boson (x) op."""
-    return sp.kron(sp.identity(boson_dim, format="csr"), op, format="csr")

@@ -1,76 +1,203 @@
-"""Sparse Hamiltonian builders over the truncated boson (x) spin basis.
+"""Kronecker-factored Hamiltonians over the truncated boson (x) spin basis.
 
-One builder covers the Dicke model and its two perturbations, defects and
-the Ising ring; the spin primitives of ``operators`` carry the basis layout
-(product spins, collective blocks of permutation-equivalent spins beside
-explicit sites, or the k = 0 ring sector), so nothing here reads it.
-
-Every matrix is real-symmetric by construction (kron products and sums of
-exactly symmetric pieces), so H == H^T holds entry-for-entry, not just to
-rounding.
+Every Hamiltonian here is a sum of terms c B (x) S: B acts on the boson
+occupation (n, a + a', (a + a')^2) and S on the spin states (1, S_z, the flip,
+the Ising ring), or on a second boson for the two-boson model. The spin
+primitives of ``operators`` carry the basis layout, so nothing here reads it.
+Each term keeps or flips both factor parities, (-1)^n and (-1)^(up count), so
+their product is conserved: ``parity_blocks`` builds each parity block
+straight from the factors in its own coordinates, and the full matrix is
+assembled only for a caller that asks for ``matrix``. Every factor is exactly
+symmetric, so H == H^T holds entry-for-entry, not just to rounding.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterator
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core import DickeParams
 from ..disorder import DisorderEnsemble
-from .basis import BasisDescriptor, lift_boson, lift_spin
+from .basis import BasisDescriptor
 from .operators import (
+    boson_momentum_generator,
     boson_x,
     ising_xx_ring,
     spin_flip_total,
+    spin_raise,
     spin_z_values,
 )
 
 
-@dataclass(frozen=True)
+def kron_sum(terms) -> sp.csr_matrix:
+    """sum_t c_t B_t (x) S_t over terms (c_t, B_t, S_t) of sparse matrices,
+    each entry's duplicates summed in term order and exact zeros dropped."""
+    right, parts = terms[0][2].shape[0], []
+    dim = terms[0][1].shape[0] * right
+    for coeff, b, s in terms:
+        b, s = b.tocoo(), s.tocoo()
+        row = b.row.astype(np.int64)[:, None] * right + s.row
+        col = b.col.astype(np.int64)[:, None] * right + s.col
+        parts.append(((row * dim + col).ravel(), (coeff * (b.data[:, None] * s.data)).ravel()))
+    key, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    data = np.bincount(inverse, weights=np.concatenate([v for _, v in parts]))
+    key, data = key[data != 0], data[data != 0]
+    indptr = np.searchsorted(key, np.arange(dim + 1) * dim)
+    return sp.csr_matrix((data, key % dim, indptr), shape=(dim, dim))
+
+
+class Factor:
+    """One square factor of a Kronecker term, held as its entries (row, col,
+    value), with the parity ``bits`` of its states (n mod 2 for a boson, the
+    up-spin count mod 2 for a spin state), ``count`` of them 0 and 1."""
+
+    def __init__(self, row, col, value, bits: np.ndarray):
+        self.row, self.col, self.value, self.bits = row, col, value, bits
+        self.count = np.bincount(bits, minlength=2)
+
+    @classmethod
+    def of(cls, matrix: sp.spmatrix, bits: np.ndarray) -> Factor:
+        m = matrix.tocsr()
+        return cls(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data, bits)
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray, bits: np.ndarray) -> Factor:
+        index = np.arange(values.size)
+        return cls(index, index, values, bits)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.value, (self.row, self.col)), shape=(self.bits.size,) * 2)
+
+    @functools.cached_property
+    def groups(self) -> dict:
+        """(to, from) -> (row, col, row rank, col rank, value) of the entries
+        from states of bit ``from`` to states of bit ``to``, a state's rank
+        being its place among the states of its bit."""
+        bits = self.bits
+        ones = np.cumsum(bits, dtype=np.int32) - bits
+        rank = np.where(bits, ones, np.arange(bits.size, dtype=np.int32) - ones)
+        key = 2 * bits[self.row] + bits[self.col]
+        groups = {}
+        for k in np.unique(key):
+            keep = key == k
+            r, c = self.row[keep], self.col[keep]
+            groups[divmod(int(k), 2)] = (r, c, rank[r], rank[c], self.value[keep])
+        return groups
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """A real-symmetric sparse Hamiltonian.
+    """A real-symmetric H = sum_t c_t B_t (x) S_t, held as ``terms`` of
+    (c_t, B_t, S_t) ``Factor``s; the B_t share one dimension, as do the S_t.
+    ``parity`` is the conserved (+-1) diagonal (-1)^n (x) (-1)^bits(S)."""
 
-    ``parity`` is the (+-1) diagonal of a conserved parity when the builder
-    supplies one (every builder here does); ``ground_state`` and the thermal
-    oracle then diagonalize its two blocks apart.
-    """
+    terms: tuple
 
-    matrix: sp.csr_matrix
-    parity: np.ndarray | None = None
+    @classmethod
+    def from_matrix(cls, matrix, parity=None) -> SparseHamiltonian:
+        """A plain symmetric matrix as the term 1 (x) matrix: one block, or
+        the two of the (+-1) ``parity`` diagonal, whose cross entries the
+        blocks drop."""
+        mat = sp.csr_matrix(matrix, dtype=float)
+        bits = np.zeros(mat.shape[0], np.int8) if parity is None else np.asarray(parity) < 0
+        one = Factor.diagonal(np.ones(1), np.zeros(1, np.int8))
+        return cls(((1.0, one, Factor.of(mat, bits.astype(np.int8))),))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.terms[0][1].bits.size * self.terms[0][2].bits.size
 
-    @property
-    def is_symmetric(self) -> bool:
-        return (self.matrix != self.matrix.T).nnz == 0
+    @functools.cached_property
+    def parity(self) -> np.ndarray:
+        return _parity(self.terms[0][1].bits.size, self.terms[0][2].bits)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The full CSR matrix, summed in term order as the blocks are; no
+        solve reads it."""
+        return kron_sum([(c, b.matrix, s.matrix) for c, b, s in self.terms])
+
+    def parity_blocks(self) -> Iterator[tuple[np.ndarray, sp.coo_matrix]]:
+        """(index, block) of the nonempty even and odd blocks, in that order,
+        each built when asked for: index holds the block's places in the full
+        basis, ascending, and block is H[index][:, index] as COO triplets,
+        each term's entries in term order.
+
+        Block p at level n of B holds the states of S of bit (n + p) mod 2,
+        in order, so the entries of S between bits (a, b) pair with the
+        entries of B between bits (a, b) xor p, at those levels' offsets."""
+        _, left, right = self.terms[0]
+        levels = np.arange(left.bits.size)
+        for p in (0, 1):
+            offset = np.zeros(levels.size + 1, dtype=np.int32)
+            np.cumsum(right.count[(left.bits + p) % 2], out=offset[1:])
+            if offset[-1]:
+                index = np.flatnonzero(((levels[:, None] + right.bits) % 2 == p).ravel())
+                # built in a call, so the suspended generator holds no block
+                yield index, self._block(p, offset)
+
+    def _block(self, p: int, offset: np.ndarray) -> sp.coo_matrix:
+        rows, cols, values = [], [], []
+        for coeff, b, s in self.terms:
+            for (to, fro), (_, _, r, c, v) in s.groups.items():
+                if (to ^ p, fro ^ p) in b.groups:
+                    i, j, _, _, bv = b.groups[to ^ p, fro ^ p]
+                    rows.append((offset[i, None] + r).ravel())
+                    cols.append((offset[j, None] + c).ravel())
+                    values.append((coeff * (bv[:, None] * v)).ravel())
+        entries = np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))
+        return sp.coo_matrix(entries, shape=(int(offset[-1]),) * 2)
 
 
-def _assemble(parts, parity):
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    total = total.tocsr()
-    total.sum_duplicates()
-    total.sort_indices()
-    return SparseHamiltonian(matrix=total, parity=parity)
+@functools.lru_cache(maxsize=2)
+def _spin_factors(spins: BasisDescriptor) -> SimpleNamespace:
+    """Cached for the two spin layouts a sweep alternates between (fig3 and
+    fig6 visit each at every n_max in turn); spin_dim-sized and read-only,
+    so every point of the layout shares them."""
+    z = spin_z_values(spins)
+    # the up count S_z + N/2 is exact in floating point
+    bits = ((z + 0.5 * spins.n_spins) % 2).astype(np.int8)
+    # spin_flip_total is R + R^T and spin_pm_total R - R^T; R raises the up
+    # count, so R and R^T share no entry
+    up = Factor.of(spin_raise(spins), bits)
+    row, col = np.concatenate((up.row, up.col)), np.concatenate((up.col, up.row))
+    ring = not spins.collective and spins.n_spins > 1
+    return SimpleNamespace(
+        bits=bits,
+        identity=Factor.diagonal(np.ones(spins.spin_dim), bits),
+        z=Factor.diagonal(z, bits),
+        flip=Factor(row, col, np.concatenate((up.value, up.value)), bits),
+        pm=Factor(row, col, np.concatenate((up.value, -up.value)), bits),
+        ring=Factor.of(ising_xx_ring(spins), bits) if ring else None,
+    )
 
 
-@functools.lru_cache(maxsize=4)
-def _coupling_term(basis: BasisDescriptor) -> sp.csr_matrix:
-    """(a + a') (x) sum_i (S_+^i + S_-^i) on ``basis``. Cached: the points of
-    a sweep at one basis scale the same (read-only) matrix."""
-    return sp.kron(boson_x(basis.n_max), spin_flip_total(basis), format="csr")
+def spin_factors(basis: BasisDescriptor) -> SimpleNamespace:
+    """The unit-weight spin factors of ``basis``'s spin layout, whatever its
+    n_max: identity, z, flip, pm and ring (None where the layout has none)."""
+    return _spin_factors(dataclasses.replace(basis, n_max=0))
 
 
-@functools.lru_cache(maxsize=4)
-def _ring_term(basis: BasisDescriptor) -> sp.csr_matrix:
-    """1 (x) sum_n S_x^n S_x^{n+1} on ``basis``, cached like the coupling."""
-    return lift_spin(ising_xx_ring(basis), basis.boson_dim)
+@functools.lru_cache(maxsize=2)
+def boson_factors(n_max: int) -> SimpleNamespace:
+    """identity, number, x = a + a', x2 = (a + a')^2 (squared after
+    truncation) and momentum = a' - a at ``n_max``, cached like the spin
+    factors."""
+    bits = (np.arange(n_max + 1) % 2).astype(np.int8)
+    x = boson_x(n_max)
+    return SimpleNamespace(
+        identity=Factor.diagonal(np.ones(n_max + 1), bits),
+        number=Factor.diagonal(np.arange(n_max + 1.0), bits),
+        x=Factor.of(x, bits),
+        x2=Factor.of(x @ x, bits),
+        momentum=Factor.of(boson_momentum_generator(n_max), bits),
+    )
 
 
 def build_dicke_hamiltonian(
@@ -107,47 +234,45 @@ def build_dicke_hamiltonian(
         )
     if defects and eta != 0.0:
         raise ValueError("the Ising ring and defects do not combine: pass one of them")
-    n = basis.n_spins
-    coupling = None
+    n, spins, bosons = basis.n_spins, spin_factors(basis), boson_factors(basis.n_max)
+    terms = [(p.omega, bosons.number, spins.identity)]
     if defects:
         z = spin_z_values(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
+        terms.append((1.0, bosons.identity, Factor.diagonal(z, spins.bits)))
         x_weights = [p.g] * p.n_spins + [gp for _, gp in defects]
         if any(x_weights):
-            flip = spin_flip_total(basis, x_weights)
-            coupling = (1.0 / np.sqrt(n)) * sp.kron(boson_x(basis.n_max), flip, format="csr")
+            flip = Factor.of(spin_flip_total(basis, x_weights), spins.bits)
+            terms.append((1.0 / np.sqrt(n), bosons.x, flip))
     else:
-        z = p.omega0 * spin_z_values(basis)
+        terms.append((p.omega0, bosons.identity, spins.z))
         if p.g != 0.0:
-            coupling = (p.g / np.sqrt(n)) * _coupling_term(basis)
-    diag = np.add.outer(p.omega * np.arange(basis.boson_dim), z).ravel()
-    parts = [sp.diags(diag, format="csr")]
-    if coupling is not None:
-        parts.append(coupling)
+            terms.append((p.g / np.sqrt(n), bosons.x, spins.flip))
     if p.a2_coeff != 0.0:
-        x = boson_x(basis.n_max)
-        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), basis.spin_dim))
+        terms.append((p.a2_coeff, bosons.x2, spins.identity))
     if eta != 0.0:
-        parts.append((4.0 * eta * p.omega0) * _ring_term(basis))
-    return _assemble(parts, parity_diagonal(basis))
+        # on a layout without the ring, ising_xx_ring raises why
+        ring = spins.ring or Factor.of(ising_xx_ring(basis), spins.bits)
+        terms.append((4.0 * eta * p.omega0, bosons.identity, ring))
+    return SparseHamiltonian(tuple(terms))
 
 
 def build_hopfield_hamiltonian(
     p: DickeParams, n_max_a: int, n_max_b: int
 ) -> SparseHamiltonian:
     """Two truncated bosons, omega0 b'b + omega a'a + g (a+a')(b+b'), plus the
-    a2_coeff term on the a mode. Index = n_a*(n_max_b+1) + n_b. Carries the
-    conserved parity (-1)^(n_a + n_b)."""
-    dim_b = n_max_b + 1
-    diag = np.add.outer(
-        p.omega * np.arange(n_max_a + 1), p.omega0 * np.arange(dim_b)
-    ).ravel()
-    parts = [sp.diags(diag, format="csr")]
+    a2_coeff term on the a mode; b is the right factor. Index =
+    n_a*(n_max_b+1) + n_b. Carries the conserved parity (-1)^(n_a + n_b)."""
+    a, b = boson_factors(n_max_a), boson_factors(n_max_b)
+    terms = [(p.omega, a.number, b.identity), (p.omega0, a.identity, b.number)]
     if p.g != 0.0:
-        parts.append(p.g * sp.kron(boson_x(n_max_a), boson_x(n_max_b), format="csr"))
+        terms.append((p.g, a.x, b.x))
     if p.a2_coeff != 0.0:
-        x = boson_x(n_max_a)
-        parts.append(p.a2_coeff * lift_boson((x @ x).tocsr(), dim_b))
-    return _assemble(parts, hopfield_parity_diagonal(n_max_a, n_max_b))
+        terms.append((p.a2_coeff, a.x2, b.identity))
+    return SparseHamiltonian(tuple(terms))
+
+
+def _parity(left_dim: int, bits: np.ndarray) -> np.ndarray:
+    return np.where((np.arange(left_dim)[:, None] + bits) % 2 == 0, 1.0, -1.0).ravel()
 
 
 def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
@@ -155,16 +280,11 @@ def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
 
     All Hamiltonians built here (ideal, disordered, Ising-coupled) commute
     with it: the coupling flips one spin while shifting n by one, and the
-    Ising term flips spins in pairs. A spin state's up count is S_z + N/2,
-    exact in floating point (S_z is a sum of +-1/2 terms).
+    Ising term flips spins in pairs.
     """
-    ups = spin_z_values(basis) + 0.5 * basis.n_spins
-    total = np.add.outer(np.arange(basis.boson_dim), ups).ravel()
-    return np.where(total % 2 == 0, 1.0, -1.0)
+    return _parity(basis.boson_dim, spin_factors(basis).bits)
 
 
 def hopfield_parity_diagonal(n_max_a: int, n_max_b: int) -> np.ndarray:
     """(-1)^(n_a + n_b) over the two-boson basis."""
-    n_a = np.arange(n_max_a + 1)
-    n_b = np.arange(n_max_b + 1)
-    return np.where((np.add.outer(n_a, n_b) % 2) == 0, 1.0, -1.0).ravel()
+    return _parity(n_max_a + 1, np.arange(n_max_b + 1) % 2)

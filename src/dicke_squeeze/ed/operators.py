@@ -69,7 +69,7 @@ def _digits(basis: BasisDescriptor, weights):
     return n, stride, w, _states(basis) // stride[:, None] % (n[:, None] + 1)
 
 
-def _raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
+def spin_raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     """R = sum_b w_b J_+^b: s -> s + stride_b where d_b < n_b, with amplitude
     w_b sqrt((d_b+1)(n_b-d_b))."""
     n, stride, w, d = _digits(basis, weights)
@@ -94,14 +94,14 @@ def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     is what the spin-boson coupling terms are built from; S_x is half of it
     (exactly, as halving is exact in floating point).
     """
-    up = _raise(basis, weights)
+    up = spin_raise(basis, weights)
     return up + up.T
 
 
 def spin_pm_total(basis: BasisDescriptor) -> sp.csr_matrix:
     """S_+ - S_- summed over sites, R - R^T (antisymmetric): +1 on an up-flip
     of any site, -1 on the corresponding down-flip."""
-    up = _raise(basis)
+    up = spin_raise(basis)
     return up - up.T
 
 

@@ -19,52 +19,61 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisDescriptor, lift_boson, lift_spin
-from .operators import boson_momentum_generator, spin_flip_total, spin_pm_total, spin_z_values
+from .basis import BasisDescriptor
+from .hamiltonians import boson_factors, kron_sum, spin_factors
 from .solver import GroundStateResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureOperator:
-    """Observable i*generator with generator exactly antisymmetric."""
+    """Observable i*M with M = boson_coeff P (x) 1 + spin_coeff 1 (x) K, held
+    as its factors: P acts on the boson occupation, K on the spin states (or
+    on a second boson), both exactly antisymmetric. A zero boson_coeff drops
+    its term."""
 
-    generator: sp.csr_matrix
+    boson_coeff: float
+    boson: sp.csr_matrix
+    spin_coeff: float
+    spin: sp.csr_matrix
 
     @property
     def dim(self) -> int:
-        return self.generator.shape[0]
+        return self.boson.shape[0] * self.spin.shape[0]
 
+    @functools.cached_property
+    def generator(self) -> sp.csr_matrix:
+        """M as one CSR matrix; no variance reads it."""
+        left, right = sp.identity(self.boson.shape[0]), sp.identity(self.spin.shape[0])
+        return kron_sum([(self.boson_coeff, self.boson, right), (self.spin_coeff, left, self.spin)])
 
-@functools.lru_cache(maxsize=4)
-def _quadrature_terms(basis: BasisDescriptor) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(a'-a) (x) 1 and 1 (x) (S+ - S-) on ``basis``. Cached: the points of a
-    sweep at one basis scale the same (read-only) pair."""
-    boson = lift_boson(boson_momentum_generator(basis.n_max), basis.spin_dim)
-    return boson, lift_spin(spin_pm_total(basis), basis.boson_dim)
+    @classmethod
+    def on(cls, basis: BasisDescriptor, boson_coeff: float, spin_coeff: float):
+        """boson_coeff (a'-a) (x) 1 + spin_coeff 1 (x) (S+ - S-) on ``basis``."""
+        boson = boson_factors(basis.n_max).momentum.matrix
+        return cls(boson_coeff, boson, spin_coeff, spin_factors(basis).pm.matrix)
 
-
-def _combine(boson_coeff, spin_coeff, basis):
-    """boson_coeff (a'-a) (x) 1 + spin_coeff 1 (x) (S+ - S-); a None boson_coeff
-    drops the boson term."""
-    boson, spin = _quadrature_terms(basis)
-    total = spin_coeff * spin
-    if boson_coeff is not None:
-        total = (boson_coeff * boson + total).tocsr()
-    total.sum_duplicates()
-    total.sort_indices()
-    return QuadratureOperator(generator=total)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v for v of shape (dim,) or (dim, k), on v reshaped to
+        (boson, spin, k): boson_coeff P V + spin_coeff V K^T."""
+        left, right = self.boson.shape[0], self.spin.shape[0]
+        cols = v.reshape(left, right, -1)
+        spin = (self.spin @ cols.transpose(1, 0, 2).reshape(right, -1)).reshape(right, left, -1)
+        out = self.spin_coeff * spin.transpose(1, 0, 2)
+        if self.boson_coeff:
+            out += self.boson_coeff * (self.boson @ cols.reshape(left, -1)).reshape(cols.shape)
+        return out.reshape(v.shape)
 
 
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
     """Finite-size squeezed quadrature
     i/sqrt(2) (a'-a) - i/sqrt(2N) (S+ - S-)."""
     spin = -1.0 / math.sqrt(2.0 * basis.n_spins)
-    return _combine(1.0 / math.sqrt(2.0), spin, basis)
+    return QuadratureOperator.on(basis, 1.0 / math.sqrt(2.0), spin)
 
 
 def s_tilde_y(basis: BasisDescriptor) -> QuadratureOperator:
     """Collective spin quadrature i/sqrt(N) (S+ - S-)."""
-    return _combine(None, 1.0 / math.sqrt(basis.n_spins), basis)
+    return QuadratureOperator.on(basis, 0.0, 1.0 / math.sqrt(basis.n_spins))
 
 
 def p_d(
@@ -75,7 +84,7 @@ def p_d(
     summed over every spin in the basis (clean and defect alike)."""
     boson = math.sqrt(omega / 2.0) * math.cos(gamma_bar)
     spin = -math.sqrt(omega0 / (2.0 * basis.n_spins)) * math.sin(gamma_bar)
-    return _combine(boson, spin, basis)
+    return QuadratureOperator.on(basis, boson, spin)
 
 
 def p_minus_k0(
@@ -93,7 +102,7 @@ def p_minus_k0(
         raise ValueError("the Ising model breaks permutation symmetry: use collective=()")
     boson = math.sqrt(omega_k0 / 2.0) * math.cos(gamma_k0)
     spin = -math.sqrt(magnon_energy_k0 / (2.0 * basis.n_spins)) * math.sin(gamma_k0) * (1.0 - eta)
-    return _combine(boson, spin, basis)
+    return QuadratureOperator.on(basis, boson, spin)
 
 
 def hopfield_p_minus(
@@ -101,15 +110,12 @@ def hopfield_p_minus(
 ) -> QuadratureOperator:
     """Two-boson squeezed quadrature
     i sqrt(omega/2) cos(gamma) (a'-a) - i sqrt(omega0/2) sin(gamma) (b'-b)."""
-    da = math.sqrt(omega / 2.0) * math.cos(gamma) * boson_momentum_generator(n_max_a)
-    db = math.sqrt(omega0 / 2.0) * math.sin(gamma) * boson_momentum_generator(n_max_b)
-    total = (
-        sp.kron(da, sp.identity(n_max_b + 1, format="csr"), format="csr")
-        - sp.kron(sp.identity(n_max_a + 1, format="csr"), db, format="csr")
-    ).tocsr()
-    total.sum_duplicates()
-    total.sort_indices()
-    return QuadratureOperator(generator=total)
+    return QuadratureOperator(
+        math.sqrt(omega / 2.0) * math.cos(gamma),
+        boson_factors(n_max_a).momentum.matrix,
+        -math.sqrt(omega0 / 2.0) * math.sin(gamma),
+        boson_factors(n_max_b).momentum.matrix,
+    )
 
 
 def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
@@ -120,7 +126,7 @@ def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
     manifestly nonnegative)."""
     if q.dim != gs.vector.size:
         raise ValueError(f"dimension mismatch: operator {q.dim}, state {gs.vector.size}")
-    mv = q.generator @ gs.vector
+    mv = q.apply(gs.vector)
     return float(mv @ mv)
 
 
@@ -139,11 +145,9 @@ def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:
     """<S^2> of the collective spin in the ground state, computed in real
     arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
-    sx = lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim)
-    sz = lift_spin(sp.diags(spin_z_values(basis), format="csr"), basis.boson_dim)
-    k = lift_spin(spin_pm_total(basis), basis.boson_dim)
-    v = gs.vector
-    sxv = sx @ v
-    szv = sz @ v
-    kv = k @ v
-    return float(sxv @ sxv + szv @ szv + 0.25 * (kv @ kv))
+    spins = spin_factors(basis)
+    v = gs.vector.reshape(basis.boson_dim, basis.spin_dim).T
+    sxv = 0.5 * (spins.flip.matrix @ v)
+    szv = spins.z.matrix @ v
+    kv = spins.pm.matrix @ v
+    return float(np.sum(sxv * sxv) + np.sum(szv * szv) + 0.25 * np.sum(kv * kv))

@@ -1,28 +1,34 @@
 """Ground-state solver over the conserved-parity blocks of the Hamiltonian.
 
-A SparseHamiltonian carrying its parity diagonal is solved block by block
-(even, odd); any other matrix is one block. Each block's lowest eigenpair
-comes from a direct solve on its band up to DENSE_DIM_LIMIT and from ARPACK's
-implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) above it. The
+A SparseHamiltonian is solved block by block (even, odd), each block built
+from its Kronecker factors in the block's own coordinates
+(``SparseHamiltonian.parity_blocks``); a plain sparse matrix enters as one
+block. Each block's lowest eigenpair comes from a direct solve on its band up
+to DENSE_DIM_LIMIT and from ARPACK's implicitly restarted Lanczos
+(``scipy.sparse.linalg.eigsh``) on a CSR copy of the block above it. The
 flat index is boson-major (n * spin_dim + s): the coupling links n to n +- 1
 and everything else stays inside one n, so every block is a band matrix of
 small half-bandwidth b (7 for fig3 at N = 12, 10 for fig7, 14 for the
-Hopfield model at n_max = 25). The direct solve reads that band from the
-sparse block and finds the lowest level by shifted inverse iteration on
-banded Cholesky factors of B - sigma (O(n b^2) each, about ten per block, no
-dense n x n matrix). A factorization succeeds only when sigma lies below
-every level, so the last one certifies the level found as the block's lowest.
-The direct solve is still labelled "dense". Both paths start from one fixed
+Hopfield model at n_max = 25). The direct solve sums the block's entries into
+LAPACK's band storage and finds the lowest level by shifted inverse iteration
+on banded Cholesky factors of B - sigma (LAPACK pbtrf/pbtrs, O(n b^2) each,
+about ten per block, no dense n x n matrix), with its products taken on the
+band (BLAS sbmv). A factorization succeeds only when sigma lies below every
+level, so the last one certifies the level found as the block's lowest. The
+direct solve is still labelled "dense". Both paths start from one fixed
 seed-0 Gaussian vector, so results are bitwise reproducible for a fixed
 thread configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+import math
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import blas, lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -50,10 +56,6 @@ from .hamiltonians import SparseHamiltonian
 # solve is exact to rounding, while eigsh is tol-accurate (forced on fig6 it
 # moves xi by up to 1.0e-11).
 DENSE_DIM_LIMIT = 1250
-# Largest matrix whose k lowest levels lowest_eigenvalues takes from LAPACK's
-# band reduction (eig_banded, O(n^2 b)) rather than eigsh. k = 6 on the even
-# Dicke blocks above: 13 against 7.2 ms at dim 638, 51 against 13 ms at 1250.
-BAND_REDUCTION_LIMIT = 400
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 5000
 NEAR_DEGENERATE_GAP = 1e-8
@@ -105,19 +107,20 @@ class ConvergenceError(RuntimeError):
         )
 
 
-@dataclass
+@dataclasses.dataclass
 class GroundStateResult:
     """Lowest eigenpair of a real-symmetric matrix.
 
-    residual is ||H v - E v||_2. gap is the distance between the lowest
-    levels the solver found in the two parity blocks (inf for a single
-    block); near_degenerate marks gaps below 1e-8, in which case the even
-    block's state is taken. iterations counts ARPACK matvecs over all blocks
-    (0 when every block was solved directly). method is "dense" when every
-    block was solved directly: by shifted inverse iteration on banded
-    Cholesky factors (``_band_lowest``), exact to rounding and certified as the
-    block's lowest level, with no dense matrix formed; "lanczos" when some
-    block went to ARPACK.
+    residual is ||H v - E v||_2 and norm is ||H||_inf, both read off the
+    blocks. gap is the distance between the lowest levels the solver found
+    in the two parity blocks (inf for a single block); near_degenerate marks
+    gaps below 1e-8, in which case the even block's state is taken.
+    iterations counts ARPACK matvecs over all blocks (0 when every block was
+    solved directly). method is "dense" when every block was solved
+    directly: by shifted inverse iteration on banded Cholesky factors
+    (``_band_lowest``), exact to rounding and certified as the block's lowest
+    level, with no dense matrix formed; "lanczos" when some block went to
+    ARPACK.
 
     In the k = 0 ring layout (``BasisDescriptor.k0``) gap is the distance
     between the even and odd k = 0 levels.
@@ -130,21 +133,12 @@ class GroundStateResult:
     method: str
     gap: float
     near_degenerate: bool = False
+    norm: float = 1.0
 
 
-def _as_matrix(h) -> sp.csr_matrix:
-    if isinstance(h, SparseHamiltonian):
-        return h.matrix
-    return sp.csr_matrix(h)
-
-
-def parity_blocks(h) -> list:
-    """Basis indices of the nonempty even and odd blocks of ``h`` (in that
-    order), or one slice over the whole matrix when it carries no parity."""
-    if isinstance(h, SparseHamiltonian) and h.parity is not None:
-        blocks = (np.flatnonzero(h.parity > 0), np.flatnonzero(h.parity < 0))
-        return [idx for idx in blocks if idx.size]
-    return [slice(None)]
+def as_hamiltonian(h) -> SparseHamiltonian:
+    """``h`` itself, or a plain sparse matrix as a one-block Hamiltonian."""
+    return h if isinstance(h, SparseHamiltonian) else SparseHamiltonian.from_matrix(h)
 
 
 def matrix_inf_norm(mat: sp.spmatrix) -> float:
@@ -155,14 +149,19 @@ def matrix_inf_norm(mat: sp.spmatrix) -> float:
 def _lower_band(mat: sp.spmatrix) -> np.ndarray:
     """The lower band of a symmetric sparse matrix in LAPACK's lower band
     storage, ab[i - j, j] = H[i, j] for i >= j, with as many rows as the
-    half-bandwidth + 1. Read from the stored entries, a duplicate entry
-    summed by bincount over the flat band index; no dense copy."""
+    half-bandwidth + 1, Fortran-ordered for LAPACK. Read from the stored
+    entries, a duplicate entry summed by bincount over the flat band index
+    in the order the entries are stored; no dense copy."""
     coo = mat.tocoo()
     low = coo.row >= coo.col
     offset, col = coo.row[low] - coo.col[low], coo.col[low]
     rows, n = int(offset.max(initial=0)) + 1, mat.shape[0]
-    flat = np.ravel_multi_index((offset, col), (rows, n))
-    return np.bincount(flat, weights=coo.data[low], minlength=rows * n).reshape(rows, n)
+    flat = col.astype(np.int64) * rows + offset
+    return np.bincount(flat, weights=coo.data[low], minlength=rows * n).reshape(n, rows).T
+
+
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -176,10 +175,11 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _band_lowest(block: sp.spmatrix, tol: float):
-    """(E_0, v) of one block from its band, by shifted inverse iteration on
-    banded Cholesky factors. A diagonal block (half-bandwidth 0) gives its
-    smallest entry and the unit vector there, exactly.
+def _band_lowest(ab: np.ndarray, tol: float):
+    """(E_0, v, ||B||_inf) of one block from its band ``ab``
+    (``_lower_band``), by shifted inverse iteration on banded Cholesky
+    factors. A diagonal block (half-bandwidth 0) gives its smallest entry
+    and the unit vector there, exactly.
 
     Every shift sigma is tried by a Cholesky factorization of B - sigma: it
     succeeds only while sigma < E_0, and a failure bisects sigma back toward
@@ -194,15 +194,9 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     max(tol, INVERSE_SHIFT)*||B||_inf; ValueError on a non-finite entry.
 
     It starts from ``_start_vector``."""
-    ab = _lower_band(block)
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     n = ab.shape[1]
-    if ab.shape[0] == 1:
-        i = int(np.argmin(ab[0]))
-        vector = np.zeros(n)
-        vector[i] = 1.0
-        return float(ab[0, i]), vector
     # radius[i] = sum_{j != i} |B_ij|: the entries below the diagonal of
     # column i, then row i's entries left of it
     mag = np.abs(ab)
@@ -210,6 +204,11 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     for d in range(1, ab.shape[0]):
         radius[d:] += mag[d, : n - d]
     norm = float(np.max(radius + mag[0])) or 1.0
+    if ab.shape[0] == 1:
+        i = int(np.argmin(ab[0]))
+        vector = np.zeros(n)
+        vector[i] = 1.0
+        return float(ab[0, i]), vector, norm
     delta = INVERSE_SHIFT * norm
     lower = float(np.min(ab[0] - radius))
     # every level lies at least norm above lower - norm: a safe floor to
@@ -218,24 +217,28 @@ def _band_lowest(block: sp.spmatrix, tol: float):
     vector = _start_vector(n)
     for count in range(1, MAX_SHIFTS + 1):
         if factor is None or shift != floor:
-            shifted = ab.copy()
+            shifted = ab.copy(order="F")
             shifted[0] -= shift
-            try:
-                factor = la.cholesky_banded(shifted, lower=True, check_finite=False)
-            except la.LinAlgError:
+            shifted, info = lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)
+            if info > 0:
                 shift, final = 0.5 * (shift + floor), False
                 continue
-            floor = shift
+            if info < 0:
+                raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+            factor, floor = shifted, shift
         for _ in range(INVERSE_STEPS if final else 1):
-            vector = la.cho_solve_banded((factor, True), vector, check_finite=False)
-            vector /= np.linalg.norm(vector)
-        hv = block @ vector
+            vector, info = lapack.dpbtrs(factor, vector, lower=1)
+            if info != 0:
+                raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+            vector /= math.sqrt(vector @ vector)
+        hv = _band_matvec(ab, vector)
         energy = float(vector @ hv)
-        residual = float(np.linalg.norm(hv - energy * vector))
+        hv -= energy * vector
+        residual = math.sqrt(hv @ hv)
         if final:
             if residual > max(tol, INVERSE_SHIFT) * norm:
                 raise ConvergenceError(count, tol)
-            return energy, vector
+            return energy, vector, norm
         final = residual <= SWITCH_RESIDUAL * norm
         shift = energy - delta if final else max(energy - residual, floor)
     raise ConvergenceError(MAX_SHIFTS, tol)
@@ -270,6 +273,29 @@ def _arpack(mat, k, tol, max_iter):
     return w - shift, vectors, matvecs
 
 
+def _block_lowest(item, method: str, tol: float, max_iter: int):
+    """(index, lowest pair) of one (index, block) of ``parity_blocks``: a
+    GroundStateResult in the block's coordinates, its energy, residual and
+    norm taken on the operator that solved it."""
+    index, block = item
+    if method == "dense" or block.shape[0] < 2 or (
+        method == "auto" and block.shape[0] <= DENSE_DIM_LIMIT
+    ):
+        ab = _lower_band(block)
+        _, v, norm = _band_lowest(ab, tol)
+        apply, matvecs = functools.partial(_band_matvec, ab), 0
+    else:
+        csr = block.tocsr()
+        _, vectors, matvecs = _arpack(csr, 1, tol, max_iter)
+        v, apply, norm = vectors[:, 0], csr.dot, matrix_inf_norm(csr)
+    v = v / np.linalg.norm(v)
+    hv = apply(v)
+    energy = float(v @ hv)
+    residual = float(np.linalg.norm(hv - energy * v))
+    path = "lanczos" if matvecs else "dense"
+    return index, GroundStateResult(energy, v, residual, matvecs, path, np.inf, norm=norm)
+
+
 def ground_state(
     h,
     tol: float = DEFAULT_TOL,
@@ -278,62 +304,59 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair of ``h`` (SparseHamiltonian or sparse matrix).
 
-    Each parity block (see ``parity_blocks``) gives its lowest eigenpair:
-    method "auto" solves a block of dim <= DENSE_DIM_LIMIT directly on its
-    band (``_band_lowest``) and uses ARPACK (at ``tol``, at most ``max_iter``
-    restarts) above; "dense"/"lanczos" force the path. The ground state is the lower block's
-    vector lifted to the full basis. When the two blocks' lowest levels lie
-    within 1e-8 (a near-degenerate parity doublet) the even block's state is
-    taken, so the pick is deterministic. The residual satisfies
-    ||Hv - Ev|| <= tol * ||H||_inf, and the eigenvector sign is fixed so the
-    largest-magnitude component is positive.
+    Each parity block (``SparseHamiltonian.parity_blocks``) gives its lowest
+    eigenpair: method "auto" solves a block of dim <= DENSE_DIM_LIMIT
+    directly on its band (``_band_lowest``) and uses ARPACK (at ``tol``, at
+    most ``max_iter`` restarts) above; "dense"/"lanczos" force the path. The
+    ground state is the lower block's vector lifted to the full basis. When
+    the two blocks' lowest levels lie within 1e-8 (a near-degenerate parity
+    doublet) the even block's state is taken, so the pick is deterministic.
+    The residual satisfies ||Hv - Ev|| <= tol * ||H||_inf, and the
+    eigenvector sign is fixed so the largest-magnitude component is
+    positive. ValueError on an unknown method or a tol that is not a finite
+    number > 0.
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    mat = _as_matrix(h)
-    blocks = parity_blocks(h)
-    lowest, matvecs, used_arpack = [], 0, False
-    for idx in blocks:
-        block = mat[idx][:, idx]
-        dim = block.shape[0]
-        if method == "dense" or dim < 2 or (method == "auto" and dim <= DENSE_DIM_LIMIT):
-            lowest.append(_band_lowest(block, tol))
-        else:
-            w, v, count = _arpack(block, 1, tol, max_iter)
-            matvecs += count
-            used_arpack = True
-            lowest.append((float(w[0]), v[:, 0]))
-
-    gap = abs(lowest[1][0] - lowest[0][0]) if len(lowest) > 1 else np.inf
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    h = as_hamiltonian(h)
+    solve = functools.partial(_block_lowest, method=method, tol=tol, max_iter=max_iter)
+    # map keeps no block once it is solved: one block's entries at a time
+    lowest = list(map(solve, h.parity_blocks()))
+    energies = [result.energy for _, result in lowest]
+    gap = abs(energies[1] - energies[0]) if len(lowest) > 1 else np.inf
     near_degenerate = gap < NEAR_DEGENERATE_GAP
-    pick = 0 if near_degenerate else int(np.argmin([e for e, _ in lowest]))
-    vector = np.zeros(mat.shape[0])
-    vector[blocks[pick]] = lowest[pick][1] / np.linalg.norm(lowest[pick][1])
-    if vector[np.argmax(np.abs(vector))] < 0:
-        vector = -vector
-    hv = mat @ vector
-    energy = float(vector @ hv)
-    residual = float(np.linalg.norm(hv - energy * vector))
-    return GroundStateResult(
-        energy=energy,
+    index, pick = lowest[0 if near_degenerate else int(np.argmin(energies))]
+    vector = np.zeros(h.dim)
+    # the sign flip leaves the energy and residual as they are
+    vector[index] = -pick.vector if pick.vector[np.argmax(np.abs(pick.vector))] < 0 else pick.vector
+    return dataclasses.replace(
+        pick,
         vector=vector,
-        residual=residual,
-        iterations=matvecs,
-        method="lanczos" if used_arpack else "dense",
+        iterations=sum(result.iterations for _, result in lowest),
+        method="lanczos" if any(r.method == "lanczos" for _, r in lowest) else "dense",
         gap=gap,
         near_degenerate=near_degenerate,
+        norm=max(result.norm for _, result in lowest),
     )
 
 
-def lowest_eigenvalues(h, k: int, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS) -> np.ndarray:
-    """The k lowest eigenvalues of the whole matrix: from its band up to
-    BAND_REDUCTION_LIMIT (or when k is the full dim), ARPACK above."""
-    mat = _as_matrix(h)
-    dim = mat.shape[0]
-    if k < 1 or k > dim:
-        raise ValueError(f"k must be in 1..{dim}")
-    if dim <= BAND_REDUCTION_LIMIT or k == dim:
-        return la.eig_banded(
-            _lower_band(mat), lower=True, eigvals_only=True, select="i", select_range=(0, k - 1)
+def lowest_eigenvalues(h, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of the whole matrix, each level as often as
+    its multiplicity: the k lowest of each parity block from LAPACK's band
+    reduction (``eig_banded``, O(n^2 b)), merged."""
+    h = as_hamiltonian(h)
+    if k < 1 or k > h.dim:
+        raise ValueError(f"k must be in 1..{h.dim}")
+    levels = [
+        la.eig_banded(
+            _lower_band(block),
+            lower=True,
+            eigvals_only=True,
+            select="i",
+            select_range=(0, min(k, block.shape[0]) - 1),
         )
-    return np.sort(_arpack(mat, k, tol, max_iter)[0])
+        for _, block in h.parity_blocks()
+    ]
+    return np.sort(np.concatenate(levels))[:k]

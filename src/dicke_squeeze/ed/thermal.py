@@ -6,11 +6,13 @@ full spectrum at the required truncations stays below a few thousand states.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as la
 
-from .quadratures import QuadratureOperator
-from .solver import _as_matrix, ground_state, parity_blocks
+from .quadratures import QuadratureOperator, variance
+from .solver import _lower_band, as_hamiltonian, ground_state
 
 # refuse dense decompositions beyond this size
 _DENSE_SPECTRUM_LIMIT = 20000
@@ -35,36 +37,39 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     min(diag H) + W*T with W = BOLTZMANN_WINDOW = 40: every eigenpair above
     it has relative weight below e^-40, so together they move the variance by
     less than dim*e^-40*||M||^2. The retained pairs are averaged as
-    ||M v_j||^2 with Boltzmann weights (eigenstate means vanish identically
-    for real eigenvectors, and the thermal mean inherits that). Each parity
-    block (``parity_blocks``) is diagonalized within the same window, and the
-    spectra are merged. The retained spectrum must cover the ensemble:
-    exp(-(E_cut - E_0)/T) < 1e-10, where E_cut is the highest kept
-    eigenvalue, or the window edge when the window drops pairs; otherwise a
-    ValueError reports the violated tail bound. T = 0 returns the
-    ground-state variance.
+    ||M v_j||^2 with Boltzmann weights exp(-(E_j - E_0)/T) (eigenstate means
+    vanish identically for real eigenvectors, and the thermal mean inherits
+    that). Each parity block (``SparseHamiltonian.parity_blocks``) is
+    diagonalized within the same window, and the spectra are merged. The
+    retained spectrum must cover the ensemble: exp(-(E_cut - E_0)/T) < 1e-10,
+    where E_cut is the highest kept eigenvalue, or the window edge when the
+    window drops pairs; otherwise a ValueError reports the violated tail
+    bound. T = 0 returns the ground-state variance; a temperature that is not
+    a finite number >= 0 is a ValueError.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    mat = _as_matrix(h)
-    dim = mat.shape[0]
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ValueError(f"temperature must be a finite number >= 0, got {temperature!r}")
+    h = as_hamiltonian(h)
+    dim = h.dim
     if q.dim != dim:
         raise ValueError(f"dimension mismatch: operator {q.dim}, matrix {dim}")
     if temperature == 0.0:
-        gs = ground_state(h)
-        mv = q.generator @ gs.vector
-        return float(mv @ mv)
+        return variance(ground_state(h), q)
     if dim > _DENSE_SPECTRUM_LIMIT:
         raise ValueError(
             f"thermal oracle needs a dense spectrum; dim={dim} exceeds "
             f"{_DENSE_SPECTRUM_LIMIT}"
         )
-    window = mat.diagonal().min() + BOLTZMANN_WINDOW * temperature
+    blocks = list(h.parity_blocks())
+    # row 0 of the band is the diagonal, summed as toarray sums it
+    window = min(_lower_band(block)[0].min() for _, block in blocks)
+    window += BOLTZMANN_WINDOW * temperature
     energies, second_moments = [], []
-    for idx in parity_blocks(h):
-        block = mat[idx][:, idx].toarray()
-        w, vectors = la.eigh(block, subset_by_value=[-np.inf, window])
-        mv = q.generator[:, idx] @ vectors
+    for index, block in blocks:
+        w, vectors = la.eigh(block.toarray(), subset_by_value=[-np.inf, window])
+        lifted = np.zeros((dim, w.size))
+        lifted[index] = vectors
+        mv = q.apply(lifted)
         energies.append(w)
         second_moments.append(np.einsum("ij,ij->j", mv, mv))
     energies = np.concatenate(energies)
@@ -73,13 +78,14 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     second_moments = np.concatenate(second_moments)[order]
     # when the window dropped pairs, the spectrum past it starts above E_0 + W*T
     e_cut = window if energies.size < dim else energies[-1]
-    beta = 1.0 / temperature
-    tail = np.exp(-beta * (e_cut - energies[0]))
+    # at a tiny T, (E - E_0)/T overflows to inf and its weight is exactly 0
+    with np.errstate(over="ignore"):
+        tail = np.exp(-(e_cut - energies[0]) / temperature)
+        weights = np.exp(-(energies - energies[0]) / temperature)
     if tail >= TAIL_BOUND:
         raise ValueError(
-            f"Boltzmann tail bound violated: exp(-beta*(E_cut-E_0)) = {tail:.3e} "
+            f"Boltzmann tail bound violated: exp(-(E_cut-E_0)/T) = {tail:.3e} "
             f">= {TAIL_BOUND:.0e}; increase the truncation"
         )
-    weights = np.exp(-beta * (energies - energies[0]))
     weights /= weights.sum()
     return float(weights @ second_moments)

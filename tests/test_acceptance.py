@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 
 from dicke_squeeze import (
@@ -36,7 +37,6 @@ from dicke_squeeze.ed import (
     total_spin_expectation,
     variance,
 )
-from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.operators import boson_x, spin_flip_total
 from dicke_squeeze.ed.quadratures import expectation_symmetric
 
@@ -398,10 +398,12 @@ def test_criterion_10_structural_invariants(tmp_path):
     h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
     gs = ground_state(h)
     x_expect = abs(
-        expectation_symmetric(gs.vector, lift_boson(boson_x(30), basis.spin_dim))
+        expectation_symmetric(gs.vector, sp.kron(boson_x(30), sp.identity(basis.spin_dim)))
     )
     sx_expect = abs(
-        expectation_symmetric(gs.vector, lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim))
+        expectation_symmetric(
+            gs.vector, sp.kron(sp.identity(basis.boson_dim), 0.5 * spin_flip_total(basis))
+        )
     )
     spin_dev = abs(total_spin_expectation(gs, basis) - 1.5 * 2.5)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dicke_squeeze import DickeParams, squeezing_ratio_ground, thermal_squeezing_ratio
 from dicke_squeeze import cli
+from dicke_squeeze.ed import QuadratureOperator, SparseHamiltonian
 
 
 def _read_rows(path):
@@ -361,6 +362,31 @@ class TestFig6Fig7:
         (row,) = _read_rows(out)
         assert row["residual_ok"] == "true"
         assert float(row["xi"]) == pytest.approx(0.78391493997777, rel=0.0, abs=1e-10)
+
+    def test_ed_presets_never_assemble_a_full_matrix(self, tmp_path, monkeypatch):
+        # every point solves and observes one parity block at a time from the
+        # Kronecker factors: neither full-dim form may be assembled, on the
+        # band path or on ARPACK (fig7 at N = 10, n_max = 30: blocks of 1674)
+        def refuse(self):
+            raise AssertionError(f"a preset point assembled {type(self).__name__}'s full form")
+
+        monkeypatch.setattr(SparseHamiltonian, "matrix", property(refuse))
+        monkeypatch.setattr(QuadratureOperator, "generator", property(refuse))
+        configs = {
+            "fig3": {"grids": {"n_spins": [2, 5]}, "ed": {"n_max": [8, 10]}},
+            **_SMALL_ED,
+            "fig7-arpack": {
+                "model": {"n_spins": 10}, "grids": {"eta": [0.5]}, "ed": {"n_max": [30]}
+            },
+        }
+        for name, user_cfg in configs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(user_cfg))
+            out = tmp_path / f"{name}.csv"
+            experiment = name.split("-")[0]
+            assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+            rows = _read_rows(out)
+            assert rows and all(row["residual_ok"] in ("true", "") for row in rows)
 
     @pytest.mark.parametrize("experiment", ["fig6", "fig7"])
     def test_jobs_pool_deterministic(self, experiment):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,15 +32,12 @@ from dicke_squeeze.ed import (
     variance,
     variance_symmetric,
 )
-from dicke_squeeze.ed.basis import lift_boson, lift_spin
 from dicke_squeeze.ed.solver import (
-    BAND_REDUCTION_LIMIT,
     DEFAULT_TOL,
     DENSE_DIM_LIMIT,
     _band_lowest,
     _lower_band,
     matrix_inf_norm,
-    parity_blocks,
 )
 from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total
 
@@ -171,7 +169,6 @@ class TestBuilders:
         ]
         for h in builds:
             assert (h.matrix != h.matrix.T).nnz == 0
-            assert h.is_symmetric
 
     def test_disorder_reduces_to_ideal(self):
         basis = build_basis(3, 6)
@@ -274,7 +271,7 @@ class TestGroundState:
 
     def test_lower_parity_block_is_lifted(self):
         # the odd block holds the ground level, 3 below the even block's
-        h = SparseHamiltonian(
+        h = SparseHamiltonian.from_matrix(
             sp.diags([2.0, -1.0, 3.0, 0.5]).tocsr(), np.array([1.0, -1.0, 1.0, -1.0])
         )
         for method in ("dense", "lanczos"):
@@ -341,59 +338,108 @@ class TestGroundState:
 
     def test_lowest_eigenvalues_dense_and_lanczos_agree(self):
         # g chosen so the low levels n- * eps- + n+ * eps+ are all distinct
-        # (a Krylov space from one vector resolves one copy per eigenvalue);
-        # dim 2025 is above the band limit, so lowest_eigenvalues runs ARPACK
         h = build_hopfield_hamiltonian(DickeParams(1, 1, 0.35), 44, 44)
-        assert h.dim > BAND_REDUCTION_LIMIT
         dense = la.eigh(h.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 5])
         assert np.allclose(lowest_eigenvalues(h, 6), dense, rtol=0.0, atol=1e-9)
 
     def test_arpack_leaves_the_permutation_symmetric_sector(self):
         # a start vector every spin permutation fixes keeps the Krylov space in
         # their symmetric sector, which misses the ideal model's fourth level
-        # (dim 704, above the band limit) and, on the product basis of the
-        # Ising ring, the lowest level of one parity block
+        # (dim 704) and, on the product basis of the Ising ring, the lowest
+        # level of one parity block
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 10))
-        assert h.dim > BAND_REDUCTION_LIMIT
         dense = la.eigvalsh(h.matrix.toarray())
         assert np.allclose(lowest_eigenvalues(h, 4), dense[:4], rtol=0.0, atol=1e-9)
         ring = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 50), eta=0.5)
         arpack, direct = ground_state(ring, method="lanczos"), ground_state(ring, method="dense")
         assert arpack.gap == pytest.approx(direct.gap, rel=0.0, abs=1e-8)
 
+    def test_lowest_eigenvalues_counts_degenerate_levels(self):
+        # ideal Dicke N = 6, n_max = 10 (dim 704): the 4th to 6th levels are one
+        # degenerate level, -2.1015, which a Krylov space from one start vector
+        # holds only once
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 10))
+        dense = la.eigvalsh(h.matrix.toarray())[:6]
+        levels = lowest_eigenvalues(h, 6)
+        assert np.allclose(levels, dense, rtol=0.0, atol=1e-9)
+        assert np.count_nonzero(np.abs(levels + 2.10153) < 1e-5) == 3
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_tolerance_rejected(self, tol):
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            ground_state(h, tol=tol)
+
 
 def _blocks(h):
-    return [h.matrix[idx][:, idx] for idx in parity_blocks(h)]
+    """Each parity block cut from the assembled full matrix."""
+    return [h.matrix[index][:, index] for index, _ in h.parity_blocks()]
+
+
+def _band_lowest_of(dense):
+    """(E_0, v) of the band solve of a dense symmetric matrix."""
+    return _band_lowest(_lower_band(sp.csr_matrix(dense)), DEFAULT_TOL)[:2]
+
+
+def _layout(layout):
+    """A Hamiltonian of each spin layout, the two-boson model, and the cases
+    whose duplicate entries sum in term order."""
+    p = DickeParams(1.0, 1.2, 0.45, 3)
+    if layout == "product":
+        return build_dicke_hamiltonian(p, build_basis(3, 12), eta=0.3)
+    if layout == "collective":
+        return build_dicke_hamiltonian(p, build_basis(3, 12, (3,)))
+    if layout == "mixed":
+        ens = DisorderEnsemble(3, ((2.0, 0.3), (1.5, 0.6)))
+        return build_dicke_hamiltonian(p, build_basis(5, 12, (3,)), disorder=ens)
+    if layout == "k0":
+        return build_dicke_hamiltonian(
+            DickeParams(1.0, 1.2, 0.45, 6), build_basis(6, 12, k0=True), eta=0.5
+        )
+    if layout == "hopfield":
+        return build_hopfield_hamiltonian(p, 12, 12)
+    if layout == "a2":
+        # (a + a')^2 puts a third term on the diagonal
+        return build_dicke_hamiltonian(DickeParams(1.0, 1.2, 0.45, 3, 0.3), build_basis(3, 12))
+    if layout == "hopfield-a2":
+        return build_hopfield_hamiltonian(DickeParams(1.0, 1.2, 0.45, 1, 0.3), 12, 9)
+    if layout == "ring-2":
+        # the N = 2 ring's two bonds flip the same pair
+        return build_dicke_hamiltonian(DickeParams(1.0, 1.2, 0.45, 2), build_basis(2, 12), eta=0.4)
+    # the folded k = 0 ring has diagonal entries at N = 3 and 6 (2 each), summed
+    # with omega n, omega0 S_z and (a + a')^2 on the diagonal
+    n_spins = int(layout.removeprefix("k0-"))
+    return build_dicke_hamiltonian(
+        DickeParams(1.0, 1.2, 0.45, n_spins, 0.3), build_basis(n_spins, 12, k0=True), eta=0.5
+    )
 
 
 class TestBandSolve:
     @pytest.mark.parametrize(
         "layout",
-        ["product", "collective", "mixed", "k0", "hopfield"],
+        ["product", "collective", "mixed", "k0", "hopfield", "a2", "hopfield-a2", "ring-2",
+         "k0-3", "k0-6"],
     )
     def test_band_equals_dense_block_bitwise(self, layout):
-        p = DickeParams(1.0, 1.2, 0.45, 3)
-        if layout == "product":
-            h = build_dicke_hamiltonian(p, build_basis(3, 12), eta=0.3)
-        elif layout == "collective":
-            h = build_dicke_hamiltonian(p, build_basis(3, 12, (3,)))
-        elif layout == "mixed":
-            ens = DisorderEnsemble(3, ((2.0, 0.3), (1.5, 0.6)))
-            h = build_dicke_hamiltonian(p, build_basis(5, 12, (3,)), disorder=ens)
-        elif layout == "k0":
-            h = build_dicke_hamiltonian(
-                DickeParams(1.0, 1.2, 0.45, 6), build_basis(6, 12, k0=True), eta=0.5
-            )
-        else:
-            h = build_hopfield_hamiltonian(p, 12, 12)
-        for block in _blocks(h):
-            ab, dense = _lower_band(block), block.toarray()
+        h = _layout(layout)
+        built = list(h.parity_blocks())
+        assert len(built) == 2
+        for (index, block), cut in zip(built, _blocks(h)):
+            # the block built from the factors is the block cut from the
+            # assembled matrix, bit for bit, duplicates summed in one order
+            dense = cut.toarray()
+            assert np.array_equal(block.toarray(), dense)
+            assert np.array_equal(h.parity[index], np.full(index.size, h.parity[index[0]]))
+            ab = _lower_band(block)
             n, rows = dense.shape[0], ab.shape[0]
             assert rows < n // 2  # the boson-major index keeps every block banded
             for d in range(rows):
                 assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
                 assert not ab[d, n - d :].any()
             assert not np.tril(dense, -rows).any()
+        # the blocks cover the basis, and the matrix holds nothing between them
+        assert np.array_equal(np.sort(np.concatenate([i for i, _ in built])), np.arange(h.dim))
+        assert sum(block.nnz for block in _blocks(h)) == h.matrix.nnz
 
     def test_band_sums_duplicate_entries(self):
         # a CSR matrix may store one entry twice; both copies count
@@ -422,7 +468,7 @@ class TestBandSolve:
         one = ground_state(sp.csr_matrix([[2.5]]))
         assert (one.energy, one.residual, one.method, one.iterations) == (2.5, 0.0, "dense", 0)
         assert np.array_equal(one.vector, [1.0])
-        h = SparseHamiltonian(
+        h = SparseHamiltonian.from_matrix(
             sp.diags([0.25, -0.75, 0.125, -0.25, 1.0]).tocsr(),
             np.array([1.0, 1.0, -1.0, -1.0, 1.0]),
         )
@@ -448,17 +494,18 @@ class TestBandSolve:
         diagonal = block.diagonal()
         assert (block.shape[0], _lower_band(block).shape[0] - 1) == (358, 10)
         failed = []
-        factor = la.cholesky_banded
+        factor = lapack.dpbtrf
 
         def recorded(shifted, **kwargs):
-            try:
-                return factor(shifted, **kwargs)
-            except la.LinAlgError:
-                # the shift, read back off the first diagonal entry
-                failed.append(diagonal[0] - shifted[0, 0])
-                raise
+            # the shift, read back off the first diagonal entry before the
+            # factorization overwrites it
+            shift = diagonal[0] - shifted[0, 0]
+            result = factor(shifted, **kwargs)
+            if result[1] > 0:
+                failed.append(shift)
+            return result
 
-        monkeypatch.setattr(la, "cholesky_banded", recorded)
+        monkeypatch.setattr(lapack, "dpbtrf", recorded)
         _assert_band_lowest_matches(block.toarray())
         e0 = la.eigvalsh(block.toarray(), subset_by_index=[0, 0])[0]
         assert (e0, failed[0]) == pytest.approx((-3.1843, -2.9937), abs=1e-4)
@@ -474,7 +521,7 @@ class TestBandSolve:
         dense = np.kron(a, np.eye(2)) + np.kron(np.eye(150), np.diag([0.0, split]))
         w, v = la.eigh(a, subset_by_index=[0, 1])
         assert w[1] - w[0] > 1e4 * split
-        energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+        energy, vector = _band_lowest_of(dense)
         assert abs(energy - w[0]) <= BAND_ENERGY_ATOL * np.abs(dense).sum(axis=1).max()
         assert np.linalg.norm(vector[1::2]) <= BAND_VECTOR_ATOL
         assert abs(abs(vector[::2] @ v[:, 0]) - 1.0) <= BAND_VECTOR_ATOL
@@ -486,7 +533,7 @@ class TestBandSolve:
         off = [rng.uniform(0.5, 1.5, 60 - d) for d in range(1, 4)]
         dense = sum(np.diag(-w, -d) + np.diag(-w, d) for d, w in enumerate(off, 1))
         dense -= np.diag(dense.sum(axis=1))
-        energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+        energy, vector = _band_lowest_of(dense)
         assert abs(energy) <= BAND_ENERGY_ATOL * np.abs(dense).sum(axis=1).max()
         assert abs(abs(vector.sum()) / math.sqrt(60) - 1.0) <= BAND_VECTOR_ATOL
 
@@ -502,7 +549,6 @@ class TestBandSolve:
 
     def test_lowest_eigenvalues_from_the_band(self):
         h = build_hopfield_hamiltonian(DickeParams(1, 1.3, 0.4), 15, 15)
-        assert h.dim <= BAND_REDUCTION_LIMIT
         full = la.eigvalsh(h.matrix.toarray())
         assert np.allclose(lowest_eigenvalues(h, 6), full[:6], rtol=0.0, atol=1e-12)
         assert np.allclose(lowest_eigenvalues(h, h.dim), full, rtol=0.0, atol=1e-12)
@@ -525,7 +571,7 @@ BAND_VECTOR_ATOL = 1e-12
 
 def _assert_band_lowest_matches(dense):
     norm = np.abs(dense).sum(axis=1).max()
-    energy, vector = _band_lowest(sp.csr_matrix(dense), DEFAULT_TOL)
+    energy, vector = _band_lowest_of(dense)
     w, v = la.eigh(dense)
     # levels within 1e-10*||B||_inf of E_0 count as one eigenspace
     space = v[:, w - w[0] <= 1e-10 * norm]
@@ -651,8 +697,8 @@ class TestQuadratures:
         basis = build_basis(3, 30)
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
         gs = ground_state(h)
-        x_op = lift_boson(boson_x(30), basis.spin_dim)
-        sx_op = lift_spin(0.5 * spin_flip_total(basis), basis.boson_dim)
+        x_op = sp.kron(boson_x(30), sp.identity(basis.spin_dim))
+        sx_op = sp.kron(sp.identity(basis.boson_dim), 0.5 * spin_flip_total(basis))
         assert abs(expectation_symmetric(gs.vector, x_op)) < 1e-8
         assert abs(expectation_symmetric(gs.vector, sx_op)) < 1e-8
 
@@ -709,8 +755,7 @@ class TestHopfieldOracle:
 
 # Derandomized normal-phase instances of the two-boson model against its
 # closed-form normal modes. n_max = 25 keeps both parity blocks at 338 states,
-# under BAND_REDUCTION_LIMIT, so the ground state and both block spectra come
-# from the band solve. Bounds from a 7 x 9 grid over the drawn range (omega0 x
+# under DENSE_DIM_LIMIT, so the ground state comes from the band solve. Bounds from a 7 x 9 grid over the drawn range (omega0 x
 # g/g_c): the four lowest levels of each block deviate by up to 2.6e-9 (the
 # truncation, largest at omega0 = 2, g = 0.8 g_c), the variances by 9.3e-15
 # relative.
@@ -729,7 +774,6 @@ def test_hopfield_band_solve_matches_normal_modes(omega0, g_fraction):
     assert (gs.method, gs.iterations) == ("dense", 0)
     # each parity block holds the levels j*eps- + k*eps+ with (-1)^(j+k) its parity
     for parity, block in zip((1, -1), _blocks(h)):
-        assert block.shape[0] <= BAND_REDUCTION_LIMIT
         ladder = sorted(
             j * modes.eps_minus + k * modes.eps_plus
             for j in range(8)
@@ -783,6 +827,25 @@ class TestThermalOracle:
         q = hopfield_p_minus(5, 5, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             thermal_variance(h, q, -0.1)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        # before any spectrum: nan reached scipy's eigenvalue-bounds error, and
+        # inf a violated Boltzmann tail bound
+        p = DickeParams(1, 1, 0.3)
+        h = build_hopfield_hamiltonian(p, 5, 5)
+        q = hopfield_p_minus(5, 5, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            thermal_variance(h, q, temperature)
+
+    def test_subnormal_temperature_gives_the_ground_variance(self):
+        # 1/T overflows at T = 5e-324, so the weights are formed from (E - E_0)/T
+        p = DickeParams(1, 1, 0.375)
+        h = build_hopfield_hamiltonian(p, 20, 20)
+        q = hopfield_p_minus(20, 20, 1.0, 1.0, normal_modes(p).gamma)
+        ground = variance(ground_state(h), q)
+        for temperature in (5e-324, 1e-300):
+            assert thermal_variance(h, q, temperature) == pytest.approx(ground, rel=1e-12)
 
     def test_near_critical_high_temperature_needs_larger_basis(self):
         # at eps- = 0.1 and k_B T = 0.5 the antisqueezed direction thermally
