@@ -213,14 +213,6 @@ def two_mode_quadrature_coefficients(p: DickeParams) -> tuple[float, float]:
     )
 
 
-def _coth(x: float) -> float:
-    # 1 + 2/expm1(2x) is accurate for small x; for x >= 20 coth(x) is 1.0
-    # to double precision.
-    if x >= 20.0:
-        return 1.0
-    return 1.0 + 2.0 / math.expm1(2.0 * x)
-
-
 def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     """Squeezing ratio of the soft-mode quadrature at each temperature T >= 0
     in ``temperatures``:
@@ -232,13 +224,15 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     one-temperature call. T = 0 gives the ground-state ratio. A critical
     instance (eps_minus = 0) at T > 0 genuinely diverges and gives xi = inf
     so sweeps can record it; a T so large that eps_minus/(2T) underflows
-    gives the large-T limit 2T/min(omega, omega0). Superradiant inputs are
-    rejected: the quadratic treatment is invalid near and above the classical
-    transition temperature there. Any T < 0 rejects all of ``temperatures``.
+    gives the large-T limit 2T/min(omega, omega0), inf for T = inf.
+    Superradiant inputs are rejected: the quadratic treatment is invalid near
+    and above the classical transition temperature there. A T < 0, a NaN or
+    a bool rejects all of ``temperatures``.
     """
     temperatures = list(temperatures)  # read twice, so no iterator runs dry
-    if any(t < 0 for t in temperatures):
-        raise ValueError("temperature must be >= 0")
+    bad = [t for t in temperatures if not t >= 0 or t.__class__ is bool]
+    if bad:
+        raise ValueError(f"temperature must be a number >= 0, got {bad[0]!r}")
     if classify_phase(p) is PhaseLabel.SUPERRADIANT:
         raise SuperradiantInputError(
             "thermal squeezing ratio is defined in the normal phase only"
@@ -248,17 +242,23 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     ground = eps / omega_min
     if eps == 0.0:
         return [math.inf if t else ground for t in temperatures]
-    return [_thermal_xi(ground, eps, omega_min, t) if t else ground for t in temperatures]
-
-
-def _thermal_xi(ground: float, eps: float, omega_min: float, t: float) -> float:
-    x = eps / (2.0 * t)
-    if x == 0.0:
-        # eps/(2T) underflowed (2T overflows near T = 1e308): coth(x) -> 1/x
-        # leaves the large-T limit xi = 2T/min(omega, omega0), inf where that
-        # overflows too
-        return 2.0 * (t / omega_min)
-    return ground * _coth(x)
+    # coth(x) = 1 + 2/expm1(2x), accurate for small x, inline because this
+    # loop is most of a thermal map's compute time
+    expm1 = math.expm1
+    xis = []
+    for t in temperatures:
+        x = eps / (2.0 * t) if t else math.inf
+        if x >= 20.0:
+            # T = 0, or coth(x) is 1.0 to double precision
+            xis.append(ground)
+        elif x:
+            xis.append(ground * (1.0 + 2.0 / expm1(2.0 * x)))
+        else:
+            # eps/(2T) underflowed (2T overflows near T = 1e308): coth(x) -> 1/x
+            # leaves the large-T limit xi = 2T/min(omega, omega0), inf where
+            # that overflows too
+            xis.append(2.0 * (t / omega_min))
+    return xis
 
 
 def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -54,11 +55,30 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepResult:
+    """One experiment's table, stored as one list per CSV column:
+    ``columns`` maps each header name, in header order, to its cells in row
+    order."""
+
     experiment: str
-    columns: list[str]
-    rows: list[dict]
+    columns: dict[str, list]
     meta: dict
     violations: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if len({len(cells) for cells in self.columns.values()}) > 1:
+            raise ValueError("every column of a SweepResult needs one cell per row")
+
+    @classmethod
+    def from_rows(cls, experiment, names, rows, meta, violations=()) -> SweepResult:
+        """The table of ``rows`` (dicts) under the header ``names``; a row
+        without a name has None there."""
+        columns = {name: [row.get(name) for row in rows] for name in names}
+        return cls(experiment, columns, meta, list(violations))
+
+    @property
+    def rows(self) -> list[dict]:
+        """The table as one dict per row, built on each access."""
+        return [dict(zip(self.columns, cells)) for cells in zip(*self.columns.values())]
 
 
 # -- configuration -----------------------------------------------------------
@@ -154,14 +174,20 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
 
 
 def _grid(spec, name: str) -> np.ndarray:
+    """The grid ``spec`` as a 1-D float array: a list of real numbers, or a
+    {"min", "max", "count"} object with finite real ends."""
     try:
         if isinstance(spec, dict):
-            # linspace would truncate a fractional count and take a bool as 0 or 1
+            # linspace would truncate a fractional count, take a bool as 0 or 1
+            # and span a 2-D grid between list ends
             count = integer_at_least("count", spec["count"], 0)
-            return np.linspace(spec["min"], spec["max"], count)
+            low = finite_real("min", spec["min"])
+            return np.linspace(low, finite_real("max", spec["max"]), count)
         if isinstance(spec, (list, tuple)):
-            if any(isinstance(v, bool) for v in spec):
-                raise ValueError(f"a bool is not a grid value, got {spec!r}")
+            # asarray would read True as 1, "0.2" as 0.2 and nested lists as 2-D
+            for v in spec:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"a grid value must be a real number, got {v!r}")
             return np.asarray(spec, dtype=float)
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs min/max/count") from exc
@@ -296,14 +322,17 @@ def _ed_task(task):
     return values, gs.residual, gs.residual <= tol * gs.norm
 
 
-def _run_ed(cfg, jobs, point, points, columns, value_field, meta) -> SweepResult:
+def _run_ed(
+    cfg, jobs, point, points, columns, value_field, meta, tail_rows=()
+) -> SweepResult:
     """Solve every point at every ``ed.n_max`` on the one ED task path.
 
     ``points`` holds one (warning label, row labels, args) per point, and
     ``point(*args, n_max)`` returns the Hamiltonian and one (row labels,
     quadrature, normalization) per row; ``value_field`` names the column
-    that gets the normalized variance. ``meta`` gains the largest spread of
-    a row's value over the truncations."""
+    that gets the normalized variance, and ``tail_rows`` follow the ED rows.
+    ``meta`` gains the largest spread of a row's value over the
+    truncations."""
     if cfg["model"].get("a2_coeff", 0.0) != 0.0:
         raise ConfigError(
             "model.a2_coeff must be 0 for the ED presets: their quadrature "
@@ -336,7 +365,8 @@ def _run_ed(cfg, jobs, point, points, columns, value_field, meta) -> SweepResult
     deltas = [max(vals) - min(vals) for vals in by_key.values() if len(vals) > 1]
     if deltas:
         meta["max_truncation_delta"] = f"{max(deltas):.3e}"
-    return SweepResult(cfg["experiment"], columns, rows, meta, violations)
+    rows.extend(tail_rows)
+    return SweepResult.from_rows(cfg["experiment"], columns, rows, meta, violations)
 
 
 def _run_tasks(func, tasks, jobs):
@@ -353,33 +383,26 @@ def _run_tasks(func, tasks, jobs):
 def run_fig2(cfg: dict, jobs: int = 1) -> SweepResult:
     """Ground-state squeezing ratio against coupling at resonance, with and
     without the TRK-valued squared-displacement term."""
-    grid = _grid(cfg["grids"]["g_over_omega"], "g_over_omega")
+    g_ratios = _grid(cfg["grids"]["g_over_omega"], "g_over_omega").tolist()
     omega = _model_real(cfg, "omega", 1.0)
     omega0 = _model_real(cfg, "omega0", omega)
-    rows = []
-    for g_ratio in grid:
-        g = float(g_ratio) * omega
-        ideal = bogoliubov.squeezing_ratio_ground(_model(cfg, g=g, a2_coeff=0.0))
-        trk = bogoliubov.squeezing_ratio_ground(
-            _model(cfg, g=g, a2_coeff=g * g / omega0)
+    xis = []
+    for g_ratio in g_ratios:
+        g = g_ratio * omega
+        xis.append(bogoliubov.squeezing_ratio_ground(_model(cfg, g=g, a2_coeff=0.0)).xi)
+        xis.append(
+            bogoliubov.squeezing_ratio_ground(_model(cfg, g=g, a2_coeff=g * g / omega0)).xi
         )
-        for variant, report in (("ideal", ideal), ("trk", trk)):
-            rows.append(
-                {
-                    "g_over_omega": float(g_ratio),
-                    "variant": variant,
-                    "xi": report.xi,
-                    "method": "analytic",
-                    "n_max": None,
-                    "residual": None,
-                }
-            )
-    return SweepResult(
-        experiment="fig2",
-        columns=["g_over_omega", "variant", "xi", "method", "n_max", "residual"],
-        rows=rows,
-        meta=_meta(cfg),
-    )
+    n = len(xis)
+    columns = {
+        "g_over_omega": [g_ratio for g_ratio in g_ratios for _ in ("ideal", "trk")],
+        "variant": ["ideal", "trk"] * len(g_ratios),
+        "xi": xis,
+        "method": ["analytic"] * n,
+        "n_max": [None] * n,
+        "residual": [None] * n,
+    }
+    return SweepResult("fig2", columns, _meta(cfg))
 
 
 def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -446,34 +469,22 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     if not points:
         raise ConfigError("fig4: every (omega0, gc - g) pair gives g < 0; nothing to compute")
     kts = [kt * omega for kt in temps]
-    rows = []
+    ratio_col, delta_col, xis = [], [], []
     for ratio, delta, p in points:
-        xis = bogoliubov.thermal_squeezing_ratios(p, kts)
-        rows.extend(
-            {
-                "omega0_over_omega": ratio,
-                "gc_minus_g_over_omega": delta,
-                "kt_over_omega": kt,
-                "xi": xi,
-                "method": "analytic",
-            }
-            for kt, xi in zip(temps, xis)
-        )
+        ratio_col += [ratio] * len(temps)
+        delta_col += [delta] * len(temps)
+        xis += bogoliubov.thermal_squeezing_ratios(p, kts)
+    columns = {
+        "omega0_over_omega": ratio_col,
+        "gc_minus_g_over_omega": delta_col,
+        "kt_over_omega": temps * len(points),
+        "xi": xis,
+        "method": ["analytic"] * len(xis),
+    }
     meta = _meta(cfg)
     if skipped:
         meta["skipped_points"] = skipped
-    return SweepResult(
-        experiment="fig4",
-        columns=[
-            "omega0_over_omega",
-            "gc_minus_g_over_omega",
-            "kt_over_omega",
-            "xi",
-            "method",
-        ],
-        rows=rows,
-        meta=meta,
-    )
+    return SweepResult("fig4", columns, meta)
 
 
 def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -490,22 +501,14 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
     xis = [bogoliubov.thermal_squeezing_ratios(p, kts) for p in params]
-    rows = [
-        {
-            "omega0_over_omega": ratio,
-            "kt_over_omega": kt,
-            "xi": xi_t[i],
-            "method": "analytic",
-        }
-        for i, kt in enumerate(temps)
-        for ratio, xi_t in zip(ratios, xis)
-    ]
-    return SweepResult(
-        experiment="fig5",
-        columns=["omega0_over_omega", "kt_over_omega", "xi", "method"],
-        rows=rows,
-        meta=_meta(cfg),
-    )
+    n = len(temps) * len(ratios)
+    columns = {
+        "omega0_over_omega": ratios * len(temps),
+        "kt_over_omega": [kt for kt in temps for _ in ratios],
+        "xi": list(itertools.chain.from_iterable(zip(*xis))),
+        "method": ["analytic"] * n,
+    }
+    return SweepResult("fig5", columns, _meta(cfg))
 
 
 def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
@@ -557,9 +560,7 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
         except ValueError as exc:
             raise ConfigError(f"fig6 {label}: {exc}") from exc
         analytic.append({**labels, "xi": xi, "method": "analytic", "perturbative_valid": valid})
-    result = _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg))
-    result.rows.extend(analytic)
-    return result
+    return _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg), analytic)
 
 
 def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -598,29 +599,23 @@ def _sweep_xi_ground(cfg):
     grids = cfg["grids"]
     if "g" not in grids:
         raise ConfigError("xi_ground sweep needs a g grid")
-    gs = _grid(grids["g"], "g")
+    gs = _grid(grids["g"], "g").tolist()
     if "omega0" in grids:
-        omega0s = _grid(grids["omega0"], "omega0")
+        omega0s = _grid(grids["omega0"], "omega0").tolist()
     else:
         omega0s = [_model_real(cfg, "omega0")]
-    rows = []
-    for omega0 in omega0s:
-        for g in gs:
-            p = _model(cfg, omega0=float(omega0), g=float(g))
-            rows.append(
-                {
-                    "omega0": float(omega0),
-                    "g": float(g),
-                    "xi": _checked("model", bogoliubov.squeezing_ratio_ground, p).xi,
-                    "method": "analytic",
-                }
-            )
-    return SweepResult(
-        experiment="sweep",
-        columns=["omega0", "g", "xi", "method"],
-        rows=rows,
-        meta=_meta(cfg),
-    )
+    xis = [
+        _checked("model", bogoliubov.squeezing_ratio_ground, _model(cfg, omega0=omega0, g=g)).xi
+        for omega0 in omega0s
+        for g in gs
+    ]
+    columns = {
+        "omega0": [omega0 for omega0 in omega0s for _ in gs],
+        "g": gs * len(omega0s),
+        "xi": xis,
+        "method": ["analytic"] * len(xis),
+    }
+    return SweepResult("sweep", columns, _meta(cfg))
 
 
 def _sweep_xi_thermal(cfg):
@@ -631,33 +626,28 @@ def _sweep_xi_thermal(cfg):
     if not isinstance(tc_mask, bool):
         raise ConfigError(f"sweep.tc_mask must be true or false, got {tc_mask!r}")
     temps = _temperatures(cfg, "kt")
-    rows = []
-    for g in _grid(grids["g"], "g"):
-        p = _model(cfg, g=float(g))
+    gs = _grid(grids["g"], "g").tolist()
+    xis, t_cs, masked = [], [], []
+    for g in gs:
+        p = _model(cfg, g=g)
         superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
         if superradiant:
             t_c = _checked("model", bogoliubov.classical_critical_temperature, p)
-            xis = [0.0 if tc_mask else math.nan] * len(temps)
+            xis += [0.0 if tc_mask else math.nan] * len(temps)
         else:
             t_c = None
-            xis = bogoliubov.thermal_squeezing_ratios(p, temps)
-        for kt, xi in zip(temps, xis):
-            rows.append(
-                {
-                    "g": float(g),
-                    "kt": kt,
-                    "xi": xi,
-                    "t_c": t_c,
-                    "masked": superradiant and tc_mask,
-                    "method": "analytic",
-                }
-            )
-    return SweepResult(
-        experiment="sweep",
-        columns=["g", "kt", "xi", "t_c", "masked", "method"],
-        rows=rows,
-        meta=_meta(cfg),
-    )
+            xis += bogoliubov.thermal_squeezing_ratios(p, temps)
+        t_cs += [t_c] * len(temps)
+        masked += [superradiant and tc_mask] * len(temps)
+    columns = {
+        "g": [g for g in gs for _ in temps],
+        "kt": temps * len(gs),
+        "xi": xis,
+        "t_c": t_cs,
+        "masked": masked,
+        "method": ["analytic"] * len(xis),
+    }
+    return SweepResult("sweep", columns, _meta(cfg))
 
 
 def _sweep_ladder(cfg):
@@ -666,25 +656,18 @@ def _sweep_ladder(cfg):
         raise ConfigError("ladder_dispersion sweep needs sweep.ladder parameters")
     params = _checked("ladder", ladder_params_from_dict, ladder_cfg)
     spec = _checked("ladder", map_ladder_to_dicke, params)
-    rows = [
-        {
-            "k_index": i,
-            "k": mode.k,
-            "omega_k": mode.omega_k,
-            "g_x": mode.g_x,
-            "g_y": mode.g_y,
-            "method": "analytic",
-        }
-        for i, mode in enumerate(spec.modes)
-    ]
+    modes = spec.modes
+    columns = {
+        "k_index": list(range(len(modes))),
+        "k": [mode.k for mode in modes],
+        "omega_k": [mode.omega_k for mode in modes],
+        "g_x": [mode.g_x for mode in modes],
+        "g_y": [mode.g_y for mode in modes],
+        "method": ["analytic"] * len(modes),
+    }
     meta = _meta(cfg)
     meta["validity_flags"] = "; ".join(spec.validity_flags) or "none"
-    return SweepResult(
-        experiment="sweep",
-        columns=["k_index", "k", "omega_k", "g_x", "g_y", "method"],
-        rows=rows,
-        meta=meta,
-    )
+    return SweepResult("sweep", columns, meta)
 
 
 def _sweep_disorder_samples(cfg):
@@ -715,21 +698,17 @@ def _sweep_disorder_samples(cfg):
                     "method": "analytic",
                 }
             )
-    return SweepResult(
-        experiment="sweep",
-        columns=[
-            "sample",
-            "defect",
-            "omega_prime",
-            "g_prime",
-            "xi",
-            "alpha",
-            "perturbative_valid",
-            "method",
-        ],
-        rows=rows,
-        meta=_meta(cfg),
-    )
+    columns = [
+        "sample",
+        "defect",
+        "omega_prime",
+        "g_prime",
+        "xi",
+        "alpha",
+        "perturbative_valid",
+        "method",
+    ]
+    return SweepResult.from_rows("sweep", columns, rows, _meta(cfg))
 
 
 _RUNNERS = {
@@ -762,18 +741,24 @@ def _format_value(value) -> str:
 
 
 def _format_column(column: list) -> list[str]:
-    """``_format_value`` of every cell, formatting each distinct value once.
+    """``_format_value`` of every cell.
 
-    Grid columns repeat a few values over many rows, and "%.17g" is most of
-    the cost of a large CSV. An all-float column is deduplicated by IEEE bit
-    pattern, not by value: a value key would merge -0.0 with 0.0 (they
-    compare equal) and write one text for both. An all-str column is its own
-    text.
+    "%.17g" is most of the cost of a large CSV. A grid column repeats a few
+    values over many rows, so an all-float column with at most two thirds
+    distinct values formats each distinct value once and gathers the texts
+    back into row order. A mostly-distinct one (a thermal map's xi) skips the
+    gather, which would cost more than it saves, and formats every cell in
+    one call. Values are told apart by IEEE bit pattern, not by value: a
+    value key would merge -0.0 with 0.0 (they compare equal) and write one
+    text for both. An all-str column is its own text.
     """
     kinds = set(map(type, column))
     if kinds == {float}:
         values = np.fromiter(column, np.float64, len(column))
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        if 3 * len(bits) > 2 * len(column):
+            # one format call over the column costs ~10% less than one a cell
+            return ("\n".join(["%.17g"] * len(column)) % tuple(column)).split("\n")
         texts = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
         return np.array(texts, dtype=object)[inverse].tolist()
     if kinds == {str}:
@@ -796,13 +781,19 @@ def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:
     elapsed_s = f" elapsed_s: {elapsed:.3f}" if elapsed is not None else ""
     lines.append(f"# generated: {stamp}{elapsed_s}")
     lines.append(",".join(result.columns))
-    cells = [
-        _format_column(list(map(dict.get, result.rows, itertools.repeat(name))))
-        for name in result.columns
-    ]
-    lines.extend(map(",".join, zip(*cells)))
+    cells = [_format_column(column) for column in result.columns.values()]
+    # the body as one join over the cells, each followed by "," or, the last
+    # of a row, by "\n": cheaper than a join per row and one over the rows
+    width = 2 * len(cells)
+    n_rows = len(cells[0]) if cells else 0
+    body = [","] * (width * n_rows)
+    for j, texts in enumerate(cells):
+        body[2 * j :: width] = texts
+    if n_rows:
+        body[width - 1 :: width] = ["\n"] * n_rows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write("".join(body))
 
 
 _PLOT_HINTS = {
@@ -817,12 +808,13 @@ _PLOT_HINTS = {
 
 
 def write_plot_script(csv_path, script_path, result: SweepResult) -> None:
+    names = list(result.columns)
     x, y = _PLOT_HINTS.get(result.experiment, (None, None))
     if x is None:
-        x = result.columns[0]
-        y = result.columns[1] if len(result.columns) > 1 else result.columns[0]
-    xi = result.columns.index(x) + 1
-    yi = result.columns.index(y) + 1
+        x = names[0]
+        y = names[1] if len(names) > 1 else names[0]
+    xi = names.index(x) + 1
+    yi = names.index(y) + 1
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",

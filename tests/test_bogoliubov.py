@@ -301,6 +301,11 @@ class TestBatchedThermal:
             pytest.param(0.3, -0.1, ValueError, "temperature", id="negative-temperature"),
             # the temperature is checked before the phase on both paths
             pytest.param(0.7, -0.1, ValueError, "temperature", id="both"),
+            pytest.param(0.3, math.nan, ValueError, "temperature", id="nan-temperature"),
+            pytest.param(0.3, -math.nan, ValueError, "temperature", id="negative-nan"),
+            # True is no temperature, not T = 1
+            pytest.param(0.3, True, ValueError, "temperature", id="bool-temperature"),
+            pytest.param(0.7, math.nan, ValueError, "temperature", id="both-nan"),
         ],
     )
     def test_scalar_and_batched_reject_alike(self, g, temperature, error, message):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_squeeze import DickeParams, squeezing_ratio_ground, thermal_squeezing_ratio
+from dicke_squeeze import (
+    DickeParams,
+    normal_modes,
+    squeezing_ratio_ground,
+    thermal_squeezing_ratio,
+)
 from dicke_squeeze import cli
 from dicke_squeeze.ed import QuadratureOperator, SparseHamiltonian
 
@@ -313,6 +318,61 @@ class TestThermalPresets:
             p = DickeParams(1.0, r["omega0_over_omega"], 0.1)
             assert r["xi"] == thermal_squeezing_ratio(p, r["kt_over_omega"]).xi
 
+    def test_every_cell_equals_its_one_point_closed_form(self):
+        # the per-T loop of thermal_squeezing_ratios, against the one-point
+        # call and against coth written out per cell
+        def reference(p, t):
+            eps = normal_modes(p).eps_minus
+            ground = eps / min(p.omega, p.omega0)
+            if t == 0.0:
+                return ground
+            if eps == 0.0:
+                return math.inf
+            x = eps / (2.0 * t)
+            if x == 0.0:
+                return 2.0 * (t / min(p.omega, p.omega0))
+            return ground * (1.0 if x >= 20.0 else 1.0 + 2.0 / math.expm1(2.0 * x))
+
+        def check(p, t, xi):
+            assert xi.hex() == thermal_squeezing_ratio(p, t).xi.hex()
+            assert xi.hex() == reference(p, t).hex()
+
+        # g = g_c at both splittings, and T = 0, x >= 20 and x < 20
+        temps = [0.0, 0.001, 0.013, 0.3, 2.0]
+        fig4 = cli.run_fig4(cli.resolve_config("fig4", {"grids": {
+            "omega0_over_omega": [1.0, 2.0], "gc_minus_g_over_omega": [0.0, 0.05, 0.3],
+            "kt_over_omega": temps,
+        }}))
+        assert len(fig4.rows) == 30
+        for r in fig4.rows:
+            ratio, delta = r["omega0_over_omega"], r["gc_minus_g_over_omega"]
+            p = DickeParams(1.0, ratio, math.sqrt(ratio) / 2.0 - delta)
+            check(p, r["kt_over_omega"], r["xi"])
+        assert {r["xi"] for r in fig4.rows if r["gc_minus_g_over_omega"] == 0.0} == {0.0, math.inf}
+        fig5 = cli.run_fig5(cli.resolve_config("fig5", {"grids": {
+            "omega0_over_omega": {"min": 0.04, "max": 0.2, "count": 5}, "kt_over_omega": temps,
+        }}))
+        assert len(fig5.rows) == 25
+        for r in fig5.rows:
+            check(DickeParams(1.0, r["omega0_over_omega"], 0.1), r["kt_over_omega"], r["xi"])
+        # 1e308 takes the large-T limit (eps/(2T) underflows)
+        sweep = cli.run_sweep(cli.resolve_config("sweep", {
+            "grids": {"g": [0.0, 0.2, 0.45, 0.5, 0.7], "kt": [*temps, 1e308]},
+            "sweep": {"quantity": "xi_thermal"},
+        }))
+        normal = [r for r in sweep.rows if r["t_c"] is None]
+        assert len(normal) == 24
+        for r in normal:
+            check(DickeParams(1.0, 1.0, r["g"]), r["kt"], r["xi"])
+        fig2 = cli.run_fig2(cli.resolve_config("fig2", {"grids": {
+            "g_over_omega": {"min": 0.0, "max": 1.0, "count": 11},
+        }}))
+        assert len(fig2.rows) == 22
+        for r in fig2.rows:
+            g = r["g_over_omega"]
+            p = DickeParams(1.0, 1.0, g, a2_coeff=g * g if r["variant"] == "trk" else 0.0)
+            assert r["xi"].hex() == squeezing_ratio_ground(p).xi.hex()
+
     def test_fig4_default_skips_nothing(self):
         assert "skipped_points" not in cli.run_fig4(cli.resolve_config("fig4")).meta
 
@@ -453,6 +513,27 @@ class TestEDPresets:
             ),
             pytest.param(
                 "fig3", {"grids": {"n_spins": [True]}}, "grid 'n_spins'", id="grid-bool"
+            ),
+            # min/max must be real scalars: a list end spans a 2-D grid
+            pytest.param(
+                "fig2", {"grids": {"g_over_omega": {"min": [0, 0.5], "max": 1, "count": 2}}},
+                "grid 'g_over_omega'", id="grid-list-min",
+            ),
+            pytest.param(
+                "fig4", {"grids": {"kt_over_omega": {"min": [0, 0.5], "max": 1, "count": 2}}},
+                "grid 'kt_over_omega'", id="grid-list-min-fig4",
+            ),
+            pytest.param(
+                "fig2", {"grids": {"g_over_omega": {"min": True, "max": 1, "count": 2}}},
+                "grid 'g_over_omega'", id="grid-bool-min",
+            ),
+            pytest.param(
+                "fig2", {"grids": {"g_over_omega": [0.1, "0.2"]}}, "grid 'g_over_omega'",
+                id="grid-numeric-str",
+            ),
+            pytest.param(
+                "fig2", {"grids": {"g_over_omega": [[0.1, 0.2]]}}, "grid 'g_over_omega'",
+                id="grid-nested-list",
             ),
             pytest.param(
                 "fig7", {"grids": {"eta": {"min": 0, "max": 0.5, "count": 2.7}}},
@@ -725,7 +806,7 @@ def _body(directory, columns, rows):
     """The data lines write_csv gives for ``rows``."""
     meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
     out = directory / "body.csv"
-    cli.write_csv(out, cli.SweepResult("sweep", columns, rows, meta))
+    cli.write_csv(out, cli.SweepResult.from_rows("sweep", columns, rows, meta))
     lines = out.read_text().splitlines()
     return lines[lines.index(",".join(columns)) + 1:]
 
@@ -774,7 +855,7 @@ class TestMainEntry:
         rows = [dict(zip(columns, values)) for values in kinds]
         del rows[1]["none"]  # a missing cell reads as None
         meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
-        result = cli.SweepResult("sweep", columns, rows, {**meta, "skipped_points": 2})
+        result = cli.SweepResult.from_rows("sweep", columns, rows, {**meta, "skipped_points": 2})
         out = tmp_path / "cells.csv"
         cli.write_csv(out, result)
         expected = (
@@ -813,6 +894,28 @@ class TestMainEntry:
             f"{a},{b}" for a, b in zip(want, (cli._format_value(-v) for v in x))
         ]
         assert _body(tmp_path, ["y", "x"], rows[::-1])[-1] == "-0,0"
+
+    def test_sweep_result_columns_and_rows(self):
+        result = cli.SweepResult.from_rows("sweep", ["a", "b"], [{"a": 1}, {"b": "x", "c": 2}], {})
+        assert result.columns == {"a": [1, None], "b": [None, "x"]}
+        assert result.rows == [{"a": 1, "b": None}, {"a": None, "b": "x"}]
+        # a column shorter than the others would drop rows from the CSV
+        with pytest.raises(ValueError, match="one cell per row"):
+            cli.SweepResult("sweep", {"a": [1.0, 2.0], "b": [1.0]}, {})
+
+    @pytest.mark.parametrize("distinct", [21, 20], ids=["direct", "deduplicated"])
+    def test_float_column_either_side_of_the_distinct_share(self, tmp_path, distinct):
+        # 30 cells: more than two thirds distinct bit patterns (21) take the
+        # direct format of every cell, 20 are formatted once per pattern and
+        # gathered back
+        special = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+        pool = special + [k / 7 for k in range(1, distinct - len(special) + 1)]
+        x = [pool[i % distinct] for i in range(30)]
+        bits = {np.float64(v).view(np.int64).item() for v in x}
+        assert len(bits) == distinct
+        rows = [{"x": v, "label": "a"} for v in x]
+        want = [f"{cli._format_value(v)},a" for v in x]
+        assert _body(tmp_path, ["x", "label"], rows) == want
 
     # derandomized: the same examples on every run, so the suite stays reproducible
     @settings(derandomize=True, max_examples=100, deadline=None)
