@@ -42,8 +42,6 @@ from .ed import (
     variance,
 )
 
-EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "sweep")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STRICT = 2
@@ -67,13 +65,6 @@ class SweepResult:
     def __post_init__(self):
         if len({len(cells) for cells in self.columns.values()}) > 1:
             raise ValueError("every column of a SweepResult needs one cell per row")
-
-    @classmethod
-    def from_rows(cls, experiment, names, rows, meta, violations=()) -> SweepResult:
-        """The table of ``rows`` (dicts) under the header ``names``; a row
-        without a name has None there."""
-        columns = {name: [row.get(name) for row in rows] for name in names}
-        return cls(experiment, columns, meta, list(violations))
 
     @property
     def rows(self) -> list[dict]:
@@ -126,6 +117,8 @@ _DEFAULTS = {
         "sweep": {},
     },
 }
+
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -245,10 +238,7 @@ def _defect_sampler(cfg: dict, spec: dict):
     seed = cfg.get("rng_seed")
     if seed is None:
         raise ConfigError("random defect ranges need rng_seed")
-    # the Philox key is one uint64
-    seed = _checked("disorder", integer_at_least, "rng_seed", seed, 0)
-    if seed >= 2**64:
-        raise ConfigError(f"bad disorder parameters: rng_seed must be below 2**64, got {seed}")
+    seed = _philox_word("rng_seed", seed)
     m = _disorder_int(spec, "m", 1, 0)
     ranges = []
     for name in ("omega_prime_range", "g_prime_range"):
@@ -262,11 +252,22 @@ def _defect_sampler(cfg: dict, spec: dict):
     return lambda counter: disorder_samples(seed, counter, m, *ranges)
 
 
+def _philox_word(name: str, value) -> int:
+    """``value`` as one uint64 word of the Philox key or counter."""
+    value = _checked("disorder", integer_at_least, name, value, 0)
+    if value >= 2**64:
+        raise ConfigError(f"bad disorder parameters: {name} must be below 2**64, got {value}")
+    return value
+
+
 def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
     """Counter-based defect draws: sample ``counter`` of the stream keyed by
     ``seed`` yields m (omega_prime, g_prime) pairs, independent of how many
     other samples were drawn. Philox, so reproducible across platforms."""
-    bitgen = np.random.Philox(key=np.uint64(seed), counter=[np.uint64(counter), 0, 0, 0])
+    # a list of np.uint64 would become a float64 array, which rounds counters
+    # above 2**53
+    counter = np.array([counter, 0, 0, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=np.uint64(seed), counter=counter)
     gen = np.random.Generator(bitgen)
     omegas = gen.uniform(omega_range[0], omega_range[1], size=m)
     gs = gen.uniform(g_range[0], g_range[1], size=m)
@@ -322,17 +323,23 @@ def _ed_task(task):
     return values, gs.residual, gs.residual <= tol * gs.norm
 
 
-def _run_ed(
-    cfg, jobs, point, points, columns, value_field, meta, tail_rows=()
-) -> SweepResult:
+def _append_row(columns: dict[str, list], cells) -> None:
+    """Append one row's ``cells``, in header order, to ``columns``."""
+    for column, cell in zip(columns.values(), cells):
+        column.append(cell)
+
+
+def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResult:
     """Solve every point at every ``ed.n_max`` on the one ED task path.
 
     ``points`` holds one (warning label, row labels, args) per point, and
     ``point(*args, n_max)`` returns the Hamiltonian and one (row labels,
     quadrature, normalization) per row; ``value_field`` names the column
-    that gets the normalized variance, and ``tail_rows`` follow the ED rows.
-    ``meta`` gains the largest spread of a row's value over the
-    truncations."""
+    that gets the normalized variance. The header is the point labels,
+    n_max, the row labels, ``value_field``, residual, residual_ok and
+    method, then any column only the ``tail`` columns have; the tail's rows
+    follow the ED rows, and a row has None where it has no cell. ``meta``
+    gains the largest spread of a row's value over the truncations."""
     if cfg["model"].get("a2_coeff", 0.0) != 0.0:
         raise ConfigError(
             "model.a2_coeff must be 0 for the ED presets: their quadrature "
@@ -341,22 +348,15 @@ def _run_ed(
     tol = cfg["ed"]["tol"]
     grid = list(itertools.product(points, cfg["ed"]["n_max"]))
     tasks = [(point, args, nm, tol) for (_, _, args), nm in grid]
-    rows, violations, by_key = [], [], {}
-    for ((label, point_labels, _), nm), (values, residual, ok) in zip(
-        grid, _run_tasks(_ed_task, tasks, jobs)
-    ):
+    results = _run_tasks(_ed_task, tasks, jobs)
+    row_labels = results[0][0][0][0]  # the first task's first row
+    header = (*points[0][1], "n_max", *row_labels, value_field)
+    columns = {name: [] for name in (*header, "residual", "residual_ok", "method")}
+    violations, by_key = [], {}
+    for ((label, point_labels, _), nm), (values, residual, ok) in zip(grid, results):
         for labels, value in values:
-            rows.append(
-                {
-                    **point_labels,
-                    "n_max": nm,
-                    **labels,
-                    value_field: value,
-                    "residual": residual,
-                    "residual_ok": ok,
-                    "method": "ed",
-                }
-            )
+            cells = (*point_labels.values(), nm, *labels.values(), value, residual, ok, "ed")
+            _append_row(columns, cells)
             by_key.setdefault((*point_labels.values(), *labels.values()), []).append(value)
         if not ok:
             violations.append(
@@ -365,8 +365,11 @@ def _run_ed(
     deltas = [max(vals) - min(vals) for vals in by_key.values() if len(vals) > 1]
     if deltas:
         meta["max_truncation_delta"] = f"{max(deltas):.3e}"
-    rows.extend(tail_rows)
-    return SweepResult.from_rows(cfg["experiment"], columns, rows, meta, violations)
+    if tail:
+        n_ed, n_tail = len(columns["method"]), len(next(iter(tail.values())))
+        for name in {**columns, **tail}:
+            columns[name] = columns.get(name, [None] * n_ed) + tail.get(name, [None] * n_tail)
+    return SweepResult(cfg["experiment"], columns, meta, violations)
 
 
 def _run_tasks(func, tasks, jobs):
@@ -410,18 +413,9 @@ def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     against spin number, at the thermodynamic-limit critical coupling."""
     params = [_model(cfg, n_spins=v) for v in _grid(cfg["grids"]["n_spins"], "n_spins").tolist()]
     points = [(f"N={p.n_spins}", {"n_spins": p.n_spins}, (p,)) for p in params]
-    columns = [
-        "n_spins",
-        "n_max",
-        "quadrature",
-        "variance",
-        "residual",
-        "residual_ok",
-        "method",
-    ]
     meta = _meta(cfg)
     meta["large_n_limits"] = "var_p_tilde_minus -> 0, var_s_tilde_y -> 0.70711"
-    return _run_ed(cfg, jobs, _fig3_point, points, columns, "variance", meta)
+    return _run_ed(cfg, jobs, _fig3_point, points, "variance", meta)
 
 
 def _temperatures(cfg: dict, name: str) -> list[float]:
@@ -514,7 +508,8 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
 def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
     spec = cfg.get("disorder", {})
     if "omega_prime_range" in spec or "g_prime_range" in spec:
-        return _defect_sampler(cfg, spec)(_disorder_int(spec, "counter", 0, 0))
+        draw = _defect_sampler(cfg, spec)
+        return draw(_philox_word("disorder.counter", spec.get("counter", 0)))
     m = _disorder_int(spec, "m", 1, 0)
     omega_prime = spec.get("omega_prime", 2.1)
     omega_prime = _checked("disorder", finite_real, "disorder.omega_prime", omega_prime)
@@ -529,38 +524,33 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
     params = [_model(cfg, n_spins=n) for n in _grid(cfg["grids"]["n_clean"], "n_clean").tolist()]
     defects = _fig6_defects(cfg)
     m = len(defects)
+    fractions = [m / (p.n_spins + m) for p in params]
     points = [
-        (
-            f"N={p.n_spins}",
-            {"n_clean": p.n_spins, "fraction": m / (p.n_spins + m)},
-            (p, defects),
-        )
-        for p in params
+        (f"N={p.n_spins}", {"n_clean": p.n_spins, "fraction": f}, (p, defects))
+        for p, f in zip(params, fractions)
     ]
-    columns = [
-        "n_clean",
-        "fraction",
-        "n_max",
-        "xi",
-        "residual",
-        "residual_ok",
-        "method",
-        "perturbative_valid",
-    ]
-    analytic = []
-    for p, (label, labels, _) in zip(params, points):
+    xis, valid = [], []
+    for p in params:
         try:
             report = disorder.disorder_xi_perturbative(
                 p, disorder.DisorderEnsemble(p.n_spins, defects)
             )
-            xi, valid = report.xi, all(report.validity)
+            xi, ok = report.xi, all(report.validity)
         except disorder.CriticalSectorError:
             # the ED rows still stand at the critical point; the formula has none
-            xi, valid = None, False
+            xi, ok = None, False
         except ValueError as exc:
-            raise ConfigError(f"fig6 {label}: {exc}") from exc
-        analytic.append({**labels, "xi": xi, "method": "analytic", "perturbative_valid": valid})
-    return _run_ed(cfg, jobs, _fig6_point, points, columns, "xi", _meta(cfg), analytic)
+            raise ConfigError(f"fig6 N={p.n_spins}: {exc}") from exc
+        xis.append(xi)
+        valid.append(ok)
+    analytic = {
+        "n_clean": [p.n_spins for p in params],
+        "fraction": fractions,
+        "xi": xis,
+        "method": ["analytic"] * len(xis),
+        "perturbative_valid": valid,
+    }
+    return _run_ed(cfg, jobs, _fig6_point, points, "xi", _meta(cfg), analytic)
 
 
 def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -573,8 +563,7 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
         (f"eta={eta:g}", {"eta": eta}, (p, eta, *_checked("ising", _fig7_mode, p, eta)))
         for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))
     ]
-    columns = ["eta", "n_max", "xi", "residual", "residual_ok", "method"]
-    return _run_ed(cfg, jobs, _fig7_point, points, columns, "xi", _meta(cfg))
+    return _run_ed(cfg, jobs, _fig7_point, points, "xi", _meta(cfg))
 
 
 def run_sweep(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -680,50 +669,34 @@ def _sweep_disorder_samples(cfg):
     count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
     n_clean = _disorder_int(spec, "n_clean", 1, 1)
     p = _model(cfg)
-    rows = []
+    header = ("sample", "defect", "omega_prime", "g_prime", "xi", "alpha", "perturbative_valid")
+    columns = {name: [] for name in header}
     for sample in range(count):
         defects = draw(sample)
         ens = disorder.DisorderEnsemble(n_clean, defects)
         report = _checked("disorder", disorder.disorder_xi_perturbative, p, ens)
         for j, (omega_prime, g_prime) in enumerate(defects):
-            rows.append(
-                {
-                    "sample": sample,
-                    "defect": j,
-                    "omega_prime": omega_prime,
-                    "g_prime": g_prime,
-                    "xi": report.xi,
-                    "alpha": report.alpha,
-                    "perturbative_valid": report.validity[j],
-                    "method": "analytic",
-                }
-            )
-    columns = [
-        "sample",
-        "defect",
-        "omega_prime",
-        "g_prime",
-        "xi",
-        "alpha",
-        "perturbative_valid",
-        "method",
-    ]
-    return SweepResult.from_rows("sweep", columns, rows, _meta(cfg))
+            cells = (sample, j, omega_prime, g_prime, report.xi, report.alpha, report.validity[j])
+            _append_row(columns, cells)
+    columns["method"] = ["analytic"] * len(columns["sample"])
+    return SweepResult("sweep", columns, _meta(cfg))
 
 
+# each experiment's runner and the columns its plot script draws (x, y);
+# a sweep plots its first two columns
 _RUNNERS = {
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "sweep": run_sweep,
+    "fig2": (run_fig2, "g_over_omega", "xi"),
+    "fig3": (run_fig3, "n_spins", "variance"),
+    "fig4": (run_fig4, "gc_minus_g_over_omega", "xi"),
+    "fig5": (run_fig5, "omega0_over_omega", "xi"),
+    "fig6": (run_fig6, "fraction", "xi"),
+    "fig7": (run_fig7, "eta", "xi"),
+    "sweep": (run_sweep, None, None),
 }
 
 
 def run_experiment(experiment: str, cfg: dict, jobs: int = 1) -> SweepResult:
-    return _RUNNERS[experiment](cfg, jobs=jobs)
+    return _RUNNERS[experiment][0](cfg, jobs=jobs)
 
 
 # -- serialization -----------------------------------------------------------
@@ -796,20 +769,9 @@ def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:
         fh.write("".join(body))
 
 
-_PLOT_HINTS = {
-    "fig2": ("g_over_omega", "xi"),
-    "fig3": ("n_spins", "variance"),
-    "fig4": ("gc_minus_g_over_omega", "xi"),
-    "fig5": ("omega0_over_omega", "xi"),
-    "fig6": ("fraction", "xi"),
-    "fig7": ("eta", "xi"),
-    "sweep": (None, None),
-}
-
-
 def write_plot_script(csv_path, script_path, result: SweepResult) -> None:
     names = list(result.columns)
-    x, y = _PLOT_HINTS.get(result.experiment, (None, None))
+    _, x, y = _RUNNERS[result.experiment]
     if x is None:
         x = names[0]
         y = names[1] if len(names) > 1 else names[0]
@@ -882,14 +844,20 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --n-max: {args.n_max!r}") from exc
             user_cfg = _merge(user_cfg, {"ed": {"n_max": n_max}})
         cfg = resolve_config(args.experiment, user_cfg)
+        out = args.out if args.out is not None else cfg.get("out", f"{args.experiment}.csv")
+        # open() would take an int, or a bool, as a file descriptor
+        if not isinstance(out, str) or not out:
+            raise ConfigError(f"out must be a nonempty path string, got {out!r}")
         jobs = 1 if args.strict else max(1, args.jobs)
         t0 = time.perf_counter()
         result = run_experiment(args.experiment, cfg, jobs=jobs)
         elapsed = time.perf_counter() - t0
-        out = args.out or cfg.get("out") or f"{args.experiment}.csv"
-        write_csv(out, result, elapsed=elapsed)
-        if args.emit_plot_script:
-            write_plot_script(out, f"{out}.gp", result)
+        try:
+            write_csv(out, result, elapsed=elapsed)
+            if args.emit_plot_script:
+                write_plot_script(out, f"{out}.gp", result)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         for violation in result.violations:
             print(f"warning: {violation}", file=sys.stderr)
         if args.strict and result.violations:

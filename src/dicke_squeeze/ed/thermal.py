@@ -45,9 +45,9 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     where E_cut is the highest kept eigenvalue, or the window edge when the
     window drops pairs; otherwise a ValueError reports the violated tail
     bound. T = 0 returns the ground-state variance; a temperature that is not
-    a finite number >= 0 is a ValueError.
+    a finite number >= 0, or is a bool, is a ValueError.
     """
-    if not (math.isfinite(temperature) and temperature >= 0):
+    if isinstance(temperature, bool) or not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be a finite number >= 0, got {temperature!r}")
     h = as_hamiltonian(h)
     dim = h.dim

@@ -448,6 +448,34 @@ class TestFig6Fig7:
             rows = _read_rows(out)
             assert rows and all(row["residual_ok"] in ("true", "") for row in rows)
 
+    @pytest.mark.parametrize(
+        "experiment, header",
+        [
+            ("fig3", ["n_spins", "n_max", "quadrature", "variance"]),
+            ("fig6", ["n_clean", "fraction", "n_max", "xi"]),
+            ("fig7", ["eta", "n_max", "xi"]),
+        ],
+    )
+    def test_ed_header_and_empty_cells(self, experiment, header):
+        # point labels, n_max, row labels and the value, then the solve; fig6
+        # adds the column only its analytic rows fill, and each kind of row
+        # leaves the other's cells empty
+        user_cfg = {"fig3": {"grids": {"n_spins": [1, 2]}, "ed": {"n_max": [6]}}, **_SMALL_ED}
+        cfg = cli.resolve_config(experiment, user_cfg[experiment])
+        result = cli.run_experiment(experiment, cfg)
+        header += ["residual", "residual_ok", "method"]
+        if experiment == "fig6":
+            header.append("perturbative_valid")
+        assert list(result.columns) == header
+        methods = {"fig3": ["ed"] * 4, "fig6": ["ed", "ed", "analytic", "analytic"]}
+        assert result.columns["method"] == methods.get(experiment, ["ed", "ed"])
+        for row in result.rows:
+            empty = [name for name, cell in row.items() if cell is None]
+            if row["method"] == "analytic":
+                assert empty == ["n_max", "residual", "residual_ok"]
+            else:
+                assert empty == (["perturbative_valid"] if experiment == "fig6" else [])
+
     @pytest.mark.parametrize("experiment", ["fig6", "fig7"])
     def test_jobs_pool_deterministic(self, experiment):
         _assert_pool_matches_serial(experiment, _SMALL_ED[experiment])
@@ -617,6 +645,10 @@ class TestEDPresets:
                     ("huge", 10**400),
                 )
             ],
+            pytest.param(
+                "fig6", _random_defects(counter=2**64), "bad disorder parameters: disorder.counter",
+                id="fig6-counter-2**64",
+            ),
         ],
     )
     def test_bad_settings_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
@@ -781,6 +813,13 @@ class TestPhiloxSampler:
         assert first == again
         assert first != other
 
+    def test_counters_past_2_53_stay_distinct(self):
+        # a float64 counter would round 2**53 + 1 to 2**53, and warn on a
+        # cast of counters from 2**63 on
+        draw = [cli.disorder_samples(9, c, 1, (0.0, 1.0), (0.0, 1.0)) for c in (2**53, 2**53 + 1)]
+        assert draw[0] != draw[1]
+        cli.disorder_samples(9, 2**64 - 1, 1, (0.0, 1.0), (0.0, 1.0))
+
 
 # floats from a small pool, so values repeat within a column; -math.nan keeps
 # the sign bit, and 0.0 == -0.0
@@ -802,11 +841,11 @@ def _tables(draw):
     return [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
 
 
-def _body(directory, columns, rows):
-    """The data lines write_csv gives for ``rows``."""
+def _body(directory, columns):
+    """The data lines write_csv gives for ``columns`` (name -> cells)."""
     meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
     out = directory / "body.csv"
-    cli.write_csv(out, cli.SweepResult.from_rows("sweep", columns, rows, meta))
+    cli.write_csv(out, cli.SweepResult("sweep", columns, meta))
     lines = out.read_text().splitlines()
     return lines[lines.index(",".join(columns)) + 1:]
 
@@ -843,7 +882,7 @@ class TestMainEntry:
     def test_csv_bytes_for_every_cell_kind(self, tmp_path):
         # "x" is all Python float (the "%.17g" path), "t_c" mixes float and
         # None like the xi_thermal sweep, every other column takes _format_value
-        columns = ["none", "flag", "count", "np_int", "x", "np_x", "t_c", "label"]
+        names = ["none", "flag", "count", "np_int", "x", "np_x", "t_c", "label"]
         kinds = [
             (None, True, 0, np.int64(-7), 0.1, np.float64(1 / 3), None, "ideal"),
             (None, False, -12, np.int64(2**40), math.inf, np.float64(-0.0), 1.5, "a b"),
@@ -852,10 +891,9 @@ class TestMainEntry:
             (None, True, 2, np.int64(0), -0.0, np.float64(1e-300), 1e-300, "x"),
             (None, False, 3, np.int64(1), 1e-300, np.float64(2.5), math.nan, "y"),
         ]
-        rows = [dict(zip(columns, values)) for values in kinds]
-        del rows[1]["none"]  # a missing cell reads as None
+        columns = dict(zip(names, map(list, zip(*kinds))))
         meta = {"version": "0", "experiment": "sweep", "config_hash": "abc", "seed": None}
-        result = cli.SweepResult.from_rows("sweep", columns, rows, {**meta, "skipped_points": 2})
+        result = cli.SweepResult("sweep", columns, {**meta, "skipped_points": 2})
         out = tmp_path / "cells.csv"
         cli.write_csv(out, result)
         expected = (
@@ -877,7 +915,7 @@ class TestMainEntry:
             if not line.startswith("# generated:")
         )
         assert text == expected
-        by_row = [",".join(cli._format_value(row.get(c)) for c in columns) for row in rows]
+        by_row = [",".join(map(cli._format_value, values)) for values in kinds]
         assert text.splitlines()[6:] == by_row
 
     def test_float_column_keeps_every_bit_pattern(self, tmp_path):
@@ -889,15 +927,14 @@ class TestMainEntry:
             "0", "-0", "0", "-0", "-0", "nan", "nan", "nan", "inf", "-inf", "inf",
             "0.10000000000000001", "0.10000000000000001", "2.5", "0.10000000000000001", "0",
         ]
-        rows = [{"x": v, "y": -v} for v in x]
-        assert _body(tmp_path, ["x", "y"], rows) == [
-            f"{a},{b}" for a, b in zip(want, (cli._format_value(-v) for v in x))
+        y = [-v for v in x]
+        assert _body(tmp_path, {"x": x, "y": y}) == [
+            f"{a},{b}" for a, b in zip(want, map(cli._format_value, y))
         ]
-        assert _body(tmp_path, ["y", "x"], rows[::-1])[-1] == "-0,0"
+        assert _body(tmp_path, {"y": y[::-1], "x": x[::-1]})[-1] == "-0,0"
 
     def test_sweep_result_columns_and_rows(self):
-        result = cli.SweepResult.from_rows("sweep", ["a", "b"], [{"a": 1}, {"b": "x", "c": 2}], {})
-        assert result.columns == {"a": [1, None], "b": [None, "x"]}
+        result = cli.SweepResult("sweep", {"a": [1, None], "b": [None, "x"]}, {})
         assert result.rows == [{"a": 1, "b": None}, {"a": None, "b": "x"}]
         # a column shorter than the others would drop rows from the CSV
         with pytest.raises(ValueError, match="one cell per row"):
@@ -913,29 +950,54 @@ class TestMainEntry:
         x = [pool[i % distinct] for i in range(30)]
         bits = {np.float64(v).view(np.int64).item() for v in x}
         assert len(bits) == distinct
-        rows = [{"x": v, "label": "a"} for v in x]
         want = [f"{cli._format_value(v)},a" for v in x]
-        assert _body(tmp_path, ["x", "label"], rows) == want
+        assert _body(tmp_path, {"x": x, "label": ["a"] * len(x)}) == want
 
     # derandomized: the same examples on every run, so the suite stays reproducible
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(table=_tables())
     def test_csv_body_equals_row_by_row_format(self, tmp_path_factory, table):
-        columns = [f"c{i}" for i in range(len(table))]
-        rows = [dict(zip(columns, cells)) for cells in zip(*table)]
-        by_row = [",".join(cli._format_value(row[c]) for c in columns) for row in rows]
-        assert _body(tmp_path_factory.mktemp("csv"), columns, rows) == by_row
+        columns = {f"c{i}": cells for i, cells in enumerate(table)}
+        by_row = [",".join(map(cli._format_value, cells)) for cells in zip(*table)]
+        assert _body(tmp_path_factory.mktemp("csv"), columns) == by_row
 
     def test_usage_error(self, capsys):
         assert cli.main(["not-an-experiment"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_config_error(self, tmp_path, capsys):
+    def test_config_error(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["fig2", "--config", str(bad)]) == 1
         missing = tmp_path / "missing.json"
         assert cli.main(["fig2", "--config", str(missing)]) == 1
+        capsys.readouterr()
+        # a bad output path fails before the experiment runs: open() would
+        # take true or 5 as a file descriptor
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        for out in (True, 5, "", None, ["x.csv"]):
+            bad.write_text(json.dumps({"out": out}))
+            assert cli.main(["fig2", "--config", str(bad)]) == 1
+        assert cli.main(["fig2", "--out", ""]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 6
+        assert all(line.startswith("error: out must be a nonempty path") for line in errors)
+
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": {"g_over_omega": [0.0]}}))
+        out = tmp_path / "missing" / "fig2.csv"
+        assert cli.main(["fig2", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        # the plot script's path is taken by a directory
+        out = tmp_path / "fig2.csv"
+        (tmp_path / "fig2.csv.gp").mkdir()
+        argv = ["fig2", "--config", str(cfg), "--out", str(out), "--emit-plot-script"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_strict_mode_residual_violation(self, tmp_path, capsys):
         warnings = _strict_warnings(

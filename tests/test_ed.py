@@ -828,10 +828,10 @@ class TestThermalOracle:
         with pytest.raises(ValueError):
             thermal_variance(h, q, -0.1)
 
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_temperature_rejected(self, temperature):
         # before any spectrum: nan reached scipy's eigenvalue-bounds error, and
-        # inf a violated Boltzmann tail bound
+        # inf a violated Boltzmann tail bound; True would read as T = 1
         p = DickeParams(1, 1, 0.3)
         h = build_hopfield_hamiltonian(p, 5, 5)
         q = hopfield_p_minus(5, 5, 1.0, 1.0, 0.5)
