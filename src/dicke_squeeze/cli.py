@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -141,22 +142,22 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
         raise ConfigError(
             f"config declares experiment {declared!r} but {experiment!r} was requested"
         )
-    grids = cfg.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("grids must be an object")
-    for name, spec in grids.items():
+    for section in ("model", "grids", "ed", "disorder", "sweep"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object")
+    if not isinstance(cfg.get("sweep", {}).get("disorder", {}), dict):
+        raise ConfigError("sweep.disorder must be an object")
+    for name, spec in cfg.get("grids", {}).items():
         if len(_grid(spec, name)) == 0:
             raise ConfigError(f"grid {name!r} is empty")
-    ed = cfg.get("ed")
-    if ed is not None and not isinstance(ed, dict):
-        raise ConfigError("ed must be an object")
-    if ed is not None and "n_max" in ed:
+    ed = cfg.get("ed", {})
+    if "n_max" in ed:
         n_max = ed["n_max"]
         if not isinstance(n_max, list) or not n_max or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in n_max
         ):
             raise ConfigError("ed.n_max must be a nonempty list of positive integers")
-    if ed is not None and "tol" in ed:
+    if "tol" in ed:
         # the residual check compares against tol * ||H||: a tol <= 0 would
         # flag every row, a non-number fails deep inside the solver
         tol = ed["tol"]
@@ -190,7 +191,10 @@ def _grid(spec, name: str) -> np.ndarray:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of ``cfg`` as canonical JSON, less its ``out`` key: the hash
+    names the computation, not where its file goes."""
+    kept = {key: value for key, value in cfg.items() if key != "out"}
+    canonical = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -848,18 +852,22 @@ def main(argv=None) -> int:
         # open() would take an int, or a bool, as a file descriptor
         if not isinstance(out, str) or not out:
             raise ConfigError(f"out must be a nonempty path string, got {out!r}")
+        # a missing directory fails now, not after the whole run
+        directory = os.path.dirname(out) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot write output: no directory {directory!r}")
         jobs = 1 if args.strict else max(1, args.jobs)
         t0 = time.perf_counter()
         result = run_experiment(args.experiment, cfg, jobs=jobs)
         elapsed = time.perf_counter() - t0
+        for violation in result.violations:
+            print(f"warning: {violation}", file=sys.stderr)
         try:
             write_csv(out, result, elapsed=elapsed)
             if args.emit_plot_script:
                 write_plot_script(out, f"{out}.gp", result)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
-        for violation in result.violations:
-            print(f"warning: {violation}", file=sys.stderr)
         if args.strict and result.violations:
             return EXIT_STRICT
         return EXIT_OK

@@ -1,7 +1,7 @@
 """Exact diagonalization over a truncated boson (x) spin basis (product,
-collective-spin or k = 0 ring layout). Operators are held as Kronecker
-factors, and each conserved-parity block is built from them; no full-dim
-matrix is formed unless a caller asks for one."""
+collective-spin or k = 0 ring layout). H and the quadratures are one type, a
+sum of Kronecker terms over shared cached factors; each parity block of H is
+built from them, and no full-dim matrix is formed unless a caller asks."""
 
 from .basis import BasisDescriptor, build_basis
 from .hamiltonians import (

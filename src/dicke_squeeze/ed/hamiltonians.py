@@ -1,14 +1,14 @@
-"""Kronecker-factored Hamiltonians over the truncated boson (x) spin basis.
+"""Kronecker-factored operators over the truncated boson (x) spin basis.
 
-Every Hamiltonian here is a sum of terms c B (x) S: B acts on the boson
-occupation (n, a + a', (a + a')^2) and S on the spin states (1, S_z, the flip,
-the Ising ring), or on a second boson for the two-boson model. The spin
-primitives of ``operators`` carry the basis layout, so nothing here reads it.
-Each term keeps or flips both factor parities, (-1)^n and (-1)^(up count), so
-their product is conserved: ``parity_blocks`` builds each parity block
-straight from the factors in its own coordinates, and the full matrix is
-assembled only for a caller that asks for ``matrix``. Every factor is exactly
-symmetric, so H == H^T holds entry-for-entry, not just to rounding.
+Every ED operator, H and quadrature alike, is a ``KronSum`` of terms c B (x) S
+over cached factors: B acts on the boson occupation (n, a + a', (a + a')^2,
+a' - a) and S on the spin states (1, S_z, the flip, S+ - S-, the Ising ring),
+or on a second boson. The spin primitives of ``operators`` carry the basis
+layout, so nothing here reads it. Each term of H keeps or flips both factor
+parities, (-1)^n and (-1)^(up count), so their product is conserved:
+``parity_blocks`` builds each parity block straight from the factors, and
+``apply`` multiplies without a matrix; ``matrix`` assembles one on request.
+H's factors are exactly symmetric, so H == H^T holds entry-for-entry.
 """
 
 from __future__ import annotations
@@ -32,23 +32,6 @@ from .operators import (
     spin_raise,
     spin_z_values,
 )
-
-
-def kron_sum(terms) -> sp.csr_matrix:
-    """sum_t c_t B_t (x) S_t over terms (c_t, B_t, S_t) of sparse matrices,
-    each entry's duplicates summed in term order and exact zeros dropped."""
-    right, parts = terms[0][2].shape[0], []
-    dim = terms[0][1].shape[0] * right
-    for coeff, b, s in terms:
-        b, s = b.tocoo(), s.tocoo()
-        row = b.row.astype(np.int64)[:, None] * right + s.row
-        col = b.col.astype(np.int64)[:, None] * right + s.col
-        parts.append(((row * dim + col).ravel(), (coeff * (b.data[:, None] * s.data)).ravel()))
-    key, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    data = np.bincount(inverse, weights=np.concatenate([v for _, v in parts]))
-    key, data = key[data != 0], data[data != 0]
-    indptr = np.searchsorted(key, np.arange(dim + 1) * dim)
-    return sp.csr_matrix((data, key % dim, indptr), shape=(dim, dim))
 
 
 class Factor:
@@ -92,12 +75,48 @@ class Factor:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class SparseHamiltonian:
-    """A real-symmetric H = sum_t c_t B_t (x) S_t, held as ``terms`` of
-    (c_t, B_t, S_t) ``Factor``s; the B_t share one dimension, as do the S_t.
-    ``parity`` is the conserved (+-1) diagonal (-1)^n (x) (-1)^bits(S)."""
+class KronSum:
+    """A real operator sum_t c_t B_t (x) S_t, held as ``terms`` of
+    (c_t, B_t, S_t) ``Factor``s; the B_t share one dimension, as do the S_t."""
 
     terms: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.terms[0][1].bits.size * self.terms[0][2].bits.size
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The full CSR matrix, each entry's duplicates summed in term order
+        and exact zeros dropped; no solve or observable reads it."""
+        dim, right, parts = self.dim, self.terms[0][2].bits.size, []
+        for coeff, b, s in self.terms:
+            row = b.row.astype(np.int64)[:, None] * right + s.row
+            col = b.col.astype(np.int64)[:, None] * right + s.col
+            value = coeff * (b.value[:, None] * s.value)
+            parts.append(((row * dim + col).ravel(), value.ravel()))
+        key, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+        data = np.bincount(inverse, weights=np.concatenate([v for _, v in parts]))
+        key, data = key[data != 0], data[data != 0]
+        indptr = np.searchsorted(key, np.arange(dim + 1) * dim)
+        return sp.csr_matrix((data, key % dim, indptr), shape=(dim, dim))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The operator times v of shape (dim,) or (dim, k), matrix-free: on v
+        reshaped to (B, S, k), sum_t c_t B_t V S_t^T, summed in term order."""
+        _, left, right = self.terms[0]
+        m, n = left.bits.size, right.bits.size
+        cols = v.reshape(m, n, -1)
+        out = np.zeros(cols.shape)
+        for coeff, b, s in self.terms:
+            vs = (s.matrix @ cols.transpose(1, 0, 2).reshape(n, -1)).reshape(n, m, -1)
+            out += coeff * (b.matrix @ vs.transpose(1, 0, 2).reshape(m, -1)).reshape(out.shape)
+        return out.reshape(v.shape)
+
+
+class SparseHamiltonian(KronSum):
+    """A real-symmetric ``KronSum`` H. ``parity`` is the conserved (+-1)
+    diagonal (-1)^n (x) (-1)^bits(S)."""
 
     @classmethod
     def from_matrix(cls, matrix, parity=None) -> SparseHamiltonian:
@@ -109,19 +128,9 @@ class SparseHamiltonian:
         one = Factor.diagonal(np.ones(1), np.zeros(1, np.int8))
         return cls(((1.0, one, Factor.of(mat, bits.astype(np.int8))),))
 
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].bits.size * self.terms[0][2].bits.size
-
     @functools.cached_property
     def parity(self) -> np.ndarray:
         return _parity(self.terms[0][1].bits.size, self.terms[0][2].bits)
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The full CSR matrix, summed in term order as the blocks are; no
-        solve reads it."""
-        return kron_sum([(c, b.matrix, s.matrix) for c, b, s in self.terms])
 
     def parity_blocks(self) -> Iterator[tuple[np.ndarray, sp.coo_matrix]]:
         """(index, block) of the nonempty even and odd blocks, in that order,

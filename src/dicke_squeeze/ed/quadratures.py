@@ -12,56 +12,36 @@ sector.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisDescriptor
-from .hamiltonians import boson_factors, kron_sum, spin_factors
+from .hamiltonians import KronSum, boson_factors, spin_factors
 from .solver import GroundStateResult
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureOperator:
-    """Observable i*M with M = boson_coeff P (x) 1 + spin_coeff 1 (x) K, held
-    as its factors: P acts on the boson occupation, K on the spin states (or
-    on a second boson), both exactly antisymmetric. A zero boson_coeff drops
-    its term."""
+class QuadratureOperator(KronSum):
+    """Observable i*M with M = c_b P (x) 1 + c_s 1 (x) K: P = a' - a acts on
+    the boson occupation, K on the spin states (or on a second boson), both
+    exactly antisymmetric."""
 
-    boson_coeff: float
-    boson: sp.csr_matrix
-    spin_coeff: float
-    spin: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.boson.shape[0] * self.spin.shape[0]
-
-    @functools.cached_property
-    def generator(self) -> sp.csr_matrix:
-        """M as one CSR matrix; no variance reads it."""
-        left, right = sp.identity(self.boson.shape[0]), sp.identity(self.spin.shape[0])
-        return kron_sum([(self.boson_coeff, self.boson, right), (self.spin_coeff, left, self.spin)])
+    @classmethod
+    def of(cls, boson_coeff: float, bosons, spin_coeff: float, spin, spin_identity):
+        """The terms (c_b, bosons.momentum, spin_identity) and
+        (c_s, bosons.identity, spin) over cached factors; a zero c_b drops its
+        term. ValueError on a weight that is not finite."""
+        if not (math.isfinite(boson_coeff) and math.isfinite(spin_coeff)):
+            raise ValueError(f"quadrature weights must be finite: {boson_coeff!r}, {spin_coeff!r}")
+        boson = ((boson_coeff, bosons.momentum, spin_identity),) if boson_coeff else ()
+        return cls(boson + ((spin_coeff, bosons.identity, spin),))
 
     @classmethod
     def on(cls, basis: BasisDescriptor, boson_coeff: float, spin_coeff: float):
         """boson_coeff (a'-a) (x) 1 + spin_coeff 1 (x) (S+ - S-) on ``basis``."""
-        boson = boson_factors(basis.n_max).momentum.matrix
-        return cls(boson_coeff, boson, spin_coeff, spin_factors(basis).pm.matrix)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v for v of shape (dim,) or (dim, k), on v reshaped to
-        (boson, spin, k): boson_coeff P V + spin_coeff V K^T."""
-        left, right = self.boson.shape[0], self.spin.shape[0]
-        cols = v.reshape(left, right, -1)
-        spin = (self.spin @ cols.transpose(1, 0, 2).reshape(right, -1)).reshape(right, left, -1)
-        out = self.spin_coeff * spin.transpose(1, 0, 2)
-        if self.boson_coeff:
-            out += self.boson_coeff * (self.boson @ cols.reshape(left, -1)).reshape(cols.shape)
-        return out.reshape(v.shape)
+        bosons, spins = boson_factors(basis.n_max), spin_factors(basis)
+        return cls.of(boson_coeff, bosons, spin_coeff, spins.pm, spins.identity)
 
 
 def p_tilde_minus(basis: BasisDescriptor) -> QuadratureOperator:
@@ -110,12 +90,10 @@ def hopfield_p_minus(
 ) -> QuadratureOperator:
     """Two-boson squeezed quadrature
     i sqrt(omega/2) cos(gamma) (a'-a) - i sqrt(omega0/2) sin(gamma) (b'-b)."""
-    return QuadratureOperator(
-        math.sqrt(omega / 2.0) * math.cos(gamma),
-        boson_factors(n_max_a).momentum.matrix,
-        -math.sqrt(omega0 / 2.0) * math.sin(gamma),
-        boson_factors(n_max_b).momentum.matrix,
-    )
+    a, b = boson_factors(n_max_a), boson_factors(n_max_b)
+    boson = math.sqrt(omega / 2.0) * math.cos(gamma)
+    spin = -math.sqrt(omega0 / 2.0) * math.sin(gamma)
+    return QuadratureOperator.of(boson, a, spin, b.momentum, b.identity)
 
 
 def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
@@ -144,10 +122,8 @@ def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
 
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:
     """<S^2> of the collective spin in the ground state, computed in real
-    arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v||^2 / 4."""
-    spins = spin_factors(basis)
-    v = gs.vector.reshape(basis.boson_dim, basis.spin_dim).T
-    sxv = 0.5 * (spins.flip.matrix @ v)
-    szv = spins.z.matrix @ v
-    kv = spins.pm.matrix @ v
-    return float(np.sum(sxv * sxv) + np.sum(szv * szv) + 0.25 * np.sum(kv * kv))
+    arithmetic as ||S_x v||^2 + ||S_z v||^2 + ||(S+ - S-) v / 2||^2."""
+    spins, one = spin_factors(basis), boson_factors(basis.n_max).identity
+    terms = ((0.5, spins.flip), (1.0, spins.z), (0.5, spins.pm))
+    parts = [KronSum(((c, one, s),)).apply(gs.vector) for c, s in terms]
+    return float(sum(part @ part for part in parts))

@@ -244,9 +244,9 @@ def _band_lowest(ab: np.ndarray, tol: float):
     raise ConvergenceError(MAX_SHIFTS, tol)
 
 
-def _arpack(mat, k, tol, max_iter):
-    """(values, vectors, matvecs) of the k lowest eigenpairs by ARPACK from
-    ``_start_vector``, each with residual below tol * ||H||_inf.
+def _arpack(mat, tol, max_iter):
+    """(v, ||H||_inf, matvecs) of the lowest eigenpair by ARPACK from
+    ``_start_vector``, with residual below tol * ||H||_inf.
 
     ARPACK stops at a Ritz residual <= tol' * max(|theta|, eps^(2/3)): far
     below the contract near theta = 0, and on diag(0, 1, ..., 2999) it
@@ -255,8 +255,8 @@ def _arpack(mat, k, tol, max_iter):
     tol/10 * ||H||_inf, 10x under the contract. On the product-basis fig7
     points that held xi within 5.2e-12 of a dense solve (2.5e-11 at tol/3)
     for 7% more matvecs."""
-    shift = 2.0 * matrix_inf_norm(mat)
-    matvecs = 0
+    norm = matrix_inf_norm(mat)
+    shift, matvecs = 2.0 * norm, 0
 
     def matvec(x):
         nonlocal matvecs
@@ -265,12 +265,12 @@ def _arpack(mat, k, tol, max_iter):
 
     op = spla.LinearOperator(mat.shape, matvec=matvec, dtype=float)
     try:
-        w, vectors = spla.eigsh(
-            op, k=k, which="SA", v0=_start_vector(mat.shape[0]), tol=tol / 30.0, maxiter=max_iter
+        _, vectors = spla.eigsh(
+            op, k=1, which="SA", v0=_start_vector(mat.shape[0]), tol=tol / 30.0, maxiter=max_iter
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(matvecs, tol) from exc
-    return w - shift, vectors, matvecs
+    return vectors[:, 0], norm, matvecs
 
 
 def _block_lowest(item, method: str, tol: float, max_iter: int):
@@ -286,8 +286,8 @@ def _block_lowest(item, method: str, tol: float, max_iter: int):
         apply, matvecs = functools.partial(_band_matvec, ab), 0
     else:
         csr = block.tocsr()
-        _, vectors, matvecs = _arpack(csr, 1, tol, max_iter)
-        v, apply, norm = vectors[:, 0], csr.dot, matrix_inf_norm(csr)
+        v, norm, matvecs = _arpack(csr, tol, max_iter)
+        apply = csr.dot
     v = v / np.linalg.norm(v)
     hv = apply(v)
     energy = float(v @ hv)

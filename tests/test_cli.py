@@ -14,7 +14,7 @@ from dicke_squeeze import (
     thermal_squeezing_ratio,
 )
 from dicke_squeeze import cli
-from dicke_squeeze.ed import QuadratureOperator, SparseHamiltonian
+from dicke_squeeze.ed.hamiltonians import KronSum
 
 
 def _read_rows(path):
@@ -430,8 +430,8 @@ class TestFig6Fig7:
         def refuse(self):
             raise AssertionError(f"a preset point assembled {type(self).__name__}'s full form")
 
-        monkeypatch.setattr(SparseHamiltonian, "matrix", property(refuse))
-        monkeypatch.setattr(QuadratureOperator, "generator", property(refuse))
+        # H and every quadrature are KronSums: one patch covers both
+        monkeypatch.setattr(KronSum, "matrix", property(refuse))
         configs = {
             "fig3": {"grids": {"n_spins": [2, 5]}, "ed": {"n_max": [8, 10]}},
             **_SMALL_ED,
@@ -530,6 +530,19 @@ class TestEDPresets:
             pytest.param("fig7", {"model": {"n_spins": 1}}, "n_spins >= 2", id="fig7-one-spin"),
             pytest.param("fig7", {"grids": {"eta": ["a"]}}, "grid 'eta'", id="grid-str"),
             pytest.param("fig3", {"ed": 5}, "ed must be an object", id="ed-int"),
+            # every section must be an object, null included
+            pytest.param("fig3", {"ed": None}, "ed must be an object", id="ed-null"),
+            pytest.param("fig3", {"model": None}, "model must be an object", id="model-null"),
+            pytest.param("fig2", {"model": [1, "a"]}, "model must be an object", id="model-list"),
+            pytest.param("fig2", {"grids": []}, "grids must be an object", id="grids-list"),
+            pytest.param(
+                "fig6", {"disorder": True}, "disorder must be an object", id="disorder-bool"
+            ),
+            pytest.param("sweep", {"sweep": None}, "sweep must be an object", id="sweep-null"),
+            pytest.param(
+                "sweep", {"sweep": {"quantity": "disorder_sample", "disorder": 0}},
+                "sweep.disorder must be an object", id="sweep-disorder-int",
+            ),
             # a fractional spin count is rejected, not truncated to N = 2 or 1
             pytest.param(
                 "fig3", {"grids": {"n_spins": [2.5]}}, "bad model parameters: n_spins",
@@ -998,6 +1011,41 @@ class TestMainEntry:
         argv = ["fig2", "--config", str(cfg), "--out", str(out), "--emit-plot-script"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_config_hash_ignores_the_output_path(self, tmp_path):
+        # the hash names the computation: the config's out key and --out
+        # write the same hash
+        grids = {"grids": {"g_over_omega": [0.1]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**grids, "out": str(tmp_path / "a.csv")}))
+        assert cli.main(["fig2", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps(grids))
+        assert cli.main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        hashes = [
+            [l for l in (tmp_path / name).read_text().splitlines() if l.startswith("# config-hash")]
+            for name in ("a.csv", "b.csv")
+        ]
+        assert hashes[0] == hashes[1] and len(hashes[0]) == 1
+
+    def test_missing_output_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        out = tmp_path / "missing" / "fig2.csv"
+        assert cli.main(["fig2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_warnings_come_before_a_failed_write(self, tmp_path, capsys):
+        # tol 1e-30 flags every row; the output path is taken by a directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": {"n_spins": [2]}, "ed": {"n_max": [8], "tol": 1e-30}}))
+        out = tmp_path / "fig3.csv"
+        out.mkdir()
+        assert cli.main(["fig3", "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": residual")[0] for line in lines[:-1]] == ["warning: fig3 N=2 n_max=8"]
+        assert lines[-1].startswith("error: cannot write output: ")
 
     def test_strict_mode_residual_violation(self, tmp_path, capsys):
         warnings = _strict_warnings(

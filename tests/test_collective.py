@@ -36,7 +36,7 @@ from dicke_squeeze.ed.operators import (
     spin_z_values,
 )
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
-from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW
+from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW, TAIL_BOUND
 
 # derandomized: the same examples on every run, so the suite stays reproducible
 _EXAMPLES = settings(derandomize=True, max_examples=12, deadline=None)
@@ -171,13 +171,21 @@ def test_ising_ground_state_lies_in_k0(n_spins, eta, g, n_max):
     temperature=st.floats(0.05, 0.5),
     n_max=st.integers(4, 16),
 )
+# n_max = 4 holds too little of the Gibbs state at T = 0.5
+@example(omega0=1.0, g_fraction=0.0, temperature=0.5, n_max=4)
 def test_parity_block_oracle_matches_full_spectrum(omega0, g_fraction, temperature, n_max):
     p = DickeParams(1.0, omega0, g_fraction * math.sqrt(omega0) / 2.0)
     h = build_hopfield_hamiltonian(p, n_max, n_max)
     q = hopfield_p_minus(n_max, n_max, 1.0, omega0, normal_modes(p).gamma)
     energies, vectors = la.eigh(h.matrix.toarray())
+    if math.exp(-(energies[-1] - energies[0]) / temperature) >= TAIL_BOUND:
+        # the truncation holds too little of the Gibbs state: both forms refuse
+        for op in (h, h.matrix):
+            with pytest.raises(ValueError, match="tail bound violated"):
+                thermal_variance(op, q, temperature)
+        return
     weights = np.exp(-(energies - energies[0]) / temperature)
-    mv = q.generator @ vectors
+    mv = q.matrix @ vectors
     full = float((weights / weights.sum()) @ np.einsum("ij,ij->j", mv, mv))
     assert thermal_variance(h, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
     assert thermal_variance(h.matrix, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
@@ -190,7 +198,7 @@ def test_boltzmann_window_matches_full_spectrum():
     h = build_hopfield_hamiltonian(p, 40, 40)
     q = hopfield_p_minus(40, 40, 1.0, omega0, normal_modes(p).gamma)
     energies, vectors = la.eigh(h.matrix.toarray())
-    mv = q.generator @ vectors
+    mv = q.matrix @ vectors
     moments = np.einsum("ij,ij->j", mv, mv)
     smaller_block = min(np.count_nonzero(h.parity > 0), np.count_nonzero(h.parity < 0))
     ref = min(1.0, omega0) / 2.0

@@ -13,6 +13,7 @@ from dicke_squeeze import DickeParams, DisorderEnsemble, normal_modes
 from dicke_squeeze.ed import (
     ConvergenceError,
     GroundStateResult,
+    QuadratureOperator,
     SparseHamiltonian,
     build_basis,
     build_dicke_hamiltonian,
@@ -651,7 +652,7 @@ class TestQuadratures:
             hopfield_p_minus(6, 7, 1.0, 1.0, math.pi / 4),
         ]
         for q in ops:
-            m = q.generator
+            m = q.matrix
             assert (m != -m.T).nnz == 0
 
     def test_decoupled_variances_are_unity(self):
@@ -687,7 +688,7 @@ class TestQuadratures:
         basis = build_basis(4, 12)
         q_d = p_d(basis, 1.0, 1.0, math.pi / 4)
         q_pt = p_tilde_minus(basis)
-        diff = (math.sqrt(2) * q_d.generator - q_pt.generator).tocsr()
+        diff = (math.sqrt(2) * q_d.matrix - q_pt.matrix).tocsr()
         assert abs(diff).max() < 1e-14
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis)
         gs = ground_state(h)
@@ -702,6 +703,19 @@ class TestQuadratures:
         assert abs(expectation_symmetric(gs.vector, x_op)) < 1e-8
         assert abs(expectation_symmetric(gs.vector, sx_op)) < 1e-8
 
+    def test_non_finite_weights_rejected(self):
+        # a NaN or infinite weight would come back as a NaN variance
+        basis = build_basis(3, 6)
+        for build in (
+            lambda: p_d(basis, 1.0, 1.0, math.nan),
+            lambda: QuadratureOperator.on(basis, math.inf, 1.0),
+            lambda: QuadratureOperator.on(basis, 1.0, -math.inf),
+            lambda: p_minus_k0(basis, 1.0, 1.2, 0.6, math.nan),
+            lambda: hopfield_p_minus(4, 4, 1.0, 1.0, math.nan),
+        ):
+            with pytest.raises(ValueError, match="quadrature weights must be finite"):
+                build()
+
     def test_total_spin_sector_conserved(self):
         basis = build_basis(3, 30)
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 3), basis)
@@ -715,6 +729,42 @@ class TestQuadratures:
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 4), basis, eta=0.5)
         gs = ground_state(h)
         assert total_spin_expectation(gs, basis) < 2.0 * 3.0 - 1e-6
+
+
+def _preset_operators():
+    """name -> (H or quadrature) of every operator the ED presets build, at
+    small sizes: fig3's collective spin, fig6's defect blocks, fig7's k = 0
+    ring and the Hopfield pair."""
+    fig3 = build_basis(4, 12, (4,))
+    ens = DisorderEnsemble(3, ((2.0, 0.1), (2.0, 0.1), (1.5, 0.3)))
+    fig6 = build_basis(6, 10, (3, 2, 1))
+    fig7 = build_basis(6, 10, k0=True)
+    p, hop = DickeParams(1.0, 1.2, 0.45, 3), DickeParams(1.0, 1.3, 0.4, 1, 0.2)
+    return {
+        "fig3-H": build_dicke_hamiltonian(DickeParams(1.0, 1.0, 0.45, 4), fig3),
+        "fig3-p_tilde_minus": p_tilde_minus(fig3),
+        "fig3-s_tilde_y": s_tilde_y(fig3),
+        "fig6-H": build_dicke_hamiltonian(p, fig6, disorder=ens),
+        "fig6-p_d": p_d(fig6, 1.0, 1.2, 0.6),
+        "fig7-H": build_dicke_hamiltonian(DickeParams(1.0, 1.0, 0.5, 6), fig7, eta=0.3),
+        "fig7-p_minus_k0": p_minus_k0(fig7, 1.0, 1.4, 0.6, 0.3),
+        "hopfield-H": build_hopfield_hamiltonian(hop, 8, 9),
+        "hopfield-p_minus": hopfield_p_minus(8, 9, 1.0, 1.3, 0.7),
+    }
+
+
+@pytest.mark.parametrize("name", list(_preset_operators()))
+def test_apply_matches_the_assembled_matrix(name):
+    # the matrix-free product against the full matrix assembled from the
+    # same triplets: the two group each row's sum differently (per term, and
+    # the coefficient before or after the sum), so they agree to rounding
+    op = _preset_operators()[name]
+    v = np.random.default_rng(5).standard_normal((op.dim, 3))
+    bound = 1e-13 * matrix_inf_norm(op.matrix) * np.abs(v).max()
+    for x in (v[:, 0], v):
+        got = op.apply(x)
+        assert got.shape == x.shape
+        assert np.abs(got - op.matrix @ x).max() <= bound
 
 
 class TestHopfieldOracle:
