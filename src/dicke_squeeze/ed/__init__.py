@@ -1,7 +1,10 @@
 """Exact diagonalization over a truncated boson (x) spin basis (product,
 collective-spin or k = 0 ring layout). H and the quadratures are one type, a
 sum of Kronecker terms over shared cached factors; each parity block of H is
-built from them, and no full-dim matrix is formed unless a caller asks."""
+built from them, and no full-dim matrix of H is formed unless a caller asks.
+The Gibbs oracle (``thermal_variance``) is the one dense path: it holds one
+parity block's dense matrix and eigenvectors at a time, and reads the
+quadrature's sparse matrix at that block's columns."""
 
 from .basis import BasisDescriptor, build_basis
 from .hamiltonians import (

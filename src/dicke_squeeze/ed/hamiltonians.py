@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from ..core import DickeParams
+from ..core import DickeParams, integer_at_least
 from ..disorder import DisorderEnsemble
 from .basis import BasisDescriptor
 from .operators import (
@@ -88,7 +88,9 @@ class KronSum:
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """The full CSR matrix, each entry's duplicates summed in term order
-        and exact zeros dropped; no solve or observable reads it."""
+        and exact zeros dropped. No solve or ground-state observable reads
+        it; the Gibbs oracle reads a quadrature's columns at each parity
+        block's states, and a quadrature has about 4 entries a column."""
         dim, right, parts = self.dim, self.terms[0][2].bits.size, []
         for coeff, b, s in self.terms:
             row = b.row.astype(np.int64)[:, None] * right + s.row
@@ -209,6 +211,15 @@ def boson_factors(n_max: int) -> SimpleNamespace:
     )
 
 
+def two_boson_factors(n_max_a: int, n_max_b: int) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """The boson factors of modes a and b; ValueError, before the cache,
+    unless each n_max is an integer >= 0."""
+    return (
+        boson_factors(integer_at_least("n_max_a", n_max_a, 0)),
+        boson_factors(integer_at_least("n_max_b", n_max_b, 0)),
+    )
+
+
 def build_dicke_hamiltonian(
     p: DickeParams,
     basis: BasisDescriptor,
@@ -270,8 +281,9 @@ def build_hopfield_hamiltonian(
 ) -> SparseHamiltonian:
     """Two truncated bosons, omega0 b'b + omega a'a + g (a+a')(b+b'), plus the
     a2_coeff term on the a mode; b is the right factor. Index =
-    n_a*(n_max_b+1) + n_b. Carries the conserved parity (-1)^(n_a + n_b)."""
-    a, b = boson_factors(n_max_a), boson_factors(n_max_b)
+    n_a*(n_max_b+1) + n_b. Carries the conserved parity (-1)^(n_a + n_b).
+    ValueError unless each n_max is an integer >= 0."""
+    a, b = two_boson_factors(n_max_a, n_max_b)
     terms = [(p.omega, a.number, b.identity), (p.omega0, a.identity, b.number)]
     if p.g != 0.0:
         terms.append((p.g, a.x, b.x))

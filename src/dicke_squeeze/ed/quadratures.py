@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BasisDescriptor
-from .hamiltonians import KronSum, boson_factors, spin_factors
+from .hamiltonians import KronSum, boson_factors, spin_factors, two_boson_factors
 from .solver import GroundStateResult
 
 
@@ -89,8 +89,9 @@ def hopfield_p_minus(
     n_max_a: int, n_max_b: int, omega: float, omega0: float, gamma: float
 ) -> QuadratureOperator:
     """Two-boson squeezed quadrature
-    i sqrt(omega/2) cos(gamma) (a'-a) - i sqrt(omega0/2) sin(gamma) (b'-b)."""
-    a, b = boson_factors(n_max_a), boson_factors(n_max_b)
+    i sqrt(omega/2) cos(gamma) (a'-a) - i sqrt(omega0/2) sin(gamma) (b'-b).
+    ValueError unless each n_max is an integer >= 0."""
+    a, b = two_boson_factors(n_max_a, n_max_b)
     boson = math.sqrt(omega / 2.0) * math.cos(gamma)
     spin = -math.sqrt(omega0 / 2.0) * math.sin(gamma)
     return QuadratureOperator.of(boson, a, spin, b.momentum, b.identity)

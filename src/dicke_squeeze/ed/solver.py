@@ -32,6 +32,7 @@ from scipy.linalg import blas, lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..core import integer_at_least
 from .hamiltonians import SparseHamiltonian
 
 # Largest parity block solved directly. Lowest pair of one even block at
@@ -313,13 +314,14 @@ def ground_state(
     doublet) the even block's state is taken, so the pick is deterministic.
     The residual satisfies ||Hv - Ev|| <= tol * ||H||_inf, and the
     eigenvector sign is fixed so the largest-magnitude component is
-    positive. ValueError on an unknown method or a tol that is not a finite
-    number > 0.
+    positive. ValueError on an unknown method, a tol that is not a finite
+    number > 0, or a max_iter that is not an integer >= 1.
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    max_iter = integer_at_least("max_iter", max_iter, 1)
     h = as_hamiltonian(h)
     solve = functools.partial(_block_lowest, method=method, tol=tol, max_iter=max_iter)
     # map keeps no block once it is solved: one block's entries at a time

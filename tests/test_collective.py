@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dicke_squeeze import DickeParams, DisorderEnsemble, IsingParams, normal_modes
 from dicke_squeeze.ising import magnon_energy, mixing_angle_k
 from dicke_squeeze.ed import (
+    SparseHamiltonian,
     build_basis,
     build_dicke_hamiltonian,
     build_hopfield_hamiltonian,
@@ -208,7 +209,8 @@ def test_boltzmann_window_matches_full_spectrum():
         assert np.count_nonzero(energies <= window) < smaller_block
         weights = np.exp(-(energies - energies[0]) / temperature)
         xi_full = float((weights / weights.sum()) @ moments) / ref
-        for ham in (h, h.matrix):
+        # H's factors, one plain block, and the plain matrix's two parity blocks
+        for ham in (h, h.matrix, SparseHamiltonian.from_matrix(h.matrix, h.parity)):
             xi = thermal_variance(ham, q, temperature) / ref
             assert xi == pytest.approx(xi_full, rel=0.0, abs=1e-12)
 

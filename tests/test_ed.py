@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -370,6 +371,13 @@ class TestGroundState:
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             ground_state(h, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 0, True, "10"])
+    def test_bad_max_iter_rejected(self, max_iter):
+        # 2.5 reached ARPACK and ended in a ConvergenceError
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 40))
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            ground_state(h, method="lanczos", max_iter=max_iter)
 
 
 def _blocks(h):
@@ -802,6 +810,18 @@ class TestHopfieldOracle:
         # eps_plus appears once enough soft quanta lie below it
         assert any(abs(gap - modes.eps_plus) < 1e-5 for gap in gaps)
 
+    @pytest.mark.parametrize("n_max", [-1, True, 2.5])
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    def test_bad_truncation_rejected(self, n_max, mode):
+        # -1 built a dim-0 operator, True read as 1, 2.5 a numpy TypeError
+        p = DickeParams(1, 1, 0.3)
+        n_max_a, n_max_b = (n_max, 3) if mode == "a" else (3, n_max)
+        match = f"n_max_{mode} must be an integer >= 0"
+        with pytest.raises(ValueError, match=match):
+            build_hopfield_hamiltonian(p, n_max_a, n_max_b)
+        with pytest.raises(ValueError, match=match):
+            hopfield_p_minus(n_max_a, n_max_b, 1.0, 1.0, 0.5)
+
 
 # Derandomized normal-phase instances of the two-boson model against its
 # closed-form normal modes. n_max = 25 keeps both parity blocks at 338 states,
@@ -878,15 +898,41 @@ class TestThermalOracle:
         with pytest.raises(ValueError):
             thermal_variance(h, q, -0.1)
 
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize(
+        "temperature", [math.nan, math.inf, -math.inf, True, "0.3", None, 1j, [0.2]]
+    )
     def test_non_finite_temperature_rejected(self, temperature):
         # before any spectrum: nan reached scipy's eigenvalue-bounds error, and
-        # inf a violated Boltzmann tail bound; True would read as T = 1
+        # inf a violated Boltzmann tail bound; True would read as T = 1; a
+        # string, None, a complex or a list raised math.isfinite's TypeError
         p = DickeParams(1, 1, 0.3)
         h = build_hopfield_hamiltonian(p, 5, 5)
         q = hopfield_p_minus(5, 5, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
             thermal_variance(h, q, temperature)
+
+    def test_numpy_float_temperature_accepted(self):
+        p = DickeParams(1, 1, 0.3)
+        h = build_hopfield_hamiltonian(p, 20, 20)
+        q = hopfield_p_minus(20, 20, 1.0, 1.0, normal_modes(p).gamma)
+        assert thermal_variance(h, q, np.float64(0.2)) == thermal_variance(h, q, 0.2)
+
+    def test_peak_memory_is_two_dense_blocks(self):
+        # criterion 03's truncation: the largest parity block holds b = 841
+        # states, and one call holds its dense matrix and eigenvectors, 2 b^2
+        # doubles (2.09 b^2 measured); a third b x b array breaks the bound
+        omega0 = 1.3
+        p = DickeParams(1.0, omega0, 0.6 * math.sqrt(omega0) / 2.0)
+        h = build_hopfield_hamiltonian(p, 40, 40)
+        q = hopfield_p_minus(40, 40, 1.0, omega0, normal_modes(p).gamma)
+        b = max(index.size for index, _ in h.parity_blocks())
+        tracemalloc.start()
+        try:
+            thermal_variance(h, q, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * b * b * 8
 
     def test_subnormal_temperature_gives_the_ground_variance(self):
         # 1/T overflows at T = 5e-324, so the weights are formed from (E - E_0)/T
