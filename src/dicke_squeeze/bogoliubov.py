@@ -229,10 +229,23 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     and above the classical transition temperature there. A T < 0, a NaN or
     a bool rejects all of ``temperatures``.
     """
-    temperatures = list(temperatures)  # read twice, so no iterator runs dry
+    (xis,) = thermal_squeezing_map((p,), temperatures)
+    return xis
+
+
+def thermal_squeezing_map(params, temperatures) -> list[list[float]]:
+    """``thermal_squeezing_ratios`` of each instance in ``params`` over one
+    temperature list, which is read and checked once, before any instance:
+    a T < 0, a NaN or a bool rejects all of ``temperatures``."""
+    temperatures = list(temperatures)  # read for every instance, so no iterator runs dry
     bad = [t for t in temperatures if not t >= 0 or t.__class__ is bool]
     if bad:
         raise ValueError(f"temperature must be a number >= 0, got {bad[0]!r}")
+    return [_thermal_ratios(p, temperatures) for p in params]
+
+
+def _thermal_ratios(p: DickeParams, temperatures: list) -> list[float]:
+    """``thermal_squeezing_ratios`` of ``p`` at checked ``temperatures``."""
     if classify_phase(p) is PhaseLabel.SUPERRADIANT:
         raise SuperradiantInputError(
             "thermal squeezing ratio is defined in the normal phase only"

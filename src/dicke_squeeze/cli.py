@@ -467,17 +467,13 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     if not points:
         raise ConfigError("fig4: every (omega0, gc - g) pair gives g < 0; nothing to compute")
     kts = [kt * omega for kt in temps]
-    ratio_col, delta_col, xis = [], [], []
-    for ratio, delta, p in points:
-        ratio_col += [ratio] * len(temps)
-        delta_col += [delta] * len(temps)
-        xis += bogoliubov.thermal_squeezing_ratios(p, kts)
+    xis = bogoliubov.thermal_squeezing_map([p for _, _, p in points], kts)
     columns = {
-        "omega0_over_omega": ratio_col,
-        "gc_minus_g_over_omega": delta_col,
+        "omega0_over_omega": [ratio for ratio, _, _ in points for _ in temps],
+        "gc_minus_g_over_omega": [delta for _, delta, _ in points for _ in temps],
         "kt_over_omega": temps * len(points),
-        "xi": xis,
-        "method": ["analytic"] * len(xis),
+        "xi": list(itertools.chain.from_iterable(xis)),
+        "method": ["analytic"] * (len(points) * len(temps)),
     }
     meta = _meta(cfg)
     if skipped:
@@ -498,7 +494,7 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     ]
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
-    xis = [bogoliubov.thermal_squeezing_ratios(p, kts) for p in params]
+    xis = bogoliubov.thermal_squeezing_map(params, kts)
     n = len(temps) * len(ratios)
     columns = {
         "omega0_over_omega": ratios * len(temps),
@@ -620,25 +616,22 @@ def _sweep_xi_thermal(cfg):
         raise ConfigError(f"sweep.tc_mask must be true or false, got {tc_mask!r}")
     temps = _temperatures(cfg, "kt")
     gs = _grid(grids["g"], "g").tolist()
-    xis, t_cs, masked = [], [], []
-    for g in gs:
-        p = _model(cfg, g=g)
-        superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
-        if superradiant:
-            t_c = _checked("model", bogoliubov.classical_critical_temperature, p)
-            xis += [0.0 if tc_mask else math.nan] * len(temps)
-        else:
-            t_c = None
-            xis += bogoliubov.thermal_squeezing_ratios(p, temps)
-        t_cs += [t_c] * len(temps)
-        masked += [superradiant and tc_mask] * len(temps)
+    params = [_model(cfg, g=g) for g in gs]
+    superradiant = [classify_phase(p) is PhaseLabel.SUPERRADIANT for p in params]
+    t_cs = [
+        _checked("model", bogoliubov.classical_critical_temperature, p) if sr else None
+        for p, sr in zip(params, superradiant)
+    ]
+    normal = [p for p, sr in zip(params, superradiant) if not sr]
+    rows = iter(bogoliubov.thermal_squeezing_map(normal, temps))
+    masked_row = [0.0 if tc_mask else math.nan] * len(temps)
     columns = {
         "g": [g for g in gs for _ in temps],
         "kt": temps * len(gs),
-        "xi": xis,
-        "t_c": t_cs,
-        "masked": masked,
-        "method": ["analytic"] * len(xis),
+        "xi": list(itertools.chain.from_iterable(masked_row if sr else next(rows) for sr in superradiant)),
+        "t_c": [t_c for t_c in t_cs for _ in temps],
+        "masked": [sr and tc_mask for sr in superradiant for _ in temps],
+        "method": ["analytic"] * (len(gs) * len(temps)),
     }
     return SweepResult("sweep", columns, _meta(cfg))
 

@@ -6,15 +6,31 @@ a' - a) and S on the spin states (1, S_z, the flip, S+ - S-, the Ising ring),
 or on a second boson. The spin primitives of ``operators`` carry the basis
 layout, so nothing here reads it. Each term of H keeps or flips both factor
 parities, (-1)^n and (-1)^(up count), so their product is conserved:
-``parity_blocks`` builds each parity block straight from the factors, and
+``parity_blocks`` gives each parity block in its own coordinates, and
 ``apply`` multiplies without a matrix; ``matrix`` assembles one on request.
 H's factors are exactly symmetric, so H == H^T holds entry-for-entry.
+
+What is prepared once per layout and what per point. The factors are cached
+per boson truncation and per spin layout (``boson_factors``,
+``spin_factors``, two of each), with the per-block S_z rows and flips a
+defect model weights. For each term and parity the unit band U_t, the term's
+lower band in block coordinates with coefficient 1, is prepared on first use
+and kept while both of its factors live; each point then builds its band as
+sum_t c_t U_t in term order, which is bit for bit the band of the assembled
+block. A defect model's z diagonal and weighted flips are new factors at each
+point, so their unit bands are prepared there. Only blocks of dim <=
+DENSE_DIM_LIMIT, the ones solved on their band, are kept: at most one band per
+term and parity of the live factor pairs, each of (half-bandwidth + 1) x dim
+doubles, 196 KB for fig7's 16 and 0.9 MB for the 16 of a Dicke N = 48 block
+of 1250 states. ARPACK blocks build a CSR matrix from their triplets at each
+call and keep nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import weakref
 from collections.abc import Iterator
 from types import SimpleNamespace
 
@@ -25,13 +41,18 @@ from ..core import DickeParams, integer_at_least
 from ..disorder import DisorderEnsemble
 from .basis import BasisDescriptor
 from .operators import (
+    block_weights,
     boson_momentum_generator,
     boson_x,
     ising_xx_ring,
-    spin_flip_total,
     spin_raise,
-    spin_z_values,
+    spin_z_blocks,
 )
+
+
+# Largest parity block solved directly on its band (``solver`` holds the
+# measurement that sets it), and the largest whose unit bands are kept.
+DENSE_DIM_LIMIT = 1250
 
 
 class Factor:
@@ -53,24 +74,41 @@ class Factor:
         index = np.arange(values.size)
         return cls(index, index, values, bits)
 
+    def like(self, value: np.ndarray) -> Factor:
+        """A factor with this one's entries and bits but the given values,
+        sharing its groups, so building it sorts nothing."""
+        out = Factor(self.row, self.col, value, self.bits)
+        out.__dict__["groups"] = self.groups
+        return out
+
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.value, (self.row, self.col)), shape=(self.bits.size,) * 2)
 
     @functools.cached_property
+    def is_identity(self) -> bool:
+        index = np.arange(self.bits.size)
+        return bool(
+            np.array_equal(self.row, index)
+            and np.array_equal(self.col, index)
+            and (self.value == 1.0).all()
+        )
+
+    @functools.cached_property
     def groups(self) -> dict:
-        """(to, from) -> (row, col, row rank, col rank, value) of the entries
-        from states of bit ``from`` to states of bit ``to``, a state's rank
-        being its place among the states of its bit."""
+        """(to, from) -> (entries, row, col, row rank, col rank) of the
+        entries from states of bit ``from`` to states of bit ``to``, a
+        state's rank being its place among the states of its bit; the values
+        are read at ``entries``."""
         bits = self.bits
         ones = np.cumsum(bits, dtype=np.int32) - bits
         rank = np.where(bits, ones, np.arange(bits.size, dtype=np.int32) - ones)
         key = 2 * bits[self.row] + bits[self.col]
         groups = {}
         for k in np.unique(key):
-            keep = key == k
-            r, c = self.row[keep], self.col[keep]
-            groups[divmod(int(k), 2)] = (r, c, rank[r], rank[c], self.value[keep])
+            entries = np.flatnonzero(key == k)
+            r, c = self.row[entries], self.col[entries]
+            groups[divmod(int(k), 2)] = (entries, r, c, rank[r], rank[c])
         return groups
 
 
@@ -105,15 +143,115 @@ class KronSum:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator times v of shape (dim,) or (dim, k), matrix-free: on v
-        reshaped to (B, S, k), sum_t c_t B_t V S_t^T, summed in term order."""
+        reshaped to (B, S, k), sum_t c_t B_t V S_t^T, summed in term order.
+        An identity factor is skipped: its product is exact."""
         _, left, right = self.terms[0]
         m, n = left.bits.size, right.bits.size
         cols = v.reshape(m, n, -1)
         out = np.zeros(cols.shape)
         for coeff, b, s in self.terms:
-            vs = (s.matrix @ cols.transpose(1, 0, 2).reshape(n, -1)).reshape(n, m, -1)
-            out += coeff * (b.matrix @ vs.transpose(1, 0, 2).reshape(m, -1)).reshape(out.shape)
+            vs = cols
+            if not s.is_identity:
+                vs = s.matrix @ cols.transpose(1, 0, 2).reshape(n, -1)
+                vs = vs.reshape(n, m, -1).transpose(1, 0, 2)
+            if not b.is_identity:
+                vs = (b.matrix @ vs.reshape(m, -1)).reshape(out.shape)
+            out += coeff * vs
         return out.reshape(v.shape)
+
+
+def lower_band(row, col, value, n: int) -> np.ndarray:
+    """The lower band of the symmetric n x n matrix with entries (row, col,
+    value) in LAPACK's lower band storage, ab[i - j, j] = H[i, j] for
+    i >= j, with as many rows as the half-bandwidth + 1, Fortran-ordered for
+    LAPACK. A duplicate entry is summed by bincount over the flat band index,
+    in the order the entries come; no dense copy."""
+    low = row >= col
+    offset, col = row[low] - col[low], col[low]
+    rows = int(offset.max(initial=0)) + 1
+    flat = col.astype(np.int64) * rows + offset
+    return np.bincount(flat, weights=value[low], minlength=rows * n).reshape(n, rows).T
+
+
+def _term_entries(left: Factor, right: Factor, p: int, offset: np.ndarray):
+    """(row, col, value) of the term left (x) right, coefficient 1, in the
+    coordinates of parity block p: the entries of right between bits (a, b)
+    pair with the entries of left between bits (a, b) xor p, at those
+    levels' offsets, each value bv * sv."""
+    rows, cols, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for (to, fro), (entries, _, _, r, c) in right.groups.items():
+        if (to ^ p, fro ^ p) in left.groups:
+            levels, i, j, _, _ = left.groups[to ^ p, fro ^ p]
+            rows.append((offset[i, None] + r).ravel())
+            cols.append((offset[j, None] + c).ravel())
+            values.append((left.value[levels][:, None] * right.value[entries]).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _unit_band(left: Factor, right: Factor, p: int, offset: np.ndarray) -> np.ndarray:
+    """The lower band of left (x) right, coefficient 1, in parity block p."""
+    return lower_band(*_term_entries(left, right, p, offset), int(offset[-1]))
+
+
+# right factor -> left factor -> {parity: unit band} of the direct-path
+# blocks, keyed weakly at both levels, so an entry dies with either factor
+_UNIT_BANDS = weakref.WeakKeyDictionary()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """Parity block p of the KronSum ``terms``, in its own coordinates: level
+    n of the left factor holds the states of the right factor of bit
+    (n + p) mod 2, in order, from ``offset[n]`` on."""
+
+    terms: tuple
+    p: int
+    offset: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.offset[-1])
+
+    def band(self) -> np.ndarray:
+        """The block's lower band (``lower_band``), sum_t c_t U_t summed in
+        term order from zeros, U_t being term t's unit band: the bits of a
+        band read off the assembled entries. The U_t of a block of dim <=
+        DENSE_DIM_LIMIT are prepared once and kept while both of the term's
+        factors live; above it they are built for this call only."""
+        units = [(coeff, self._unit_band(b, s)) for coeff, b, s in self.terms]
+        band = np.zeros((max(u.shape[0] for _, u in units), self.dim), order="F")
+        for coeff, unit in units:
+            band[: unit.shape[0]] += coeff * unit
+        return band
+
+    def _unit_band(self, left: Factor, right: Factor) -> np.ndarray:
+        if self.dim > DENSE_DIM_LIMIT:
+            return _unit_band(left, right, self.p, self.offset)
+        bands = _UNIT_BANDS.get(right)
+        if bands is None:
+            bands = _UNIT_BANDS[right] = weakref.WeakKeyDictionary()
+        by_parity = bands.setdefault(left, {})
+        if self.p not in by_parity:
+            unit = _unit_band(left, right, self.p, self.offset)
+            unit.flags.writeable = False
+            by_parity[self.p] = unit
+        return by_parity[self.p]
+
+    def matrix(self) -> sp.csr_matrix:
+        """The block as a CSR matrix, built from its triplets at each call
+        (the ARPACK path), each entry c_t (bv * sv), duplicates summed in
+        term order."""
+        return sp.csr_matrix(self._triplets(), shape=(self.dim,) * 2)
+
+    def _triplets(self):
+        # built in a call, so only the joined triplets outlive it
+        rows, cols, values = [], [], []
+        for coeff, b, s in self.terms:
+            r, c, v = _term_entries(b, s, self.p, self.offset)
+            rows.append(r)
+            cols.append(c)
+            values.append(coeff * v)
+        return np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))
 
 
 class SparseHamiltonian(KronSum):
@@ -134,15 +272,11 @@ class SparseHamiltonian(KronSum):
     def parity(self) -> np.ndarray:
         return _parity(self.terms[0][1].bits.size, self.terms[0][2].bits)
 
-    def parity_blocks(self) -> Iterator[tuple[np.ndarray, sp.coo_matrix]]:
-        """(index, block) of the nonempty even and odd blocks, in that order,
-        each built when asked for: index holds the block's places in the full
-        basis, ascending, and block is H[index][:, index] as COO triplets,
-        each term's entries in term order.
-
-        Block p at level n of B holds the states of S of bit (n + p) mod 2,
-        in order, so the entries of S between bits (a, b) pair with the
-        entries of B between bits (a, b) xor p, at those levels' offsets."""
+    def parity_blocks(self) -> Iterator[tuple[np.ndarray, ParityBlock]]:
+        """(index, block) of the nonempty even and odd blocks, in that order:
+        index holds the block's places in the full basis, ascending, and
+        block is H[index][:, index] as a ``ParityBlock``, which builds its
+        band or CSR matrix when asked."""
         _, left, right = self.terms[0]
         levels = np.arange(left.bits.size)
         for p in (0, 1):
@@ -150,20 +284,7 @@ class SparseHamiltonian(KronSum):
             np.cumsum(right.count[(left.bits + p) % 2], out=offset[1:])
             if offset[-1]:
                 index = np.flatnonzero(((levels[:, None] + right.bits) % 2 == p).ravel())
-                # built in a call, so the suspended generator holds no block
-                yield index, self._block(p, offset)
-
-    def _block(self, p: int, offset: np.ndarray) -> sp.coo_matrix:
-        rows, cols, values = [], [], []
-        for coeff, b, s in self.terms:
-            for (to, fro), (_, _, r, c, v) in s.groups.items():
-                if (to ^ p, fro ^ p) in b.groups:
-                    i, j, _, _, bv = b.groups[to ^ p, fro ^ p]
-                    rows.append((offset[i, None] + r).ravel())
-                    cols.append((offset[j, None] + c).ravel())
-                    values.append((coeff * (bv[:, None] * v)).ravel())
-        entries = np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))
-        return sp.coo_matrix(entries, shape=(int(offset[-1]),) * 2)
+                yield index, ParityBlock(self.terms, p, offset)
 
 
 @functools.lru_cache(maxsize=2)
@@ -171,27 +292,48 @@ def _spin_factors(spins: BasisDescriptor) -> SimpleNamespace:
     """Cached for the two spin layouts a sweep alternates between (fig3 and
     fig6 visit each at every n_max in turn); spin_dim-sized and read-only,
     so every point of the layout shares them."""
-    z = spin_z_values(spins)
+    z_blocks = spin_z_blocks(spins)
+    z = sum(z_blocks)  # spin_z_values at unit weights
     # the up count S_z + N/2 is exact in floating point
     bits = ((z + 0.5 * spins.n_spins) % 2).astype(np.int8)
     # spin_flip_total is R + R^T and spin_pm_total R - R^T; R raises the up
     # count, so R and R^T share no entry
     up = Factor.of(spin_raise(spins), bits)
-    row, col = np.concatenate((up.row, up.col)), np.concatenate((up.col, up.row))
     ring = not spins.collective and spins.n_spins > 1
+    block_flips = None
+    if not spins.k0:
+        # an entry of R raises one block's digit: row - col is that block's stride
+        stride = np.array([s for _, s in spins.blocks])
+        block = np.searchsorted(stride, up.row - up.col)
+        block_flips = tuple(_flip(up, block == b, 1.0) for b in range(stride.size))
     return SimpleNamespace(
         bits=bits,
         identity=Factor.diagonal(np.ones(spins.spin_dim), bits),
         z=Factor.diagonal(z, bits),
-        flip=Factor(row, col, np.concatenate((up.value, up.value)), bits),
-        pm=Factor(row, col, np.concatenate((up.value, -up.value)), bits),
+        flip=_flip(up, slice(None), 1.0),
+        pm=_flip(up, slice(None), -1.0),
         ring=Factor.of(ising_xx_ring(spins), bits) if ring else None,
+        z_blocks=z_blocks,
+        block_flips=block_flips,
+    )
+
+
+def _flip(up: Factor, keep, sign: float) -> Factor:
+    """R + sign R^T of the entries ``keep`` (a mask or slice) of the raise
+    factor R."""
+    row, col, value = up.row[keep], up.col[keep], up.value[keep]
+    return Factor(
+        np.concatenate((row, col)), np.concatenate((col, row)),
+        np.concatenate((value, sign * value)), up.bits,
     )
 
 
 def spin_factors(basis: BasisDescriptor) -> SimpleNamespace:
     """The unit-weight spin factors of ``basis``'s spin layout, whatever its
-    n_max: identity, z, flip, pm and ring (None where the layout has none)."""
+    n_max: identity, z, flip, pm and ring (None where the layout has none),
+    and per block of ``basis.blocks`` its S_z row (``z_blocks``) and its flip
+    factor (``block_flips``, None on the k = 0 ring, whose orbit sums mix
+    the sites)."""
     return _spin_factors(dataclasses.replace(basis, n_max=0))
 
 
@@ -211,13 +353,16 @@ def boson_factors(n_max: int) -> SimpleNamespace:
     )
 
 
+def _truncations(n_max_a, n_max_b) -> tuple[int, int]:
+    """Both truncations as ints; ValueError unless each is an integer >= 0."""
+    return integer_at_least("n_max_a", n_max_a, 0), integer_at_least("n_max_b", n_max_b, 0)
+
+
 def two_boson_factors(n_max_a: int, n_max_b: int) -> tuple[SimpleNamespace, SimpleNamespace]:
     """The boson factors of modes a and b; ValueError, before the cache,
     unless each n_max is an integer >= 0."""
-    return (
-        boson_factors(integer_at_least("n_max_a", n_max_a, 0)),
-        boson_factors(integer_at_least("n_max_b", n_max_b, 0)),
-    )
+    n_max_a, n_max_b = _truncations(n_max_a, n_max_b)
+    return boson_factors(n_max_a), boson_factors(n_max_b)
 
 
 def build_dicke_hamiltonian(
@@ -257,12 +402,19 @@ def build_dicke_hamiltonian(
     n, spins, bosons = basis.n_spins, spin_factors(basis), boson_factors(basis.n_max)
     terms = [(p.omega, bosons.number, spins.identity)]
     if defects:
-        z = spin_z_values(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
-        terms.append((1.0, bosons.identity, Factor.diagonal(z, spins.bits)))
-        x_weights = [p.g] * p.n_spins + [gp for _, gp in defects]
-        if any(x_weights):
-            flip = Factor.of(spin_flip_total(basis, x_weights), spins.bits)
-            terms.append((1.0 / np.sqrt(n), bosons.x, flip))
+        if basis.k0:
+            raise ValueError("the k = 0 ring layout needs one weight for every spin: no defects")
+        # per block, from the layout's unit factors, in spin_z_values' and
+        # spin_flip_total's arithmetic; a zero-weight block has no flip entry
+        z_weights = block_weights(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
+        x_weights = block_weights(basis, [p.g] * p.n_spins + [gp for _, gp in defects])
+        z = sum(w * z_b for w, z_b in zip(z_weights, spins.z_blocks))
+        terms.append((1.0, bosons.identity, spins.identity.like(z)))
+        terms += [
+            (1.0 / np.sqrt(n), bosons.x, flip.like(w * flip.value))
+            for w, flip in zip(x_weights, spins.block_flips)
+            if w
+        ]
     else:
         terms.append((p.omega0, bosons.identity, spins.z))
         if p.g != 0.0:
@@ -307,5 +459,7 @@ def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
 
 
 def hopfield_parity_diagonal(n_max_a: int, n_max_b: int) -> np.ndarray:
-    """(-1)^(n_a + n_b) over the two-boson basis."""
+    """(-1)^(n_a + n_b) over the two-boson basis; ValueError unless each
+    n_max is an integer >= 0."""
+    n_max_a, n_max_b = _truncations(n_max_a, n_max_b)
     return _parity(n_max_a + 1, np.arange(n_max_b + 1) % 2)

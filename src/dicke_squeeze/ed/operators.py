@@ -54,10 +54,11 @@ def _states(basis: BasisDescriptor) -> np.ndarray:
     return translation_orbits(basis.n_spins)[0] if basis.k0 else np.arange(basis.spin_dim)
 
 
-def _digits(basis: BasisDescriptor, weights):
-    """(n, stride, w, d) of ``basis.blocks``: each block's spin count, stride
-    and one weight, and d[b, s] its digit in every spin state s."""
-    n, stride = np.array(basis.blocks).T
+def block_weights(basis: BasisDescriptor, weights=None) -> np.ndarray:
+    """The one weight of each block of ``basis.blocks``, from one weight per
+    spin (all 1 when None); ValueError unless the spins of each block, and on
+    the k = 0 ring every spin, share one weight."""
+    n = np.array([size for size, _ in basis.blocks])
     weights = np.ones(basis.n_spins) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (basis.n_spins,):
         raise ValueError(f"need one weight per spin ({basis.n_spins}), got {weights.shape}")
@@ -66,23 +67,39 @@ def _digits(basis: BasisDescriptor, weights):
         raise ValueError("the spins of each block must share one weight")
     if basis.k0 and np.any(weights != weights[0]):
         raise ValueError("the k = 0 ring layout needs one weight for every spin")
-    return n, stride, w, _states(basis) // stride[:, None] % (n[:, None] + 1)
+    return w
+
+
+def _digits(basis: BasisDescriptor):
+    """(n, stride, d) of ``basis.blocks``: each block's spin count and
+    stride, and d[b, s] its digit in every spin state s."""
+    n, stride = np.array(basis.blocks).T
+    return n, stride, _states(basis) // stride[:, None] % (n[:, None] + 1)
 
 
 def spin_raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     """R = sum_b w_b J_+^b: s -> s + stride_b where d_b < n_b, with amplitude
     w_b sqrt((d_b+1)(n_b-d_b))."""
-    n, stride, w, d = _digits(basis, weights)
+    w = block_weights(basis, weights)
+    n, stride, d = _digits(basis)
     block, s = np.nonzero(d < n[:, None])
     up = d[block, s]
     amplitude = w[block] * np.sqrt((up + 1.0) * (n[block] - up))
     return _fold(basis, amplitude, _states(basis)[s] + stride[block], s)
 
 
+def spin_z_blocks(basis: BasisDescriptor) -> np.ndarray:
+    """Row b holds d_b - n_b/2, block b's unit-weight S_z over the spin
+    states of ``basis``."""
+    n, _, d = _digits(basis)
+    return d - 0.5 * n[:, None]
+
+
 def spin_z_values(basis: BasisDescriptor, weights=None) -> np.ndarray:
-    """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``."""
-    n, _, w, d = _digits(basis, weights)
-    return sum(w_b * (d_b - 0.5 * n_b) for n_b, w_b, d_b in zip(n, w, d))
+    """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``: the
+    blocks' rows of ``spin_z_blocks`` weighted and summed in block order."""
+    w = block_weights(basis, weights)
+    return sum(w_b * z_b for w_b, z_b in zip(w, spin_z_blocks(basis)))
 
 
 def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:

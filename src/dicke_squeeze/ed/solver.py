@@ -5,12 +5,14 @@ from its Kronecker factors in the block's own coordinates
 (``SparseHamiltonian.parity_blocks``); a plain sparse matrix enters as one
 block. Each block's lowest eigenpair comes from a direct solve on its band up
 to DENSE_DIM_LIMIT and from ARPACK's implicitly restarted Lanczos
-(``scipy.sparse.linalg.eigsh``) on a CSR copy of the block above it. The
+(``scipy.sparse.linalg.eigsh``) above it, on a CSR matrix built from the
+block's entries at each call. The
 flat index is boson-major (n * spin_dim + s): the coupling links n to n +- 1
 and everything else stays inside one n, so every block is a band matrix of
 small half-bandwidth b (7 for fig3 at N = 12, 10 for fig7, 14 for the
-Hopfield model at n_max = 25). The direct solve sums the block's entries into
-LAPACK's band storage and finds the lowest level by shifted inverse iteration
+Hopfield model at n_max = 25). The direct solve reads the block in LAPACK's
+band storage (``ParityBlock.band``: each term's unit band, prepared once per
+layout, scaled and summed) and finds the lowest level by shifted inverse iteration
 on banded Cholesky factors of B - sigma (LAPACK pbtrf/pbtrs, O(n b^2) each,
 about ten per block, no dense n x n matrix), with its products taken on the
 band (BLAS sbmv). A factorization succeeds only when sigma lies below every
@@ -33,9 +35,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..core import integer_at_least
-from .hamiltonians import SparseHamiltonian
+from .hamiltonians import DENSE_DIM_LIMIT, SparseHamiltonian, lower_band
 
-# Largest parity block solved directly. Lowest pair of one even block at
+# DENSE_DIM_LIMIT (hamiltonians) is the largest parity block solved directly,
+# and the largest whose unit bands are kept. Lowest pair of one even block at
 # g = 0.5 (n_max = 50, 80 at N = 96; 2 vCPUs, OpenBLAS; median of 31, of 9 at
 # N = 96, in two runs; band is the half-bandwidth; banded is _band_lowest,
 # eigsh as in _arpack, dense eigh is la.eigh(block.toarray(),
@@ -53,10 +56,9 @@ from .hamiltonians import SparseHamiltonian
 # The banded solve costs about ten Cholesky factorizations of O(n b^2) each,
 # eigsh some hundred products with the sparse block (about 5 entries a row
 # here), so the band loses once b is wide: it wins by 1.3-1.7x at dim 1250
-# and loses at 3929. The limit sits at the last clear win. Up to it the band
-# solve is exact to rounding, while eigsh is tol-accurate (forced on fig6 it
-# moves xi by up to 1.0e-11).
-DENSE_DIM_LIMIT = 1250
+# and loses at 3929. The limit sits at the last clear win, 1250. Up to it the
+# band solve is exact to rounding, while eigsh is tol-accurate (forced on fig6
+# it moves xi by up to 1.0e-11).
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 5000
 NEAR_DEGENERATE_GAP = 1e-8
@@ -148,37 +150,36 @@ def matrix_inf_norm(mat: sp.spmatrix) -> float:
 
 
 def _lower_band(mat: sp.spmatrix) -> np.ndarray:
-    """The lower band of a symmetric sparse matrix in LAPACK's lower band
-    storage, ab[i - j, j] = H[i, j] for i >= j, with as many rows as the
-    half-bandwidth + 1, Fortran-ordered for LAPACK. Read from the stored
-    entries, a duplicate entry summed by bincount over the flat band index
-    in the order the entries are stored; no dense copy."""
+    """``lower_band`` of a symmetric sparse matrix, read from its stored
+    entries in the order they are stored: the band a block's assembled
+    entries give, which ``ParityBlock.band`` reproduces from its unit
+    bands."""
     coo = mat.tocoo()
-    low = coo.row >= coo.col
-    offset, col = coo.row[low] - coo.col[low], coo.col[low]
-    rows, n = int(offset.max(initial=0)) + 1, mat.shape[0]
-    flat = col.astype(np.int64) * rows + offset
-    return np.bincount(flat, weights=coo.data[low], minlength=rows * n).reshape(n, rows).T
+    return lower_band(coo.row, coo.col, coo.data, mat.shape[0])
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
+@functools.lru_cache(maxsize=64)
 def _start_vector(n: int) -> np.ndarray:
-    """The start vector of both solves: a seed-0 Gaussian draw, whose overlap
+    """The start vector of both solves, drawn once per n and read-only (both
+    solves copy it): a seed-0 Gaussian draw, whose overlap
     with every level is generic. A symmetric vector is not: the all-ones
     vector is invariant under every permutation of the product spins, so
     where H commutes with some of them the Krylov space never leaves the
     sector they fix, and levels outside it (a parity block's lowest on the
     Ising ring's product basis, excited levels of the ideal model) are
     missed."""
-    return np.random.default_rng(0).standard_normal(n)
+    vector = np.random.default_rng(0).standard_normal(n)
+    vector.flags.writeable = False
+    return vector
 
 
 def _band_lowest(ab: np.ndarray, tol: float):
     """(E_0, v, ||B||_inf) of one block from its band ``ab``
-    (``_lower_band``), by shifted inverse iteration on banded Cholesky
+    (``lower_band``), by shifted inverse iteration on banded Cholesky
     factors. A diagonal block (half-bandwidth 0) gives its smallest entry
     and the unit vector there, exactly.
 
@@ -279,14 +280,12 @@ def _block_lowest(item, method: str, tol: float, max_iter: int):
     GroundStateResult in the block's coordinates, its energy, residual and
     norm taken on the operator that solved it."""
     index, block = item
-    if method == "dense" or block.shape[0] < 2 or (
-        method == "auto" and block.shape[0] <= DENSE_DIM_LIMIT
-    ):
-        ab = _lower_band(block)
+    if method == "dense" or block.dim < 2 or (method == "auto" and block.dim <= DENSE_DIM_LIMIT):
+        ab = block.band()
         _, v, norm = _band_lowest(ab, tol)
         apply, matvecs = functools.partial(_band_matvec, ab), 0
     else:
-        csr = block.tocsr()
+        csr = block.matrix()
         v, norm, matvecs = _arpack(csr, tol, max_iter)
         apply = csr.dot
     v = v / np.linalg.norm(v)
@@ -353,11 +352,11 @@ def lowest_eigenvalues(h, k: int) -> np.ndarray:
         raise ValueError(f"k must be in 1..{h.dim}")
     levels = [
         la.eig_banded(
-            _lower_band(block),
+            block.band(),
             lower=True,
             eigvals_only=True,
             select="i",
-            select_range=(0, min(k, block.shape[0]) - 1),
+            select_range=(0, min(k, block.dim) - 1),
         )
         for _, block in h.parity_blocks()
     ]

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .quadratures import QuadratureOperator, variance
-from .solver import _lower_band, as_hamiltonian, ground_state
+from .solver import as_hamiltonian, ground_state
 
 # refuse dense decompositions beyond this size; a block of b states takes
 # 2*b^2*8 bytes, 1.6 GB for two blocks of 10000 and 6.4 GB for one of 20000
@@ -46,9 +46,9 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     ||M v_j||^2 with Boltzmann weights exp(-(E_j - E_0)/T) (eigenstate means
     vanish identically for real eigenvectors, and the thermal mean inherits
     that). Each parity block (``SparseHamiltonian.parity_blocks``) is
-    diagonalized within the same window, one at a time (``_block_pairs``),
-    and the spectra are merged; a block's dense matrix and eigenvectors are
-    released before the next is built. The
+    diagonalized from its band within the same window, one at a time
+    (``_block_pairs``), and the spectra are merged; a block's dense matrix
+    and eigenvectors are released before the next is built. The
     retained spectrum must cover the ensemble: exp(-(E_cut - E_0)/T) < 1e-10,
     where E_cut is the highest kept eigenvalue, or the window edge when the
     window drops pairs; otherwise a ValueError reports the violated tail
@@ -69,11 +69,10 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
             f"thermal oracle needs a dense spectrum; dim={dim} exceeds "
             f"{_DENSE_SPECTRUM_LIMIT}"
         )
-    blocks = list(h.parity_blocks())
-    # row 0 of the band is the diagonal, summed as toarray sums it
-    window = min(_lower_band(block)[0].min() for _, block in blocks)
-    window += BOLTZMANN_WINDOW * temperature
-    energies, second_moments = zip(*(_block_pairs(*item, window, q) for item in blocks))
+    bands = [(index, block.band()) for index, block in h.parity_blocks()]
+    # row 0 of a band is the block's diagonal
+    window = min(band[0].min() for _, band in bands) + BOLTZMANN_WINDOW * temperature
+    energies, second_moments = zip(*(_block_pairs(*item, window, q) for item in bands))
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
@@ -93,15 +92,29 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     return float(weights @ second_moments)
 
 
-def _block_pairs(index, block, window: float, q: QuadratureOperator):
-    """(E_j, ||M v_j||^2) of one parity block's eigenpairs up to ``window``.
+def _block_pairs(index, band, window: float, q: QuadratureOperator):
+    """(E_j, ||M v_j||^2) of one parity block's eigenpairs up to ``window``,
+    from the block's lower ``band``.
 
-    The block is built Fortran-ordered and LAPACK reduces it in place, so the
-    call holds two dense b x b arrays: the block and the eigenvector array Z,
-    which eigh returns a view of and which dies with this call. M v_j is read
-    from M's columns at the block's places, with no lift to the full basis."""
+    The block is built Fortran-ordered (``_lower_dense``) and LAPACK reduces
+    it in place, so the call holds two dense b x b arrays: the block, which
+    dies when eigh returns, and the eigenvector array Z, which eigh returns a
+    view of and which dies with this call. M v_j is read from M's columns at
+    the block's places, with no lift to the full basis."""
     w, vectors = la.eigh(
-        block.toarray(order="F"), overwrite_a=True, subset_by_value=[-np.inf, window]
+        _lower_dense(band), overwrite_a=True, subset_by_value=[-np.inf, window]
     )
     mv = q.matrix[:, index] @ vectors
     return w, np.einsum("ij,ij->j", mv, mv)
+
+
+def _lower_dense(band: np.ndarray) -> np.ndarray:
+    """The lower triangle of the block with lower ``band``, the only
+    triangle eigh reads, in a Fortran-ordered n x n array; zeros above."""
+    n = band.shape[1]
+    dense = np.zeros((n, n), order="F")
+    # H[j + d, j] sits at j (n + 1) + d of the Fortran-ordered array
+    flat = dense.ravel(order="F")
+    for d, diagonal in enumerate(band):
+        flat[d :: n + 1][: n - d] = diagonal[: n - d]
+    return dense

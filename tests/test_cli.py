@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from dicke_squeeze import (
     thermal_squeezing_ratio,
 )
 from dicke_squeeze import cli
+from dicke_squeeze.ed import hamiltonians
 from dicke_squeeze.ed.hamiltonians import KronSum
 
 
@@ -447,6 +449,30 @@ class TestFig6Fig7:
             assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
             rows = _read_rows(out)
             assert rows and all(row["residual_ok"] in ("true", "") for row in rows)
+
+    def test_fig7_prepares_each_unit_band_once(self, monkeypatch, clear_ed_caches):
+        # default fig7: 16 eta points at n_max 40 and 50, H of the number, z
+        # and flip terms plus the ring above eta = 0. Each (term, parity,
+        # n_max) unit band is prepared once, 4 * 2 * 2 = 16 for 32 points, and
+        # only the first point of each n_max (points 1 and 2) builds any
+        # scipy.sparse matrix: its layout's factors
+        prepared, points, built = [], [], []
+        prepare, task = hamiltonians._unit_band, cli._ed_task
+        monkeypatch.setattr(
+            hamiltonians, "_unit_band", lambda *args: prepared.append(args) or prepare(*args)
+        )
+        monkeypatch.setattr(cli, "_ed_task", lambda t: points.append(t) or task(t))
+
+        def counted(self, *args, **kwargs):
+            built.append(len(points))
+            super(sp.spmatrix, self).__init__(*args, **kwargs)
+
+        # every *_matrix class of scipy.sparse finds __init__ on spmatrix first
+        monkeypatch.setattr(sp.spmatrix, "__init__", counted)
+        result = cli.run_experiment("fig7", cli.resolve_config("fig7", {}))
+        assert len(points) == len(result.rows) == 32
+        assert len(prepared) == 16
+        assert built and set(built) <= {1, 2}
 
     @pytest.mark.parametrize(
         "experiment, header",

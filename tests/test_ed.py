@@ -41,7 +41,8 @@ from dicke_squeeze.ed.solver import (
     _lower_band,
     matrix_inf_norm,
 )
-from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total
+from dicke_squeeze.ed import hamiltonians
+from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total, spin_z_values
 
 
 # -- independent dense oracle (explicit loops, no reuse of package builders) --
@@ -390,9 +391,34 @@ def _band_lowest_of(dense):
     return _band_lowest(_lower_band(sp.csr_matrix(dense)), DEFAULT_TOL)[:2]
 
 
+_FIG_LAYOUTS = ["fig3", "fig6-run", "fig6-random", "fig7", "from-matrix"]
+
+
+def _fig_layout(layout):
+    """The presets' layouts at their default points: fig3's collective spin,
+    fig6 with a run of two equal defects and with three distinct random ones
+    (one collective block each), fig7's k = 0 ring, and a plain matrix with
+    its parity."""
+    p = DickeParams(1.0, 1.0, 0.5, 5)
+    if layout == "fig3":
+        return build_dicke_hamiltonian(p, build_basis(5, 40, (5,)))
+    if layout == "fig6-run":
+        ens = DisorderEnsemble(5, ((2.1, 2.0), (2.1, 2.0)))
+        return build_dicke_hamiltonian(p, build_basis(7, 40, (5, 2)), disorder=ens)
+    if layout == "fig6-random":
+        ens = DisorderEnsemble(5, ((1.7, 0.35), (2.45, 1.3), (0.8, 0.05)))
+        return build_dicke_hamiltonian(p, build_basis(8, 30, (5, 1, 1, 1)), disorder=ens)
+    ring = build_dicke_hamiltonian(
+        DickeParams(1.0, 1.0, 0.5, 6), build_basis(6, 40, k0=True), eta=0.7
+    )
+    return ring if layout == "fig7" else SparseHamiltonian.from_matrix(ring.matrix, ring.parity)
+
+
 def _layout(layout):
-    """A Hamiltonian of each spin layout, the two-boson model, and the cases
-    whose duplicate entries sum in term order."""
+    """A Hamiltonian of each spin layout, the two-boson model, the cases
+    whose duplicate entries sum in term order, and the presets' layouts."""
+    if layout in _FIG_LAYOUTS:
+        return _fig_layout(layout)
     p = DickeParams(1.0, 1.2, 0.45, 3)
     if layout == "product":
         return build_dicke_hamiltonian(p, build_basis(3, 12), eta=0.3)
@@ -427,28 +453,89 @@ class TestBandSolve:
     @pytest.mark.parametrize(
         "layout",
         ["product", "collective", "mixed", "k0", "hopfield", "a2", "hopfield-a2", "ring-2",
-         "k0-3", "k0-6"],
+         "k0-3", "k0-6", *_FIG_LAYOUTS],
     )
-    def test_band_equals_dense_block_bitwise(self, layout):
+    def test_band_equals_dense_block_bitwise(self, layout, clear_ed_caches, monkeypatch):
+        prepared = []
+        prepare = hamiltonians._unit_band
+        monkeypatch.setattr(
+            hamiltonians, "_unit_band", lambda *args: prepared.append(args) or prepare(*args)
+        )
+        first = _layout(layout)
+        # a plain matrix's factors live with its one Hamiltonian
+        repeat = first if layout == "from-matrix" else _layout(layout)
+        for k, h in enumerate((first, repeat)):
+            before = len(prepared)
+            built = list(h.parity_blocks())
+            assert len(built) == 2
+            for (index, block), cut in zip(built, _blocks(h)):
+                # the unit bands, scaled and summed, are the band of the block
+                # cut from the assembled matrix, bit for bit, duplicates summed
+                # in one order; the CSR matrix of the ARPACK path sums its
+                # duplicates in its own order (the folded ring's diagonal)
+                dense = cut.toarray()
+                ab = block.band()
+                assert np.array_equal(ab, _lower_band(cut))
+                csr = block.matrix().toarray()
+                assert np.allclose(csr, dense, rtol=0.0, atol=4e-16 * np.abs(dense).max())
+                assert np.array_equal(h.parity[index], np.full(index.size, h.parity[index[0]]))
+                n, rows = dense.shape[0], ab.shape[0]
+                assert rows < n // 2  # the boson-major index keeps every block banded
+                for d in range(rows):
+                    assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
+                    assert not ab[d, n - d :].any()
+                assert not np.tril(dense, -rows).any()
+            # the blocks cover the basis, and the matrix holds nothing between them
+            assert np.array_equal(np.sort(np.concatenate([i for i, _ in built])), np.arange(h.dim))
+            assert sum(block.nnz for block in _blocks(h)) == h.matrix.nnz
+            # each term's band is prepared once per parity; a repeat prepares
+            # only the terms of factors built for its own point (a defect
+            # model's weighted z and flips)
+            fresh = sum(s is not s0 for (_, _, s), (_, _, s0) in zip(h.terms, first.terms))
+            assert len(prepared) - before == 2 * (fresh if k else len(h.terms))
+        assert 0 < fresh < len(first.terms) if layout.startswith(("mixed", "fig6")) else fresh == 0
+
+    @pytest.mark.parametrize(
+        "n_clean, collective, defects",
+        [
+            (3, (3,), ((2.0, 0.3), (1.5, 0.6))),
+            (5, (5, 2), ((2.1, 2.0), (2.1, 2.0))),
+            (5, (5, 1, 1, 1), ((1.7, 0.35), (2.45, 1.3), (0.8, 0.05))),
+            (3, (3, 1, 1), ((2.0, 0.0), (1.5, 0.6))),
+            (3, (3, 2), ((1.5, 0.0), (1.5, 0.0))),
+        ],
+    )
+    @pytest.mark.parametrize("g", [0.45, 0.0])
+    def test_defect_terms_keep_the_weighted_operators_bits(self, n_clean, collective, defects, g):
+        # the layout's per-block z rows and flips, weighted at the point, give
+        # the blocks of one z diagonal and one flip factor built from the
+        # per-spin weights by spin_z_values and spin_flip_total, bit for bit,
+        # zero-weight blocks (no flip entries) included
+        p = DickeParams(1.0, 1.2, g, n_clean)
+        basis = build_basis(n_clean + len(defects), 14, collective)
+        h = build_dicke_hamiltonian(p, basis, disorder=DisorderEnsemble(n_clean, defects))
+        bosons, bits = hamiltonians.boson_factors(14), hamiltonians.spin_factors(basis).bits
+        z = spin_z_values(basis, [p.omega0] * n_clean + [w for w, _ in defects])
+        x_weights = [g] * n_clean + [gp for _, gp in defects]
+        terms = [h.terms[0], (1.0, bosons.identity, hamiltonians.Factor.diagonal(z, bits))]
+        if any(x_weights):
+            flip = hamiltonians.Factor.of(spin_flip_total(basis, x_weights), bits)
+            terms.append((1.0 / np.sqrt(basis.n_spins), bosons.x, flip))
+        weighted = SparseHamiltonian(tuple(terms))
+        for (_, block), (_, reference) in zip(h.parity_blocks(), weighted.parity_blocks()):
+            assert np.array_equal(block.band(), reference.band())
+        assert (h.matrix != weighted.matrix).nnz == 0
+
+    @pytest.mark.parametrize("layout", ["fig3", "fig6-random", "fig7", "from-matrix"])
+    def test_forced_lanczos_agrees_with_the_band_solve(self, layout):
+        # ARPACK on each block's CSR matrix, against the direct solve on its band
         h = _layout(layout)
-        built = list(h.parity_blocks())
-        assert len(built) == 2
-        for (index, block), cut in zip(built, _blocks(h)):
-            # the block built from the factors is the block cut from the
-            # assembled matrix, bit for bit, duplicates summed in one order
-            dense = cut.toarray()
-            assert np.array_equal(block.toarray(), dense)
-            assert np.array_equal(h.parity[index], np.full(index.size, h.parity[index[0]]))
-            ab = _lower_band(block)
-            n, rows = dense.shape[0], ab.shape[0]
-            assert rows < n // 2  # the boson-major index keeps every block banded
-            for d in range(rows):
-                assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
-                assert not ab[d, n - d :].any()
-            assert not np.tril(dense, -rows).any()
-        # the blocks cover the basis, and the matrix holds nothing between them
-        assert np.array_equal(np.sort(np.concatenate([i for i, _ in built])), np.arange(h.dim))
-        assert sum(block.nnz for block in _blocks(h)) == h.matrix.nnz
+        band, arpack = ground_state(h), ground_state(h, method="lanczos")
+        assert (band.method, arpack.method) == ("dense", "lanczos")
+        assert arpack.iterations > 0
+        assert arpack.residual <= DEFAULT_TOL * arpack.norm
+        assert arpack.energy == pytest.approx(band.energy, rel=0.0, abs=DEFAULT_TOL * band.norm)
+        assert abs(arpack.vector @ band.vector) == pytest.approx(1.0, rel=0.0, abs=1e-9)
 
     def test_band_sums_duplicate_entries(self):
         # a CSR matrix may store one entry twice; both copies count
@@ -813,7 +900,9 @@ class TestHopfieldOracle:
     @pytest.mark.parametrize("n_max", [-1, True, 2.5])
     @pytest.mark.parametrize("mode", ["a", "b"])
     def test_bad_truncation_rejected(self, n_max, mode):
-        # -1 built a dim-0 operator, True read as 1, 2.5 a numpy TypeError
+        # -1 built a dim-0 operator, True read as 1, 2.5 a numpy TypeError;
+        # the parity diagonal gave an empty array at -1, read True as 1 and
+        # gave 8 entries at (2.5, 1)
         p = DickeParams(1, 1, 0.3)
         n_max_a, n_max_b = (n_max, 3) if mode == "a" else (3, n_max)
         match = f"n_max_{mode} must be an integer >= 0"
@@ -821,6 +910,8 @@ class TestHopfieldOracle:
             build_hopfield_hamiltonian(p, n_max_a, n_max_b)
         with pytest.raises(ValueError, match=match):
             hopfield_p_minus(n_max_a, n_max_b, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=match):
+            hopfield_parity_diagonal(n_max_a, n_max_b)
 
 
 # Derandomized normal-phase instances of the two-boson model against its
