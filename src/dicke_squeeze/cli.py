@@ -54,23 +54,29 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepResult:
-    """One experiment's table, stored as one list per CSV column:
-    ``columns`` maps each header name, in header order, to its cells in row
-    order."""
+    """One experiment's table, stored column by column: ``columns`` maps
+    each header name, in header order, to its cells in row order, either a
+    list or a 1-D float64 array (a thermal map's columns, which are written
+    without a cell going through a Python float)."""
 
     experiment: str
-    columns: dict[str, list]
+    columns: dict[str, list | np.ndarray]
     meta: dict
     violations: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if len({len(cells) for cells in self.columns.values()}) > 1:
             raise ValueError("every column of a SweepResult needs one cell per row")
+        for cells in self.columns.values():
+            if isinstance(cells, np.ndarray) and (cells.ndim, cells.dtype) != (1, np.float64):
+                raise ValueError("an array column of a SweepResult must be 1-D float64")
 
     @property
     def rows(self) -> list[dict]:
-        """The table as one dict per row, built on each access."""
-        return [dict(zip(self.columns, cells)) for cells in zip(*self.columns.values())]
+        """The table as one dict per row of Python values, built on each
+        access."""
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
+        return [dict(zip(self.columns, cells)) for cells in zip(*columns)]
 
 
 # -- configuration -----------------------------------------------------------
@@ -469,11 +475,11 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     kts = [kt * omega for kt in temps]
     xis = bogoliubov.thermal_squeezing_map([p for _, _, p in points], kts)
     columns = {
-        "omega0_over_omega": [ratio for ratio, _, _ in points for _ in temps],
-        "gc_minus_g_over_omega": [delta for _, delta, _ in points for _ in temps],
-        "kt_over_omega": temps * len(points),
-        "xi": list(itertools.chain.from_iterable(xis)),
-        "method": ["analytic"] * (len(points) * len(temps)),
+        "omega0_over_omega": np.repeat([ratio for ratio, _, _ in points], len(temps)),
+        "gc_minus_g_over_omega": np.repeat([delta for _, delta, _ in points], len(temps)),
+        "kt_over_omega": np.tile(temps, len(points)),
+        "xi": xis.ravel(),
+        "method": ["analytic"] * xis.size,
     }
     meta = _meta(cfg)
     if skipped:
@@ -495,12 +501,11 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
     xis = bogoliubov.thermal_squeezing_map(params, kts)
-    n = len(temps) * len(ratios)
     columns = {
-        "omega0_over_omega": ratios * len(temps),
-        "kt_over_omega": [kt for kt in temps for _ in ratios],
-        "xi": list(itertools.chain.from_iterable(zip(*xis))),
-        "method": ["analytic"] * n,
+        "omega0_over_omega": np.tile(ratios, len(temps)),
+        "kt_over_omega": np.repeat(temps, len(ratios)),
+        "xi": xis.T.ravel(),
+        "method": ["analytic"] * xis.size,
     }
     return SweepResult("fig5", columns, _meta(cfg))
 
@@ -623,12 +628,12 @@ def _sweep_xi_thermal(cfg):
         for p, sr in zip(params, superradiant)
     ]
     normal = [p for p, sr in zip(params, superradiant) if not sr]
-    rows = iter(bogoliubov.thermal_squeezing_map(normal, temps))
-    masked_row = [0.0 if tc_mask else math.nan] * len(temps)
+    xis = np.full((len(gs), len(temps)), 0.0 if tc_mask else math.nan)
+    xis[np.logical_not(superradiant)] = bogoliubov.thermal_squeezing_map(normal, temps)
     columns = {
-        "g": [g for g in gs for _ in temps],
-        "kt": temps * len(gs),
-        "xi": list(itertools.chain.from_iterable(masked_row if sr else next(rows) for sr in superradiant)),
+        "g": np.repeat(gs, len(temps)),
+        "kt": np.tile(temps, len(gs)),
+        "xi": xis.ravel(),
         "t_c": [t_c for t_c in t_cs for _ in temps],
         "masked": [sr and tc_mask for sr in superradiant for _ in temps],
         "method": ["analytic"] * (len(gs) * len(temps)),
@@ -710,30 +715,38 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _format_column(column: list) -> list[str]:
-    """``_format_value`` of every cell.
+def _format_column(column) -> list[str]:
+    """``_format_value`` of every cell of a list or float64 array column.
 
-    "%.17g" is most of the cost of a large CSV. A grid column repeats a few
-    values over many rows, so an all-float column with at most two thirds
-    distinct values formats each distinct value once and gathers the texts
-    back into row order. A mostly-distinct one (a thermal map's xi) skips the
-    gather, which would cost more than it saves, and formats every cell in
-    one call. Values are told apart by IEEE bit pattern, not by value: a
-    value key would merge -0.0 with 0.0 (they compare equal) and write one
-    text for both. An all-str column is its own text.
+    "%.17g" is most of the cost of a large CSV. A float64 array, or a list
+    of Python floats only, is formatted as one array: a grid column repeats
+    a few values over many rows, so one with at most two thirds distinct
+    values formats each distinct value once and gathers the texts back into
+    row order. A mostly-distinct one (a thermal map's xi) skips the gather,
+    which would cost more than it saves, and formats every cell in one call.
+    Values are told apart by IEEE bit pattern, not by value: a value key
+    would merge -0.0 with 0.0 (they compare equal) and write one text for
+    both. An all-str list is its own text.
     """
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        values = np.fromiter(column, np.float64, len(column))
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        if 3 * len(bits) > 2 * len(column):
-            # one format call over the column costs ~10% less than one a cell
-            return ("\n".join(["%.17g"] * len(column)) % tuple(column)).split("\n")
-        texts = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
-        return np.array(texts, dtype=object)[inverse].tolist()
-    if kinds == {str}:
-        return column
-    return list(map(_format_value, column))
+    if not isinstance(column, np.ndarray):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            return column
+        if kinds != {float}:
+            return list(map(_format_value, column))
+        column = np.array(column, dtype=np.float64)
+    # the distinct patterns from one sort, as np.unique finds them, which
+    # costs several times more here (it argsorts, or hashes)
+    keys = column.view(np.int64)
+    ordered = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    bits = ordered[first]
+    if 3 * len(bits) > 2 * len(column):
+        # one format call over the column costs ~10% less than one a cell
+        return ("\n".join(["%.17g"] * len(column)) % tuple(column.tolist())).split("\n")
+    texts = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
+    return np.array(texts, dtype=object)[np.searchsorted(bits, keys)].tolist()
 
 
 def write_csv(path, result: SweepResult, elapsed: float | None = None) -> None:

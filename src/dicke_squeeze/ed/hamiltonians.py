@@ -13,17 +13,19 @@ H's factors are exactly symmetric, so H == H^T holds entry-for-entry.
 What is prepared once per layout and what per point. The factors are cached
 per boson truncation and per spin layout (``boson_factors``,
 ``spin_factors``, two of each), with the per-block S_z rows and flips a
-defect model weights. For each term and parity the unit band U_t, the term's
-lower band in block coordinates with coefficient 1, is prepared on first use
-and kept while both of its factors live; each point then builds its band as
-sum_t c_t U_t in term order, which is bit for bit the band of the assembled
-block. A defect model's z diagonal and weighted flips are new factors at each
-point, so their unit bands are prepared there. Only blocks of dim <=
-DENSE_DIM_LIMIT, the ones solved on their band, are kept: at most one band per
-term and parity of the live factor pairs, each of (half-bandwidth + 1) x dim
-doubles, 196 KB for fig7's 16 and 0.9 MB for the 16 of a Dicke N = 48 block
-of 1250 states. ARPACK blocks build a CSR matrix from their triplets at each
-call and keep nothing.
+defect model weights. Each parity block's places and level offsets are
+computed once per pair of first-term factors. For each term and parity the
+unit band U_t, the term's lower band in block coordinates with coefficient
+1, is prepared on first use and kept while both of its factors live; each
+point then builds its band as sum_t c_t U_t in term order, which is bit for
+bit the band of the assembled block. A defect model's z diagonal and
+weighted flips are new factors at each point, so their unit bands are
+prepared there. Only blocks of dim <= DENSE_DIM_LIMIT, the ones solved on
+their band, are kept: at most one band per term and parity of the live
+factor pairs, each of (half-bandwidth + 1) x dim doubles, 196 KB for fig7's
+16 and 0.9 MB for the 16 of a Dicke N = 48 block of 1250 states. ARPACK
+blocks build a CSR matrix from their triplets at each call and keep
+nothing.
 """
 
 from __future__ import annotations
@@ -194,8 +196,22 @@ def _unit_band(left: Factor, right: Factor, p: int, offset: np.ndarray) -> np.nd
 
 
 # right factor -> left factor -> {parity: unit band} of the direct-path
-# blocks, keyed weakly at both levels, so an entry dies with either factor
+# blocks, and -> the (p, index, offset) of the nonempty parity blocks
+# (``SparseHamiltonian.parity_blocks``); keyed weakly at both levels, so an
+# entry dies with either factor
 _UNIT_BANDS = weakref.WeakKeyDictionary()
+_BLOCK_LAYOUTS = weakref.WeakKeyDictionary()
+
+
+def _pair_entry(cache: weakref.WeakKeyDictionary, left: Factor, right: Factor, make):
+    """``cache``'s entry of the factor pair (left, right), ``make()`` on
+    first use."""
+    by_left = cache.get(right)
+    if by_left is None:
+        by_left = cache[right] = weakref.WeakKeyDictionary()
+    if left not in by_left:
+        by_left[left] = make()
+    return by_left[left]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -227,10 +243,7 @@ class ParityBlock:
     def _unit_band(self, left: Factor, right: Factor) -> np.ndarray:
         if self.dim > DENSE_DIM_LIMIT:
             return _unit_band(left, right, self.p, self.offset)
-        bands = _UNIT_BANDS.get(right)
-        if bands is None:
-            bands = _UNIT_BANDS[right] = weakref.WeakKeyDictionary()
-        by_parity = bands.setdefault(left, {})
+        by_parity = _pair_entry(_UNIT_BANDS, left, right, dict)
         if self.p not in by_parity:
             unit = _unit_band(left, right, self.p, self.offset)
             unit.flags.writeable = False
@@ -276,15 +289,29 @@ class SparseHamiltonian(KronSum):
         """(index, block) of the nonempty even and odd blocks, in that order:
         index holds the block's places in the full basis, ascending, and
         block is H[index][:, index] as a ``ParityBlock``, which builds its
-        band or CSR matrix when asked."""
+        band or CSR matrix when asked. index and the block's level offsets
+        depend on the first term's two factors only: they are computed once
+        per factor pair, kept while both live, and read-only."""
         _, left, right = self.terms[0]
-        levels = np.arange(left.bits.size)
-        for p in (0, 1):
-            offset = np.zeros(levels.size + 1, dtype=np.int32)
-            np.cumsum(right.count[(left.bits + p) % 2], out=offset[1:])
-            if offset[-1]:
-                index = np.flatnonzero(((levels[:, None] + right.bits) % 2 == p).ravel())
-                yield index, ParityBlock(self.terms, p, offset)
+        layouts = _pair_entry(_BLOCK_LAYOUTS, left, right, lambda: _layouts(left, right))
+        for p, index, offset in layouts:
+            yield index, ParityBlock(self.terms, p, offset)
+
+
+def _layouts(left: Factor, right: Factor) -> tuple:
+    """(p, index, offset) of each nonempty parity block p of left (x) right,
+    the arrays read-only: offset[n] is where level n of the left factor
+    starts in the block, index the block's places in the full basis."""
+    levels = np.arange(left.bits.size)
+    layouts = []
+    for p in (0, 1):
+        offset = np.zeros(levels.size + 1, dtype=np.int32)
+        np.cumsum(right.count[(left.bits + p) % 2], out=offset[1:])
+        if offset[-1]:
+            index = np.flatnonzero(((levels[:, None] + right.bits) % 2 == p).ravel())
+            index.flags.writeable = offset.flags.writeable = False
+            layouts.append((p, index, offset))
+    return tuple(layouts)
 
 
 @functools.lru_cache(maxsize=2)

@@ -6,8 +6,9 @@ from dicke_squeeze.ed import basis, hamiltonians, solver
 @pytest.fixture
 def clear_ed_caches():
     """Empty every cache of ``ed`` before the test: the factor and orbit
-    caches, the unit bands and the start vectors. A test that counts what a
-    run prepares then counts the same whatever ran before it."""
+    caches, the unit bands, the block layouts and the start vectors. A test
+    that counts what a run prepares then counts the same whatever ran before
+    it."""
     for cache in (
         hamiltonians._spin_factors,
         hamiltonians.boson_factors,
@@ -16,3 +17,4 @@ def clear_ed_caches():
     ):
         cache.cache_clear()
     hamiltonians._UNIT_BANDS.clear()
+    hamiltonians._BLOCK_LAYOUTS.clear()

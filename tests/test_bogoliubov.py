@@ -20,6 +20,7 @@ from dicke_squeeze import (
     thermal_squeezing_ratios,
     two_mode_quadrature_coefficients,
 )
+from dicke_squeeze.bogoliubov import thermal_squeezing_map
 
 
 def _pair_oracle(w, w0, g):
@@ -306,6 +307,13 @@ class TestBatchedThermal:
             # True is no temperature, not T = 1
             pytest.param(0.3, True, ValueError, "temperature", id="bool-temperature"),
             pytest.param(0.7, math.nan, ValueError, "temperature", id="both-nan"),
+            # numpy's True is no T = 1 either
+            pytest.param(0.3, np.True_, ValueError, "temperature", id="numpy-bool"),
+            # an array conversion would parse "0.3"; none of these is a number
+            pytest.param(0.3, "0.3", ValueError, "temperature", id="str-temperature"),
+            pytest.param(0.3, None, ValueError, "temperature", id="none-temperature"),
+            pytest.param(0.3, 1j, ValueError, "temperature", id="complex-temperature"),
+            pytest.param(0.3, [0.2], ValueError, "temperature", id="list-temperature"),
         ],
     )
     def test_scalar_and_batched_reject_alike(self, g, temperature, error, message):
@@ -314,7 +322,45 @@ class TestBatchedThermal:
             thermal_squeezing_ratio(p, temperature)
         with pytest.raises(error, match=message) as batched:
             thermal_squeezing_ratios(p, [0.2, temperature])
-        assert type(scalar.value) is type(batched.value)
+        with pytest.raises(error, match=message) as mapped:
+            thermal_squeezing_map([DickeParams(1, 1, 0.3), p], [0.2, temperature])
+        assert type(scalar.value) is type(batched.value) is type(mapped.value)
+
+    def test_numpy_scalar_temperatures_accepted(self):
+        p = DickeParams(1, 1, 0.3)
+        xis = thermal_squeezing_ratios(p, [np.float64(0.2), np.int64(1)])
+        assert xis == [thermal_squeezing_ratio(p, 0.2).xi, thermal_squeezing_ratio(p, 1.0).xi]
+        assert thermal_squeezing_ratio(p, np.float64(0.2)).xi == xis[0]
+
+    def test_map_equals_the_scalar_loop_bit_for_bit(self):
+        # one array over instances and temperatures against one cell at a
+        # time in Python floats: the critical instance's row diverges at
+        # T > 0 only, T = 0 gives each ground ratio, 2/expm1 overflows at
+        # 8e307, and 1e308 and inf take the large-T limit, with no
+        # floating-point warning
+        def one_cell(p, t):
+            eps = normal_modes(p).eps_minus
+            omega_min = min(p.omega, p.omega0)
+            ground = eps / omega_min
+            if eps == 0.0:
+                return math.inf if t else ground
+            x = eps / (2.0 * t) if t else math.inf
+            if x >= 20.0:
+                return ground
+            if x:
+                return ground * (1.0 + 2.0 / math.expm1(2.0 * x))
+            return 2.0 * (t / omega_min)
+
+        params = [DickeParams(1, 1, 0.3), DickeParams(1, 1, 0.5), DickeParams(10, 10, 3, a2_coeff=1)]
+        temps = [0.0, 0.013, 0.2, 8e307, 1e308, math.inf]
+        xis = thermal_squeezing_map(params, temps)
+        assert xis.shape == (3, 6) and xis.dtype == np.float64
+        for p, row in zip(params, xis.tolist()):
+            assert [xi.hex() for xi in row] == [one_cell(p, t).hex() for t in temps]
+        assert xis[1].tolist() == [0.0, *[math.inf] * 5]
+        assert xis[0, 3] == math.inf
+        assert thermal_squeezing_map([], temps).shape == (0, 6)
+        assert thermal_squeezing_map(params, []).shape == (3, 0)
 
 
 class TestClassicalCriticalTemperature:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dicke_squeeze import (
     DickeParams,
+    classical_critical_temperature,
     normal_modes,
     squeezing_ratio_ground,
     thermal_squeezing_ratio,
@@ -319,6 +320,27 @@ class TestThermalPresets:
         for r in rows:
             p = DickeParams(1.0, r["omega0_over_omega"], 0.1)
             assert r["xi"] == thermal_squeezing_ratio(p, r["kt_over_omega"]).xi
+
+    def test_fig5_array_columns_write_the_list_bytes(self, tmp_path, monkeypatch):
+        # the T-major table built cell by cell in Python floats from
+        # one-point calls, at the critical splitting 0.04 too
+        temps, ratios = [0.0, 0.013, 0.3, 1e308], [0.04, 0.1, 0.2]
+        fig5 = cli.run_fig5(cli.resolve_config(
+            "fig5", {"grids": {"omega0_over_omega": ratios, "kt_over_omega": temps}}
+        ))
+        cells = [
+            (ratio, kt, thermal_squeezing_ratio(DickeParams(1.0, ratio, 0.1), kt).xi, "analytic")
+            for kt in temps
+            for ratio in ratios
+        ]
+        lists = dict(zip(fig5.columns, map(list, zip(*cells))))
+        want = _body(tmp_path, lists)
+        # no cell of the thermal map goes through the per-cell formatter
+        monkeypatch.setattr(cli, "_format_value", None)
+        for name in ("fig4", "fig5"):
+            result = cli.run_experiment(name, cli.resolve_config(name))
+            _body(tmp_path, result.columns)
+        assert _body(tmp_path, fig5.columns) == want
 
     def test_every_cell_equals_its_one_point_closed_form(self):
         # the per-T loop of thermal_squeezing_ratios, against the one-point
@@ -773,6 +795,26 @@ class TestSweep:
         row = cli.run_sweep(cfg).rows[0]
         assert row["xi"] == squeezing_ratio_ground(DickeParams(1, 1, 0.375)).xi
 
+    @pytest.mark.parametrize("tc_mask", [False, True])
+    def test_xi_thermal_array_columns_write_the_list_bytes(self, tmp_path, tc_mask):
+        # superradiant rows (g > 0.5) are masked with nan, or 0.0 under
+        # tc_mask, among rows built cell by cell from one-point calls
+        gs, temps = [0.0, 0.3, 0.5, 0.7, 1.2], [0.0, 0.013, 0.3, 1e308]
+        result = cli.run_sweep(cli.resolve_config("sweep", {
+            "grids": {"g": gs, "kt": temps},
+            "sweep": {"quantity": "xi_thermal", "tc_mask": tc_mask},
+        }))
+        cells = []
+        for g in gs:
+            p = DickeParams(1.0, 1.0, g)
+            sr = g > 0.5
+            t_c = classical_critical_temperature(p) if sr else None
+            for kt in temps:
+                xi = (0.0 if tc_mask else math.nan) if sr else thermal_squeezing_ratio(p, kt).xi
+                cells.append((g, kt, xi, t_c, sr and tc_mask, "analytic"))
+        lists = dict(zip(result.columns, map(list, zip(*cells))))
+        assert _body(tmp_path, result.columns) == _body(tmp_path, lists)
+
     def test_thermal_mask_zeroes_ordered_phase(self):
         base = {
             "grids": {"g": [0.3, 0.7], "kt": [0.1]},
@@ -978,19 +1020,26 @@ class TestMainEntry:
         # a column shorter than the others would drop rows from the CSV
         with pytest.raises(ValueError, match="one cell per row"):
             cli.SweepResult("sweep", {"a": [1.0, 2.0], "b": [1.0]}, {})
+        # an array column is float64 and gives rows of Python floats
+        rows = cli.SweepResult("sweep", {"a": np.array([0.5, -0.0])}, {}).rows
+        assert rows == [{"a": 0.5}, {"a": -0.0}] and type(rows[1]["a"]) is float
+        for bad in (np.arange(2), np.array([True, False]), np.zeros((2, 1))):
+            with pytest.raises(ValueError, match="1-D float64"):
+                cli.SweepResult("sweep", {"a": bad}, {})
 
     @pytest.mark.parametrize("distinct", [21, 20], ids=["direct", "deduplicated"])
     def test_float_column_either_side_of_the_distinct_share(self, tmp_path, distinct):
         # 30 cells: more than two thirds distinct bit patterns (21) take the
         # direct format of every cell, 20 are formatted once per pattern and
-        # gathered back
-        special = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+        # gathered back; a float64 array column writes the list's bytes
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
         pool = special + [k / 7 for k in range(1, distinct - len(special) + 1)]
         x = [pool[i % distinct] for i in range(30)]
         bits = {np.float64(v).view(np.int64).item() for v in x}
         assert len(bits) == distinct
         want = [f"{cli._format_value(v)},a" for v in x]
         assert _body(tmp_path, {"x": x, "label": ["a"] * len(x)}) == want
+        assert _body(tmp_path, {"x": np.array(x), "label": ["a"] * len(x)}) == want
 
     # derandomized: the same examples on every run, so the suite stays reproducible
     @settings(derandomize=True, max_examples=100, deadline=None)

@@ -495,6 +495,24 @@ class TestBandSolve:
             assert len(prepared) - before == 2 * (fresh if k else len(h.terms))
         assert 0 < fresh < len(first.terms) if layout.startswith(("mixed", "fig6")) else fresh == 0
 
+    @pytest.mark.parametrize("layout", ["fig3", "fig6-run", "fig6-random", "fig7"])
+    def test_block_layouts_are_kept_per_factor_pair(self, layout, clear_ed_caches):
+        # a block's places and level offsets depend on the first term's two
+        # factors only: a repeat call, and a second point on the same
+        # layout, reuse them read-only, and the ground state keeps its bits
+        first = _layout(layout)
+        cold = ground_state(first)
+        built = list(first.parity_blocks())
+        second = _layout(layout)
+        for (index, block), (again, block_again) in zip(built, second.parity_blocks()):
+            assert again is index and block_again.offset is block.offset
+            assert not (index.flags.writeable or block.offset.flags.writeable)
+            assert np.array_equal(index, np.flatnonzero(first.parity == first.parity[index[0]]))
+        assert all(a is b for (a, _), (b, _) in zip(first.parity_blocks(), built))
+        warm = ground_state(second)
+        assert warm.energy.hex() == cold.energy.hex()
+        assert warm.vector.tobytes() == cold.vector.tobytes()
+
     @pytest.mark.parametrize(
         "n_clean, collective, defects",
         [
