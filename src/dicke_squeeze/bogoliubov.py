@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling
+from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, squared
 
 # Relative floor below which a negative soft-mode energy squared is treated as
 # exactly critical rather than superradiant (guards rounding at g = g_c).
@@ -67,6 +68,7 @@ def _pair_modes(w_a: float, w_b: float, g: float) -> tuple[float, float, float]:
     gamma = atan2(4 g sqrt(w_a w_b), w_b^2 - w_a^2)/2, restricted to
     [0, pi/2] so the minus mode connects to the softer oscillator as g -> 0.
     eps_minus_sq may come out negative; callers decide how to treat that.
+    ValueError where the squared energies overflow (``_finite_modes``).
     """
     cross = 4.0 * g * math.sqrt(w_a * w_b)
     diff = w_b * w_b - w_a * w_a
@@ -74,10 +76,21 @@ def _pair_modes(w_a: float, w_b: float, g: float) -> tuple[float, float, float]:
     rad = math.hypot(diff, cross)
     em_sq = 0.5 * (total - rad)
     ep_sq = 0.5 * (total + rad)
+    _finite_modes(ep_sq, w_a, w_b, g)
     if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
         em_sq = 0.0
     gamma = 0.5 * math.atan2(cross, diff)
     return em_sq, ep_sq, gamma
+
+
+def _finite_modes(ep_sq: float, w_a: float, w_b: float, g: float) -> None:
+    """ValueError unless eps_plus^2 is finite: it bounds the total and the
+    radical it is summed from, so an overflow anywhere in them shows here,
+    where it would otherwise come out as a nan or inf mode energy."""
+    if not math.isfinite(ep_sq):
+        raise ValueError(
+            f"mode energies overflow double precision at w_a={w_a:g}, w_b={w_b:g}, g={g:g}"
+        )
 
 
 def _effective_boson(p: DickeParams, g: float) -> tuple[float, float]:
@@ -137,20 +150,21 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     """
     if p.a2_coeff != 0:
         raise ValueError("superradiant closed form requires a2_coeff = 0")
-    gc = math.sqrt(p.omega * p.omega0) / 2.0
+    gc = critical_coupling(p)
     if p.g <= gc:
         raise ValueError(f"g={p.g:g} is not above the critical coupling {gc:g}")
-    r = (p.g / gc) ** 2
-    w_spin = r * p.omega0  # effective spin frequency in the displaced frame
-    total = p.omega**2 + w_spin**2
-    rad = math.hypot(w_spin**2 - p.omega**2, 2.0 * p.omega * p.omega0)
-    em_sq = 0.5 * (total - rad)
+    w_spin = squared("g/g_c", p.g / gc) * p.omega0  # spin frequency in the displaced frame
+    w2, s2 = squared("omega", p.omega), squared("w_spin", w_spin)
+    total = w2 + s2
+    rad = math.hypot(s2 - w2, 2.0 * p.omega * p.omega0)
+    em_sq, ep_sq = 0.5 * (total - rad), 0.5 * (total + rad)
+    _finite_modes(ep_sq, p.omega, w_spin, p.g)
     if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
         em_sq = 0.0
-    gamma = 0.5 * math.atan2(2.0 * p.omega * p.omega0, w_spin**2 - p.omega**2)
+    gamma = 0.5 * math.atan2(2.0 * p.omega * p.omega0, s2 - w2)
     return NormalModeData(
         eps_minus=math.sqrt(em_sq),
-        eps_plus=math.sqrt(0.5 * (total + rad)),
+        eps_plus=math.sqrt(ep_sq),
         gamma=gamma,
         phase=PhaseLabel.SUPERRADIANT,
         g_renormalized=p.g,
@@ -309,13 +323,23 @@ def classical_critical_temperature(p: DickeParams) -> float:
         T_c = omega0 / (2 atanh(omega*omega0 / (4 g^2))),
 
     defined for a2_coeff = 0 and g > g_c (T_c -> 0 as g -> g_c from above).
+    ValueError where omega*omega0 (``critical_coupling``), g^2 or T_c leaves
+    double precision.
     """
     if p.a2_coeff != 0:
         raise ValueError("classical critical temperature requires a2_coeff = 0")
-    arg = p.omega * p.omega0 / (4.0 * p.g**2) if p.g > 0 else math.inf
+    critical_coupling(p)  # ValueError where omega*omega0 leaves double precision
+    arg = p.omega * p.omega0 / (4.0 * squared("g", p.g)) if p.g > 0 else math.inf
     if arg >= 1.0:
         raise ValueError("no superradiant phase at T>0: g must exceed sqrt(omega*omega0)/2")
-    return p.omega0 / (2.0 * math.atanh(arg))
+    # an arg below the normal doubles has lost its digits, and T_c ~ 2 g^2/omega
+    t_c = p.omega0 / (2.0 * math.atanh(arg)) if arg >= sys.float_info.min else math.inf
+    if t_c == math.inf:
+        raise ValueError(
+            "T_c overflows double precision at "
+            f"omega={p.omega:g}, omega0={p.omega0:g}, g={p.g:g}"
+        )
+    return t_c
 
 
 def spin_squeezing_parameter(var_py: float, omega0: float) -> float:

@@ -33,6 +33,7 @@ from .core import (
     map_ladder_to_dicke,
 )
 from .ed import (
+    ConvergenceError,
     build_basis,
     build_dicke_hamiltonian,
     ground_state,
@@ -325,11 +326,16 @@ def _fig7_point(p, eta, e0, gamma0, n_max):
 
 def _ed_task(task):
     """Ground state of one (point, n_max): each quadrature's variance over its
-    normalization, the residual, and whether it meets tol * ||H||_inf."""
-    point, args, n_max, tol = task
-    h, quadratures = point(*args, n_max)
-    gs = ground_state(h, tol=tol)
-    values = [(labels, variance(gs, q) / norm) for labels, q, norm in quadratures]
+    normalization, the residual, and whether it meets tol * ||H||_inf. A
+    point the builders or the solver reject is a ConfigError naming it,
+    which a worker pool hands to its parent like any result."""
+    label, point, args, n_max, tol = task
+    try:
+        h, quadratures = point(*args, n_max)
+        gs = ground_state(h, tol=tol)
+        values = [(labels, variance(gs, q) / norm) for labels, q, norm in quadratures]
+    except (ValueError, ConvergenceError) as exc:
+        raise ConfigError(f"{label} n_max={n_max}: {exc}") from exc
     return values, gs.residual, gs.residual <= tol * gs.norm
 
 
@@ -357,7 +363,9 @@ def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResu
         )
     tol = cfg["ed"]["tol"]
     grid = list(itertools.product(points, cfg["ed"]["n_max"]))
-    tasks = [(point, args, nm, tol) for (_, _, args), nm in grid]
+    tasks = [
+        (f"{cfg['experiment']} {label}", point, args, nm, tol) for (label, _, args), nm in grid
+    ]
     results = _run_tasks(_ed_task, tasks, jobs)
     row_labels = results[0][0][0][0]  # the first task's first row
     header = (*points[0][1], "n_max", *row_labels, value_field)
@@ -402,10 +410,9 @@ def run_fig2(cfg: dict, jobs: int = 1) -> SweepResult:
     xis = []
     for g_ratio in g_ratios:
         g = g_ratio * omega
-        xis.append(bogoliubov.squeezing_ratio_ground(_model(cfg, g=g, a2_coeff=0.0)).xi)
-        xis.append(
-            bogoliubov.squeezing_ratio_ground(_model(cfg, g=g, a2_coeff=g * g / omega0)).xi
-        )
+        for a2_coeff in (0.0, g * g / omega0):
+            p = _model(cfg, g=g, a2_coeff=a2_coeff)
+            xis.append(_checked("model", bogoliubov.squeezing_ratio_ground, p).xi)
     n = len(xis)
     columns = {
         "g_over_omega": [g_ratio for g_ratio in g_ratios for _ in ("ideal", "trk")],
@@ -441,7 +448,7 @@ def _normal_instance(cfg: dict, label: str, **overrides) -> DickeParams:
     """The model instance of one thermal-map point; the thermal ratio is
     defined in the normal (or no-transition) phase only."""
     p = _model(cfg, **overrides)
-    if classify_phase(p) is PhaseLabel.SUPERRADIANT:
+    if _checked("model", classify_phase, p) is PhaseLabel.SUPERRADIANT:
         raise ConfigError(
             f"{cfg['experiment']} {label}: g={p.g:g} lies above the critical "
             "coupling; the thermal ratio is defined in the normal phase only"
@@ -473,7 +480,7 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     if not points:
         raise ConfigError("fig4: every (omega0, gc - g) pair gives g < 0; nothing to compute")
     kts = [kt * omega for kt in temps]
-    xis = bogoliubov.thermal_squeezing_map([p for _, _, p in points], kts)
+    xis = _checked("model", bogoliubov.thermal_squeezing_map, [p for _, _, p in points], kts)
     columns = {
         "omega0_over_omega": np.repeat([ratio for ratio, _, _ in points], len(temps)),
         "gc_minus_g_over_omega": np.repeat([delta for _, delta, _ in points], len(temps)),
@@ -500,7 +507,7 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     ]
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
-    xis = bogoliubov.thermal_squeezing_map(params, kts)
+    xis = _checked("model", bogoliubov.thermal_squeezing_map, params, kts)
     columns = {
         "omega0_over_omega": np.tile(ratios, len(temps)),
         "kt_over_omega": np.repeat(temps, len(ratios)),
@@ -622,14 +629,18 @@ def _sweep_xi_thermal(cfg):
     temps = _temperatures(cfg, "kt")
     gs = _grid(grids["g"], "g").tolist()
     params = [_model(cfg, g=g) for g in gs]
-    superradiant = [classify_phase(p) is PhaseLabel.SUPERRADIANT for p in params]
+    superradiant = [
+        _checked("model", classify_phase, p) is PhaseLabel.SUPERRADIANT for p in params
+    ]
     t_cs = [
         _checked("model", bogoliubov.classical_critical_temperature, p) if sr else None
         for p, sr in zip(params, superradiant)
     ]
     normal = [p for p, sr in zip(params, superradiant) if not sr]
     xis = np.full((len(gs), len(temps)), 0.0 if tc_mask else math.nan)
-    xis[np.logical_not(superradiant)] = bogoliubov.thermal_squeezing_map(normal, temps)
+    xis[np.logical_not(superradiant)] = _checked(
+        "model", bogoliubov.thermal_squeezing_map, normal, temps
+    )
     columns = {
         "g": np.repeat(gs, len(temps)),
         "kt": np.tile(temps, len(gs)),

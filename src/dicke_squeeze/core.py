@@ -10,6 +10,7 @@ import enum
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 # An "a << b" separation-of-scales condition is flagged once a > 0.1 * b.
@@ -39,6 +40,15 @@ def finite_real(name: str, value) -> float:
         value = float(value)
     _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
     return value
+
+
+def squared(name: str, value: float) -> float:
+    """value**2; a ValueError naming ``name`` where it overflows double
+    precision, which ``**`` raises as an OverflowError."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ValueError(f"{name}**2 overflows double precision at {name}={value:g}") from None
 
 
 def integer_at_least(name: str, value, minimum: int) -> int:
@@ -215,13 +225,23 @@ def critical_coupling(p: DickeParams) -> float | None:
     Returns None when a2_coeff >= g^2/omega0: no coupling strength produces a
     transition in that regime. The returned value grows continuously and
     diverges as a2_coeff approaches g^2/omega0 from below.
+
+    ValueError where omega*omega0 leaves the normal doubles: every closed
+    form scales with it, and an overflowed or underflowed product would
+    misplace the transition with no error.
     """
-    bare = math.sqrt(p.omega * p.omega0) / 2.0
+    product = p.omega * p.omega0
+    if not sys.float_info.min <= product <= sys.float_info.max:
+        raise ValueError(
+            f"omega*omega0 leaves double precision at omega={p.omega:g}, omega0={p.omega0:g}"
+        )
+    bare = math.sqrt(product) / 2.0
     if p.a2_coeff == 0:
         return bare
-    if p.g == 0 or p.a2_coeff >= p.g**2 / p.omega0:
+    g2 = squared("g", p.g)
+    if p.g == 0 or p.a2_coeff >= g2 / p.omega0:
         return None
-    return bare / math.sqrt(1.0 - p.a2_coeff * p.omega0 / p.g**2)
+    return bare / math.sqrt(1.0 - p.a2_coeff * p.omega0 / g2)
 
 
 def classify_phase(p: DickeParams) -> PhaseLabel:

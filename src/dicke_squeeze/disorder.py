@@ -110,6 +110,7 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
     defects (a negative-splitting defect points up, and its gap enters through
     |omega'_i|). The coupling term is positive for down-pointing defects:
     disorder degrades the squeezing in proportion to the dilution m/(N+m).
+    ValueError where a term overflows double precision.
     """
     gbar, modes, total, alpha = _clean_sector(p, d)
     eps = modes.eps_minus
@@ -120,8 +121,11 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
     term_coupling = (
         -(alpha * math.cos(gamma) / p.omega) * math.sqrt(eps * p.omega0 / total) * s
     )
+    xi = term_clean + term_pinned + term_coupling
+    if not math.isfinite(xi):
+        raise ValueError(f"the perturbative xi overflows double precision: {xi!r}")
     return PerturbativeReport(
-        xi=term_clean + term_pinned + term_coupling,
+        xi=xi,
         alpha=alpha,
         term_clean=term_clean,
         term_pinned=term_pinned,

@@ -12,20 +12,20 @@ H's factors are exactly symmetric, so H == H^T holds entry-for-entry.
 
 What is prepared once per layout and what per point. The factors are cached
 per boson truncation and per spin layout (``boson_factors``,
-``spin_factors``, two of each), with the per-block S_z rows and flips a
-defect model weights. Each parity block's places and level offsets are
-computed once per pair of first-term factors. For each term and parity the
+``spin_factors``, two of each), with the block each flip entry moves, which
+a defect model weights. Each (left, right) factor pair keeps one record
+(``_pair``) while both factors live: the places and level offsets of its
+parity blocks, computed once for a first-term pair, and for each parity its
 unit band U_t, the term's lower band in block coordinates with coefficient
-1, is prepared on first use and kept while both of its factors live; each
-point then builds its band as sum_t c_t U_t in term order, which is bit for
-bit the band of the assembled block. A defect model's z diagonal and
-weighted flips are new factors at each point, so their unit bands are
-prepared there. Only blocks of dim <= DENSE_DIM_LIMIT, the ones solved on
-their band, are kept: at most one band per term and parity of the live
-factor pairs, each of (half-bandwidth + 1) x dim doubles, 196 KB for fig7's
-16 and 0.9 MB for the 16 of a Dicke N = 48 block of 1250 states. ARPACK
-blocks build a CSR matrix from their triplets at each call and keep
-nothing.
+1, prepared on first use. Each point then builds its band as sum_t c_t U_t
+in term order, which is bit for bit the band of the assembled block. A
+defect model's point adds two new factors, its weighted z diagonal and its
+weighted flip, so it prepares those two terms' unit bands. Only blocks of
+dim <= DENSE_DIM_LIMIT, the ones solved on their band, keep their bands: at
+most one per term and parity of the live factor pairs, each of
+(half-bandwidth + 1) x dim doubles, 196 KB for fig7's 16 and 0.9 MB for the
+16 of a Dicke N = 48 block of 1250 states. ARPACK blocks build a CSR matrix
+from their triplets at each call and keep nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .operators import (
     boson_x,
     ising_xx_ring,
     spin_raise,
-    spin_z_blocks,
+    spin_z_values,
 )
 
 
@@ -195,23 +195,23 @@ def _unit_band(left: Factor, right: Factor, p: int, offset: np.ndarray) -> np.nd
     return lower_band(*_term_entries(left, right, p, offset), int(offset[-1]))
 
 
-# right factor -> left factor -> {parity: unit band} of the direct-path
-# blocks, and -> the (p, index, offset) of the nonempty parity blocks
-# (``SparseHamiltonian.parity_blocks``); keyed weakly at both levels, so an
-# entry dies with either factor
-_UNIT_BANDS = weakref.WeakKeyDictionary()
-_BLOCK_LAYOUTS = weakref.WeakKeyDictionary()
+# right factor -> left factor -> the pair's record (``_pair``); keyed weakly
+# at both levels, so a record dies with either factor
+_PAIRS = weakref.WeakKeyDictionary()
 
 
-def _pair_entry(cache: weakref.WeakKeyDictionary, left: Factor, right: Factor, make):
-    """``cache``'s entry of the factor pair (left, right), ``make()`` on
-    first use."""
-    by_left = cache.get(right)
+def _pair(left: Factor, right: Factor) -> SimpleNamespace:
+    """What the factor pair (left, right) prepares once, made empty on first
+    use: ``layouts``, the (p, index, offset) of its nonempty parity blocks
+    (None until ``parity_blocks`` asks), and ``bands``, the unit band of
+    each direct-path parity block, by parity."""
+    by_left = _PAIRS.get(right)
     if by_left is None:
-        by_left = cache[right] = weakref.WeakKeyDictionary()
-    if left not in by_left:
-        by_left[left] = make()
-    return by_left[left]
+        by_left = _PAIRS[right] = weakref.WeakKeyDictionary()
+    record = by_left.get(left)
+    if record is None:
+        record = by_left[left] = SimpleNamespace(layouts=None, bands={})
+    return record
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -243,12 +243,12 @@ class ParityBlock:
     def _unit_band(self, left: Factor, right: Factor) -> np.ndarray:
         if self.dim > DENSE_DIM_LIMIT:
             return _unit_band(left, right, self.p, self.offset)
-        by_parity = _pair_entry(_UNIT_BANDS, left, right, dict)
-        if self.p not in by_parity:
+        bands = _pair(left, right).bands
+        if self.p not in bands:
             unit = _unit_band(left, right, self.p, self.offset)
             unit.flags.writeable = False
-            by_parity[self.p] = unit
-        return by_parity[self.p]
+            bands[self.p] = unit
+        return bands[self.p]
 
     def matrix(self) -> sp.csr_matrix:
         """The block as a CSR matrix, built from its triplets at each call
@@ -293,8 +293,10 @@ class SparseHamiltonian(KronSum):
         depend on the first term's two factors only: they are computed once
         per factor pair, kept while both live, and read-only."""
         _, left, right = self.terms[0]
-        layouts = _pair_entry(_BLOCK_LAYOUTS, left, right, lambda: _layouts(left, right))
-        for p, index, offset in layouts:
+        record = _pair(left, right)
+        if record.layouts is None:
+            record.layouts = _layouts(left, right)
+        for p, index, offset in record.layouts:
             yield index, ParityBlock(self.terms, p, offset)
 
 
@@ -319,48 +321,44 @@ def _spin_factors(spins: BasisDescriptor) -> SimpleNamespace:
     """Cached for the two spin layouts a sweep alternates between (fig3 and
     fig6 visit each at every n_max in turn); spin_dim-sized and read-only,
     so every point of the layout shares them."""
-    z_blocks = spin_z_blocks(spins)
-    z = sum(z_blocks)  # spin_z_values at unit weights
+    z = spin_z_values(spins)
     # the up count S_z + N/2 is exact in floating point
     bits = ((z + 0.5 * spins.n_spins) % 2).astype(np.int8)
     # spin_flip_total is R + R^T and spin_pm_total R - R^T; R raises the up
     # count, so R and R^T share no entry
     up = Factor.of(spin_raise(spins), bits)
     ring = not spins.collective and spins.n_spins > 1
-    block_flips = None
+    flip = _flip(up, 1.0)
+    flip_block = None
     if not spins.k0:
-        # an entry of R raises one block's digit: row - col is that block's stride
+        # an entry of R + R^T moves one block's digit: |row - col| is its stride
         stride = np.array([s for _, s in spins.blocks])
-        block = np.searchsorted(stride, up.row - up.col)
-        block_flips = tuple(_flip(up, block == b, 1.0) for b in range(stride.size))
+        flip_block = np.searchsorted(stride, np.abs(flip.row - flip.col))
+        flip_block.flags.writeable = False
     return SimpleNamespace(
         bits=bits,
         identity=Factor.diagonal(np.ones(spins.spin_dim), bits),
         z=Factor.diagonal(z, bits),
-        flip=_flip(up, slice(None), 1.0),
-        pm=_flip(up, slice(None), -1.0),
+        flip=flip,
+        pm=_flip(up, -1.0),
         ring=Factor.of(ising_xx_ring(spins), bits) if ring else None,
-        z_blocks=z_blocks,
-        block_flips=block_flips,
+        flip_block=flip_block,
     )
 
 
-def _flip(up: Factor, keep, sign: float) -> Factor:
-    """R + sign R^T of the entries ``keep`` (a mask or slice) of the raise
-    factor R."""
-    row, col, value = up.row[keep], up.col[keep], up.value[keep]
+def _flip(up: Factor, sign: float) -> Factor:
+    """R + sign R^T of the raise factor R."""
     return Factor(
-        np.concatenate((row, col)), np.concatenate((col, row)),
-        np.concatenate((value, sign * value)), up.bits,
+        np.concatenate((up.row, up.col)), np.concatenate((up.col, up.row)),
+        np.concatenate((up.value, sign * up.value)), up.bits,
     )
 
 
 def spin_factors(basis: BasisDescriptor) -> SimpleNamespace:
     """The unit-weight spin factors of ``basis``'s spin layout, whatever its
     n_max: identity, z, flip, pm and ring (None where the layout has none),
-    and per block of ``basis.blocks`` its S_z row (``z_blocks``) and its flip
-    factor (``block_flips``, None on the k = 0 ring, whose orbit sums mix
-    the sites)."""
+    and ``flip_block``, the block of ``basis.blocks`` each entry of flip
+    moves (None on the k = 0 ring, whose orbit sums mix the sites)."""
     return _spin_factors(dataclasses.replace(basis, n_max=0))
 
 
@@ -407,11 +405,14 @@ def build_dicke_hamiltonian(
 
     ``disorder`` adds its m defects after the p.n_spins = n_clean clean spins:
     defect i carries (omega'_i, g'_i) and every coupling is collectively
-    normalized by 1/sqrt(N+m). ``eta`` adds the nearest-neighbor ring
-    4J sum_n S_x^n S_x^{n+1} with J = eta*omega0, which breaks the permutation
-    symmetry but keeps the translation. With no defects and eta = 0 this is
-    the ideal model, built the same way. The two perturbations do not
-    combine.
+    normalized by 1/sqrt(N+m). Its z and flip terms are one weighted z
+    diagonal (``spin_z_values``) and one flip factor, the layout's flip
+    entries of nonzero weight each times its block's g: the entries of
+    ``spin_flip_total`` at those weights, bit for bit. ``eta`` adds the
+    nearest-neighbor ring 4J sum_n S_x^n S_x^{n+1} with J = eta*omega0,
+    which breaks the permutation symmetry but keeps the translation. With no
+    defects and eta = 0 this is the ideal model, built the same way. The two
+    perturbations do not combine.
     """
     defects = () if disorder is None else disorder.defects
     if disorder is not None and disorder.n_clean != p.n_spins:
@@ -431,17 +432,16 @@ def build_dicke_hamiltonian(
     if defects:
         if basis.k0:
             raise ValueError("the k = 0 ring layout needs one weight for every spin: no defects")
-        # per block, from the layout's unit factors, in spin_z_values' and
-        # spin_flip_total's arithmetic; a zero-weight block has no flip entry
-        z_weights = block_weights(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
-        x_weights = block_weights(basis, [p.g] * p.n_spins + [gp for _, gp in defects])
-        z = sum(w * z_b for w, z_b in zip(z_weights, spins.z_blocks))
+        # spin_z_values' and spin_flip_total's arithmetic on the layout's
+        # factors; a zero-weight block's flip entries are left out, so they
+        # cannot widen the band
+        z = spin_z_values(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
         terms.append((1.0, bosons.identity, spins.identity.like(z)))
-        terms += [
-            (1.0 / np.sqrt(n), bosons.x, flip.like(w * flip.value))
-            for w, flip in zip(x_weights, spins.block_flips)
-            if w
-        ]
+        w = block_weights(basis, [p.g] * p.n_spins + [gp for _, gp in defects])[spins.flip_block]
+        keep, flip = w != 0, spins.flip
+        if keep.any():
+            flip = Factor(flip.row[keep], flip.col[keep], w[keep] * flip.value[keep], flip.bits)
+            terms.append((1.0 / np.sqrt(n), bosons.x, flip))
     else:
         terms.append((p.omega0, bosons.identity, spins.z))
         if p.g != 0.0:

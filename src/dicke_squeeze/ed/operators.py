@@ -88,18 +88,12 @@ def spin_raise(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     return _fold(basis, amplitude, _states(basis)[s] + stride[block], s)
 
 
-def spin_z_blocks(basis: BasisDescriptor) -> np.ndarray:
-    """Row b holds d_b - n_b/2, block b's unit-weight S_z over the spin
-    states of ``basis``."""
-    n, _, d = _digits(basis)
-    return d - 0.5 * n[:, None]
-
-
 def spin_z_values(basis: BasisDescriptor, weights=None) -> np.ndarray:
-    """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``: the
-    blocks' rows of ``spin_z_blocks`` weighted and summed in block order."""
+    """Diagonal of sum_i w_i S_z^i over the spin states of ``basis``: block
+    b's S_z, d_b - n_b/2, weighted and summed in block order."""
     w = block_weights(basis, weights)
-    return sum(w_b * z_b for w_b, z_b in zip(w, spin_z_blocks(basis)))
+    n, _, d = _digits(basis)
+    return sum(w_b * (d_b - 0.5 * n_b) for w_b, n_b, d_b in zip(w, n, d))
 
 
 def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:

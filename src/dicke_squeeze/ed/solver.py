@@ -95,6 +95,12 @@ SWITCH_RESIDUAL = 1e-10
 # fig7 and Dicke N = 24 blocks take 8-9; 300 random band matrices (dim <= 400,
 # b <= 25) took a median of 12 and at most 22.
 MAX_SHIFTS = 60
+# Largest ||B||_inf of a block, and its inverse the smallest: the residual
+# squares entries up to ||B||_inf, and inverse iteration's iterates reach
+# 1/(INVERSE_SHIFT*||B||_inf) before each normalization, so past
+# sqrt(DBL_MAX) ~ 1.3e154 on either side a norm overflows (or underflows) and
+# every step fails. 2^400 ~ 2.6e120 keeps a wide margin.
+SCALE_LIMIT = 2.0**400
 
 
 class ConvergenceError(RuntimeError):
@@ -108,6 +114,11 @@ class ConvergenceError(RuntimeError):
             f"no convergence after {iterations} iterations "
             f"at relative tolerance {tolerance:.3e}"
         )
+
+    def __reduce__(self):
+        # args holds the message only: rebuild from the fields, so a worker
+        # pool can hand the error to its parent
+        return type(self), (self.iterations, self.tolerance)
 
 
 @dataclasses.dataclass
@@ -147,6 +158,17 @@ def as_hamiltonian(h) -> SparseHamiltonian:
 def matrix_inf_norm(mat: sp.spmatrix) -> float:
     norm = np.abs(mat).sum(axis=1).max()
     return float(norm) if norm > 0 else 1.0
+
+
+def _in_scale(norm: float) -> float:
+    """``norm``, a block's ||B||_inf; ValueError outside [1/SCALE_LIMIT,
+    SCALE_LIMIT], where its residual would overflow or underflow."""
+    if not 1.0 / SCALE_LIMIT <= norm <= SCALE_LIMIT:
+        raise ValueError(
+            f"block scale ||B||_inf = {norm:.3e} overflows its residual: "
+            f"outside [{1.0 / SCALE_LIMIT:.1e}, {SCALE_LIMIT:.1e}]"
+        )
+    return norm
 
 
 def _lower_band(mat: sp.spmatrix) -> np.ndarray:
@@ -193,7 +215,8 @@ def _band_lowest(ab: np.ndarray, tol: float):
     rho: that factorization succeeding certifies rho as the block's lowest
     level to INVERSE_SHIFT*||B||_inf. ConvergenceError after MAX_SHIFTS steps,
     or when the residual ||Bv - (v.Bv) v|| exceeds
-    max(tol, INVERSE_SHIFT)*||B||_inf; ValueError on a non-finite entry.
+    max(tol, INVERSE_SHIFT)*||B||_inf; ValueError on a non-finite entry, or
+    on a ||B||_inf outside [1/SCALE_LIMIT, SCALE_LIMIT].
 
     It starts from ``_start_vector``."""
     if not np.isfinite(ab).all():
@@ -205,7 +228,7 @@ def _band_lowest(ab: np.ndarray, tol: float):
     radius = mag[1:].sum(axis=0)
     for d in range(1, ab.shape[0]):
         radius[d:] += mag[d, : n - d]
-    norm = float(np.max(radius + mag[0])) or 1.0
+    norm = _in_scale(float(np.max(radius + mag[0])) or 1.0)
     if ab.shape[0] == 1:
         i = int(np.argmin(ab[0]))
         vector = np.zeros(n)
@@ -257,7 +280,7 @@ def _arpack(mat, tol, max_iter):
     tol/10 * ||H||_inf, 10x under the contract. On the product-basis fig7
     points that held xi within 5.2e-12 of a dense solve (2.5e-11 at tol/3)
     for 7% more matvecs."""
-    norm = matrix_inf_norm(mat)
+    norm = _in_scale(matrix_inf_norm(mat))
     shift, matvecs = 2.0 * norm, 0
 
     def matvec(x):
@@ -314,7 +337,8 @@ def ground_state(
     The residual satisfies ||Hv - Ev|| <= tol * ||H||_inf, and the
     eigenvector sign is fixed so the largest-magnitude component is
     positive. ValueError on an unknown method, a tol that is not a finite
-    number > 0, or a max_iter that is not an integer >= 1.
+    number > 0, a max_iter that is not an integer >= 1, or a block whose
+    ||B||_inf lies outside [1/SCALE_LIMIT, SCALE_LIMIT].
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")

@@ -10,6 +10,7 @@ diagonalizes exactly like the single-mode model.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -108,14 +109,22 @@ def mixing_angle_k(ip: IsingParams, k: float) -> float:
 
     Defined for any parameters (it does not require the sector to be in the
     normal phase), so squeezed-quadrature coefficients remain available at and
-    beyond the per-momentum critical coupling.
+    beyond the per-momentum critical coupling. ValueError where w_k E_k or
+    either argument of atan2 leaves double precision: the angle would be a
+    nan, or a rounded-away 0.
     """
     w_k = ip.omega_k(k)
     e_k = _positive_magnon_energy(ip, k)
     g_k = coupling_k(ip, k)
     if g_k == 0.0:
         return 0.0
-    return 0.5 * math.atan2(4.0 * g_k * math.sqrt(w_k * e_k), e_k * e_k - w_k * w_k)
+    y, x = 4.0 * g_k * math.sqrt(w_k * e_k), e_k * e_k - w_k * w_k
+    if not (math.isfinite(y) and math.isfinite(x) and w_k * e_k >= sys.float_info.min):
+        raise ValueError(
+            f"mixing angle at k={k:g} leaves double precision: "
+            f"w_k={w_k:g}, E_k={e_k:g}, g_k={g_k:g}"
+        )
+    return 0.5 * math.atan2(y, x)
 
 
 def _positive_magnon_energy(ip, k):

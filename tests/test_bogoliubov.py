@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,43 @@ class TestGroundSqueezing:
             assert m.eps_minus > 0 or g == 0
             xis.append(m.eps_minus)
         assert all(a > b for a, b in zip(xis, xis[1:]))
+
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # omega*omega0 overflows: g_c was inf, and the instance read as normal
+            ((1e155, 1e155, 5e154), "omega*omega0 leaves double precision"),
+            # (g/g_c)^2 overflows deep in the superradiant phase
+            ((1.0, 1e-300, 1e100), "g/g_c**2 overflows"),
+            # omega*omega0 underflows: g_c was 0, and g/g_c divided by it
+            ((1e-200, 1e-200, 1e-201), "omega*omega0 leaves double precision"),
+            # a normal instance whose squared energies overflow
+            ((1e-100, 1e200, 1e49), "mode energies overflow"),
+        ],
+    )
+    def test_finite_scales_past_double_precision_are_rejected(self, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            squeezing_ratio_ground(DickeParams(*params))
+
+    def test_finite_scales_keep_their_ratio_in_range(self):
+        # a power-of-two scale is exact: every in-range scale gives the same bits
+        xi = squeezing_ratio_ground(DickeParams(1.0, 1.5, 0.3)).xi
+        for k in (-480, -300, 300, 480):
+            s = 2.0**k
+            assert squeezing_ratio_ground(DickeParams(s, 1.5 * s, 0.3 * s)).xi == xi
+        superradiant = squeezing_ratio_ground(DickeParams(1.0, 1.5, 0.9)).xi
+        scaled = squeezing_ratio_ground(DickeParams(2.0**-300, 1.5 * 2.0**-300, 0.9 * 2.0**-300))
+        assert scaled.xi == superradiant
+
+    def test_classical_critical_temperature_past_double_precision(self):
+        with pytest.raises(ValueError, match=r"omega\*omega0 leaves double precision"):
+            classical_critical_temperature(DickeParams(1e200, 1e200, 1e200))
+        # omega*omega0/(4 g^2) underflows: atanh(0) = 0 was divided by
+        with pytest.raises(ValueError, match="T_c overflows"):
+            classical_critical_temperature(DickeParams(1.0, 1e-300, 1e100))
+        with pytest.raises(ValueError, match=r"g\*\*2 overflows"):
+            classical_critical_temperature(DickeParams(1.0, 1.0, 1e200))
 
 
 class TestSingleModeVariances:

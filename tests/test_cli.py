@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +136,36 @@ class TestConfig:
         assert cli._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert sizes == [3, 2]
+
+    def test_a_failed_task_reaches_the_pool_parent(self, tmp_path):
+        # a worker's ConvergenceError must unpickle in the parent, or the
+        # pool waits for its result forever; the timeout fails the test
+        # instead of hanging it
+        script = tmp_path / "fail.py"
+        script.write_text(
+            "from dicke_squeeze import cli\n"
+            "from dicke_squeeze.ed import ConvergenceError\n\n"
+            "def fail(task):\n"
+            "    raise ConvergenceError(task, 1e-10)\n\n"
+            "if __name__ == '__main__':\n"
+            "    try:\n"
+            "        cli._run_tasks(fail, [60, 60], 2)\n"
+            "    except ConvergenceError as exc:\n"
+            "        print(exc.iterations, exc.tolerance, exc)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            out, _ = run.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)  # the pool's workers too
+            run.communicate()
+            raise
+        assert out == "60 1e-10 no convergence after 60 iterations at relative tolerance 1.000e-10\n"
 
     def test_hash_stable_under_key_order(self):
         a = cli.config_hash({"b": 1, "a": {"y": 2, "x": 3}})
@@ -709,6 +744,43 @@ class TestEDPresets:
             pytest.param(
                 "fig6", _random_defects(counter=2**64), "bad disorder parameters: disorder.counter",
                 id="fig6-counter-2**64",
+            ),
+            # finite settings whose closed form or block leaves double precision:
+            # each once gave a nan row, a traceback or 60 failed shifts
+            pytest.param(
+                "fig5",
+                {"model": {"omega": 1e160, "g": 1e159},
+                 "grids": {"omega0_over_omega": [1.0], "kt_over_omega": [0.1]}},
+                "bad model parameters: omega*omega0 leaves double precision", id="fig5-overflow",
+            ),
+            pytest.param(
+                "sweep",
+                {"model": {"omega": 1e200, "omega0": 1e200}, "grids": {"g": [3e199]},
+                 "sweep": {"quantity": "xi_ground"}},
+                "bad model parameters: omega*omega0 leaves double precision",
+                id="sweep-xi-ground-overflow",
+            ),
+            pytest.param(
+                "fig2", {"model": {"omega": 1e300}, "grids": {"g_over_omega": [0.5]}},
+                "bad model parameters: omega**2 overflows", id="fig2-overflow",
+            ),
+            pytest.param(
+                "fig3",
+                {"model": {"omega": 1e200, "omega0": 1e200, "g": 5e199},
+                 "grids": {"n_spins": [2, 3]}, "ed": {"n_max": [10]}},
+                "fig3 N=2 n_max=10: block scale", id="fig3-overflow",
+            ),
+            pytest.param(
+                "fig7",
+                {"model": {"omega": 1e200, "omega0": 1e200, "g": 5e199},
+                 "grids": {"eta": [0.5]}, "ed": {"n_max": [10]}},
+                "bad ising parameters: mixing angle", id="fig7-overflow",
+            ),
+            pytest.param(
+                "fig6",
+                {"disorder": {"omega_prime": 1e200}, "grids": {"n_clean": [2]},
+                 "ed": {"n_max": [10]}},
+                "fig6 N=2 n_max=10: block scale", id="fig6-omega-prime-overflow",
             ),
         ],
     )

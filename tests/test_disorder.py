@@ -153,3 +153,10 @@ class TestPerturbativityCheck:
         p = DickeParams(1, 1, 0.45)
         d = DisorderEnsemble(12, ((2.0, 0.1), (0.3, 1.5)))
         assert perturbativity_check(p, d) == disorder_xi_perturbative(p, d).validity
+
+
+def test_overflowing_defect_coupling_is_rejected():
+    # two g' = 1e308 terms sum past double precision: xi was inf
+    ens = DisorderEnsemble(2, ((1e-10, 1e308), (1e-10, 1e308)))
+    with pytest.raises(ValueError, match="overflows double precision"):
+        disorder_xi_perturbative(DickeParams(1, 1, 0.3, 2), ens)

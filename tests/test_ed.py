@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from functools import reduce
 
@@ -9,6 +10,8 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import ed_caches
 
 from dicke_squeeze import DickeParams, DisorderEnsemble, normal_modes
 from dicke_squeeze.ed import (
@@ -325,6 +328,23 @@ class TestGroundState:
         assert 0 < info.value.iterations < 100
         assert info.value.tolerance == 1e-10
 
+    def test_convergence_error_survives_pickling(self):
+        # a worker pool hands a point's error to its parent pickled
+        exc = pickle.loads(pickle.dumps(ConvergenceError(60, 1e-10)))
+        assert type(exc) is ConvergenceError
+        assert (exc.iterations, exc.tolerance) == (60, 1e-10)
+        assert str(exc) == "no convergence after 60 iterations at relative tolerance 1.000e-10"
+
+    @pytest.mark.parametrize("scale", [1e130, 1e-130])
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_block_scale_past_its_residual_is_rejected(self, scale, method):
+        # the residual squares the block's scale, and inverse iteration's
+        # iterates its inverse: both paths refuse, with no failed shifts
+        basis = build_basis(3, 10, (3,))
+        h = build_dicke_hamiltonian(DickeParams(scale, scale, 0.5 * scale, 3), basis)
+        with pytest.raises(ValueError, match="overflows its residual"):
+            ground_state(h, method=method)
+
     def test_near_degenerate_takes_the_even_block(self):
         # tiny splitting: two displaced wells split only through a 1e-12
         # spin term, far below the 1e-8 near-degeneracy threshold
@@ -427,6 +447,11 @@ def _layout(layout):
     if layout == "mixed":
         ens = DisorderEnsemble(3, ((2.0, 0.3), (1.5, 0.6)))
         return build_dicke_hamiltonian(p, build_basis(5, 12, (3,)), disorder=ens)
+    if layout == "mixed-g0":
+        # a clean block, a run of two equal defects and a g' = 0 defect, whose
+        # flip entries would widen the band
+        ens = DisorderEnsemble(3, ((2.1, 2.0), (2.1, 2.0), (1.5, 0.0)))
+        return build_dicke_hamiltonian(p, build_basis(6, 12, (3, 2)), disorder=ens)
     if layout == "k0":
         return build_dicke_hamiltonian(
             DickeParams(1.0, 1.2, 0.45, 6), build_basis(6, 12, k0=True), eta=0.5
@@ -452,8 +477,8 @@ def _layout(layout):
 class TestBandSolve:
     @pytest.mark.parametrize(
         "layout",
-        ["product", "collective", "mixed", "k0", "hopfield", "a2", "hopfield-a2", "ring-2",
-         "k0-3", "k0-6", *_FIG_LAYOUTS],
+        ["product", "collective", "mixed", "mixed-g0", "k0", "hopfield", "a2", "hopfield-a2",
+         "ring-2", "k0-3", "k0-6", *_FIG_LAYOUTS],
     )
     def test_band_equals_dense_block_bitwise(self, layout, clear_ed_caches, monkeypatch):
         prepared = []
@@ -490,10 +515,10 @@ class TestBandSolve:
             assert sum(block.nnz for block in _blocks(h)) == h.matrix.nnz
             # each term's band is prepared once per parity; a repeat prepares
             # only the terms of factors built for its own point (a defect
-            # model's weighted z and flips)
+            # model's weighted z and flip)
             fresh = sum(s is not s0 for (_, _, s), (_, _, s0) in zip(h.terms, first.terms))
             assert len(prepared) - before == 2 * (fresh if k else len(h.terms))
-        assert 0 < fresh < len(first.terms) if layout.startswith(("mixed", "fig6")) else fresh == 0
+        assert fresh == (2 if layout.startswith(("mixed", "fig6")) else 0)
 
     @pytest.mark.parametrize("layout", ["fig3", "fig6-run", "fig6-random", "fig7"])
     def test_block_layouts_are_kept_per_factor_pair(self, layout, clear_ed_caches):
@@ -512,6 +537,31 @@ class TestBandSolve:
         warm = ground_state(second)
         assert warm.energy.hex() == cold.energy.hex()
         assert warm.vector.tobytes() == cold.vector.tobytes()
+
+    def test_clear_ed_caches_empties_every_cache(self, clear_ed_caches):
+        # a fig7 point and one Hopfield thermal draw fill the factor, orbit,
+        # pair and start-vector caches; the fixture empties every one
+        h = _layout("fig7")
+        gs = ground_state(h)
+        variance(gs, p_minus_k0(build_basis(6, 40, k0=True), 1.0, 1.0, 0.3, 0.7))
+        p = DickeParams(1.0, 1.2, 0.3)
+        q = hopfield_p_minus(12, 12, 1.0, 1.2, normal_modes(p).gamma)
+        thermal_variance(build_hopfield_hamiltonian(p, 12, 12), q, 0.2)
+
+        def size(cache):
+            return cache.cache_info().currsize if hasattr(cache, "cache_info") else len(cache)
+
+        caches = ed_caches()
+        filled = {name for name, cache in caches.items() if size(cache)}
+        assert filled >= {
+            "basis.translation_orbits",
+            "hamiltonians._PAIRS",
+            "hamiltonians._spin_factors",
+            "hamiltonians.boson_factors",
+            "solver._start_vector",
+        }
+        clear_ed_caches()
+        assert not any(size(cache) for cache in caches.values())
 
     @pytest.mark.parametrize(
         "n_clean, collective, defects",

@@ -128,6 +128,17 @@ class TestCriticalCouplingK:
             critical_coupling_k(_ip(-0.6), 0.0)  # E_k = -0.2
 
 
+    @pytest.mark.parametrize(
+        "omega, omega0, g",
+        # E_k^2 overflows (the angle was nan), and w_k E_k underflows (a
+        # rounded-away 0)
+        [(1e200, 1e200, 5e199), (1e-200, 1e-200, 5e-201)],
+    )
+    def test_mixing_angle_past_double_precision_is_rejected(self, omega, omega0, g):
+        with pytest.raises(ValueError, match="mixing angle at k=0 leaves double precision"):
+            mixing_angle_k(_ip(0.5, g=g, omega_k=omega, omega0=omega0), 0.0)
+
+
 class TestSqueezedQuadratureCoefficients:
     def test_reduction_to_two_mode_coefficients(self):
         ip = _ip(0.0, g=0.3, omega_k=1.0, omega0=1.0, n=4)
