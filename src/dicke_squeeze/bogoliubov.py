@@ -4,6 +4,12 @@ All operations here work in the collective (large-N) limit where the Dicke
 model reduces to two coupled oscillators. The lower normal mode carries the
 squeezing; ratios are normalized to the smaller bare ground-state variance,
 min(omega, omega0)/2.
+
+Every closed-form mode is ``_pair_modes`` on its (a^2, b^2, cross): the two
+squared frequencies and the off-diagonal term. Its four callers are
+``normal_modes`` (normal side), ``superradiant_modes`` (displaced frame) and,
+per momentum sector of the Ising chain, ``ising.dicke_ising_modes`` and
+``ising.mixing_angle_k``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, squared
+from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, squared
 
 # Relative floor below which a negative soft-mode energy squared is treated as
 # exactly critical rather than superradiant (guards rounding at g = g_c).
@@ -34,7 +40,6 @@ class NormalModeData:
     eps_minus, eps_plus : mode energies, eps_minus <= eps_plus
     gamma               : mixing angle in [0, pi/2] rotating (boson, spin)
                           quadratures into the normal modes
-    phase               : phase label of the underlying instance
     g_renormalized      : coupling actually used (differs from the instance
                           coupling only when a caller supplies a renormalized
                           value, e.g. for diluted-disorder wrappers)
@@ -43,7 +48,6 @@ class NormalModeData:
     eps_minus: float
     eps_plus: float
     gamma: float
-    phase: PhaseLabel
     g_renormalized: float
 
 
@@ -60,37 +64,34 @@ class SqueezingReport:
     temperature: float = 0.0
 
 
-def _pair_modes(w_a: float, w_b: float, g: float) -> tuple[float, float, float]:
-    """Diagonalize two oscillators (w_a, w_b) with bilinear coupling g.
+def _pair_modes(a_sq: float, b_sq: float, cross: float) -> tuple[float, float, float]:
+    """Diagonalize two oscillators of squared frequencies a_sq, b_sq with
+    off-diagonal term cross.
 
-    Returns (eps_minus_sq, eps_plus_sq, gamma). The quadratic form is
-    (w_a^2 x^2 + p_x^2 + w_b^2 y^2 + p_y^2 + 4 g sqrt(w_a w_b) x y)/2 and
-    gamma = atan2(4 g sqrt(w_a w_b), w_b^2 - w_a^2)/2, restricted to
-    [0, pi/2] so the minus mode connects to the softer oscillator as g -> 0.
-    eps_minus_sq may come out negative; callers decide how to treat that.
-    ValueError where the squared energies overflow (``_finite_modes``).
+    Returns (eps_minus_sq, eps_plus_sq, gamma) of the quadratic form
+    (a_sq x^2 + p_x^2 + b_sq y^2 + p_y^2 + cross x y)/2:
+    eps_pm^2 = (a_sq + b_sq -+ hypot(b_sq - a_sq, cross))/2 and
+    gamma = atan2(cross, b_sq - a_sq)/2, in [0, pi/2] for cross >= 0 so the
+    minus mode connects to the softer oscillator as cross -> 0.
+    eps_minus_sq may come out negative; callers decide how to treat that,
+    but one within _CRITICAL_CLAMP of the total is rounding at criticality
+    and reads 0. ValueError where eps_plus^2 overflows: it bounds the total
+    and the radical it is summed from, so an overflow anywhere in them shows
+    here, where it would otherwise come out as a nan or inf mode energy.
     """
-    cross = 4.0 * g * math.sqrt(w_a * w_b)
-    diff = w_b * w_b - w_a * w_a
-    total = w_a * w_a + w_b * w_b
+    diff = b_sq - a_sq
+    total = a_sq + b_sq
     rad = math.hypot(diff, cross)
     em_sq = 0.5 * (total - rad)
     ep_sq = 0.5 * (total + rad)
-    _finite_modes(ep_sq, w_a, w_b, g)
-    if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
-        em_sq = 0.0
-    gamma = 0.5 * math.atan2(cross, diff)
-    return em_sq, ep_sq, gamma
-
-
-def _finite_modes(ep_sq: float, w_a: float, w_b: float, g: float) -> None:
-    """ValueError unless eps_plus^2 is finite: it bounds the total and the
-    radical it is summed from, so an overflow anywhere in them shows here,
-    where it would otherwise come out as a nan or inf mode energy."""
     if not math.isfinite(ep_sq):
         raise ValueError(
-            f"mode energies overflow double precision at w_a={w_a:g}, w_b={w_b:g}, g={g:g}"
+            "mode energies overflow double precision at "
+            f"a^2={a_sq:g}, b^2={b_sq:g}, cross={cross:g}"
         )
+    if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
+        em_sq = 0.0
+    return em_sq, ep_sq, 0.5 * math.atan2(cross, diff)
 
 
 def _effective_boson(p: DickeParams, g: float) -> tuple[float, float]:
@@ -119,22 +120,14 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
     if g < 0:
         raise ValueError("g must be >= 0")
     wt, gt = _effective_boson(p, g)
-    em_sq, ep_sq, gamma = _pair_modes(wt, p.omega0, gt)
+    cross = 4.0 * gt * math.sqrt(wt * p.omega0)
+    em_sq, ep_sq, gamma = _pair_modes(wt * wt, p.omega0 * p.omega0, cross)
     if em_sq < 0.0:
         raise SuperradiantInputError(
             "superradiant input: eps_minus^2 < 0 for "
             f"g={g:g} (use superradiant_modes)"
         )
-    phase = classify_phase(
-        p if g == p.g else DickeParams(p.omega, p.omega0, g, p.n_spins, p.a2_coeff)
-    )
-    return NormalModeData(
-        eps_minus=math.sqrt(em_sq),
-        eps_plus=math.sqrt(ep_sq),
-        gamma=gamma,
-        phase=phase,
-        g_renormalized=g,
-    )
+    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma, g)
 
 
 def superradiant_modes(p: DickeParams) -> NormalModeData:
@@ -154,21 +147,10 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     if p.g <= gc:
         raise ValueError(f"g={p.g:g} is not above the critical coupling {gc:g}")
     w_spin = squared("g/g_c", p.g / gc) * p.omega0  # spin frequency in the displaced frame
-    w2, s2 = squared("omega", p.omega), squared("w_spin", w_spin)
-    total = w2 + s2
-    rad = math.hypot(s2 - w2, 2.0 * p.omega * p.omega0)
-    em_sq, ep_sq = 0.5 * (total - rad), 0.5 * (total + rad)
-    _finite_modes(ep_sq, p.omega, w_spin, p.g)
-    if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
-        em_sq = 0.0
-    gamma = 0.5 * math.atan2(2.0 * p.omega * p.omega0, s2 - w2)
-    return NormalModeData(
-        eps_minus=math.sqrt(em_sq),
-        eps_plus=math.sqrt(ep_sq),
-        gamma=gamma,
-        phase=PhaseLabel.SUPERRADIANT,
-        g_renormalized=p.g,
+    em_sq, ep_sq, gamma = _pair_modes(
+        squared("omega", p.omega), squared("w_spin", w_spin), 2.0 * p.omega * p.omega0
     )
+    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma, p.g)
 
 
 def reference_variance(p: DickeParams) -> float:
@@ -347,7 +329,9 @@ def spin_squeezing_parameter(var_py: float, omega0: float) -> float:
 
     The standard spin definition 4*Var(S_perp)/N reduces, for the bosonized
     collective spin, to 2*var_py/omega0; values below 1 witness entanglement.
+    ValueError unless both are finite real numbers.
     """
+    var_py, omega0 = finite_real("var_py", var_py), finite_real("omega0", omega0)
     if var_py < 0:
         raise ValueError("var_py must be >= 0")
     if omega0 <= 0:

@@ -737,9 +737,12 @@ def _format_column(column) -> list[str]:
     which would cost more than it saves, and formats every cell in one call.
     Values are told apart by IEEE bit pattern, not by value: a value key
     would merge -0.0 with 0.0 (they compare equal) and write one text for
-    both. An all-str list is its own text.
+    both. An all-str list is its own text; a constant one (the method
+    column) is told by one count, without a scan of its cell types.
     """
     if not isinstance(column, np.ndarray):
+        if column and type(column[0]) is str and column.count(column[0]) == len(column):
+            return column
         kinds = set(map(type, column))
         if kinds == {str}:
             return column

@@ -72,9 +72,12 @@ class PerturbativeReport:
 
 
 def renormalized_coupling(g: float, n_clean: int, m: int) -> float:
-    """Collective coupling seen by the clean spins: gbar = g*sqrt(N/(N+m))."""
+    """Collective coupling seen by the clean spins: gbar = g*sqrt(N/(N+m)).
+    ValueError unless g is a finite real number and N, m are whole counts."""
     if n_clean < 1 or m < 0:
         raise ValueError("need n_clean >= 1 and m >= 0")
+    g = finite_real("g", g)
+    n_clean, m = integer_at_least("n_clean", n_clean, 1), integer_at_least("m", m, 0)
     return g * math.sqrt(n_clean / (n_clean + m))
 
 

@@ -4,7 +4,10 @@ The spin chain (splitting omega0, Ising strength J = eta*omega0, ring
 geometry) is bosonized to leading order: magnons with dispersion
 E_k = omega0*(1 + 2 eta cos k) couple to the boson modes with a renormalized
 per-momentum coupling g_k = g*(1 + eta cos k). Each momentum sector then
-diagonalizes exactly like the single-mode model.
+diagonalizes exactly like the single-mode model: ``_sector`` hands
+``bogoliubov._pair_modes`` the (a^2, b^2, cross) = (w_k^2, E_k^2,
+4 g_k sqrt(w_k E_k)) of the sector, and every per-k quantity here reads that
+one evaluation.
 """
 
 from __future__ import annotations
@@ -103,6 +106,28 @@ def coupling_k(ip: IsingParams, k: float) -> float:
     return ip.g * (1.0 + ip.eta * math.cos(k))
 
 
+def _sector(ip: IsingParams, k: float):
+    """(w_k, E_k, g_k, eps_minus_k^2, eps_plus_k^2, gamma_k) of the momentum-k
+    sector, gamma_k = 0 at g_k = 0. ValueError where E_k <= 0, or where
+    w_k E_k or the squared mode energies leave double precision: the angle
+    would be a nan, or a rounded-away 0."""
+    w_k = ip.omega_k(k)
+    e_k = magnon_energy(ip, k)
+    if e_k <= 0:
+        raise ValueError(
+            f"magnon description invalid at k={k:g}: E_k={e_k:g} <= 0 "
+            f"(eta={ip.eta:g} too large in magnitude)"
+        )
+    g_k = coupling_k(ip, k)
+    if not sys.float_info.min <= w_k * e_k <= sys.float_info.max:
+        raise ValueError(
+            f"mixing angle at k={k:g} leaves double precision: "
+            f"w_k={w_k:g}, E_k={e_k:g}, g_k={g_k:g}"
+        )
+    em_sq, ep_sq, gamma = _pair_modes(w_k * w_k, e_k * e_k, 4.0 * g_k * math.sqrt(w_k * e_k))
+    return w_k, e_k, g_k, em_sq, ep_sq, (gamma if g_k != 0.0 else 0.0)
+
+
 def mixing_angle_k(ip: IsingParams, k: float) -> float:
     """Rotation angle diagonalizing the momentum-k sector, same branch as the
     single-mode model: gamma_k = atan2(4 g_k sqrt(w_k E_k), E_k^2 - w_k^2)/2.
@@ -110,31 +135,9 @@ def mixing_angle_k(ip: IsingParams, k: float) -> float:
     Defined for any parameters (it does not require the sector to be in the
     normal phase), so squeezed-quadrature coefficients remain available at and
     beyond the per-momentum critical coupling. ValueError where w_k E_k or
-    either argument of atan2 leaves double precision: the angle would be a
-    nan, or a rounded-away 0.
+    the sector's squared mode energies leave double precision.
     """
-    w_k = ip.omega_k(k)
-    e_k = _positive_magnon_energy(ip, k)
-    g_k = coupling_k(ip, k)
-    if g_k == 0.0:
-        return 0.0
-    y, x = 4.0 * g_k * math.sqrt(w_k * e_k), e_k * e_k - w_k * w_k
-    if not (math.isfinite(y) and math.isfinite(x) and w_k * e_k >= sys.float_info.min):
-        raise ValueError(
-            f"mixing angle at k={k:g} leaves double precision: "
-            f"w_k={w_k:g}, E_k={e_k:g}, g_k={g_k:g}"
-        )
-    return 0.5 * math.atan2(y, x)
-
-
-def _positive_magnon_energy(ip, k):
-    e_k = magnon_energy(ip, k)
-    if e_k <= 0:
-        raise ValueError(
-            f"magnon description invalid at k={k:g}: E_k={e_k:g} <= 0 "
-            f"(eta={ip.eta:g} too large in magnitude)"
-        )
-    return e_k
+    return _sector(ip, k)[5]
 
 
 def dicke_ising_modes(ip: IsingParams, k: float) -> MagnonMode:
@@ -146,16 +149,11 @@ def dicke_ising_modes(ip: IsingParams, k: float) -> MagnonMode:
     Raises SuperradiantInputError when the sector is superradiant
     (eps_minus_k^2 < 0).
     """
-    w_k = ip.omega_k(k)
-    e_k = _positive_magnon_energy(ip, k)
-    g_k = coupling_k(ip, k)
-    em_sq, ep_sq, gamma = _pair_modes(w_k, e_k, g_k)
+    _, e_k, g_k, em_sq, ep_sq, gamma = _sector(ip, k)
     if em_sq < 0.0:
         raise SuperradiantInputError(
             f"momentum k={k:g} sector is superradiant (eps_minus_k^2 < 0)"
         )
-    if g_k == 0.0:
-        gamma = 0.0
     return MagnonMode(
         k=k,
         E_k=e_k,
@@ -179,12 +177,20 @@ def critical_coupling_k(ip: IsingParams, k: float) -> tuple[float, float]:
     - leading: sqrt(w_k omega0)/2, the eta-independent value. The two agree
                to O(eta^2): the Ising coupling does not shift the critical
                point at linear order.
+
+    ValueError where w_k E_k or w_k omega0 leaves double precision.
     """
-    w_k = ip.omega_k(k)
-    e_k = _positive_magnon_energy(ip, k)
+    w_k, e_k, *_ = _sector(ip, k)
     # E_k > 0 already guarantees 1 + eta*cos k > 1/2
     factor = 1.0 + ip.eta * math.cos(k)
     exact = math.sqrt(w_k * e_k) / (2.0 * factor)
+    # E_k may lie far below omega0 (eta near -1/2), so w_k omega0 can
+    # overflow where w_k E_k does not
+    if not sys.float_info.min <= w_k * ip.omega0 <= sys.float_info.max:
+        raise ValueError(
+            f"leading critical coupling at k={k:g} leaves double precision: "
+            f"w_k={w_k:g}, omega0={ip.omega0:g}"
+        )
     leading = math.sqrt(w_k * ip.omega0) / 2.0
     return exact, leading
 
@@ -204,9 +210,7 @@ def squeezed_quadrature_coefficients_k(
     At k = 0 (all phases 1) this reduces, for eta = 0, to the two-mode
     quadrature of the single-mode model.
     """
-    w_k = ip.omega_k(k)
-    e_k = _positive_magnon_energy(ip, k)
-    gamma = mixing_angle_k(ip, k)
+    w_k, e_k, *_, gamma = _sector(ip, k)
     boson_weight = math.sqrt(w_k / 2.0) * math.cos(gamma)
     spin_weight = (
         math.sqrt(e_k / (2.0 * ip.n_spins))

@@ -21,7 +21,16 @@ from dicke_squeeze import (
     thermal_squeezing_ratios,
     two_mode_quadrature_coefficients,
 )
-from dicke_squeeze.bogoliubov import thermal_squeezing_map
+from dicke_squeeze.bogoliubov import _effective_boson, thermal_squeezing_map
+from dicke_squeeze.core import critical_coupling, squared
+from dicke_squeeze.ising import (
+    IsingParams,
+    coupling_k,
+    dicke_ising_modes,
+    magnon_energy,
+    mixing_angle_k,
+    squeezed_quadrature_coefficients_k,
+)
 
 
 def _pair_oracle(w, w0, g):
@@ -437,3 +446,162 @@ class TestSpinSqueezingParameter:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             spin_squeezing_parameter(-1e-9, 1.0)
+
+    @pytest.mark.parametrize(
+        "var_py, omega0, message",
+        [
+            (math.nan, 1.0, "var_py must be finite"),
+            (0.3, math.nan, "omega0 must be finite"),
+            # 0.0 read as perfect squeezing
+            (0.3, math.inf, "omega0 must be finite"),
+            (math.inf, 1.0, "var_py must be finite"),
+            (True, 1.0, "var_py must be a real number"),
+            (0.3, 0.0, "omega0 must be > 0"),
+        ],
+    )
+    def test_rejects_bad_input(self, var_py, omega0, message):
+        with pytest.raises(ValueError, match=message):
+            spin_squeezing_parameter(var_py, omega0)
+
+
+# -- reference derivations ---------------------------------------------------
+#
+# Each closed form used to write the two-oscillator diagonalization out on its
+# own. These copies of those derivations pin every bit of the shared kernel:
+# the same operands reach each sum, hypot and atan2 in the same order.
+
+def _ref_finite_modes(ep_sq):
+    if not math.isfinite(ep_sq):
+        raise ValueError("mode energies overflow double precision")
+
+
+def _ref_pair_modes(w_a, w_b, g):
+    cross = 4.0 * g * math.sqrt(w_a * w_b)
+    diff = w_b * w_b - w_a * w_a
+    total = w_a * w_a + w_b * w_b
+    rad = math.hypot(diff, cross)
+    em_sq = 0.5 * (total - rad)
+    ep_sq = 0.5 * (total + rad)
+    _ref_finite_modes(ep_sq)
+    if -1e-12 * total <= em_sq < 0.0:
+        em_sq = 0.0
+    gamma = 0.5 * math.atan2(cross, diff)
+    return em_sq, ep_sq, gamma
+
+
+def _ref_normal_modes(p):
+    wt, gt = _effective_boson(p, p.g)
+    em_sq, ep_sq, gamma = _ref_pair_modes(wt, p.omega0, gt)
+    if em_sq < 0.0:
+        raise SuperradiantInputError("superradiant input")
+    return math.sqrt(em_sq), math.sqrt(ep_sq), gamma
+
+
+def _ref_superradiant_modes(p):
+    if p.a2_coeff != 0:
+        raise ValueError("superradiant closed form requires a2_coeff = 0")
+    gc = critical_coupling(p)
+    if p.g <= gc:
+        raise ValueError("not above the critical coupling")
+    w_spin = squared("g/g_c", p.g / gc) * p.omega0
+    w2, s2 = squared("omega", p.omega), squared("w_spin", w_spin)
+    total = w2 + s2
+    rad = math.hypot(s2 - w2, 2.0 * p.omega * p.omega0)
+    em_sq, ep_sq = 0.5 * (total - rad), 0.5 * (total + rad)
+    _ref_finite_modes(ep_sq)
+    if -1e-12 * total <= em_sq < 0.0:
+        em_sq = 0.0
+    gamma = 0.5 * math.atan2(2.0 * p.omega * p.omega0, s2 - w2)
+    return math.sqrt(em_sq), math.sqrt(ep_sq), gamma
+
+
+def _ref_sector(ip, k):
+    w_k, e_k, g_k = ip.omega_k(k), magnon_energy(ip, k), coupling_k(ip, k)
+    if e_k <= 0:
+        raise ValueError("magnon description invalid")
+    return w_k, e_k, g_k
+
+
+def _ref_dicke_ising_modes(ip, k):
+    w_k, e_k, g_k = _ref_sector(ip, k)
+    em_sq, ep_sq, gamma = _ref_pair_modes(w_k, e_k, g_k)
+    if em_sq < 0.0:
+        raise SuperradiantInputError("sector is superradiant")
+    return math.sqrt(em_sq), math.sqrt(ep_sq), 0.0 if g_k == 0.0 else gamma
+
+
+def _ref_mixing_angle_k(ip, k):
+    w_k, e_k, g_k = _ref_sector(ip, k)
+    if g_k == 0.0:
+        return 0.0
+    y, x = 4.0 * g_k * math.sqrt(w_k * e_k), e_k * e_k - w_k * w_k
+    return 0.5 * math.atan2(y, x)
+
+
+def _ref_quadrature_weights_k(ip, k):
+    w_k, e_k, _ = _ref_sector(ip, k)
+    gamma = _ref_mixing_angle_k(ip, k)
+    spin = math.sqrt(e_k / (2.0 * ip.n_spins)) * math.sin(gamma) * (1.0 - ip.eta * math.cos(k))
+    return math.sqrt(w_k / 2.0) * math.cos(gamma), spin
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err)
+
+
+def _triple(result, *fields):
+    """The named fields of a result, or the error type in its place."""
+    return result if isinstance(result, type) else tuple(getattr(result, f) for f in fields)
+
+
+_RATIOS = np.geomspace(0.04, 25.0, 13).tolist()  # omega0/omega, resonance included
+
+
+class TestClosedFormBits:
+    """Every closed-form mode equals its reference derivation bit for bit."""
+
+    @staticmethod
+    def _assert_same(p):
+        fields = ("eps_minus", "eps_plus", "gamma")
+        assert _triple(_outcome(normal_modes, p), *fields) == _outcome(_ref_normal_modes, p)
+        assert _triple(_outcome(superradiant_modes, p), *fields) == _outcome(
+            _ref_superradiant_modes, p
+        )
+
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_ideal_model_across_detuning_and_the_transition(self, omega):
+        for ratio in _RATIOS:
+            omega0 = ratio * omega
+            gc = math.sqrt(omega * omega0) / 2.0
+            normal = [gc * f for f in np.linspace(0.0, 1.0, 41).tolist()]
+            clamp = [gc * (1.0 + d * 1e-15) for d in range(-100, 101, 5)]
+            superradiant = [gc * (1.0 + f) for f in np.geomspace(1e-13, 49.0, 30).tolist()]
+            for g in normal + clamp + superradiant:
+                self._assert_same(DickeParams(omega, omega0, g))
+
+    @pytest.mark.parametrize("a2_coeff", [0.05, 0.3, 1.2])
+    def test_squared_displacement_term(self, a2_coeff):
+        for ratio in _RATIOS:
+            # the phase boundary g^2 = omega omega0/4 + a2_coeff omega0
+            edge = math.sqrt(ratio / 4.0 + a2_coeff * ratio)
+            for f in np.linspace(0.0, 1.2, 37).tolist():
+                self._assert_same(DickeParams(1.0, ratio, edge * f, a2_coeff=a2_coeff))
+
+    @pytest.mark.parametrize("eta", [-0.4, 0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("k", [0.0, 1.1, math.pi])
+    def test_ising_sectors(self, eta, k):
+        fields = ("eps_minus_k", "eps_plus_k", "gamma_k")
+        for ratio in _RATIOS:
+            for g in [0.0] + np.linspace(0.05, 1.5, 30).tolist():
+                ip = IsingParams(eta=eta, omega0=ratio, dispersion=1.0, g=g, n_spins=6)
+                modes = _triple(_outcome(dicke_ising_modes, ip, k), *fields)
+                assert modes == _outcome(_ref_dicke_ising_modes, ip, k)
+                assert _outcome(mixing_angle_k, ip, k) == _outcome(_ref_mixing_angle_k, ip, k)
+                weights = _outcome(squeezed_quadrature_coefficients_k, ip, k)
+                if not isinstance(weights, type):
+                    weights = weights[:2]
+                assert weights == _outcome(_ref_quadrature_weights_k, ip, k)

@@ -1070,6 +1070,18 @@ class TestMainEntry:
         assert text == expected
         by_row = [",".join(map(cli._format_value, values)) for values in kinds]
         assert text.splitlines()[6:] == by_row
+        # a constant str column comes back as it is, a str/None mix takes
+        # _format_value, and an empty column writes the header alone
+        for columns, body in [
+            (
+                {"method": ["analytic"] * 3, "mixed": ["a", None, "a"]},
+                "analytic,a\nanalytic,\nanalytic,a\n",
+            ),
+            ({"empty": []}, ""),
+        ]:
+            cli.write_csv(out, cli.SweepResult("sweep", columns, meta))
+            lines = out.read_text().splitlines(keepends=True)
+            assert "".join(lines[lines.index(",".join(columns) + "\n") + 1 :]) == body
 
     def test_float_column_keeps_every_bit_pattern(self, tmp_path):
         # an all-float column is formatted once per distinct bit pattern:

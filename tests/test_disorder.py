@@ -20,6 +20,25 @@ def test_renormalized_coupling_values():
     assert renormalized_coupling(0.4, 99, 1) == pytest.approx(0.4 * math.sqrt(0.99), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "g, n_clean, m, message",
+    [
+        (math.nan, 4, 1, "g must be finite"),
+        (math.inf, 4, 1, "g must be finite"),
+        (0.3, 4.5, 1, "n_clean must be an integer"),
+        (0.3, True, 1, "n_clean must be an integer"),
+        (0.3, math.nan, 1, "n_clean must be an integer"),
+        (0.3, 4, 1.5, "m must be an integer"),
+        (0.3, 4, True, "m must be an integer"),
+        (0.3, 0, 1, "need n_clean >= 1 and m >= 0"),
+        (0.3, 4, -1, "need n_clean >= 1 and m >= 0"),
+    ],
+)
+def test_renormalized_coupling_rejects_bad_input(g, n_clean, m, message):
+    with pytest.raises(ValueError, match=message):
+        renormalized_coupling(g, n_clean, m)
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError, match="omega_prime"):
         DisorderEnsemble(3, ((0.0, 0.5),))

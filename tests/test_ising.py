@@ -138,6 +138,38 @@ class TestCriticalCouplingK:
         with pytest.raises(ValueError, match="mixing angle at k=0 leaves double precision"):
             mixing_angle_k(_ip(0.5, g=g, omega_k=omega, omega0=omega0), 0.0)
 
+    @pytest.mark.parametrize(
+        "eta, omega, omega0, g",
+        [
+            # sqrt(w_k E_k) overflowed: (inf, inf) came back with no error
+            (0.1, 1e200, 1e200, 3e199),
+            # w_k E_k underflowed: a rounded-away (0, 0)
+            (0.1, 1e-200, 1e-200, 0.0),
+            # E_k = 2e-4 omega0: w_k E_k fits, but w_k omega0 overflowed the
+            # leading value
+            (-0.4999, 9e153, 1e155, 0.0),
+        ],
+    )
+    def test_critical_coupling_past_double_precision_is_rejected(self, eta, omega, omega0, g):
+        with pytest.raises(ValueError, match="leaves double precision"):
+            critical_coupling_k(_ip(eta, g=g, omega_k=omega, omega0=omega0), 0.0)
+
+    @pytest.mark.parametrize(
+        "eta, omega, omega0, g",
+        # E_k^2 overflows while w_k E_k fits; at g = 0 the angle alone was 0
+        [(0.3, 1e154, 1e154, 0.0), (0.0, 1e154, 1e154, 1e153), (0.0, 1e-100, 1e200, 0.0)],
+    )
+    def test_sector_past_double_precision_is_an_error_everywhere(self, eta, omega, omega0, g):
+        ip = _ip(eta, g=g, omega_k=omega, omega0=omega0)
+        for reader in (
+            mixing_angle_k,
+            dicke_ising_modes,
+            critical_coupling_k,
+            squeezed_quadrature_coefficients_k,
+        ):
+            with pytest.raises(ValueError, match="double precision"):
+                reader(ip, 0.0)
+
 
 class TestSqueezedQuadratureCoefficients:
     def test_reduction_to_two_mode_coefficients(self):
