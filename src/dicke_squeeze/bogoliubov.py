@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, squared
+from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, squared
 
 # Relative floor below which a negative soft-mode energy squared is treated as
 # exactly critical rather than superradiant (guards rounding at g = g_c).
@@ -40,28 +40,20 @@ class NormalModeData:
     eps_minus, eps_plus : mode energies, eps_minus <= eps_plus
     gamma               : mixing angle in [0, pi/2] rotating (boson, spin)
                           quadratures into the normal modes
-    g_renormalized      : coupling actually used (differs from the instance
-                          coupling only when a caller supplies a renormalized
-                          value, e.g. for diluted-disorder wrappers)
     """
 
     eps_minus: float
     eps_plus: float
     gamma: float
-    g_renormalized: float
 
 
 @dataclass(frozen=True)
 class SqueezingReport:
-    """A squeezing ratio together with its normalization.
-
-    xi = variance / reference_variance; xi < 1 means squeezing.
-    """
+    """The squeezing ratio xi of the soft-mode quadrature: its variance over
+    the smaller bare ground-state variance min(omega, omega0)/2; xi < 1
+    means squeezing."""
 
     xi: float
-    reference_variance: float
-    quadrature_id: str
-    temperature: float = 0.0
 
 
 def _pair_modes(a_sq: float, b_sq: float, cross: float) -> tuple[float, float, float]:
@@ -112,8 +104,9 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
                     + 16 gt^2 wt omega0)) / 2
 
     with wt, gt the effective boson frequency and coupling including any
-    squared-displacement term. Raises SuperradiantInputError when the input
-    lies beyond the critical coupling (eps_minus^2 < 0); use
+    squared-displacement term; ``g_renormalized``, when given, replaces p.g
+    (the diluted clean sector of ``disorder``). Raises SuperradiantInputError
+    when the input lies beyond the critical coupling (eps_minus^2 < 0); use
     ``superradiant_modes`` there.
     """
     g = p.g if g_renormalized is None else g_renormalized
@@ -127,7 +120,7 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
             "superradiant input: eps_minus^2 < 0 for "
             f"g={g:g} (use superradiant_modes)"
         )
-    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma, g)
+    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma)
 
 
 def superradiant_modes(p: DickeParams) -> NormalModeData:
@@ -150,12 +143,7 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     em_sq, ep_sq, gamma = _pair_modes(
         squared("omega", p.omega), squared("w_spin", w_spin), 2.0 * p.omega * p.omega0
     )
-    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma, p.g)
-
-
-def reference_variance(p: DickeParams) -> float:
-    """Smallest bare ground-state momentum variance, min(omega, omega0)/2."""
-    return min(p.omega, p.omega0) / 2.0
+    return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma)
 
 
 def squeezing_ratio_ground(p: DickeParams) -> SqueezingReport:
@@ -166,50 +154,9 @@ def squeezing_ratio_ground(p: DickeParams) -> SqueezingReport:
     superradiant phase. xi = 0 at the transition, xi -> 1 both for g -> 0 and
     deep in the superradiant phase.
     """
-    phase = classify_phase(p)
-    if phase is PhaseLabel.SUPERRADIANT:
-        modes = superradiant_modes(p)
-    else:
-        modes = normal_modes(p)
-    ref = reference_variance(p)
-    return SqueezingReport(
-        xi=modes.eps_minus / min(p.omega, p.omega0),
-        reference_variance=ref,
-        quadrature_id="p_minus",
-        temperature=0.0,
-    )
-
-
-def single_mode_variances(p: DickeParams) -> tuple[float, float]:
-    """Ground-state variances (var_px, var_py) of the bare momentum
-    quadratures in the normal phase:
-
-        var_px = (eps_minus/2) cos^2 gamma + (eps_plus/2) sin^2 gamma
-        var_py = (eps_minus/2) sin^2 gamma + (eps_plus/2) cos^2 gamma
-    """
-    m = normal_modes(p)
-    c2 = math.cos(m.gamma) ** 2
-    s2 = math.sin(m.gamma) ** 2
-    var_px = 0.5 * (m.eps_minus * c2 + m.eps_plus * s2)
-    var_py = 0.5 * (m.eps_minus * s2 + m.eps_plus * c2)
-    return var_px, var_py
-
-
-def two_mode_quadrature_coefficients(p: DickeParams) -> tuple[float, float]:
-    """Weights (boson, spin) of the optimally squeezed two-mode quadrature,
-
-        p_minus = i sqrt(omega/2) cos(gamma) (a' - a)
-                  - i sqrt(omega0/2) sin(gamma) (b' - b),
-
-    returned as (sqrt(omega/2) cos gamma, sqrt(omega0/2) sin gamma). The
-    finite-size quadratures (``ed.p_d``, ``ed.p_minus_k0``) compute their
-    own weights from their instance's mixing angle.
-    """
-    m = normal_modes(p)
-    return (
-        math.sqrt(p.omega / 2.0) * math.cos(m.gamma),
-        math.sqrt(p.omega0 / 2.0) * math.sin(m.gamma),
-    )
+    superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
+    modes = superradiant_modes(p) if superradiant else normal_modes(p)
+    return SqueezingReport(modes.eps_minus / min(p.omega, p.omega0))
 
 
 def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
@@ -283,20 +230,17 @@ def _soft_mode(p: DickeParams) -> tuple[float, float]:
     """(eps_minus, min(omega, omega0)) of a normal-phase instance."""
     if classify_phase(p) is PhaseLabel.SUPERRADIANT:
         raise SuperradiantInputError(
-            "thermal squeezing ratio is defined in the normal phase only"
+            f"g={p.g:g} lies above the critical coupling at omega={p.omega:g}, "
+            f"omega0={p.omega0:g}; the thermal squeezing ratio is defined in the "
+            "normal phase only"
         )
     return normal_modes(p).eps_minus, min(p.omega, p.omega0)
 
 
 def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:
-    """``thermal_squeezing_ratios`` at one temperature, with its normalization."""
+    """``thermal_squeezing_ratios`` at one temperature."""
     (xi,) = thermal_squeezing_ratios(p, (temperature,))
-    return SqueezingReport(
-        xi=xi,
-        reference_variance=reference_variance(p),
-        quadrature_id="p_minus",
-        temperature=temperature or 0.0,
-    )
+    return SqueezingReport(xi)
 
 
 def classical_critical_temperature(p: DickeParams) -> float:
@@ -322,18 +266,3 @@ def classical_critical_temperature(p: DickeParams) -> float:
             f"omega={p.omega:g}, omega0={p.omega0:g}, g={p.g:g}"
         )
     return t_c
-
-
-def spin_squeezing_parameter(var_py: float, omega0: float) -> float:
-    """Collective spin-squeezing parameter from the spin momentum variance.
-
-    The standard spin definition 4*Var(S_perp)/N reduces, for the bosonized
-    collective spin, to 2*var_py/omega0; values below 1 witness entanglement.
-    ValueError unless both are finite real numbers.
-    """
-    var_py, omega0 = finite_real("var_py", var_py), finite_real("omega0", omega0)
-    if var_py < 0:
-        raise ValueError("var_py must be >= 0")
-    if omega0 <= 0:
-        raise ValueError("omega0 must be > 0")
-    return 2.0 * var_py / omega0

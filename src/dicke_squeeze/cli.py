@@ -444,18 +444,6 @@ def _temperatures(cfg: dict, name: str) -> list[float]:
     return temps
 
 
-def _normal_instance(cfg: dict, label: str, **overrides) -> DickeParams:
-    """The model instance of one thermal-map point; the thermal ratio is
-    defined in the normal (or no-transition) phase only."""
-    p = _model(cfg, **overrides)
-    if _checked("model", classify_phase, p) is PhaseLabel.SUPERRADIANT:
-        raise ConfigError(
-            f"{cfg['experiment']} {label}: g={p.g:g} lies above the critical "
-            "coupling; the thermal ratio is defined in the normal phase only"
-        )
-    return p
-
-
 def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     """Thermal squeezing ratio over temperature and distance to the critical
     coupling, for one resonant and one detuned spin splitting. Pairs whose
@@ -475,8 +463,7 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
             if g < 0:
                 skipped += 1
                 continue
-            label = f"omega0_over_omega={ratio:g} gc_minus_g_over_omega={delta:g}"
-            points.append((ratio, delta, _normal_instance(cfg, label, omega0=omega0, g=g)))
+            points.append((ratio, delta, _model(cfg, omega0=omega0, g=g)))
     if not points:
         raise ConfigError("fig4: every (omega0, gc - g) pair gives g < 0; nothing to compute")
     kts = [kt * omega for kt in temps]
@@ -501,10 +488,7 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     g = cfg["model"]["g"]
     ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
     temps = _temperatures(cfg, "kt_over_omega")
-    params = [
-        _normal_instance(cfg, f"omega0_over_omega={ratio:g}", omega0=ratio * omega, g=g)
-        for ratio in ratios
-    ]
+    params = [_model(cfg, omega0=ratio * omega, g=g) for ratio in ratios]
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
     xis = _checked("model", bogoliubov.thermal_squeezing_map, params, kts)

@@ -7,7 +7,6 @@ coupling is an energy, and dimensionless ratios are formed on demand.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 import sys
@@ -222,9 +221,10 @@ def critical_coupling(p: DickeParams) -> float | None:
 
         g_c^2 * (1 - a2_coeff*omega0/g^2) = omega*omega0/4.
 
-    Returns None when a2_coeff >= g^2/omega0: no coupling strength produces a
-    transition in that regime. The returned value grows continuously and
-    diverges as a2_coeff approaches g^2/omega0 from below.
+    Returns None when a2_coeff >= g^2/omega0, or when 1 - a2_coeff*omega0/g^2
+    rounds to <= 0: no coupling strength produces a transition in that
+    regime. The returned value grows continuously and diverges as a2_coeff
+    approaches g^2/omega0 from below.
 
     ValueError where omega*omega0 leaves the normal doubles: every closed
     form scales with it, and an overflowed or underflowed product would
@@ -241,7 +241,9 @@ def critical_coupling(p: DickeParams) -> float | None:
     g2 = squared("g", p.g)
     if p.g == 0 or p.a2_coeff >= g2 / p.omega0:
         return None
-    return bare / math.sqrt(1.0 - p.a2_coeff * p.omega0 / g2)
+    # a2_coeff*omega0/g^2 may round to 1 where a2_coeff < g^2/omega0 did not
+    factor = 1.0 - p.a2_coeff * p.omega0 / g2
+    return bare / math.sqrt(factor) if factor > 0.0 else None
 
 
 def classify_phase(p: DickeParams) -> PhaseLabel:
@@ -256,32 +258,11 @@ def classify_phase(p: DickeParams) -> PhaseLabel:
     return PhaseLabel.SUPERRADIANT if p.g > gc else PhaseLabel.NORMAL
 
 
-# -- JSON ingestion ----------------------------------------------------------
-#
-# Plain-text key/value configuration, reference format JSON (UTF-8), with keys
-# exactly matching the dataclass field names. The CLI reuses this schema.
-
-def dicke_params_from_dict(d: dict) -> DickeParams:
-    known = {f: d[f] for f in ("omega", "omega0", "g", "n_spins", "a2_coeff") if f in d}
-    unknown = set(d) - {"omega", "omega0", "g", "n_spins", "a2_coeff"}
-    if unknown:
-        raise ValueError(f"unknown model parameter keys: {sorted(unknown)}")
-    return DickeParams(**known)
-
-
 def ladder_params_from_dict(d: dict) -> LadderParams:
+    """The ``ladder`` section of a CLI config, keys exactly the field names;
+    ValueError naming any other key."""
     fields = (*_LADDER_FLOAT_FIELDS, "n_sites")
     unknown = set(d) - set(fields)
     if unknown:
         raise ValueError(f"unknown ladder parameter keys: {sorted(unknown)}")
     return LadderParams(**{f: d[f] for f in fields if f in d})
-
-
-def dicke_params_from_file(path) -> DickeParams:
-    with open(path, encoding="utf-8") as fh:
-        return dicke_params_from_dict(json.load(fh))
-
-
-def ladder_params_from_file(path) -> LadderParams:
-    with open(path, encoding="utf-8") as fh:
-        return ladder_params_from_dict(json.load(fh))

@@ -60,7 +60,8 @@ class PerturbativeReport:
 
     xi = term_clean + term_pinned + term_coupling, with alpha the expansion
     parameter sqrt(omega/((N+m)*eps_minus_bar)). ``validity`` holds one flag
-    per defect; False marks a defect outside the perturbative regime.
+    per defect: defect i is perturbative while alpha*cos(gammabar)*g'_i stays
+    within PERTURBATIVITY_THRESHOLD*|omega'_i|, and False marks it outside.
     """
 
     xi: float
@@ -74,31 +75,15 @@ class PerturbativeReport:
 def renormalized_coupling(g: float, n_clean: int, m: int) -> float:
     """Collective coupling seen by the clean spins: gbar = g*sqrt(N/(N+m)).
     ValueError unless g is a finite real number and N, m are whole counts."""
-    if n_clean < 1 or m < 0:
+    try:
+        out_of_range = n_clean < 1 or m < 0
+    except TypeError:  # a count that is no number: integer_at_least names it
+        out_of_range = False
+    if out_of_range:
         raise ValueError("need n_clean >= 1 and m >= 0")
     g = finite_real("g", g)
     n_clean, m = integer_at_least("n_clean", n_clean, 1), integer_at_least("m", m, 0)
     return g * math.sqrt(n_clean / (n_clean + m))
-
-
-def _clean_sector(p: DickeParams, d: DisorderEnsemble):
-    gbar = renormalized_coupling(p.g, d.n_clean, d.m)
-    modes = normal_modes(p, g_renormalized=gbar)
-    if modes.eps_minus <= 0.0:
-        raise CriticalSectorError(
-            "critical or superradiant after renormalization; "
-            "perturbation theory invalid (eps_minus_bar <= 0)"
-        )
-    total = d.n_clean + d.m
-    alpha = math.sqrt(p.omega / (total * modes.eps_minus))
-    return gbar, modes, total, alpha
-
-
-def _defect_flags(d, alpha, gamma):
-    return tuple(
-        alpha * math.cos(gamma) * gp <= PERTURBATIVITY_THRESHOLD * abs(w)
-        for w, gp in d.defects
-    )
 
 
 def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> PerturbativeReport:
@@ -115,9 +100,15 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
     disorder degrades the squeezing in proportion to the dilution m/(N+m).
     ValueError where a term overflows double precision.
     """
-    gbar, modes, total, alpha = _clean_sector(p, d)
-    eps = modes.eps_minus
-    gamma = modes.gamma
+    modes = normal_modes(p, g_renormalized=renormalized_coupling(p.g, d.n_clean, d.m))
+    eps, gamma = modes.eps_minus, modes.gamma
+    if eps <= 0.0:
+        raise CriticalSectorError(
+            "critical or superradiant after renormalization; "
+            "perturbation theory invalid (eps_minus_bar <= 0)"
+        )
+    total = d.n_clean + d.m
+    alpha = math.sqrt(p.omega / (total * eps))
     term_clean = eps / p.omega
     term_pinned = (math.sin(gamma) ** 2) * (p.omega0 / p.omega) * d.m / total
     s = sum(-math.copysign(1.0, w) * gp / (eps + abs(w)) for w, gp in d.defects)
@@ -133,13 +124,8 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
         term_clean=term_clean,
         term_pinned=term_pinned,
         term_coupling=term_coupling,
-        validity=_defect_flags(d, alpha, gamma),
+        validity=tuple(
+            alpha * math.cos(gamma) * gp <= PERTURBATIVITY_THRESHOLD * abs(w)
+            for w, gp in d.defects
+        ),
     )
-
-
-def perturbativity_check(p: DickeParams, d: DisorderEnsemble) -> tuple[bool, ...]:
-    """Per-defect validity flags: defect i is perturbative while
-    alpha*cos(gammabar)*g'_i stays below the threshold fraction of |omega'_i|.
-    """
-    _, modes, _, alpha = _clean_sector(p, d)
-    return _defect_flags(d, alpha, modes.gamma)

@@ -11,7 +11,6 @@ from .hamiltonians import (
     SparseHamiltonian,
     build_dicke_hamiltonian,
     build_hopfield_hamiltonian,
-    hopfield_parity_diagonal,
     parity_diagonal,
 )
 from .quadratures import (
@@ -46,7 +45,6 @@ __all__ = [
     "expectation_symmetric",
     "ground_state",
     "hopfield_p_minus",
-    "hopfield_parity_diagonal",
     "lowest_eigenvalues",
     "p_d",
     "p_minus_k0",

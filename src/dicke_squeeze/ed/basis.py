@@ -74,20 +74,6 @@ class BasisDescriptor:
     def dim(self) -> int:
         return self.boson_dim * self.spin_dim
 
-    def index(self, n: int, spins: int) -> int:
-        """Flat index of |n, spin state> (the spin-state index s above)."""
-        if not (0 <= n <= self.n_max):
-            raise ValueError(f"boson occupation {n} outside 0..{self.n_max}")
-        if not (0 <= spins < self.spin_dim):
-            raise ValueError(f"spin state {spins} outside 0..{self.spin_dim - 1}")
-        return n * self.spin_dim + spins
-
-    def occupation(self, index: int) -> tuple[int, int]:
-        """Inverse of ``index``: (boson occupation, spin-state index)."""
-        if not (0 <= index < self.dim):
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        return divmod(index, self.spin_dim)
-
 
 def build_basis(
     n_spins: int, n_max: int, collective: tuple[int, ...] = (), k0: bool = False

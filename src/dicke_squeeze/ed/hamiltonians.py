@@ -378,15 +378,11 @@ def boson_factors(n_max: int) -> SimpleNamespace:
     )
 
 
-def _truncations(n_max_a, n_max_b) -> tuple[int, int]:
-    """Both truncations as ints; ValueError unless each is an integer >= 0."""
-    return integer_at_least("n_max_a", n_max_a, 0), integer_at_least("n_max_b", n_max_b, 0)
-
-
 def two_boson_factors(n_max_a: int, n_max_b: int) -> tuple[SimpleNamespace, SimpleNamespace]:
     """The boson factors of modes a and b; ValueError, before the cache,
     unless each n_max is an integer >= 0."""
-    n_max_a, n_max_b = _truncations(n_max_a, n_max_b)
+    n_max_a = integer_at_least("n_max_a", n_max_a, 0)
+    n_max_b = integer_at_least("n_max_b", n_max_b, 0)
     return boson_factors(n_max_a), boson_factors(n_max_b)
 
 
@@ -483,10 +479,3 @@ def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
     Ising term flips spins in pairs.
     """
     return _parity(basis.boson_dim, spin_factors(basis).bits)
-
-
-def hopfield_parity_diagonal(n_max_a: int, n_max_b: int) -> np.ndarray:
-    """(-1)^(n_a + n_b) over the two-boson basis; ValueError unless each
-    n_max is an integer >= 0."""
-    n_max_a, n_max_b = _truncations(n_max_a, n_max_b)
-    return _parity(n_max_a + 1, np.arange(n_max_b + 1) % 2)

@@ -15,17 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
 
 from .bogoliubov import SuperradiantInputError, _pair_modes
 from .core import finite_real, integer_at_least
-
-# the leading-order magnon description degrades as |eta| grows; warn past this
-ETA_WARNING_THRESHOLD = 0.3
-
-Dispersion = Union[float, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -34,43 +26,35 @@ class IsingParams:
 
     eta        : Ising-to-splitting ratio J/omega0 (signed)
     omega0     : spin splitting
-    dispersion : boson dispersion, either a flat frequency or a callable
-                 k -> omega_k (e.g. from an EffectiveDickeSpec)
+    dispersion : boson frequency, flat in k
     g          : collective spin-boson coupling
     n_spins    : chain length N (ring)
 
-    eta, omega0, g and a flat dispersion must be finite real numbers and are
-    stored as floats.
+    eta, omega0, dispersion and g must be finite real numbers and are stored
+    as floats.
     """
 
     eta: float
     omega0: float
-    dispersion: Dispersion
+    dispersion: float
     g: float
     n_spins: int
 
     def __post_init__(self):
-        for name in ("eta", "omega0", "g"):
+        for name in ("eta", "omega0", "dispersion", "g"):
             object.__setattr__(self, name, finite_real(name, getattr(self, name)))
-        if not callable(self.dispersion):
-            object.__setattr__(self, "dispersion", finite_real("dispersion", self.dispersion))
         object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
         if self.omega0 <= 0:
             raise ValueError("omega0 must be > 0")
         if self.g < 0:
             raise ValueError("g must be >= 0")
 
-    @property
-    def eta_warning(self) -> bool:
-        """True when |eta| exceeds the validity threshold of the leading-order
-        magnon description (a warning, not an error)."""
-        return abs(self.eta) > ETA_WARNING_THRESHOLD
-
     def omega_k(self, k: float) -> float:
-        w = self.dispersion(k) if callable(self.dispersion) else float(self.dispersion)
-        if w <= 0:
-            raise ValueError(f"dispersion must be positive, got omega_k={w:g} at k={k:g}")
-        return w
+        if self.dispersion <= 0:
+            raise ValueError(
+                f"dispersion must be positive, got omega_k={self.dispersion:g} at k={k:g}"
+            )
+        return self.dispersion
 
 
 @dataclass(frozen=True)
@@ -80,8 +64,6 @@ class MagnonMode:
 
     k: float
     E_k: float
-    alpha_k: float
-    beta_k: float
     g_tilde_k: float | None = None
     eps_minus_k: float | None = None
     eps_plus_k: float | None = None
@@ -94,11 +76,8 @@ def magnon_energy(ip: IsingParams, k: float) -> float:
 
 
 def magnon_spectrum(ip: IsingParams, k: float) -> MagnonMode:
-    """Magnon energy and Bogoliubov coefficients (alpha_k = 1,
-    beta_k = eta cos k) at momentum k, to leading order in eta."""
-    return MagnonMode(
-        k=k, E_k=magnon_energy(ip, k), alpha_k=1.0, beta_k=ip.eta * math.cos(k)
-    )
+    """Magnon energy at momentum k, to leading order in eta."""
+    return MagnonMode(k=k, E_k=magnon_energy(ip, k))
 
 
 def coupling_k(ip: IsingParams, k: float) -> float:
@@ -133,8 +112,8 @@ def mixing_angle_k(ip: IsingParams, k: float) -> float:
     single-mode model: gamma_k = atan2(4 g_k sqrt(w_k E_k), E_k^2 - w_k^2)/2.
 
     Defined for any parameters (it does not require the sector to be in the
-    normal phase), so squeezed-quadrature coefficients remain available at and
-    beyond the per-momentum critical coupling. ValueError where w_k E_k or
+    normal phase), so the squeezed quadrature's weights (``ed.p_minus_k0``)
+    remain available at and beyond the per-momentum critical coupling. ValueError where w_k E_k or
     the sector's squared mode energies leave double precision.
     """
     return _sector(ip, k)[5]
@@ -157,8 +136,6 @@ def dicke_ising_modes(ip: IsingParams, k: float) -> MagnonMode:
     return MagnonMode(
         k=k,
         E_k=e_k,
-        alpha_k=1.0,
-        beta_k=ip.eta * math.cos(k),
         g_tilde_k=g_k,
         eps_minus_k=math.sqrt(em_sq),
         eps_plus_k=math.sqrt(ep_sq),
@@ -194,28 +171,3 @@ def critical_coupling_k(ip: IsingParams, k: float) -> tuple[float, float]:
     leading = math.sqrt(w_k * ip.omega0) / 2.0
     return exact, leading
 
-
-def squeezed_quadrature_coefficients_k(
-    ip: IsingParams, k: float
-) -> tuple[float, float, np.ndarray]:
-    """Coefficients of the optimally squeezed quadrature at momentum k.
-
-    Returns (boson_weight, spin_weight, site_phases) for
-
-        p_{-,k} = boson_weight * i (a'_{-k} - a_k)
-                  - spin_weight * sum_n site_phases[n] * i (S+_n - S-_n)
-
-    with boson_weight = sqrt(w_k/2) cos(gamma_k), spin_weight =
-    sqrt(E_k/(2N)) sin(gamma_k) (1 - eta cos k) and site_phases[n] = e^{ikn}.
-    At k = 0 (all phases 1) this reduces, for eta = 0, to the two-mode
-    quadrature of the single-mode model.
-    """
-    w_k, e_k, *_, gamma = _sector(ip, k)
-    boson_weight = math.sqrt(w_k / 2.0) * math.cos(gamma)
-    spin_weight = (
-        math.sqrt(e_k / (2.0 * ip.n_spins))
-        * math.sin(gamma)
-        * (1.0 - ip.eta * math.cos(k))
-    )
-    phases = np.exp(1j * k * np.arange(ip.n_spins))
-    return boson_weight, spin_weight, phases

@@ -13,13 +13,10 @@ from dicke_squeeze import (
     classical_critical_temperature,
     classify_phase,
     normal_modes,
-    single_mode_variances,
-    spin_squeezing_parameter,
     squeezing_ratio_ground,
     superradiant_modes,
     thermal_squeezing_ratio,
     thermal_squeezing_ratios,
-    two_mode_quadrature_coefficients,
 )
 from dicke_squeeze.bogoliubov import _effective_boson, thermal_squeezing_map
 from dicke_squeeze.core import critical_coupling, squared
@@ -29,7 +26,6 @@ from dicke_squeeze.ising import (
     dicke_ising_modes,
     magnon_energy,
     mixing_angle_k,
-    squeezed_quadrature_coefficients_k,
 )
 
 
@@ -66,7 +62,6 @@ class TestNormalModes:
 
     def test_renormalized_coupling_passthrough(self):
         m = normal_modes(DickeParams(1, 1, 0.9), g_renormalized=0.3)
-        assert m.g_renormalized == 0.3
         assert m.eps_minus == pytest.approx(math.sqrt(1 - 0.6), abs=1e-15)
 
     def test_trace_and_determinant_identities(self):
@@ -109,10 +104,9 @@ class TestNormalModes:
     def test_gamma_follows_the_softer_oscillator_at_decoupling(self):
         # omega0 < omega: the minus mode is the spin at g = 0 as for any g > 0
         assert normal_modes(DickeParams(1, 0.5, 0)).gamma == math.pi / 2
-        for g in (0.0, 1e-9):
-            assert single_mode_variances(DickeParams(1, 0.5, g)) == pytest.approx(
-                (0.5, 0.25), abs=1e-9
-            )
+        assert normal_modes(DickeParams(1, 0.5, 1e-9)).gamma == pytest.approx(
+            math.pi / 2, abs=1e-8
+        )
 
 
 class TestSuperradiantModes:
@@ -155,8 +149,9 @@ class TestGroundSqueezing:
         assert squeezing_ratio_ground(DickeParams(1, 1, 0.5)).xi == 0.0
 
     def test_reference_variance_uses_smaller_frequency(self):
-        report = squeezing_ratio_ground(DickeParams(1.0, 0.04, 0.05))
-        assert report.reference_variance == 0.02
+        for w, w0 in ((1.0, 0.04), (0.04, 1.0)):
+            p = DickeParams(w, w0, 0.05)
+            assert squeezing_ratio_ground(p).xi == normal_modes(p).eps_minus / 0.04
 
     def test_superradiant_branch_increases_to_one(self):
         gs = np.linspace(0.501, 5.0, 200)
@@ -212,14 +207,23 @@ class TestGroundSqueezing:
             classical_critical_temperature(DickeParams(1.0, 1.0, 1e200))
 
 
+def _momentum_variances(p):
+    """Ground-state variances (var_px, var_py) of the bare momentum
+    quadratures, read from the normal modes: the minus mode holds
+    cos^2 gamma of p_x and sin^2 gamma of p_y."""
+    m = normal_modes(p)
+    c2, s2 = math.cos(m.gamma) ** 2, math.sin(m.gamma) ** 2
+    return 0.5 * (m.eps_minus * c2 + m.eps_plus * s2), 0.5 * (m.eps_minus * s2 + m.eps_plus * c2)
+
+
 class TestSingleModeVariances:
     def test_decoupled(self):
-        assert single_mode_variances(DickeParams(0.8, 1.7, 0)) == (0.4, 0.85)
+        assert _momentum_variances(DickeParams(0.8, 1.7, 0)) == (0.4, 0.85)
 
     def test_critical_point_closed_forms(self):
         for w, w0 in ((1.0, 1.0), (1.0, 2.0)):
             gc = math.sqrt(w * w0) / 2
-            var_px, var_py = single_mode_variances(DickeParams(w, w0, gc))
+            var_px, var_py = _momentum_variances(DickeParams(w, w0, gc))
             norm = 2 * math.sqrt(w * w + w0 * w0)
             assert var_px == pytest.approx(w * w / norm, rel=1e-12)
             assert var_py == pytest.approx(w0 * w0 / norm, rel=1e-12)
@@ -227,36 +231,50 @@ class TestSingleModeVariances:
     def test_sum_rule(self):
         p = DickeParams(1, 2, 0.5)
         m = normal_modes(p)
-        var_px, var_py = single_mode_variances(p)
+        var_px, var_py = _momentum_variances(p)
         assert var_px + var_py == pytest.approx((m.eps_minus + m.eps_plus) / 2, rel=1e-12)
 
     def test_rejects_superradiant(self):
         with pytest.raises(SuperradiantInputError):
-            single_mode_variances(DickeParams(1, 1, 0.7))
+            _momentum_variances(DickeParams(1, 1, 0.7))
+
+
+class TestSpinSqueezingParameter:
+    """The collective spin-squeezing parameter 4 Var(S_perp)/N reduces, for
+    the bosonized spin, to 2 var_py/omega0."""
+
+    def test_coherent_reference(self):
+        assert 2.0 * _momentum_variances(DickeParams(1, 1, 0))[1] == 1.0
+
+    def test_critical_resonance_value(self):
+        assert 2.0 * _momentum_variances(DickeParams(1, 1, 0.5))[1] == pytest.approx(
+            1 / math.sqrt(2), rel=1e-15
+        )
 
 
 class TestTwoModeCoefficients:
+    """The soft-mode quadrature weighs the boson by sqrt(omega/2) cos gamma
+    and the spin by sqrt(omega0/2) sin gamma."""
+
     def test_resonance_equal_weights(self):
-        bw, sw = two_mode_quadrature_coefficients(DickeParams(1, 1, 0.3))
-        assert bw == pytest.approx(math.sqrt(0.5) * math.cos(math.pi / 4), abs=1e-15)
-        assert bw == pytest.approx(sw, abs=1e-15)
+        gamma = normal_modes(DickeParams(1, 1, 0.3)).gamma
+        assert math.cos(gamma) == pytest.approx(math.sin(gamma), abs=1e-15)
 
     def test_fast_boson_limit_is_spin_only(self):
-        bw, sw = two_mode_quadrature_coefficients(DickeParams(50.0, 1.0, 0.5))
-        assert bw / math.sqrt(50 / 2) < 0.05
-        assert sw == pytest.approx(math.sqrt(0.5), rel=1e-2)
+        gamma = normal_modes(DickeParams(50.0, 1.0, 0.5)).gamma
+        assert math.cos(gamma) < 0.05
+        assert math.sin(gamma) == pytest.approx(1.0, rel=1e-2)
 
     def test_weak_coupling_is_boson_only(self):
-        bw, sw = two_mode_quadrature_coefficients(DickeParams(1.0, 2.0, 1e-12))
-        assert sw < 1e-11
-        assert bw == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        gamma = normal_modes(DickeParams(1.0, 2.0, 1e-12)).gamma
+        assert math.sin(gamma) < 1e-11
+        assert math.cos(gamma) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestThermal:
     def test_zero_temperature_recovers_ground(self):
         report = thermal_squeezing_ratio(DickeParams(1, 1, 0.375), 0.0)
         assert report.xi == 0.5
-        assert report.temperature == 0.0
 
     def test_quarter_temperature_point(self):
         # 0.5*coth(1) with coth(1) = (e^2+1)/(e^2-1)
@@ -431,39 +449,6 @@ class TestClassicalCriticalTemperature:
             classical_critical_temperature(DickeParams(1, 1, 0.5))
 
 
-class TestSpinSqueezingParameter:
-    def test_coherent_reference(self):
-        assert spin_squeezing_parameter(0.5, 1.0) == 1.0
-
-    def test_critical_resonance_value(self):
-        assert spin_squeezing_parameter(1 / (2 * math.sqrt(2)), 1.0) == pytest.approx(
-            1 / math.sqrt(2), rel=1e-15
-        )
-
-    def test_zero(self):
-        assert spin_squeezing_parameter(0.0, 2.0) == 0.0
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            spin_squeezing_parameter(-1e-9, 1.0)
-
-    @pytest.mark.parametrize(
-        "var_py, omega0, message",
-        [
-            (math.nan, 1.0, "var_py must be finite"),
-            (0.3, math.nan, "omega0 must be finite"),
-            # 0.0 read as perfect squeezing
-            (0.3, math.inf, "omega0 must be finite"),
-            (math.inf, 1.0, "var_py must be finite"),
-            (True, 1.0, "var_py must be a real number"),
-            (0.3, 0.0, "omega0 must be > 0"),
-        ],
-    )
-    def test_rejects_bad_input(self, var_py, omega0, message):
-        with pytest.raises(ValueError, match=message):
-            spin_squeezing_parameter(var_py, omega0)
-
-
 # -- reference derivations ---------------------------------------------------
 #
 # Each closed form used to write the two-oscillator diagonalization out on its
@@ -538,13 +523,6 @@ def _ref_mixing_angle_k(ip, k):
     return 0.5 * math.atan2(y, x)
 
 
-def _ref_quadrature_weights_k(ip, k):
-    w_k, e_k, _ = _ref_sector(ip, k)
-    gamma = _ref_mixing_angle_k(ip, k)
-    spin = math.sqrt(e_k / (2.0 * ip.n_spins)) * math.sin(gamma) * (1.0 - ip.eta * math.cos(k))
-    return math.sqrt(w_k / 2.0) * math.cos(gamma), spin
-
-
 def _outcome(f, *args):
     """f(*args), or the type of the error it raises."""
     try:
@@ -601,7 +579,3 @@ class TestClosedFormBits:
                 modes = _triple(_outcome(dicke_ising_modes, ip, k), *fields)
                 assert modes == _outcome(_ref_dicke_ising_modes, ip, k)
                 assert _outcome(mixing_angle_k, ip, k) == _outcome(_ref_mixing_angle_k, ip, k)
-                weights = _outcome(squeezed_quadrature_coefficients_k, ip, k)
-                if not isinstance(weights, type):
-                    weights = weights[:2]
-                assert weights == _outcome(_ref_quadrature_weights_k, ip, k)

@@ -299,6 +299,12 @@ class TestThermalPresets:
                 "fig2", {"model": {"omega0": True}}, "bad model parameters: omega0",
                 id="fig2-omega0-bool",
             ),
+            pytest.param(
+                "fig2", {"model": {"bogus": 1}}, "bad model parameters", id="fig2-unknown-key"
+            ),
+            pytest.param(
+                "fig5", {"model": {"bogus": 1}}, "bad model parameters", id="fig5-unknown-key"
+            ),
         ],
     )
     def test_bad_grids_are_a_config_error(self, tmp_path, capsys, experiment, user_cfg, message):
@@ -309,6 +315,16 @@ class TestThermalPresets:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    def test_fig5_at_the_trk_ratio_runs(self, tmp_path):
+        # at omega0 = 0.1, a2_coeff sits below g^2/omega0 by one rounding and
+        # the critical coupling divided by zero: a traceback, not a row
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"omega": 1, "g": 0.1, "a2_coeff": 0.1}}))
+        out = tmp_path / "fig5.csv"
+        assert cli.main(["fig5", "--config", str(cfg), "--out", str(out)]) == 0
+        ratios = {row["omega0_over_omega"] for row in _read_rows(out)}
+        assert "0.10000000000000001" in ratios
 
     def test_fig4_with_every_pair_skipped_is_a_config_error(self, tmp_path, capsys):
         # g_c = 0.5 at omega0 = omega = 1: both distances give g < 0

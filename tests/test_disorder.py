@@ -8,7 +8,6 @@ from dicke_squeeze import (
     DisorderEnsemble,
     disorder_xi_perturbative,
     normal_modes,
-    perturbativity_check,
     renormalized_coupling,
     squeezing_ratio_ground,
 )
@@ -32,6 +31,9 @@ def test_renormalized_coupling_values():
         (0.3, 4, True, "m must be an integer"),
         (0.3, 0, 1, "need n_clean >= 1 and m >= 0"),
         (0.3, 4, -1, "need n_clean >= 1 and m >= 0"),
+        # a count that is no number is named, not compared
+        (0.3, "4", 1, "n_clean must be an integer"),
+        (0.3, 4, None, "m must be an integer"),
     ],
 )
 def test_renormalized_coupling_rejects_bad_input(g, n_clean, m, message):
@@ -149,29 +151,37 @@ def test_critical_clean_sector_rejected():
 
 
 class TestPerturbativityCheck:
+    """The per-defect flags of ``disorder_xi_perturbative(...).validity``,
+    which fig6's perturbative_valid column reads."""
+
     def test_zero_coupling_always_valid(self):
-        flags = perturbativity_check(
+        report = disorder_xi_perturbative(
             DickeParams(1, 1, 0.45), DisorderEnsemble(10, ((0.5, 0.0),))
         )
-        assert flags == (True,)
+        assert report.validity == (True,)
 
     def test_strong_defect_flagged(self):
         # g'=2w, omega'=2.1w at g=0.5w with one defect among seven spins
-        flags = perturbativity_check(
+        report = disorder_xi_perturbative(
             DickeParams(1, 1, 0.5), DisorderEnsemble(6, ((2.1, 2.0),))
         )
-        assert flags == (False,)
+        assert report.validity == (False,)
 
     def test_dilute_defect_valid(self):
-        flags = perturbativity_check(
+        report = disorder_xi_perturbative(
             DickeParams(1, 1, 0.4), DisorderEnsemble(10_000, ((1.0, 1.0),))
         )
-        assert flags == (True,)
+        assert report.validity == (True,)
 
     def test_matches_report_validity(self):
+        # each flag is alpha cos(gammabar) g' <= 0.1 |omega'| at the report's alpha
         p = DickeParams(1, 1, 0.45)
         d = DisorderEnsemble(12, ((2.0, 0.1), (0.3, 1.5)))
-        assert perturbativity_check(p, d) == disorder_xi_perturbative(p, d).validity
+        report = disorder_xi_perturbative(p, d)
+        gamma = normal_modes(p, g_renormalized=renormalized_coupling(0.45, 12, 2)).gamma
+        bound = report.alpha * math.cos(gamma)
+        assert report.validity == tuple(bound * gp <= 0.1 * abs(w) for w, gp in d.defects)
+        assert report.validity == (True, False)
 
 
 def test_overflowing_defect_coupling_is_rejected():

@@ -25,7 +25,6 @@ from dicke_squeeze.ed import (
     expectation_symmetric,
     ground_state,
     hopfield_p_minus,
-    hopfield_parity_diagonal,
     lowest_eigenvalues,
     p_d,
     p_minus_k0,
@@ -79,31 +78,6 @@ class TestBasis:
         assert build_basis(1, 1).dim == 4
         assert build_basis(7, 50).dim == 6528
         assert build_basis(6, 40).dim == 2624
-
-    def test_bijection_small(self):
-        basis = build_basis(3, 4)
-        seen = set()
-        for n in range(5):
-            for s in range(8):
-                i = basis.index(n, s)
-                assert basis.occupation(i) == (n, s)
-                seen.add(i)
-        assert seen == set(range(basis.dim))
-
-    def test_bijection_spot_large(self):
-        basis = build_basis(7, 50)
-        for i in (0, 1, 127, 128, 6527, 4000):
-            n, s = basis.occupation(i)
-            assert basis.index(n, s) == i
-
-    def test_bounds(self):
-        basis = build_basis(2, 3)
-        with pytest.raises(ValueError):
-            basis.index(4, 0)
-        with pytest.raises(ValueError):
-            basis.index(0, 4)
-        with pytest.raises(ValueError):
-            basis.occupation(16)
 
     def test_pure_spin_basis_allowed(self):
         assert build_basis(4, 0).dim == 16
@@ -968,9 +942,7 @@ class TestHopfieldOracle:
     @pytest.mark.parametrize("n_max", [-1, True, 2.5])
     @pytest.mark.parametrize("mode", ["a", "b"])
     def test_bad_truncation_rejected(self, n_max, mode):
-        # -1 built a dim-0 operator, True read as 1, 2.5 a numpy TypeError;
-        # the parity diagonal gave an empty array at -1, read True as 1 and
-        # gave 8 entries at (2.5, 1)
+        # -1 built a dim-0 operator, True read as 1, 2.5 a numpy TypeError
         p = DickeParams(1, 1, 0.3)
         n_max_a, n_max_b = (n_max, 3) if mode == "a" else (3, n_max)
         match = f"n_max_{mode} must be an integer >= 0"
@@ -978,8 +950,6 @@ class TestHopfieldOracle:
             build_hopfield_hamiltonian(p, n_max_a, n_max_b)
         with pytest.raises(ValueError, match=match):
             hopfield_p_minus(n_max_a, n_max_b, 1.0, 1.0, 0.5)
-        with pytest.raises(ValueError, match=match):
-            hopfield_parity_diagonal(n_max_a, n_max_b)
 
 
 # Derandomized normal-phase instances of the two-boson model against its
@@ -1121,6 +1091,7 @@ class TestThermalOracle:
 
 class TestHopfieldParity:
     def test_parity_diagonal(self):
-        diag = hopfield_parity_diagonal(2, 2)
-        assert np.array_equal(diag, [1, -1, 1, -1, 1, -1, 1, -1, 1])
+        # (-1)^(n_a + n_b) at index n_a*(n_max_b + 1) + n_b
+        h = build_hopfield_hamiltonian(DickeParams(1, 1, 0.3), 2, 2)
+        assert np.array_equal(h.parity, [1, -1, 1, -1, 1, -1, 1, -1, 1])
 

@@ -12,8 +12,6 @@ from dicke_squeeze import (
     magnon_spectrum,
     mixing_angle_k,
     normal_modes,
-    squeezed_quadrature_coefficients_k,
-    two_mode_quadrature_coefficients,
 )
 
 # |exact - leading| / eta^2 approaches 1/4 at resonance; 0.3 bounds the small
@@ -37,19 +35,11 @@ class TestMagnonSpectrum:
     def test_linear_order_values(self):
         mode = magnon_spectrum(_ip(0.1), 0.0)
         assert mode.E_k == pytest.approx(1.2, abs=1e-15)
-        assert mode.alpha_k == 1.0
-        assert mode.beta_k == pytest.approx(0.1, abs=1e-16)
 
     def test_ferromagnetic_minimum_at_zero_momentum(self):
         ip = _ip(-0.2)
         energies = [magnon_spectrum(ip, k).E_k for k in np.linspace(0, math.pi, 20)]
         assert energies[0] == min(energies)
-
-    def test_eta_warning(self):
-        assert not _ip(0.25).eta_warning
-        assert _ip(0.4).eta_warning
-        assert _ip(-0.4).eta_warning
-
 
 class TestDickeIsingModes:
     def test_reduction_to_single_mode(self):
@@ -161,53 +151,33 @@ class TestCriticalCouplingK:
     )
     def test_sector_past_double_precision_is_an_error_everywhere(self, eta, omega, omega0, g):
         ip = _ip(eta, g=g, omega_k=omega, omega0=omega0)
-        for reader in (
-            mixing_angle_k,
-            dicke_ising_modes,
-            critical_coupling_k,
-            squeezed_quadrature_coefficients_k,
-        ):
+        for reader in (mixing_angle_k, dicke_ising_modes, critical_coupling_k):
             with pytest.raises(ValueError, match="double precision"):
                 reader(ip, 0.0)
 
 
 class TestSqueezedQuadratureCoefficients:
+    """The squeezed quadrature at momentum k takes its weights from the
+    sector's mixing angle: sqrt(w_k/2) cos gamma_k on the boson and
+    sqrt(E_k/(2N)) sin gamma_k (1 - eta cos k) on the spins (``ed.p_minus_k0``
+    at k = 0)."""
+
     def test_reduction_to_two_mode_coefficients(self):
         ip = _ip(0.0, g=0.3, omega_k=1.0, omega0=1.0, n=4)
-        bw, sw, phases = squeezed_quadrature_coefficients_k(ip, 0.0)
-        ref_b, ref_s = two_mode_quadrature_coefficients(DickeParams(1, 1, 0.3))
-        assert bw == pytest.approx(ref_b, abs=1e-15)
-        assert sw * math.sqrt(ip.n_spins) == pytest.approx(ref_s, abs=1e-15)
-        assert np.allclose(phases, 1.0)
+        assert mixing_angle_k(ip, 0.0) == normal_modes(DickeParams(1, 1, 0.3)).gamma
 
     def test_renormalization_factor(self):
-        ip = _ip(0.1, g=0.4, n=6)
-        bw, sw, _ = squeezed_quadrature_coefficients_k(ip, 0.0)
-        gamma = mixing_angle_k(ip, 0.0)
-        assert sw == pytest.approx(
-            0.9 * math.sqrt(1.2 / 12) * math.sin(gamma), rel=1e-14
+        # E_0 = 1.2 and g_0 = 0.44 at eta = 0.1
+        gamma = mixing_angle_k(_ip(0.1, g=0.4, n=6), 0.0)
+        assert gamma == pytest.approx(
+            0.5 * math.atan2(4 * 0.44 * math.sqrt(1.2), 1.2**2 - 1.0), rel=1e-14
         )
-        assert bw == pytest.approx(math.sqrt(0.5) * math.cos(gamma), rel=1e-14)
-
-    def test_alternating_phases_at_pi(self):
-        _, _, phases = squeezed_quadrature_coefficients_k(_ip(0.1, n=6), math.pi)
-        assert np.allclose(phases.real, [1, -1, 1, -1, 1, -1], atol=1e-12)
-        assert np.allclose(phases.imag, 0.0, atol=1e-12)
-
-    def test_reflection_conjugates_phases(self):
-        ip = _ip(0.05, n=5)
-        bw1, sw1, ph1 = squeezed_quadrature_coefficients_k(ip, 0.9)
-        bw2, sw2, ph2 = squeezed_quadrature_coefficients_k(ip, -0.9)
-        assert bw1 == bw2
-        assert sw1 == sw2
-        assert np.allclose(ph2, np.conj(ph1))
 
     def test_defined_beyond_sector_criticality(self):
-        # coefficients stay available where the quadratic sector is already
+        # the angle stays available where the quadratic sector is already
         # ordered, as needed at the clean critical coupling for eta > 0
         ip = _ip(0.5, g=0.5)
-        bw, sw, _ = squeezed_quadrature_coefficients_k(ip, 0.0)
-        assert math.isfinite(bw) and math.isfinite(sw)
+        assert math.isfinite(mixing_angle_k(ip, 0.0))
         with pytest.raises(SuperradiantInputError):
             dicke_ising_modes(ip, 0.0)
 
@@ -226,8 +196,6 @@ class TestIsingParamsValidation:
             IsingParams(eta="0.1", omega0=1.0, dispersion=1.0, g=0.4, n_spins=6)
         with pytest.raises(ValueError, match="n_spins must be an integer"):
             IsingParams(eta=0.1, omega0=1.0, dispersion=1.0, g=0.4, n_spins=math.nan)
-
-    def test_callable_dispersion_kept(self):
-        ip = IsingParams(eta=0, omega0=1, dispersion=lambda k: 1.0 + k * k, g=0, n_spins=6)
-        assert ip.omega_k(0.5) == 1.25
-        assert type(ip.eta) is float
+        # the boson frequency is flat in k: a callable is no dispersion
+        with pytest.raises(ValueError, match="dispersion must be a real number"):
+            IsingParams(eta=0.1, omega0=1.0, dispersion=lambda k: 1.0, g=0.4, n_spins=6)
