@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, squared
+from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, squared
 
 # Relative floor below which a negative soft-mode energy squared is treated as
 # exactly critical rather than superradiant (guards rounding at g = g_c).
@@ -105,11 +105,11 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
 
     with wt, gt the effective boson frequency and coupling including any
     squared-displacement term; ``g_renormalized``, when given, replaces p.g
-    (the diluted clean sector of ``disorder``). Raises SuperradiantInputError
-    when the input lies beyond the critical coupling (eps_minus^2 < 0); use
-    ``superradiant_modes`` there.
+    (the diluted clean sector of ``disorder``) and must be a finite real
+    number >= 0. Raises SuperradiantInputError when the input lies beyond the
+    critical coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
     """
-    g = p.g if g_renormalized is None else g_renormalized
+    g = p.g if g_renormalized is None else finite_real("g_renormalized", g_renormalized)
     if g < 0:
         raise ValueError("g must be >= 0")
     wt, gt = _effective_boson(p, g)

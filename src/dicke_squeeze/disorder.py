@@ -38,10 +38,7 @@ class DisorderEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "n_clean", integer_at_least("n_clean", self.n_clean, 1))
-        defects = tuple(
-            (finite_real(f"defect {i}: omega_prime", w), finite_real(f"defect {i}: g_prime", gp))
-            for i, (w, gp) in enumerate(self.defects)
-        )
+        defects = tuple(_defect(i, defect) for i, defect in enumerate(self.defects))
         object.__setattr__(self, "defects", defects)
         for i, (w, gp) in enumerate(defects):
             if w == 0:
@@ -52,6 +49,18 @@ class DisorderEnsemble:
     @property
     def m(self) -> int:
         return len(self.defects)
+
+
+def _defect(i: int, defect) -> tuple[float, float]:
+    """Defect i as a pair of floats; ValueError naming it unless it is an
+    (omega_prime, g_prime) pair of finite reals."""
+    try:
+        w, gp = defect
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"defect {i} must be an (omega_prime, g_prime) pair, got {defect!r}"
+        ) from None
+    return finite_real(f"defect {i}: omega_prime", w), finite_real(f"defect {i}: g_prime", gp)
 
 
 @dataclass(frozen=True)

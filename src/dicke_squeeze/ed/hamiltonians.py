@@ -20,12 +20,11 @@ unit band U_t, the term's lower band in block coordinates with coefficient
 1, prepared on first use. Each point then builds its band as sum_t c_t U_t
 in term order, which is bit for bit the band of the assembled block. A
 defect model's point adds two new factors, its weighted z diagonal and its
-weighted flip, so it prepares those two terms' unit bands. Only blocks of
-dim <= DENSE_DIM_LIMIT, the ones solved on their band, keep their bands: at
-most one per term and parity of the live factor pairs, each of
-(half-bandwidth + 1) x dim doubles, 196 KB for fig7's 16 and 0.9 MB for the
-16 of a Dicke N = 48 block of 1250 states. ARPACK blocks build a CSR matrix
-from their triplets at each call and keep nothing.
+weighted flip, so it prepares those two terms' unit bands. Every unit band
+is kept while both its factors live, one per term and parity of the live
+factor pairs, each of (half-bandwidth + 1) x dim doubles: 196 KB for fig7's
+16, 0.9 MB for the 16 of a Dicke N = 48 block of 1250 states. ARPACK blocks
+(``solver``) build a CSR matrix from their triplets and ask for no band.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ from .operators import (
 )
 
 
-# Largest parity block solved directly on its band (``solver`` holds the
-# measurement that sets it), and the largest whose unit bands are kept.
-DENSE_DIM_LIMIT = 1250
-
-
 class Factor:
     """One square factor of a Kronecker term, held as its entries (row, col,
     value), with the parity ``bits`` of its states (n mod 2 for a boson, the
@@ -75,13 +69,6 @@ class Factor:
     def diagonal(cls, values: np.ndarray, bits: np.ndarray) -> Factor:
         index = np.arange(values.size)
         return cls(index, index, values, bits)
-
-    def like(self, value: np.ndarray) -> Factor:
-        """A factor with this one's entries and bits but the given values,
-        sharing its groups, so building it sorts nothing."""
-        out = Factor(self.row, self.col, value, self.bits)
-        out.__dict__["groups"] = self.groups
-        return out
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -127,21 +114,13 @@ class KronSum:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The full CSR matrix, each entry's duplicates summed in term order
-        and exact zeros dropped. No solve or ground-state observable reads
+        """The CSR matrix sum_t c_t kron(B_t, S_t) in term order, indices
+        sorted, exact zeros dropped. No solve or ground-state observable reads
         it; the Gibbs oracle reads a quadrature's columns at each parity
         block's states, and a quadrature has about 4 entries a column."""
-        dim, right, parts = self.dim, self.terms[0][2].bits.size, []
-        for coeff, b, s in self.terms:
-            row = b.row.astype(np.int64)[:, None] * right + s.row
-            col = b.col.astype(np.int64)[:, None] * right + s.col
-            value = coeff * (b.value[:, None] * s.value)
-            parts.append(((row * dim + col).ravel(), value.ravel()))
-        key, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-        data = np.bincount(inverse, weights=np.concatenate([v for _, v in parts]))
-        key, data = key[data != 0], data[data != 0]
-        indptr = np.searchsorted(key, np.arange(dim + 1) * dim)
-        return sp.csr_matrix((data, key % dim, indptr), shape=(dim, dim))
+        total = sum(c * sp.kron(b.matrix, s.matrix, format="csr") for c, b, s in self.terms)
+        total.eliminate_zeros()
+        return total
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator times v of shape (dim,) or (dim, k), matrix-free: on v
@@ -204,7 +183,7 @@ def _pair(left: Factor, right: Factor) -> SimpleNamespace:
     """What the factor pair (left, right) prepares once, made empty on first
     use: ``layouts``, the (p, index, offset) of its nonempty parity blocks
     (None until ``parity_blocks`` asks), and ``bands``, the unit band of
-    each direct-path parity block, by parity."""
+    each parity block whose band was asked for, by parity."""
     by_left = _PAIRS.get(right)
     if by_left is None:
         by_left = _PAIRS[right] = weakref.WeakKeyDictionary()
@@ -231,9 +210,8 @@ class ParityBlock:
     def band(self) -> np.ndarray:
         """The block's lower band (``lower_band``), sum_t c_t U_t summed in
         term order from zeros, U_t being term t's unit band: the bits of a
-        band read off the assembled entries. The U_t of a block of dim <=
-        DENSE_DIM_LIMIT are prepared once and kept while both of the term's
-        factors live; above it they are built for this call only."""
+        band read off the assembled entries. Each U_t is prepared once and
+        kept while both of the term's factors live."""
         units = [(coeff, self._unit_band(b, s)) for coeff, b, s in self.terms]
         band = np.zeros((max(u.shape[0] for _, u in units), self.dim), order="F")
         for coeff, unit in units:
@@ -241,8 +219,6 @@ class ParityBlock:
         return band
 
     def _unit_band(self, left: Factor, right: Factor) -> np.ndarray:
-        if self.dim > DENSE_DIM_LIMIT:
-            return _unit_band(left, right, self.p, self.offset)
         bands = _pair(left, right).bands
         if self.p not in bands:
             unit = _unit_band(left, right, self.p, self.offset)
@@ -324,7 +300,7 @@ def _spin_factors(spins: BasisDescriptor) -> SimpleNamespace:
     z = spin_z_values(spins)
     # the up count S_z + N/2 is exact in floating point
     bits = ((z + 0.5 * spins.n_spins) % 2).astype(np.int8)
-    # spin_flip_total is R + R^T and spin_pm_total R - R^T; R raises the up
+    # flip is R + R^T (spin_flip_total) and pm R - R^T; R raises the up
     # count, so R and R^T share no entry
     up = Factor.of(spin_raise(spins), bits)
     ring = not spins.collective and spins.n_spins > 1
@@ -432,7 +408,7 @@ def build_dicke_hamiltonian(
         # factors; a zero-weight block's flip entries are left out, so they
         # cannot widen the band
         z = spin_z_values(basis, [p.omega0] * p.n_spins + [w for w, _ in defects])
-        terms.append((1.0, bosons.identity, spins.identity.like(z)))
+        terms.append((1.0, bosons.identity, Factor.diagonal(z, spins.bits)))
         w = block_weights(basis, [p.g] * p.n_spins + [gp for _, gp in defects])[spins.flip_block]
         keep, flip = w != 0, spins.flip
         if keep.any():

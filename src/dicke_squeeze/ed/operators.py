@@ -109,13 +109,6 @@ def spin_flip_total(basis: BasisDescriptor, weights=None) -> sp.csr_matrix:
     return up + up.T
 
 
-def spin_pm_total(basis: BasisDescriptor) -> sp.csr_matrix:
-    """S_+ - S_- summed over sites, R - R^T (antisymmetric): +1 on an up-flip
-    of any site, -1 on the corresponding down-flip."""
-    up = spin_raise(basis)
-    return up - up.T
-
-
 def ising_xx_ring(basis: BasisDescriptor) -> sp.csr_matrix:
     """sum_n S_x^n S_x^{n+1} with periodic wrap: flips each adjacent pair with
     amplitude 1/4 (for N = 2 the single bond is counted twice, matching the

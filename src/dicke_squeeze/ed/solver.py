@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg as la
@@ -35,10 +36,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..core import integer_at_least
-from .hamiltonians import DENSE_DIM_LIMIT, SparseHamiltonian, lower_band
+from .hamiltonians import SparseHamiltonian, lower_band
 
-# DENSE_DIM_LIMIT (hamiltonians) is the largest parity block solved directly,
-# and the largest whose unit bands are kept. Lowest pair of one even block at
+# DENSE_DIM_LIMIT is the largest parity block solved directly on its band
+# (``ParityBlock.band``). Lowest pair of one even block at
 # g = 0.5 (n_max = 50, 80 at N = 96; 2 vCPUs, OpenBLAS; median of 31, of 9 at
 # N = 96, in two runs; band is the half-bandwidth; banded is _band_lowest,
 # eigsh as in _arpack, dense eigh is la.eigh(block.toarray(),
@@ -59,6 +60,7 @@ from .hamiltonians import DENSE_DIM_LIMIT, SparseHamiltonian, lower_band
 # and loses at 3929. The limit sits at the last clear win, 1250. Up to it the
 # band solve is exact to rounding, while eigsh is tol-accurate (forced on fig6
 # it moves xi by up to 1.0e-11).
+DENSE_DIM_LIMIT = 1250
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 5000
 NEAR_DEGENERATE_GAP = 1e-8
@@ -269,9 +271,10 @@ def _band_lowest(ab: np.ndarray, tol: float):
     raise ConvergenceError(MAX_SHIFTS, tol)
 
 
-def _arpack(mat, tol, max_iter):
+def _arpack(mat, tol):
     """(v, ||H||_inf, matvecs) of the lowest eigenpair by ARPACK from
-    ``_start_vector``, with residual below tol * ||H||_inf.
+    ``_start_vector``, with residual below tol * ||H||_inf, in at most
+    MAX_ITERATIONS restarts.
 
     ARPACK stops at a Ritz residual <= tol' * max(|theta|, eps^(2/3)): far
     below the contract near theta = 0, and on diag(0, 1, ..., 2999) it
@@ -291,14 +294,15 @@ def _arpack(mat, tol, max_iter):
     op = spla.LinearOperator(mat.shape, matvec=matvec, dtype=float)
     try:
         _, vectors = spla.eigsh(
-            op, k=1, which="SA", v0=_start_vector(mat.shape[0]), tol=tol / 30.0, maxiter=max_iter
+            op, k=1, which="SA", v0=_start_vector(mat.shape[0]), tol=tol / 30.0,
+            maxiter=MAX_ITERATIONS,
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(matvecs, tol) from exc
     return vectors[:, 0], norm, matvecs
 
 
-def _block_lowest(item, method: str, tol: float, max_iter: int):
+def _block_lowest(item, method: str, tol: float):
     """(index, lowest pair) of one (index, block) of ``parity_blocks``: a
     GroundStateResult in the block's coordinates, its energy, residual and
     norm taken on the operator that solved it."""
@@ -309,7 +313,7 @@ def _block_lowest(item, method: str, tol: float, max_iter: int):
         apply, matvecs = functools.partial(_band_matvec, ab), 0
     else:
         csr = block.matrix()
-        v, norm, matvecs = _arpack(csr, tol, max_iter)
+        v, norm, matvecs = _arpack(csr, tol)
         apply = csr.dot
     v = v / np.linalg.norm(v)
     hv = apply(v)
@@ -319,34 +323,30 @@ def _block_lowest(item, method: str, tol: float, max_iter: int):
     return index, GroundStateResult(energy, v, residual, matvecs, path, np.inf, norm=norm)
 
 
-def ground_state(
-    h,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int = MAX_ITERATIONS,
-) -> GroundStateResult:
+def ground_state(h, tol: float = DEFAULT_TOL, method: str = "auto") -> GroundStateResult:
     """Lowest eigenpair of ``h`` (SparseHamiltonian or sparse matrix).
 
     Each parity block (``SparseHamiltonian.parity_blocks``) gives its lowest
     eigenpair: method "auto" solves a block of dim <= DENSE_DIM_LIMIT
     directly on its band (``_band_lowest``) and uses ARPACK (at ``tol``, at
-    most ``max_iter`` restarts) above; "dense"/"lanczos" force the path. The
+    most MAX_ITERATIONS restarts) above; "dense"/"lanczos" force the path
+    (a forced "dense" keeps a larger block's unit bands too). The
     ground state is the lower block's vector lifted to the full basis. When
     the two blocks' lowest levels lie within 1e-8 (a near-degenerate parity
     doublet) the even block's state is taken, so the pick is deterministic.
     The residual satisfies ||Hv - Ev|| <= tol * ||H||_inf, and the
     eigenvector sign is fixed so the largest-magnitude component is
     positive. ValueError on an unknown method, a tol that is not a finite
-    number > 0, a max_iter that is not an integer >= 1, or a block whose
-    ||B||_inf lies outside [1/SCALE_LIMIT, SCALE_LIMIT].
+    number > 0, or a block whose ||B||_inf lies outside [1/SCALE_LIMIT,
+    SCALE_LIMIT].
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    if not (math.isfinite(tol) and tol > 0):
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    max_iter = integer_at_least("max_iter", max_iter, 1)
     h = as_hamiltonian(h)
-    solve = functools.partial(_block_lowest, method=method, tol=tol, max_iter=max_iter)
+    solve = functools.partial(_block_lowest, method=method, tol=tol)
     # map keeps no block once it is solved: one block's entries at a time
     lowest = list(map(solve, h.parity_blocks()))
     energies = [result.energy for _, result in lowest]
@@ -370,9 +370,11 @@ def ground_state(
 def lowest_eigenvalues(h, k: int) -> np.ndarray:
     """The k lowest eigenvalues of the whole matrix, each level as often as
     its multiplicity: the k lowest of each parity block from LAPACK's band
-    reduction (``eig_banded``, O(n^2 b)), merged."""
+    reduction (``eig_banded``, O(n^2 b)), merged. ValueError unless k is an
+    integer in 1..dim."""
     h = as_hamiltonian(h)
-    if k < 1 or k > h.dim:
+    k = integer_at_least("k", k, 1)
+    if k > h.dim:
         raise ValueError(f"k must be in 1..{h.dim}")
     levels = [
         la.eig_banded(

@@ -31,7 +31,7 @@ class IsingParams:
     n_spins    : chain length N (ring)
 
     eta, omega0, dispersion and g must be finite real numbers and are stored
-    as floats.
+    as floats; omega0 and dispersion must be > 0, g >= 0.
     """
 
     eta: float
@@ -46,14 +46,12 @@ class IsingParams:
         object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
         if self.omega0 <= 0:
             raise ValueError("omega0 must be > 0")
+        if self.dispersion <= 0:
+            raise ValueError(f"dispersion must be > 0, got {self.dispersion:g}")
         if self.g < 0:
             raise ValueError("g must be >= 0")
 
     def omega_k(self, k: float) -> float:
-        if self.dispersion <= 0:
-            raise ValueError(
-                f"dispersion must be positive, got omega_k={self.dispersion:g} at k={k:g}"
-            )
         return self.dispersion
 
 
@@ -71,8 +69,9 @@ class MagnonMode:
 
 
 def magnon_energy(ip: IsingParams, k: float) -> float:
-    """Leading-order magnon dispersion E_k = omega0*(1 + 2 eta cos k)."""
-    return ip.omega0 * (1.0 + 2.0 * ip.eta * math.cos(k))
+    """Leading-order magnon dispersion E_k = omega0*(1 + 2 eta cos k);
+    ValueError unless k is a finite real number."""
+    return ip.omega0 * (1.0 + 2.0 * ip.eta * math.cos(finite_real("k", k)))
 
 
 def magnon_spectrum(ip: IsingParams, k: float) -> MagnonMode:

@@ -64,6 +64,22 @@ class TestNormalModes:
         m = normal_modes(DickeParams(1, 1, 0.9), g_renormalized=0.3)
         assert m.eps_minus == pytest.approx(math.sqrt(1 - 0.6), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            # nan and inf read as an overflow of the mode energies
+            (math.nan, "g_renormalized must be finite"),
+            (math.inf, "g_renormalized must be finite"),
+            # a bare TypeError
+            ("0.1", "g_renormalized must be a real number"),
+            (True, "g_renormalized must be a real number"),
+            (-0.1, "g must be >= 0"),
+        ],
+    )
+    def test_bad_renormalized_coupling_rejected(self, g, message):
+        with pytest.raises(ValueError, match=message):
+            normal_modes(DickeParams(1, 1, 0.3), g_renormalized=g)
+
     def test_trace_and_determinant_identities(self):
         # 1e4 random draws across detuning and squared-displacement values
         rng = np.random.default_rng(42)

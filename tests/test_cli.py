@@ -95,6 +95,11 @@ class TestConfig:
             with pytest.raises(cli.ConfigError, match="n_max"):
                 cli.resolve_config("fig3", {"ed": {"n_max": n_max}})
 
+    def test_experiment_id_must_match(self):
+        assert cli.resolve_config("fig2", {"experiment_id": "fig2"})["experiment"] == "fig2"
+        with pytest.raises(cli.ConfigError, match="declares experiment 'fig3' but 'fig2'"):
+            cli.resolve_config("fig2", {"experiment_id": "fig3"})
+
     def test_truncation_delta_recorded_in_metadata(self):
         cfg = cli.resolve_config(
             "fig3", {"grids": {"n_spins": [2]}, "ed": {"n_max": [8, 10]}}
@@ -109,6 +114,9 @@ class TestConfig:
         )
         with pytest.raises(cli.ConfigError):
             cli._grid({"min": 0}, "x")
+        for spec in (0.5, "0:1", None):
+            with pytest.raises(cli.ConfigError, match="must be a list or a min/max/count object"):
+                cli._grid(spec, "x")
         assert len(cli._grid({"min": 0, "max": 1, "count": 3.0}, "x")) == 3
         for count in (2.7, -1, True, "3", math.inf):
             with pytest.raises(cli.ConfigError, match="count must be an integer >= 0"):
@@ -962,6 +970,37 @@ class TestSweep:
         with pytest.raises(cli.ConfigError, match="quantity"):
             cli.run_sweep(cli.resolve_config("sweep", {}))
 
+    def test_xi_ground_over_an_omega0_grid(self):
+        result = cli.run_sweep(cli.resolve_config("sweep", {
+            "grids": {"g": [0.1, 0.3], "omega0": [1.0, 2.0]},
+            "sweep": {"quantity": "xi_ground"},
+        }))
+        rows = [(r["omega0"], r["g"], r["xi"]) for r in result.rows]
+        assert rows == [
+            (omega0, g, squeezing_ratio_ground(DickeParams(1.0, omega0, g)).xi)
+            for omega0 in (1.0, 2.0)
+            for g in (0.1, 0.3)
+        ]
+
+    @pytest.mark.parametrize(
+        "quantity, user_cfg, message",
+        [
+            ("xi_ground", {}, "xi_ground sweep needs a g grid"),
+            ("xi_thermal", {"grids": {"g": [0.1]}}, "xi_thermal sweep needs g and kt grids"),
+            ("ladder_dispersion", {}, "ladder_dispersion sweep needs sweep.ladder parameters"),
+            ("disorder_sample", {}, "disorder_sample sweep needs sweep.disorder parameters"),
+            (
+                "disorder_sample",
+                {"sweep": {"disorder": {"omega_prime_range": [1, 3], "g_prime_range": [0, 1]}}},
+                "random defect ranges need rng_seed",
+            ),
+        ],
+    )
+    def test_missing_sweep_parameters_rejected(self, quantity, user_cfg, message):
+        cfg = cli.resolve_config("sweep", cli._merge(user_cfg, {"sweep": {"quantity": quantity}}))
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.run_sweep(cfg)
+
 
 class TestPhiloxSampler:
     def test_frozen_vectors(self):
@@ -1228,6 +1267,21 @@ class TestMainEntry:
         )
         assert warnings == ["warning: fig3 N=2 n_max=8"]
 
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ("[1, 2]", [], "error: config must be a JSON object"),
+            ("{}", ["--n-max", "6,x"], "error: bad --n-max: '6,x'"),
+        ],
+    )
+    def test_bad_config_file_or_n_max(self, tmp_path, capsys, config, argv, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["fig3", "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
     def test_n_max_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grids": {"n_spins": [1]}}))
@@ -1250,3 +1304,15 @@ class TestMainEntry:
         script = tmp_path / "fig2.csv.gp"
         assert script.exists()
         assert "plot" in script.read_text()
+
+    def test_sweep_plot_script_takes_its_first_two_columns(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": {"g": [0.1, 0.2]}, "sweep": {"quantity": "xi_ground"}}))
+        assert cli.main(
+            ["sweep", "--config", str(cfg), "--out", str(out), "--emit-plot-script"]
+        ) == 0
+        script = (tmp_path / "sweep.csv.gp").read_text().splitlines()
+        assert script[2:5] == [
+            "set xlabel 'omega0'", "set ylabel 'g'", f"plot '{out}' using 1:2 with points"
+        ]

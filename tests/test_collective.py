@@ -30,12 +30,8 @@ from dicke_squeeze.ed import (
     variance,
 )
 from dicke_squeeze.ed.basis import translation_orbits
-from dicke_squeeze.ed.operators import (
-    ising_xx_ring,
-    spin_flip_total,
-    spin_pm_total,
-    spin_z_values,
-)
+from dicke_squeeze.ed.hamiltonians import spin_factors
+from dicke_squeeze.ed.operators import ising_xx_ring, spin_flip_total, spin_z_values
 from dicke_squeeze.ed.solver import DEFAULT_TOL, matrix_inf_norm
 from dicke_squeeze.ed.thermal import BOLTZMANN_WINDOW, TAIL_BOUND
 
@@ -327,7 +323,9 @@ class TestLayout:
         pairs = [
             (np.diag(spin_z_values(basis, w_z)), total(np.diag([-0.5, 0.5]), w_z)),
             (spin_flip_total(basis, w_x).toarray(), total(flip, w_x)),
-            (spin_pm_total(basis).toarray(), total(pm, [1.0] * n_spins)),
+            # the builder's unit-weight factors
+            (spin_factors(basis).flip.matrix.toarray(), total(flip, [1.0] * n_spins)),
+            (spin_factors(basis).pm.matrix.toarray(), total(pm, [1.0] * n_spins)),
         ]
         for layout, product in pairs:
             assert np.allclose(layout, (u.T @ product @ u) / norm, rtol=0.0, atol=1e-15)
@@ -379,7 +377,13 @@ class TestLayout:
         # symmetrized as a symmetric or antisymmetric operator is
         isometry = _orbit_isometry(n_spins)
         product, sector = build_basis(n_spins, 0), build_basis(n_spins, 0, k0=True)
-        for op, sign in ((spin_flip_total, 1.0), (spin_pm_total, -1.0), (ising_xx_ring, 1.0)):
+        def flip(basis):
+            return spin_factors(basis).flip.matrix
+
+        def pm(basis):
+            return spin_factors(basis).pm.matrix
+
+        for op, sign in ((spin_flip_total, 1.0), (flip, 1.0), (pm, -1.0), (ising_xx_ring, 1.0)):
             projected = isometry.T @ op(product).toarray() @ isometry
             expected = 0.5 * (projected + sign * projected.T)
             assert np.allclose(op(sector).toarray(), expected, rtol=0.0, atol=1e-15)

@@ -195,6 +195,10 @@ class TestLadderMapping:
 
 
 class TestJsonIngestion:
+    def test_unknown_ladder_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown ladder parameter keys: \['j_rb'\]"):
+            ladder_params_from_dict(dict(j_r=10.0, j_rb=0.4, n_sites=4))
+
     def test_ladder_keys(self):
         lp = ladder_params_from_dict(
             dict(

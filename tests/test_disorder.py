@@ -57,6 +57,11 @@ def test_ensemble_validation():
             DisorderEnsemble(bad, ())
     with pytest.raises(ValueError, match="omega_prime must be a real number"):
         DisorderEnsemble(3, (("2", 1.0),))
+    # was "not enough values to unpack"
+    for bad in ((2.0,), (2.0, 0.1, 0.3), 2.0, None):
+        with pytest.raises(ValueError, match=r"defect 1 must be an \(omega_prime, g_prime\) pair"):
+            DisorderEnsemble(3, ((2.0, 0.1), bad))
+    assert DisorderEnsemble(3, [[2, 0.5]]).defects == ((2.0, 0.5),)
     assert DisorderEnsemble(3, ()).m == 0
 
 

@@ -43,7 +43,7 @@ from dicke_squeeze.ed.solver import (
     _lower_band,
     matrix_inf_norm,
 )
-from dicke_squeeze.ed import hamiltonians
+from dicke_squeeze.ed import hamiltonians, solver
 from dicke_squeeze.ed.operators import boson_x, ising_xx_ring, spin_flip_total, spin_z_values
 
 
@@ -217,6 +217,12 @@ class TestBuilders:
         assert np.allclose(sorted(la.eigvalsh(ring)), sorted(expected), atol=1e-12)
         assert min(expected) == -n  # J > 0: alternating order, even ring
 
+    def test_ising_ring_needs_two_spins(self):
+        with pytest.raises(ValueError, match="the ring term needs n_spins >= 2"):
+            ising_xx_ring(build_basis(1, 0))
+        with pytest.raises(ValueError, match="the ring term needs n_spins >= 2"):
+            build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 1), build_basis(1, 4), eta=0.5)
+
     def test_ising_builder_spin_sector(self):
         # g = 0 decouples the boson; spin block must match an explicit
         # kron-product construction
@@ -240,6 +246,37 @@ class TestBuilders:
     def test_hopfield_decoupled(self):
         h = build_hopfield_hamiltonian(DickeParams(1, 1, 0.0), 5, 5)
         assert ground_state(h).energy == 0.0
+
+    @pytest.mark.parametrize("name", ["a2", "defects", "k0", "quadrature"])
+    def test_matrix_is_the_kronecker_sum(self, name):
+        # sum_t c_t kron(B_t, S_t) in term order, bit for bit, as canonical CSR
+        basis = build_basis(7, 10, (4,))
+        op = {
+            "a2": lambda: build_dicke_hamiltonian(
+                DickeParams(1, 1.2, 0.45, 7, 0.3), build_basis(7, 10, (7,))
+            ),
+            "defects": lambda: build_dicke_hamiltonian(
+                DickeParams(1, 1.2, 0.45, 4),
+                basis,
+                disorder=DisorderEnsemble(4, ((2.0, 0.3), (1.5, 0.0), (2.5, 0.2))),
+            ),
+            "k0": lambda: build_dicke_hamiltonian(
+                DickeParams(1, 1.2, 0.45, 6), build_basis(6, 8, k0=True), eta=0.5
+            ),
+            "quadrature": lambda: p_d(basis, 1.0, 1.2, 0.3),
+        }[name]()
+        dense = sum(c * np.kron(b.matrix.toarray(), s.matrix.toarray()) for c, b, s in op.terms)
+        mat = op.matrix
+        assert np.array_equal(mat.toarray(), dense)
+        assert mat.has_canonical_format and np.all(mat.data != 0)
+
+    def test_matrix_drops_the_zeros_of_one_term(self):
+        # no second term sums them away: n = 0 and S_z = 0 rows, a zero weight
+        basis = build_basis(4, 6, (4,))
+        spins, bosons = hamiltonians.spin_factors(basis), hamiltonians.boson_factors(6)
+        number = hamiltonians.KronSum(((1.0, bosons.number, spins.z),)).matrix
+        assert np.all(number.data != 0) and number.nnz == 6 * 4
+        assert hamiltonians.KronSum(((0.0, bosons.x, spins.flip),)).matrix.nnz == 0
 
 
 class TestGroundState:
@@ -293,11 +330,12 @@ class TestGroundState:
         assert a.energy == b.energy
         assert np.array_equal(a.vector, b.vector)
 
-    def test_convergence_error_reports(self):
+    def test_convergence_error_reports(self, monkeypatch):
         basis = build_basis(6, 40)
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), basis)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as info:
-            ground_state(h, method="lanczos", max_iter=1)
+            ground_state(h, method="lanczos")
         # one ARPACK restart cycle of matvecs, far short of convergence
         assert 0 < info.value.iterations < 100
         assert info.value.tolerance == 1e-10
@@ -361,18 +399,31 @@ class TestGroundState:
         assert np.allclose(levels, dense, rtol=0.0, atol=1e-9)
         assert np.count_nonzero(np.abs(levels + 2.10153) < 1e-5) == 3
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, True, "1e-3"])
     def test_bad_tolerance_rejected(self, tol):
         h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             ground_state(h, tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 0, True, "10"])
-    def test_bad_max_iter_rejected(self, max_iter):
-        # 2.5 reached ARPACK and ended in a ConvergenceError
-        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 40))
-        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
-            ground_state(h, method="lanczos", max_iter=max_iter)
+    def test_unknown_method_rejected(self):
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
+        with pytest.raises(ValueError, match="unknown method 'eigh'"):
+            ground_state(h, method="eigh")
+
+    @pytest.mark.parametrize("k", [0, 29, True, 2.5, "2"])
+    def test_lowest_eigenvalues_rejects_bad_k(self, k):
+        # dim 28; True read as k = 1 and 2.5 failed inside scipy
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
+        match = "k must be in 1..28" if k == 29 else "k must be an integer >= 1"
+        with pytest.raises(ValueError, match=match):
+            lowest_eigenvalues(h, k)
+
+    def test_band_solve_stops_at_max_shifts(self, monkeypatch):
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.5, 6), build_basis(6, 40, (6,)))
+        monkeypatch.setattr(solver, "MAX_SHIFTS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            ground_state(h)
+        assert (info.value.iterations, info.value.tolerance) == (1, DEFAULT_TOL)
 
 
 def _blocks(h):
@@ -1039,6 +1090,19 @@ class TestThermalOracle:
         q = hopfield_p_minus(5, 5, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
             thermal_variance(h, q, temperature)
+
+    def test_dimension_mismatch_rejected(self):
+        p = DickeParams(1, 1, 0.3)
+        q = hopfield_p_minus(6, 5, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="dimension mismatch: operator 42, matrix 36"):
+            thermal_variance(build_hopfield_hamiltonian(p, 5, 5), q, 0.2)
+
+    def test_dimension_past_the_dense_spectrum_limit_rejected(self):
+        # dim 151^2 = 22801: refused before any block is diagonalized
+        p = DickeParams(1, 1, 0.3)
+        q = hopfield_p_minus(150, 150, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="dim=22801 exceeds 20000"):
+            thermal_variance(build_hopfield_hamiltonian(p, 150, 150), q, 0.2)
 
     def test_numpy_float_temperature_accepted(self):
         p = DickeParams(1, 1, 0.3)

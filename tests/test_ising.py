@@ -191,6 +191,36 @@ class TestIsingParamsValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             IsingParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("omega0", 0.0, "omega0 must be > 0"),
+            # a negative dispersion constructed, and magnon_spectrum answered
+            ("dispersion", -1.0, "dispersion must be > 0"),
+            ("dispersion", 0.0, "dispersion must be > 0"),
+            ("g", -0.1, "g must be >= 0"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value, message):
+        kwargs = dict(eta=0.1, omega0=1.0, dispersion=1.0, g=0.4, n_spins=6)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=message):
+            IsingParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "reader", [magnon_spectrum, mixing_angle_k, dicke_ising_modes, critical_coupling_k]
+    )
+    @pytest.mark.parametrize(
+        "k, message",
+        [(math.nan, "k must be finite"), (math.inf, "k must be finite"),
+         ("0.1", "k must be a real number")],
+    )
+    def test_bad_momentum_rejected(self, reader, k, message):
+        # magnon_spectrum gave E_k = nan, critical_coupling_k a bare math
+        # domain error, and mixing_angle_k blamed double precision
+        with pytest.raises(ValueError, match=message):
+            reader(_ip(0.1), k)
+
     def test_non_real_values_rejected(self):
         with pytest.raises(ValueError, match="eta must be a real number"):
             IsingParams(eta="0.1", omega0=1.0, dispersion=1.0, g=0.4, n_spins=6)
