@@ -15,13 +15,14 @@ per momentum sector of the Ising chain, ``ising.dicke_ising_modes`` and
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, squared
+from .core import (
+    DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, real_at_least, squared
+)
 
 # Relative floor below which a negative soft-mode energy squared is treated as
 # exactly critical rather than superradiant (guards rounding at g = g_c).
@@ -168,12 +169,12 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
     Row 0 of ``thermal_squeezing_map``, so every entry is bit-identical to a
     one-temperature call. T = 0 gives the ground-state ratio. A critical
     instance (eps_minus = 0) at T > 0 genuinely diverges and gives xi = inf
-    so sweeps can record it; a T so large that eps_minus/(2T) underflows
-    gives the large-T limit 2T/min(omega, omega0), inf for T = inf.
-    Superradiant inputs are rejected: the quadratic treatment is invalid near
-    and above the classical transition temperature there. A temperature that
-    is not a real number >= 0 (a NaN, a bool, a string) rejects all of
-    ``temperatures`` with a ValueError.
+    so sweeps can record it; a finite T so large that eps_minus/(2T)
+    underflows gives the large-T limit 2T/min(omega, omega0), inf where that
+    overflows. Superradiant inputs are rejected: the quadratic treatment is
+    invalid near and above the classical transition temperature there. A
+    temperature that is not a finite real number >= 0 (a NaN, +inf, a bool,
+    a string) rejects all of ``temperatures`` with a ValueError.
     """
     return thermal_squeezing_map((p,), temperatures)[0].tolist()
 
@@ -183,16 +184,17 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     temperature list, as an (instances x temperatures) float64 array.
 
     The temperatures are read and checked once, before any instance and
-    before any conversion to an array: a T that is not a real number >= 0
-    rejects all of them. Each instance's normal modes are solved once; coth
-    then runs over the whole array as coth(x) = 1 + 2/expm1(2x), accurate
-    for small x, in the same IEEE operations and order as a one-cell
-    evaluation, so every cell has the bits of its one-point call. expm1 is
-    ``math.expm1`` mapped over the cells: ``np.expm1`` takes a SIMD path
-    that differs from it by one ulp on about a tenth of uniform arguments
-    in [0, 40] (NumPy 2.4.6 on an AVX-512 host).
+    before the array, which would parse a string and take True as 1: a T
+    that is not a finite real number >= 0 rejects all of them. Each
+    instance's normal modes are solved once; coth then runs over the whole
+    array as coth(x) = 1 + 2/expm1(2x), accurate for small x, in the same
+    IEEE operations and order as a one-cell evaluation, so every cell has the
+    bits of its one-point call. expm1 is ``math.expm1`` mapped over the
+    cells: ``np.expm1`` takes a SIMD path that differs from it by one ulp on
+    about a tenth of uniform arguments in [0, 40] (NumPy 2.4.6 on an AVX-512
+    host).
     """
-    temps = _checked_temperatures(temperatures)
+    temps = np.array([real_at_least("temperature", t, 0.0) for t in temperatures])
     modes = np.array([_soft_mode(p) for p in params]).reshape(-1, 2)
     eps, omega_min = modes[:, :1], modes[:, 1:]
     ground = eps / omega_min
@@ -213,17 +215,6 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     # a critical instance diverges at every T > 0
     xis[(eps == 0.0) & (temps != 0.0)] = math.inf
     return xis
-
-
-def _checked_temperatures(temperatures) -> np.ndarray:
-    """``temperatures`` as a float64 array, each checked first: a real
-    number (no bool, numpy's included), not NaN, >= 0, else ValueError.
-    ``np.array`` would parse a string and take True as 1."""
-    temperatures = list(temperatures)
-    for t in temperatures:
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t >= 0:
-            raise ValueError(f"temperature must be a real number >= 0, got {t!r}")
-    return np.array(temperatures, dtype=np.float64)
 
 
 def _soft_mode(p: DickeParams) -> tuple[float, float]:

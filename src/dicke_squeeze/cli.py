@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -31,6 +30,8 @@ from .core import (
     integer_at_least,
     ladder_params_from_dict,
     map_ladder_to_dicke,
+    real_at_least,
+    real_number,
 )
 from .ed import (
     ConvergenceError,
@@ -160,23 +161,21 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
     ed = cfg.get("ed", {})
     if "n_max" in ed:
         n_max = ed["n_max"]
-        if not isinstance(n_max, list) or not n_max or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in n_max
-        ):
+        if not isinstance(n_max, list) or not n_max:
             raise ConfigError("ed.n_max must be a nonempty list of positive integers")
+        # stored as ints, so 40.0 names the computation that 40 does
+        n_max = [_checked("ed", integer_at_least, "ed.n_max entry", v, 1) for v in n_max]
+        cfg["ed"] = {**ed, "n_max": n_max}
     if "tol" in ed:
-        # the residual check compares against tol * ||H||: a tol <= 0 would
-        # flag every row, a non-number fails deep inside the solver
-        tol = ed["tol"]
-        numeric = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-        if not (numeric and math.isfinite(tol) and tol > 0):
-            raise ConfigError(f"ed.tol must be a finite number > 0, got {tol!r}")
+        # ground_state's rule, but before any solve and in every preset
+        _checked("ed", real_at_least, "ed.tol", ed["tol"], 0.0, strict=True)
     return cfg
 
 
 def _grid(spec, name: str) -> np.ndarray:
-    """The grid ``spec`` as a 1-D float array: a list of real numbers, or a
-    {"min", "max", "count"} object with finite real ends."""
+    """The grid ``spec`` as a 1-D float array: a list of real numbers (NaN
+    and +-inf left to the parameter they become), or a {"min", "max",
+    "count"} object with finite real ends."""
     try:
         if isinstance(spec, dict):
             # linspace would truncate a fractional count, take a bool as 0 or 1
@@ -186,10 +185,7 @@ def _grid(spec, name: str) -> np.ndarray:
             return np.linspace(low, finite_real("max", spec["max"]), count)
         if isinstance(spec, (list, tuple)):
             # asarray would read True as 1, "0.2" as 0.2 and nested lists as 2-D
-            for v in spec:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ValueError(f"a grid value must be a real number, got {v!r}")
-            return np.asarray(spec, dtype=float)
+            return np.array([real_number("a grid value", v) for v in spec], dtype=float)
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs min/max/count") from exc
     except (TypeError, ValueError) as exc:
@@ -435,13 +431,11 @@ def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     return _run_ed(cfg, jobs, _fig3_point, points, "variance", meta)
 
 
-def _temperatures(cfg: dict, name: str) -> list[float]:
-    """The temperature grid ``name`` as floats, each finite and >= 0."""
-    temps = _grid(cfg["grids"][name], name).tolist()
-    for kt in temps:
-        if not (math.isfinite(kt) and kt >= 0):
-            raise ConfigError(f"grid {name!r} must hold finite temperatures >= 0, got {kt!r}")
-    return temps
+def _grid_at_least(cfg: dict, name: str, minimum: float, strict: bool = False) -> list[float]:
+    """The grid ``name`` as floats, each finite and >= ``minimum`` (> if ``strict``)."""
+    values = _grid(cfg["grids"][name], name).tolist()
+    label = f"grid {name!r} value"
+    return [_checked("grid", real_at_least, label, v, minimum, strict=strict) for v in values]
 
 
 def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -449,13 +443,11 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     coupling, for one resonant and one detuned spin splitting. Pairs whose
     coupling would be negative are skipped and counted in the metadata."""
     omega = _model_real(cfg, "omega")
-    ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
+    ratios = _grid_at_least(cfg, "omega0_over_omega", 0.0, strict=True)
     deltas = _grid(cfg["grids"]["gc_minus_g_over_omega"], "gc_minus_g_over_omega").tolist()
-    temps = _temperatures(cfg, "kt_over_omega")
+    temps = _grid_at_least(cfg, "kt_over_omega", 0.0)
     points, skipped = [], 0
     for ratio in ratios:
-        if not ratio > 0:
-            raise ConfigError(f"grid 'omega0_over_omega' must hold values > 0, got {ratio!r}")
         omega0 = ratio * omega
         gc = math.sqrt(omega * omega0) / 2.0
         for delta in deltas:
@@ -487,7 +479,7 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
     omega = _model_real(cfg, "omega")
     g = cfg["model"]["g"]
     ratios = _grid(cfg["grids"]["omega0_over_omega"], "omega0_over_omega").tolist()
-    temps = _temperatures(cfg, "kt_over_omega")
+    temps = _grid_at_least(cfg, "kt_over_omega", 0.0)
     params = [_model(cfg, omega0=ratio * omega, g=g) for ratio in ratios]
     kts = [kt * omega for kt in temps]
     # xis[j] holds instance j's xi over the temperatures; rows run T-major
@@ -610,7 +602,7 @@ def _sweep_xi_thermal(cfg):
     tc_mask = cfg.get("sweep", {}).get("tc_mask", False)
     if not isinstance(tc_mask, bool):
         raise ConfigError(f"sweep.tc_mask must be true or false, got {tc_mask!r}")
-    temps = _temperatures(cfg, "kt")
+    temps = _grid_at_least(cfg, "kt", 0.0)
     gs = _grid(grids["g"], "g").tolist()
     params = [_model(cfg, g=g) for g in gs]
     superradiant = [
@@ -680,7 +672,8 @@ def _sweep_disorder_samples(cfg):
 
 
 # each experiment's runner and the columns its plot script draws (x, y);
-# a sweep plots its first two columns
+# a sweep plots its value column, xi or a ladder's omega_k, against its
+# first column
 _RUNNERS = {
     "fig2": (run_fig2, "g_over_omega", "xi"),
     "fig3": (run_fig3, "n_spins", "variance"),
@@ -781,16 +774,13 @@ def write_plot_script(csv_path, script_path, result: SweepResult) -> None:
     names = list(result.columns)
     _, x, y = _RUNNERS[result.experiment]
     if x is None:
-        x = names[0]
-        y = names[1] if len(names) > 1 else names[0]
-    xi = names.index(x) + 1
-    yi = names.index(y) + 1
+        x, y = names[0], "xi" if "xi" in result.columns else "omega_k"
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
         f"set xlabel '{x}'",
         f"set ylabel '{y}'",
-        f"plot '{csv_path}' using {xi}:{yi} with points",
+        f"plot '{csv_path}' using {names.index(x) + 1}:{names.index(y) + 1} with points",
         "pause -1",
     ]
     with open(script_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -29,16 +29,38 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def real_number(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` rejects anything
+    but a real number. NaN and +-inf pass."""
+    if type(value) is float:
+        return value
+    # a bool is a Real to Python, but a JSON true is no number
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    _require(real, f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        return math.inf if value > 0 else -math.inf
+
+
 def finite_real(name: str, value) -> float:
     """``value`` as a float; a ValueError naming ``name`` rejects non-real
     and non-finite values."""
-    if type(value) is not float:
-        # a bool is a Real to Python, but a JSON true is no frequency
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        _require(real, f"{name} must be a real number, got {value!r}")
-        value = float(value)
-    _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
-    return value
+    x = real_number(name, value)
+    _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
+    return x
+
+
+def real_at_least(name: str, value, minimum: float, *, strict: bool = False) -> float:
+    """``value`` as a float; a ValueError naming ``name`` rejects anything but
+    a finite real >= ``minimum`` (> ``minimum`` where ``strict``)."""
+    message = f"{name} must be a finite number {'>' if strict else '>='} {minimum:g}, got {value!r}"
+    try:
+        x = finite_real(name, value)
+    except ValueError:
+        raise ValueError(message) from None
+    _require(x > minimum if strict else x >= minimum, message)
+    return x
 
 
 def squared(name: str, value: float) -> float:

@@ -84,14 +84,11 @@ class PerturbativeReport:
 def renormalized_coupling(g: float, n_clean: int, m: int) -> float:
     """Collective coupling seen by the clean spins: gbar = g*sqrt(N/(N+m)).
     ValueError unless g is a finite real number and N, m are whole counts."""
-    try:
-        out_of_range = n_clean < 1 or m < 0
-    except TypeError:  # a count that is no number: integer_at_least names it
-        out_of_range = False
-    if out_of_range:
-        raise ValueError("need n_clean >= 1 and m >= 0")
     g = finite_real("g", g)
-    n_clean, m = integer_at_least("n_clean", n_clean, 1), integer_at_least("m", m, 0)
+    n_clean = integer_at_least("n_clean", n_clean, -math.inf)
+    m = integer_at_least("m", m, -math.inf)
+    if n_clean < 1 or m < 0:
+        raise ValueError("need n_clean >= 1 and m >= 0")
     return g * math.sqrt(n_clean / (n_clean + m))
 
 

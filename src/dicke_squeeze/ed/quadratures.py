@@ -17,6 +17,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from ..core import finite_real
 from .basis import BasisDescriptor
 from .hamiltonians import KronSum, boson_factors, spin_factors, two_boson_factors
 from .solver import GroundStateResult
@@ -31,9 +32,9 @@ class QuadratureOperator(KronSum):
     def of(cls, boson_coeff: float, bosons, spin_coeff: float, spin, spin_identity):
         """The terms (c_b, bosons.momentum, spin_identity) and
         (c_s, bosons.identity, spin) over cached factors; a zero c_b drops its
-        term. ValueError on a weight that is not finite."""
-        if not (math.isfinite(boson_coeff) and math.isfinite(spin_coeff)):
-            raise ValueError(f"quadrature weights must be finite: {boson_coeff!r}, {spin_coeff!r}")
+        term. ValueError on a weight that is not a finite real number."""
+        boson_coeff = finite_real("quadrature weights", boson_coeff)
+        spin_coeff = finite_real("quadrature weights", spin_coeff)
         boson = ((boson_coeff, bosons.momentum, spin_identity),) if boson_coeff else ()
         return cls(boson + ((spin_coeff, bosons.identity, spin),))
 

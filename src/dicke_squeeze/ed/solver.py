@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 
 import numpy as np
 import scipy.linalg as la
@@ -35,7 +34,7 @@ from scipy.linalg import blas, lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..core import integer_at_least
+from ..core import integer_at_least, real_at_least
 from .hamiltonians import SparseHamiltonian, lower_band
 
 # DENSE_DIM_LIMIT is the largest parity block solved directly on its band
@@ -342,9 +341,7 @@ def ground_state(h, tol: float = DEFAULT_TOL, method: str = "auto") -> GroundSta
     """
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    tol = real_at_least("tol", tol, 0.0, strict=True)
     h = as_hamiltonian(h)
     solve = functools.partial(_block_lowest, method=method, tol=tol)
     # map keeps no block once it is solved: one block's entries at a time

@@ -6,16 +6,23 @@ The parity blocks are diagonalized one after the other, and each holds two
 dense b x b arrays while it is reduced (its matrix and LAPACK's eigenvector
 array), so the memory is that of the largest block, 2*b^2*8 bytes: 11 MB at
 criterion 03's dim 1681 (b = 841).
+
+Time, on criterion 03's first six draws (b = 840, 841; best of 7, 2 vCPUs,
+OpenBLAS 0.3.31 on 2 threads): a block's eigh takes 34-67 ms, of which the
+tridiagonal reduction (dsytrd) is 24-30 ms at any window and the rest
+(bisection, inverse iteration, back-transform) grows with the kept pairs:
+9-11 ms at 4-8, 29-31 ms at 52-56, 37-41 ms at 78-79. The blocks are not
+threaded: LAPACK drops the GIL, yet two at once took 63-128 ms a draw against
+61-129 ms in turn, with OpenBLAS on one thread or two; one block's dsytrd
+already spreads over both vCPUs (45-52 ms on one OpenBLAS thread).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 import scipy.linalg as la
 
+from ..core import real_at_least
 from .quadratures import QuadratureOperator, variance
 from .solver import as_hamiltonian, ground_state
 
@@ -39,25 +46,19 @@ BOLTZMANN_WINDOW = 40.0
 def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     """Gibbs-weighted variance of the observable i*M at the given temperature.
 
-    Diagonalizes ``h`` densely, but only up to the Boltzmann window
-    min(diag H) + W*T with W = BOLTZMANN_WINDOW = 40: every eigenpair above
-    it has relative weight below e^-40, so together they move the variance by
-    less than dim*e^-40*||M||^2. The retained pairs are averaged as
-    ||M v_j||^2 with Boltzmann weights exp(-(E_j - E_0)/T) (eigenstate means
-    vanish identically for real eigenvectors, and the thermal mean inherits
-    that). Each parity block (``SparseHamiltonian.parity_blocks``) is
-    diagonalized from its band within the same window, one at a time
-    (``_block_pairs``), and the spectra are merged; a block's dense matrix
-    and eigenvectors are released before the next is built. The
-    retained spectrum must cover the ensemble: exp(-(E_cut - E_0)/T) < 1e-10,
-    where E_cut is the highest kept eigenvalue, or the window edge when the
-    window drops pairs; otherwise a ValueError reports the violated tail
-    bound. T = 0 returns the ground-state variance; a temperature that is not
-    a finite number >= 0, or is a bool, is a ValueError.
+    Each parity block (``SparseHamiltonian.parity_blocks``) is diagonalized
+    densely from its band, one at a time (``_block_pairs``), but only up to
+    the Boltzmann window min(diag H) + W*T, W = BOLTZMANN_WINDOW; the spectra
+    are merged and the kept pairs averaged as ||M v_j||^2 with weights
+    exp(-(E_j - E_0)/T) (eigenstate means vanish identically for real
+    eigenvectors, and the thermal mean inherits that). The kept spectrum must
+    cover the ensemble: exp(-(E_cut - E_0)/T) < TAIL_BOUND, where E_cut is
+    the highest kept eigenvalue, or the window edge when the window drops
+    pairs; otherwise a ValueError reports the violated tail bound. T = 0
+    returns the ground-state variance; a temperature that is not a finite
+    real number >= 0 is a ValueError.
     """
-    real = isinstance(temperature, numbers.Real) and not isinstance(temperature, bool)
-    if not (real and math.isfinite(temperature) and temperature >= 0):
-        raise ValueError(f"temperature must be a finite number >= 0, got {temperature!r}")
+    temperature = real_at_least("temperature", temperature, 0.0)
     h = as_hamiltonian(h)
     dim = h.dim
     if q.dim != dim:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -356,11 +357,11 @@ class TestBatchedThermal:
 
     def test_temperature_past_overflow_gives_the_large_t_limit(self):
         # 2T overflows, so eps/(2T) = 0: xi -> 2T/min(omega, omega0), inf where
-        # that overflows too
+        # that overflows too; T = inf itself is rejected (test below)
         assert thermal_squeezing_ratio(DickeParams(1, 1, 0.3), 1e308).xi == math.inf
-        assert thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e308, math.inf]) == [
+        assert thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e308, sys.float_info.max]) == [
             2e307,
-            math.inf,
+            2.0 * (sys.float_info.max / 10.0),
         ]
         # the largest T below the underflow still takes the closed form
         xi = thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e300])[0]
@@ -385,6 +386,8 @@ class TestBatchedThermal:
             pytest.param(0.7, -0.1, ValueError, "temperature", id="both"),
             pytest.param(0.3, math.nan, ValueError, "temperature", id="nan-temperature"),
             pytest.param(0.3, -math.nan, ValueError, "temperature", id="negative-nan"),
+            # T = inf is no temperature: the Gibbs oracle and the CLI reject it too
+            pytest.param(0.3, math.inf, ValueError, "temperature", id="inf-temperature"),
             # True is no temperature, not T = 1
             pytest.param(0.3, True, ValueError, "temperature", id="bool-temperature"),
             pytest.param(0.7, math.nan, ValueError, "temperature", id="both-nan"),
@@ -417,8 +420,8 @@ class TestBatchedThermal:
         # one array over instances and temperatures against one cell at a
         # time in Python floats: the critical instance's row diverges at
         # T > 0 only, T = 0 gives each ground ratio, 2/expm1 overflows at
-        # 8e307, and 1e308 and inf take the large-T limit, with no
-        # floating-point warning
+        # 8e307, and 1e308 and the largest double take the large-T limit, with
+        # no floating-point warning
         def one_cell(p, t):
             eps = normal_modes(p).eps_minus
             omega_min = min(p.omega, p.omega0)
@@ -433,7 +436,7 @@ class TestBatchedThermal:
             return 2.0 * (t / omega_min)
 
         params = [DickeParams(1, 1, 0.3), DickeParams(1, 1, 0.5), DickeParams(10, 10, 3, a2_coeff=1)]
-        temps = [0.0, 0.013, 0.2, 8e307, 1e308, math.inf]
+        temps = [0.0, 0.013, 0.2, 8e307, 1e308, sys.float_info.max]
         xis = thermal_squeezing_map(params, temps)
         assert xis.shape == (3, 6) and xis.dtype == np.float64
         for p, row in zip(params, xis.tolist()):

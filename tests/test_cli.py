@@ -21,7 +21,7 @@ from dicke_squeeze import (
     thermal_squeezing_ratio,
 )
 from dicke_squeeze import cli
-from dicke_squeeze.ed import hamiltonians
+from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, ground_state, hamiltonians
 from dicke_squeeze.ed.hamiltonians import KronSum
 
 
@@ -91,9 +91,36 @@ class TestConfig:
             cli.resolve_config("fig2", {"grids": {"g_over_omega": []}})
 
     def test_bad_n_max_rejected(self):
-        for n_max in ([0], [], [True], [8, False]):
+        for n_max in ([0], [], [True], [8, False], [2.5], ["8"], 8):
             with pytest.raises(cli.ConfigError, match="n_max"):
                 cli.resolve_config("fig3", {"ed": {"n_max": n_max}})
+
+    def test_whole_float_n_max_is_stored_as_an_int(self):
+        # a count like every other: 40.0 names the computation 40 does
+        cfg = cli.resolve_config("fig3", {"ed": {"n_max": [40.0, np.int64(50)]}})
+        assert [(type(v), v) for v in cfg["ed"]["n_max"]] == [(int, 40), (int, 50)]
+        assert cli.config_hash(cfg) == cli.config_hash(cli.resolve_config("fig3"))
+
+    @pytest.mark.parametrize(
+        "tol",
+        [1e-6, np.float32(1e-6), np.int64(1), 1, True, "1e-3", None, math.nan, math.inf, 0, -1.0],
+        ids=repr,
+    )
+    def test_config_takes_exactly_the_tolerances_the_solver_takes(self, tol):
+        h = build_dicke_hamiltonian(DickeParams(1, 1, 0.3, 2), build_basis(2, 6))
+        try:
+            ground_state(h, tol=tol)
+        except ValueError:
+            solver_takes = False
+        else:
+            solver_takes = True
+        try:
+            cli.resolve_config("fig3", {"ed": {"tol": tol}})
+        except cli.ConfigError:
+            config_takes = False
+        else:
+            config_takes = True
+        assert config_takes == solver_takes
 
     def test_experiment_id_must_match(self):
         assert cli.resolve_config("fig2", {"experiment_id": "fig2"})["experiment"] == "fig2"
@@ -624,6 +651,19 @@ class TestEDPresets:
             pytest.param("fig3", {"ed": {"tol": "tight"}}, "ed.tol", id="tol-str"),
             pytest.param("fig3", {"ed": {"tol": -1}}, "ed.tol", id="tol-negative"),
             pytest.param("fig7", {"ed": {"tol": math.nan}}, "ed.tol", id="tol-nan"),
+            pytest.param("fig3", {"ed": {"tol": math.inf}}, "ed.tol", id="tol-inf"),
+            pytest.param("fig3", {"ed": {"tol": 0}}, "ed.tol", id="tol-zero"),
+            pytest.param("fig3", {"ed": {"tol": True}}, "ed.tol", id="tol-bool"),
+            pytest.param("fig3", {"ed": {"n_max": [40.5]}}, "ed.n_max", id="n-max-fraction"),
+            # an int past the double range raised an OverflowError traceback
+            pytest.param(
+                "fig2", {"model": {"omega": 10**400}}, "bad model parameters: omega must be finite",
+                id="model-huge-int",
+            ),
+            pytest.param(
+                "fig2", {"grids": {"g_over_omega": [10**400]}}, "bad model parameters: g",
+                id="grid-huge-int",
+            ),
             pytest.param("fig6", {"disorder": {"m": "one"}}, "disorder.m", id="m-str"),
             pytest.param("fig6", {"disorder": {"m": 1.7}}, "disorder.m", id="m-fraction"),
             pytest.param(
@@ -1305,14 +1345,33 @@ class TestMainEntry:
         assert script.exists()
         assert "plot" in script.read_text()
 
-    def test_sweep_plot_script_takes_its_first_two_columns(self, tmp_path):
+    def test_sweep_plot_script_plots_its_value_column(self, tmp_path):
+        # the value column against the first column, never two grid axes
+        ladder = dict(
+            j_r=10.0, j_b=0.05, j_rb_x=0.4, j_rb_y=0.0, j_rb_z=0.0,
+            omega_r=1.0, omega_b=1.0, n_sites=4,
+        )
+        cases = [
+            ({"grids": {"g": [0.1, 0.2]}, "sweep": {"quantity": "xi_ground"}}, "omega0", "xi", 3),
+            (
+                {"grids": {"g": [0.1], "kt": [0.1]}, "sweep": {"quantity": "xi_thermal"}},
+                "g", "xi", 3,
+            ),
+            (
+                {"sweep": {"quantity": "ladder_dispersion", "ladder": ladder}},
+                "k_index", "omega_k", 3,
+            ),
+            (_disorder_sweep(), "sample", "xi", 5),
+        ]
         out = tmp_path / "sweep.csv"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": {"g": [0.1, 0.2]}, "sweep": {"quantity": "xi_ground"}}))
-        assert cli.main(
-            ["sweep", "--config", str(cfg), "--out", str(out), "--emit-plot-script"]
-        ) == 0
-        script = (tmp_path / "sweep.csv.gp").read_text().splitlines()
-        assert script[2:5] == [
-            "set xlabel 'omega0'", "set ylabel 'g'", f"plot '{out}' using 1:2 with points"
-        ]
+        for user_cfg, x, y, column in cases:
+            cfg.write_text(json.dumps(user_cfg))
+            assert cli.main(
+                ["sweep", "--config", str(cfg), "--out", str(out), "--emit-plot-script"]
+            ) == 0
+            script = (tmp_path / "sweep.csv.gp").read_text().splitlines()
+            assert script[2:5] == [
+                f"set xlabel '{x}'", f"set ylabel '{y}'",
+                f"plot '{out}' using 1:{column} with points",
+            ]

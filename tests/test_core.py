@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -13,7 +14,72 @@ from dicke_squeeze import (
     ladder_params_from_dict,
     map_ladder_to_dicke,
 )
+from dicke_squeeze.core import finite_real, integer_at_least, real_at_least, real_number
 from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, build_hopfield_hamiltonian
+
+
+def _assert_rule(rule, args, expected):
+    """``rule(*args)`` returns ``expected``, same type and repr, or raises a
+    ValueError matching it where ``expected`` is a string."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            rule(*args)
+    else:
+        out = rule(*args)
+        assert (type(out), repr(out)) == (type(expected), repr(expected))
+
+
+_F32 = float(np.float32(1e-6))
+_REAL = "x must be a real number"
+_FINITE = "x must be finite"
+_T = "x must be a finite number >= 0"
+_TOL = "x must be a finite number > 0"
+_COUNT = "x must be an integer >= 1"
+# each input the rules meet, and its outcome under real_number,
+# finite_real, real_at_least(x, 0) (a temperature), real_at_least(x, 0,
+# strict=True) (a solver tolerance) and integer_at_least(x, 1) (a config's
+# n_max); a string is the start of the ValueError
+_RULE_TABLE = [
+    ("bool", True, (_REAL, _REAL, _T, _TOL, _COUNT)),
+    ("str", "0.3", (_REAL, _REAL, _T, _TOL, _COUNT)),
+    ("none", None, (_REAL, _REAL, _T, _TOL, _COUNT)),
+    ("nan", math.nan, (math.nan, _FINITE, _T, _TOL, _COUNT)),
+    ("inf", math.inf, (math.inf, _FINITE, _T, _TOL, _COUNT)),
+    ("-inf", -math.inf, (-math.inf, _FINITE, _T, _TOL, _COUNT)),
+    ("float32", np.float32(1e-6), (_F32, _F32, _F32, _F32, _COUNT)),
+    ("int64", np.int64(3), (3.0, 3.0, 3.0, 3.0, 3)),
+    ("40.0", 40.0, (40.0, 40.0, 40.0, 40.0, 40)),
+    ("zero", 0, (0.0, 0.0, 0.0, _TOL, _COUNT)),
+    ("negative", -2.5, (-2.5, -2.5, _T, _TOL, _COUNT)),
+    # an int past the double range, where float() raises an OverflowError
+    ("huge-int", 10**400, (math.inf, _FINITE, _T, _TOL, 10**400)),
+]
+
+
+def _rule_cases(column):
+    return [pytest.param(value, out[column], id=name) for name, value, out in _RULE_TABLE]
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value, expected", _rule_cases(0))
+    def test_real_number(self, value, expected):
+        _assert_rule(real_number, ("x", value), expected)
+
+    @pytest.mark.parametrize("value, expected", _rule_cases(1))
+    def test_finite_real(self, value, expected):
+        _assert_rule(finite_real, ("x", value), expected)
+
+    @pytest.mark.parametrize("value, expected", _rule_cases(2))
+    def test_real_at_least(self, value, expected):
+        _assert_rule(real_at_least, ("x", value, 0.0), expected)
+
+    @pytest.mark.parametrize("value, expected", _rule_cases(3))
+    def test_real_above(self, value, expected):
+        _assert_rule(functools.partial(real_at_least, strict=True), ("x", value, 0.0), expected)
+
+    @pytest.mark.parametrize("value, expected", _rule_cases(4))
+    def test_integer_at_least(self, value, expected):
+        _assert_rule(integer_at_least, ("x", value, 1), expected)
 
 
 class TestValidation:

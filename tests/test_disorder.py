@@ -31,6 +31,8 @@ def test_renormalized_coupling_values():
         (0.3, 4, True, "m must be an integer"),
         (0.3, 0, 1, "need n_clean >= 1 and m >= 0"),
         (0.3, 4, -1, "need n_clean >= 1 and m >= 0"),
+        # a whole numpy count is read as one, then held to the range
+        (0.3, np.int64(0), 1, "need n_clean >= 1 and m >= 0"),
         # a count that is no number is named, not compared
         (0.3, "4", 1, "n_clean must be an integer"),
         (0.3, 4, None, "m must be an integer"),
