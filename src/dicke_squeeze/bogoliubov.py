@@ -6,10 +6,10 @@ squeezing; ratios are normalized to the smaller bare ground-state variance,
 min(omega, omega0)/2.
 
 Every closed-form mode is ``_pair_modes`` on its (a^2, b^2, cross): the two
-squared frequencies and the off-diagonal term. Its four callers are
-``normal_modes`` (normal side), ``superradiant_modes`` (displaced frame) and,
-per momentum sector of the Ising chain, ``ising.dicke_ising_modes`` and
-``ising.mixing_angle_k``.
+squared frequencies and the off-diagonal term. ``superradiant_modes`` calls it
+in the displaced frame; every normal-side pair, that of ``normal_modes`` and
+that of each momentum sector of the Ising chain (``ising._sector``), comes
+from ``_normal_pair``, after the range rule ``core.normal_product``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DickeParams, PhaseLabel, classify_phase, critical_coupling, finite_real, real_at_least, squared
+    DickeParams, PhaseLabel, _require, classify_phase, critical_coupling, finite_real,
+    normal_product, real_at_least, squared,
 )
 
 # Relative floor below which a negative soft-mode energy squared is treated as
@@ -87,6 +88,13 @@ def _pair_modes(a_sq: float, b_sq: float, cross: float) -> tuple[float, float, f
     return em_sq, ep_sq, 0.5 * math.atan2(cross, diff)
 
 
+def _normal_pair(what: str, w: float, e: float, g: float, **shown: float):
+    """``_pair_modes`` on the normal side, (w^2, e^2, 4 g sqrt(w e)), once w*e
+    passes the range rule ``core.normal_product(what, w, e, **shown)``."""
+    we = normal_product(what, w, e, **shown)
+    return _pair_modes(w * w, e * e, 4.0 * g * math.sqrt(we))
+
+
 def _effective_boson(p: DickeParams, g: float) -> tuple[float, float]:
     """Boson frequency and coupling after absorbing the squared-displacement
     term: w_tilde = sqrt(omega*(omega+4D)), g_tilde = g/(1+4D/omega)^(1/4)."""
@@ -107,19 +115,19 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
     with wt, gt the effective boson frequency and coupling including any
     squared-displacement term; ``g_renormalized``, when given, replaces p.g
     (the diluted clean sector of ``disorder``) and must be a finite real
-    number >= 0. Raises SuperradiantInputError when the input lies beyond the
-    critical coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
+    number >= 0. It judges range and phase: ValueError where wt*omega0
+    leaves the normal doubles, SuperradiantInputError beyond the critical
+    coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
     """
     g = p.g if g_renormalized is None else finite_real("g_renormalized", g_renormalized)
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    _require(g >= 0, "g must be >= 0")
     wt, gt = _effective_boson(p, g)
-    cross = 4.0 * gt * math.sqrt(wt * p.omega0)
-    em_sq, ep_sq, gamma = _pair_modes(wt * wt, p.omega0 * p.omega0, cross)
+    what = "omega*omega0" if p.a2_coeff == 0 else "omega_tilde*omega0"
+    em_sq, ep_sq, gamma = _normal_pair(what, wt, p.omega0, gt, omega=p.omega, omega0=p.omega0)
     if em_sq < 0.0:
         raise SuperradiantInputError(
-            "superradiant input: eps_minus^2 < 0 for "
-            f"g={g:g} (use superradiant_modes)"
+            f"superradiant input: g={g:g} lies above the critical coupling (eps_minus^2 < 0); "
+            "these modes hold in the normal phase only (use superradiant_modes)"
         )
     return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma)
 
@@ -135,8 +143,7 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     with r = (g/g_c)^2. The reported mixing angle is the rotation
     diagonalizing the displaced-frame quadratic form.
     """
-    if p.a2_coeff != 0:
-        raise ValueError("superradiant closed form requires a2_coeff = 0")
+    _require(p.a2_coeff == 0, "superradiant closed form requires a2_coeff = 0")
     gc = critical_coupling(p)
     if p.g <= gc:
         raise ValueError(f"g={p.g:g} is not above the critical coupling {gc:g}")
@@ -168,13 +175,14 @@ def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
 
     Row 0 of ``thermal_squeezing_map``, so every entry is bit-identical to a
     one-temperature call. T = 0 gives the ground-state ratio. A critical
-    instance (eps_minus = 0) at T > 0 genuinely diverges and gives xi = inf
-    so sweeps can record it; a finite T so large that eps_minus/(2T)
-    underflows gives the large-T limit 2T/min(omega, omega0), inf where that
-    overflows. Superradiant inputs are rejected: the quadratic treatment is
-    invalid near and above the classical transition temperature there. A
-    temperature that is not a finite real number >= 0 (a NaN, +inf, a bool,
-    a string) rejects all of ``temperatures`` with a ValueError.
+    instance (eps_minus = 0, within _CRITICAL_CLAMP of g_c) at T > 0
+    genuinely diverges and gives xi = inf so sweeps can record it; a finite
+    T so large that eps_minus/(2T) underflows gives the large-T limit
+    2T/min(omega, omega0), inf where that overflows. ``normal_modes``
+    rejects superradiant inputs: the quadratic treatment is invalid near and
+    above the classical transition temperature there. A temperature that is
+    not a finite real number >= 0 (a NaN, +inf, a bool, a string) rejects
+    all of ``temperatures`` with a ValueError.
     """
     return thermal_squeezing_map((p,), temperatures)[0].tolist()
 
@@ -186,8 +194,9 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     The temperatures are read and checked once, before any instance and
     before the array, which would parse a string and take True as 1: a T
     that is not a finite real number >= 0 rejects all of them. Each
-    instance's normal modes are solved once; coth then runs over the whole
-    array as coth(x) = 1 + 2/expm1(2x), accurate for small x, in the same
+    instance's ``normal_modes``, which judge its range and phase, are solved
+    once; coth then runs over the whole array as coth(x) = 1 + 2/expm1(2x),
+    accurate for small x, in the same
     IEEE operations and order as a one-cell evaluation, so every cell has the
     bits of its one-point call. expm1 is ``math.expm1`` mapped over the
     cells: ``np.expm1`` takes a SIMD path that differs from it by one ulp on
@@ -195,8 +204,8 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     host).
     """
     temps = np.array([real_at_least("temperature", t, 0.0) for t in temperatures])
-    modes = np.array([_soft_mode(p) for p in params]).reshape(-1, 2)
-    eps, omega_min = modes[:, :1], modes[:, 1:]
+    eps = np.array([normal_modes(p).eps_minus for p in params]).reshape(-1, 1)
+    omega_min = np.array([min(p.omega, p.omega0) for p in params]).reshape(-1, 1)
     ground = eps / omega_min
     # T = 0 divides by zero and eps = 0 at T = 0 gives 0/0, both masked
     # below; 2T, 2/expm1 and 2T/min(omega, omega0) may overflow to inf,
@@ -217,21 +226,9 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     return xis
 
 
-def _soft_mode(p: DickeParams) -> tuple[float, float]:
-    """(eps_minus, min(omega, omega0)) of a normal-phase instance."""
-    if classify_phase(p) is PhaseLabel.SUPERRADIANT:
-        raise SuperradiantInputError(
-            f"g={p.g:g} lies above the critical coupling at omega={p.omega:g}, "
-            f"omega0={p.omega0:g}; the thermal squeezing ratio is defined in the "
-            "normal phase only"
-        )
-    return normal_modes(p).eps_minus, min(p.omega, p.omega0)
-
-
 def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:
     """``thermal_squeezing_ratios`` at one temperature."""
-    (xi,) = thermal_squeezing_ratios(p, (temperature,))
-    return SqueezingReport(xi)
+    return SqueezingReport(*thermal_squeezing_ratios(p, (temperature,)))
 
 
 def classical_critical_temperature(p: DickeParams) -> float:
@@ -240,13 +237,12 @@ def classical_critical_temperature(p: DickeParams) -> float:
         T_c = omega0 / (2 atanh(omega*omega0 / (4 g^2))),
 
     defined for a2_coeff = 0 and g > g_c (T_c -> 0 as g -> g_c from above).
-    ValueError where omega*omega0 (``critical_coupling``), g^2 or T_c leaves
-    double precision.
+    ValueError where omega*omega0 (``core.normal_product``), g^2 or T_c
+    leaves double precision.
     """
-    if p.a2_coeff != 0:
-        raise ValueError("classical critical temperature requires a2_coeff = 0")
-    critical_coupling(p)  # ValueError where omega*omega0 leaves double precision
-    arg = p.omega * p.omega0 / (4.0 * squared("g", p.g)) if p.g > 0 else math.inf
+    _require(p.a2_coeff == 0, "classical critical temperature requires a2_coeff = 0")
+    product = normal_product("omega*omega0", p.omega, p.omega0, omega=p.omega, omega0=p.omega0)
+    arg = product / (4.0 * squared("g", p.g)) if p.g > 0 else math.inf
     if arg >= 1.0:
         raise ValueError("no superradiant phase at T>0: g must exceed sqrt(omega*omega0)/2")
     # an arg below the normal doubles has lost its digits, and T_c ~ 2 g^2/omega

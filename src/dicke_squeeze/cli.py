@@ -25,6 +25,7 @@ from . import __version__, bogoliubov, disorder, ising
 from .core import (
     DickeParams,
     PhaseLabel,
+    bare_critical_coupling,
     classify_phase,
     finite_real,
     integer_at_least,
@@ -48,6 +49,10 @@ from .ed import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_STRICT = 2
+
+# Every defect is held as one (omega', g') pair, built or drawn before any
+# point is solved, and a disorder_sample sweep writes a row per defect.
+MAX_DEFECTS = 10**5
 
 
 class ConfigError(ValueError):
@@ -231,22 +236,31 @@ def _model_real(cfg: dict, name: str, default=None) -> float:
     return _checked("model", finite_real, name, cfg["model"].get(name, default))
 
 
-def _disorder_int(spec: dict, name: str, default: int, minimum: int) -> int:
-    value = spec.get(name, default)
-    return _checked("disorder", integer_at_least, f"disorder.{name}", value, minimum)
+def _require_no_a2(cfg: dict, what: str, reason: str) -> None:
+    """ConfigError, saying ``reason``, unless model.a2_coeff is 0."""
+    if cfg["model"].get("a2_coeff", 0.0) != 0.0:
+        raise ConfigError(f"model.a2_coeff must be 0 for {what}: {reason}")
 
 
-def _defect_sampler(cfg: dict, spec: dict):
+def _defect_count(spec: dict, minimum: int) -> int:
+    """disorder.m in [minimum, MAX_DEFECTS], read before any defect is built or drawn."""
+    m = _checked("disorder", integer_at_least, "disorder.m", spec.get("m", 1), minimum)
+    if m > MAX_DEFECTS:
+        raise ConfigError(f"bad disorder parameters: disorder.m must be <= {MAX_DEFECTS}, got {m}")
+    return m
+
+
+def _defect_sampler(cfg: dict, spec: dict, min_m: int = 0):
     """counter -> the m defects of sample ``counter`` drawn from a random-defect
-    spec, once rng_seed is set, m is an integer >= 0 and each range holds two
-    finite numbers."""
+    spec, once rng_seed is set, m is an integer >= ``min_m`` (``_defect_count``)
+    and each range holds two finite numbers."""
     if "omega_prime_range" not in spec or "g_prime_range" not in spec:
         raise ConfigError("random defects need both omega_prime_range and g_prime_range")
     seed = cfg.get("rng_seed")
     if seed is None:
         raise ConfigError("random defect ranges need rng_seed")
     seed = _philox_word("rng_seed", seed)
-    m = _disorder_int(spec, "m", 1, 0)
+    m = _defect_count(spec, min_m)
     ranges = []
     for name in ("omega_prime_range", "g_prime_range"):
         bounds = spec[name]
@@ -352,11 +366,9 @@ def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResu
     method, then any column only the ``tail`` columns have; the tail's rows
     follow the ED rows, and a row has None where it has no cell. ``meta``
     gains the largest spread of a row's value over the truncations."""
-    if cfg["model"].get("a2_coeff", 0.0) != 0.0:
-        raise ConfigError(
-            "model.a2_coeff must be 0 for the ED presets: their quadrature "
-            "angles carry no squared-displacement term"
-        )
+    _require_no_a2(
+        cfg, "the ED presets", "their quadrature angles carry no squared-displacement term"
+    )
     tol = cfg["ed"]["tol"]
     grid = list(itertools.product(points, cfg["ed"]["n_max"]))
     tasks = [
@@ -442,14 +454,17 @@ def run_fig4(cfg: dict, jobs: int = 1) -> SweepResult:
     """Thermal squeezing ratio over temperature and distance to the critical
     coupling, for one resonant and one detuned spin splitting. Pairs whose
     coupling would be negative are skipped and counted in the metadata."""
+    _require_no_a2(cfg, "fig4", "its axis g_c - g takes the bare g_c = sqrt(omega*omega0)/2")
     omega = _model_real(cfg, "omega")
     ratios = _grid_at_least(cfg, "omega0_over_omega", 0.0, strict=True)
     deltas = _grid(cfg["grids"]["gc_minus_g_over_omega"], "gc_minus_g_over_omega").tolist()
+    label = "grid 'gc_minus_g_over_omega' value"
+    deltas = [_checked("grid", finite_real, label, delta) for delta in deltas]
     temps = _grid_at_least(cfg, "kt_over_omega", 0.0)
     points, skipped = [], 0
     for ratio in ratios:
         omega0 = ratio * omega
-        gc = math.sqrt(omega * omega0) / 2.0
+        gc = _checked("model", bare_critical_coupling, omega, omega0)
         for delta in deltas:
             g = gc - delta * omega
             if g < 0:
@@ -498,12 +513,12 @@ def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
     if "omega_prime_range" in spec or "g_prime_range" in spec:
         draw = _defect_sampler(cfg, spec)
         return draw(_philox_word("disorder.counter", spec.get("counter", 0)))
-    m = _disorder_int(spec, "m", 1, 0)
+    m = _defect_count(spec, 0)
     omega_prime = spec.get("omega_prime", 2.1)
     omega_prime = _checked("disorder", finite_real, "disorder.omega_prime", omega_prime)
     g_prime = _checked("disorder", finite_real, "disorder.g_prime", spec.get("g_prime", 2.0))
     omega = cfg["model"]["omega"]
-    return tuple((omega_prime * omega, g_prime * omega) for _ in range(m))
+    return ((omega_prime * omega, g_prime * omega),) * m
 
 
 def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
@@ -653,10 +668,9 @@ def _sweep_disorder_samples(cfg):
     spec = sweep.get("disorder")
     if not spec:
         raise ConfigError("disorder_sample sweep needs sweep.disorder parameters")
-    draw = _defect_sampler(cfg, spec)
-    _disorder_int(spec, "m", 1, 1)  # its rows are per defect
+    draw = _defect_sampler(cfg, spec, 1)  # its rows are per defect
     count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
-    n_clean = _disorder_int(spec, "n_clean", 1, 1)
+    n_clean = _checked("disorder", integer_at_least, "disorder.n_clean", spec.get("n_clean", 1), 1)
     p = _model(cfg)
     header = ("sample", "defect", "omega_prime", "g_prime", "xi", "alpha", "perturbative_valid")
     columns = {name: [] for name in header}

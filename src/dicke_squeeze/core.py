@@ -233,10 +233,29 @@ def map_ladder_to_dicke(lp: LadderParams) -> EffectiveDickeSpec:
     )
 
 
+def normal_product(what: str, x: float, y: float, **shown: float) -> float:
+    """x*y; a ValueError that ``what`` leaves double precision, at the
+    ``shown`` values, unless it lies in the normal doubles: the range rule of
+    each closed form that reads such a product, where an inf or a digitless
+    underflow would misplace the transition or the angle with no error."""
+    product = x * y
+    if not sys.float_info.min <= product <= sys.float_info.max:
+        at = ", ".join(f"{name}={value:g}" for name, value in shown.items())
+        raise ValueError(f"{what} leaves double precision at {at}")
+    return product
+
+
+def bare_critical_coupling(omega: float, omega0: float) -> float:
+    """g_c = sqrt(omega*omega0)/2 of the model without a squared-displacement
+    term; ValueError where omega*omega0 leaves the normal doubles."""
+    product = normal_product("omega*omega0", omega, omega0, omega=omega, omega0=omega0)
+    return math.sqrt(product) / 2.0
+
+
 def critical_coupling(p: DickeParams) -> float | None:
     """Coupling at which the soft normal mode of ``p`` would vanish.
 
-    For a2_coeff = 0 this is sqrt(omega*omega0)/2. For a2_coeff > 0 the
+    For a2_coeff = 0 this is ``bare_critical_coupling``. For a2_coeff > 0 the
     squared-displacement coefficient is treated as tracking g^2 at the
     instance's ratio (as it does for electromagnetic couplings constrained by
     the TRK sum rule), so the critical coupling solves
@@ -246,18 +265,10 @@ def critical_coupling(p: DickeParams) -> float | None:
     Returns None when a2_coeff >= g^2/omega0, or when 1 - a2_coeff*omega0/g^2
     rounds to <= 0: no coupling strength produces a transition in that
     regime. The returned value grows continuously and diverges as a2_coeff
-    approaches g^2/omega0 from below.
-
-    ValueError where omega*omega0 leaves the normal doubles: every closed
-    form scales with it, and an overflowed or underflowed product would
-    misplace the transition with no error.
+    approaches g^2/omega0 from below. ValueError where omega*omega0 leaves
+    the normal doubles, as in every case.
     """
-    product = p.omega * p.omega0
-    if not sys.float_info.min <= product <= sys.float_info.max:
-        raise ValueError(
-            f"omega*omega0 leaves double precision at omega={p.omega:g}, omega0={p.omega0:g}"
-        )
-    bare = math.sqrt(product) / 2.0
+    bare = bare_critical_coupling(p.omega, p.omega0)
     if p.a2_coeff == 0:
         return bare
     g2 = squared("g", p.g)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .bogoliubov import normal_modes
-from .core import DickeParams, finite_real, integer_at_least
+from .core import DickeParams, _require, finite_real, integer_at_least
 
 # A defect is flagged non-perturbative when alpha*cos(gammabar)*g' exceeds
 # this fraction of |omega'|.
@@ -87,8 +87,7 @@ def renormalized_coupling(g: float, n_clean: int, m: int) -> float:
     g = finite_real("g", g)
     n_clean = integer_at_least("n_clean", n_clean, -math.inf)
     m = integer_at_least("m", m, -math.inf)
-    if n_clean < 1 or m < 0:
-        raise ValueError("need n_clean >= 1 and m >= 0")
+    _require(n_clean >= 1 and m >= 0, "need n_clean >= 1 and m >= 0")
     return g * math.sqrt(n_clean / (n_clean + m))
 
 

@@ -5,19 +5,18 @@ geometry) is bosonized to leading order: magnons with dispersion
 E_k = omega0*(1 + 2 eta cos k) couple to the boson modes with a renormalized
 per-momentum coupling g_k = g*(1 + eta cos k). Each momentum sector then
 diagonalizes exactly like the single-mode model: ``_sector`` hands
-``bogoliubov._pair_modes`` the (a^2, b^2, cross) = (w_k^2, E_k^2,
-4 g_k sqrt(w_k E_k)) of the sector, and every per-k quantity here reads that
-one evaluation.
+``bogoliubov._normal_pair`` the (w_k, E_k, g_k) of the sector, as
+``normal_modes`` hands it (w_tilde, omega0, g_tilde), and every per-k
+quantity here reads that one evaluation.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .bogoliubov import SuperradiantInputError, _pair_modes
-from .core import finite_real, integer_at_least
+from .bogoliubov import SuperradiantInputError, _normal_pair
+from .core import _require, bare_critical_coupling, finite_real, integer_at_least
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,9 @@ class IsingParams:
         for name in ("eta", "omega0", "dispersion", "g"):
             object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         object.__setattr__(self, "n_spins", integer_at_least("n_spins", self.n_spins, 1))
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be > 0")
-        if self.dispersion <= 0:
-            raise ValueError(f"dispersion must be > 0, got {self.dispersion:g}")
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
-
-    def omega_k(self, k: float) -> float:
-        return self.dispersion
+        _require(self.omega0 > 0, "omega0 must be > 0")
+        _require(self.dispersion > 0, f"dispersion must be > 0, got {self.dispersion:g}")
+        _require(self.g >= 0, "g must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def _sector(ip: IsingParams, k: float):
     sector, gamma_k = 0 at g_k = 0. ValueError where E_k <= 0, or where
     w_k E_k or the squared mode energies leave double precision: the angle
     would be a nan, or a rounded-away 0."""
-    w_k = ip.omega_k(k)
+    w_k = ip.dispersion
     e_k = magnon_energy(ip, k)
     if e_k <= 0:
         raise ValueError(
@@ -97,12 +90,7 @@ def _sector(ip: IsingParams, k: float):
             f"(eta={ip.eta:g} too large in magnitude)"
         )
     g_k = coupling_k(ip, k)
-    if not sys.float_info.min <= w_k * e_k <= sys.float_info.max:
-        raise ValueError(
-            f"mixing angle at k={k:g} leaves double precision: "
-            f"w_k={w_k:g}, E_k={e_k:g}, g_k={g_k:g}"
-        )
-    em_sq, ep_sq, gamma = _pair_modes(w_k * w_k, e_k * e_k, 4.0 * g_k * math.sqrt(w_k * e_k))
+    em_sq, ep_sq, gamma = _normal_pair(f"mixing angle at k={k:g}", w_k, e_k, g_k, w_k=w_k, E_k=e_k)
     return w_k, e_k, g_k, em_sq, ep_sq, (gamma if g_k != 0.0 else 0.0)
 
 
@@ -112,8 +100,9 @@ def mixing_angle_k(ip: IsingParams, k: float) -> float:
 
     Defined for any parameters (it does not require the sector to be in the
     normal phase), so the squeezed quadrature's weights (``ed.p_minus_k0``)
-    remain available at and beyond the per-momentum critical coupling. ValueError where w_k E_k or
-    the sector's squared mode energies leave double precision.
+    remain available at and beyond the per-momentum critical coupling.
+    ValueError where w_k E_k or the squared mode energies leave double
+    precision.
     """
     return _sector(ip, k)[5]
 
@@ -132,14 +121,8 @@ def dicke_ising_modes(ip: IsingParams, k: float) -> MagnonMode:
         raise SuperradiantInputError(
             f"momentum k={k:g} sector is superradiant (eps_minus_k^2 < 0)"
         )
-    return MagnonMode(
-        k=k,
-        E_k=e_k,
-        g_tilde_k=g_k,
-        eps_minus_k=math.sqrt(em_sq),
-        eps_plus_k=math.sqrt(ep_sq),
-        gamma_k=gamma,
-    )
+    return MagnonMode(k=k, E_k=e_k, g_tilde_k=g_k, eps_minus_k=math.sqrt(em_sq),
+                      eps_plus_k=math.sqrt(ep_sq), gamma_k=gamma)
 
 
 def critical_coupling_k(ip: IsingParams, k: float) -> tuple[float, float]:
@@ -150,9 +133,10 @@ def critical_coupling_k(ip: IsingParams, k: float) -> tuple[float, float]:
     - exact:   g such that g*(1+eta cos k) = sqrt(w_k E_k)/2, i.e.
                sqrt(w_k E_k)/(2 (1+eta cos k)); exact for the quadratic
                magnon model, itself valid to linear order in eta.
-    - leading: sqrt(w_k omega0)/2, the eta-independent value. The two agree
-               to O(eta^2): the Ising coupling does not shift the critical
-               point at linear order.
+    - leading: sqrt(w_k omega0)/2, the eta-independent value (the bare
+               ``core.bare_critical_coupling``). The two agree to O(eta^2):
+               the Ising coupling does not shift the critical point at
+               linear order.
 
     ValueError where w_k E_k or w_k omega0 leaves double precision.
     """
@@ -162,11 +146,5 @@ def critical_coupling_k(ip: IsingParams, k: float) -> tuple[float, float]:
     exact = math.sqrt(w_k * e_k) / (2.0 * factor)
     # E_k may lie far below omega0 (eta near -1/2), so w_k omega0 can
     # overflow where w_k E_k does not
-    if not sys.float_info.min <= w_k * ip.omega0 <= sys.float_info.max:
-        raise ValueError(
-            f"leading critical coupling at k={k:g} leaves double precision: "
-            f"w_k={w_k:g}, omega0={ip.omega0:g}"
-        )
-    leading = math.sqrt(w_k * ip.omega0) / 2.0
-    return exact, leading
+    return exact, bare_critical_coupling(w_k, ip.omega0)
 

@@ -9,21 +9,25 @@ from hypothesis import strategies as st
 
 from dicke_squeeze import (
     DickeParams,
+    DisorderEnsemble,
     PhaseLabel,
     SuperradiantInputError,
     classical_critical_temperature,
     classify_phase,
+    disorder_xi_perturbative,
     normal_modes,
     squeezing_ratio_ground,
     superradiant_modes,
     thermal_squeezing_ratio,
     thermal_squeezing_ratios,
 )
+from dicke_squeeze import bogoliubov, cli, core
 from dicke_squeeze.bogoliubov import _effective_boson, thermal_squeezing_map
 from dicke_squeeze.core import critical_coupling, squared
 from dicke_squeeze.ising import (
     IsingParams,
     coupling_k,
+    critical_coupling_k,
     dicke_ising_modes,
     magnon_energy,
     mixing_angle_k,
@@ -214,6 +218,38 @@ class TestGroundSqueezing:
         scaled = squeezing_ratio_ground(DickeParams(2.0**-300, 1.5 * 2.0**-300, 0.9 * 2.0**-300))
         assert scaled.xi == superradiant
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize(
+        "reader, message",
+        [
+            (normal_modes, "omega*omega0 leaves double precision"),
+            # normal_modes returned zeros at 1e-200, and this reported a
+            # critical clean sector
+            (
+                lambda p: disorder_xi_perturbative(p, DisorderEnsemble(4, ((2 * p.omega, 0.0),))),
+                "omega*omega0 leaves double precision",
+            ),
+            (squeezing_ratio_ground, "omega*omega0 leaves double precision"),
+            (lambda p: thermal_squeezing_ratio(p, 0.1), "omega*omega0 leaves double precision"),
+            (
+                lambda p: mixing_angle_k(_ising(p), 0.0),
+                "mixing angle at k=0 leaves double precision",
+            ),
+            (
+                lambda p: critical_coupling_k(_ising(p), 0.0),
+                "mixing angle at k=0 leaves double precision",
+            ),
+        ],
+        ids=["normal_modes", "disorder", "ground", "thermal", "mixing_angle_k", "critical_k"],
+    )
+    def test_range_rule_holds_in_every_reader(self, reader, message, scale):
+        # omega*omega0 (w_k*E_k per Ising sector) under- or overflows, where
+        # each closed form would take the root of a 0 or an inf
+        p = DickeParams(scale, scale, 0.1 * scale)
+        with pytest.raises(ValueError, match=re.escape(message)) as raised:
+            reader(p)
+        assert type(raised.value) is ValueError
+
     def test_classical_critical_temperature_past_double_precision(self):
         with pytest.raises(ValueError, match=r"omega\*omega0 leaves double precision"):
             classical_critical_temperature(DickeParams(1e200, 1e200, 1e200))
@@ -222,6 +258,10 @@ class TestGroundSqueezing:
             classical_critical_temperature(DickeParams(1.0, 1e-300, 1e100))
         with pytest.raises(ValueError, match=r"g\*\*2 overflows"):
             classical_critical_temperature(DickeParams(1.0, 1.0, 1e200))
+
+
+def _ising(p):
+    return IsingParams(eta=0.1, omega0=p.omega0, dispersion=p.omega, g=p.g, n_spins=4)
 
 
 def _momentum_variances(p):
@@ -312,6 +352,10 @@ class TestThermal:
 
     def test_critical_point_diverges(self):
         assert thermal_squeezing_ratio(DickeParams(1, 1, 0.5), 0.1).xi == math.inf
+        # within _CRITICAL_CLAMP above g_c the soft mode reads 0, in the
+        # thermal map as in normal_modes
+        p = DickeParams(1, 1, 0.5 * (1.0 + 1e-13))
+        assert thermal_squeezing_ratios(p, [0.0, 0.1]) == [0.0, math.inf]
 
     def test_superradiant_rejected(self):
         with pytest.raises(SuperradiantInputError):
@@ -446,6 +490,26 @@ class TestBatchedThermal:
         assert thermal_squeezing_map([], temps).shape == (0, 6)
         assert thermal_squeezing_map(params, []).shape == (3, 0)
 
+    def test_phase_is_classified_once_per_instance(self, monkeypatch):
+        # normal_modes judges range and phase, so the map classifies nothing,
+        # and the xi_thermal sweep once per g, for its superradiant mask
+        calls = []
+
+        def counted(p):
+            calls.append(p.g)
+            return core.classify_phase(p)
+
+        for module in (bogoliubov, cli):
+            monkeypatch.setattr(module, "classify_phase", counted)
+        thermal_squeezing_map([DickeParams(1, 1, g) for g in (0.0, 0.3, 0.5)], [0.0, 0.1])
+        assert calls == []
+        gs = [0.0, 0.3, 0.5, 0.7]
+        cfg = cli.resolve_config(
+            "sweep", {"grids": {"g": gs, "kt": [0.0, 0.1]}, "sweep": {"quantity": "xi_thermal"}}
+        )
+        cli.run_sweep(cfg)
+        assert calls == gs
+
 
 class TestClassicalCriticalTemperature:
     def test_resonant_unit_coupling(self):
@@ -520,7 +584,7 @@ def _ref_superradiant_modes(p):
 
 
 def _ref_sector(ip, k):
-    w_k, e_k, g_k = ip.omega_k(k), magnon_energy(ip, k), coupling_k(ip, k)
+    w_k, e_k, g_k = ip.dispersion, magnon_energy(ip, k), coupling_k(ip, k)
     if e_k <= 0:
         raise ValueError("magnon description invalid")
     return w_k, e_k, g_k

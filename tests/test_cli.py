@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,15 @@ class TestThermalPresets:
                 "fig4", {"grids": {"omega0_over_omega": [-1.0]}}, "grid 'omega0_over_omega'",
                 id="fig4-negative-omega0",
             ),
+            # +inf read as g = -inf and was skipped as a negative coupling
+            *[
+                pytest.param(
+                    "fig4", {"grids": {"gc_minus_g_over_omega": [delta, 0.1]}},
+                    "bad grid parameters: grid 'gc_minus_g_over_omega' value must be finite",
+                    id=f"fig4-{name}-distance",
+                )
+                for name, delta in (("inf", math.inf), ("minus-inf", -math.inf), ("nan", math.nan))
+            ],
             pytest.param(
                 "fig4", {"grids": {"omega0_over_omega": [1.0, 0.0]}}, "grid 'omega0_over_omega'",
                 id="fig4-zero-omega0",
@@ -878,6 +888,40 @@ class TestEDPresets:
         assert err.startswith("error: bad ising parameters: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", [10**400, 10**12], ids=["1e400", "1e12"])
+    @pytest.mark.parametrize(
+        "experiment, make",
+        [
+            ("fig6", lambda m: {"disorder": {"m": m}}),
+            ("fig6", lambda m: _random_defects(m=m)),
+            ("sweep", lambda m: _disorder_sweep(m=m)),
+        ],
+        ids=["fig6-fixed", "fig6-random", "sweep-disorder"],
+    )
+    def test_defect_count_is_bounded_before_any_defect(
+        self, tmp_path, capsys, monkeypatch, experiment, make, m
+    ):
+        # m pairs were built or drawn with no bound: 10**400 ran out of memory
+        def refuse(*args):
+            raise AssertionError("defects drawn or a task run")
+
+        monkeypatch.setattr(cli, "disorder_samples", refuse)
+        monkeypatch.setattr(cli, "_run_tasks", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(make(m)))
+        out = tmp_path / f"{experiment}.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main([experiment, "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**20
+        err = capsys.readouterr().err
+        bound = f"disorder.m must be <= {cli.MAX_DEFECTS}"
+        assert err.startswith(f"error: bad disorder parameters: {bound}")
+        assert not out.exists()
+
     def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):
         # m = 0 leaves gbar = g = g_c, where the perturbative column is
         # undefined: the ED rows stay, the analytic row has an empty xi
@@ -914,10 +958,11 @@ class TestEDPresets:
             h, _ = cli._fig6_point(p, defects, 50)
             assert h.dim == dim
 
-    @pytest.mark.parametrize("experiment", ["fig3", "fig6", "fig7"])
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig6", "fig7"])
     def test_nonzero_a2_coeff_rejected(self, experiment):
         # the quadrature angles of fig6 (normal_modes) and fig7 (IsingParams)
-        # carry no A^2 term, so an A^2 term in H alone would give a wrong xi
+        # carry no A^2 term, so an A^2 term in H alone would give a wrong xi;
+        # fig4's axis g_c - g takes the bare g_c, which an A^2 term moves
         cfg = cli.resolve_config(experiment, {"model": {"a2_coeff": 0.25}})
         with pytest.raises(cli.ConfigError, match="a2_coeff"):
             cli.run_experiment(experiment, cfg)
