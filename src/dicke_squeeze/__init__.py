@@ -11,8 +11,8 @@ from .bogoliubov import (
     normal_modes,
     squeezing_ratio_ground,
     superradiant_modes,
+    thermal_squeezing_map,
     thermal_squeezing_ratio,
-    thermal_squeezing_ratios,
 )
 from .core import (
     DickeParams,
@@ -35,7 +35,6 @@ from .ising import (
     MagnonMode,
     critical_coupling_k,
     dicke_ising_modes,
-    magnon_spectrum,
     mixing_angle_k,
 )
 
@@ -61,13 +60,12 @@ __all__ = [
     "disorder_xi_perturbative",
     "ed",
     "ladder_params_from_dict",
-    "magnon_spectrum",
     "map_ladder_to_dicke",
     "mixing_angle_k",
     "normal_modes",
     "renormalized_coupling",
     "squeezing_ratio_ground",
     "superradiant_modes",
+    "thermal_squeezing_map",
     "thermal_squeezing_ratio",
-    "thermal_squeezing_ratios",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DickeParams, PhaseLabel, _require, classify_phase, critical_coupling, finite_real,
-    normal_product, real_at_least, squared,
+    DickeParams, PhaseLabel, _require, classify_phase, critical_coupling, normal_product,
+    real_at_least, squared,
 )
 
 # Relative floor below which a negative soft-mode energy squared is treated as
@@ -95,16 +95,16 @@ def _normal_pair(what: str, w: float, e: float, g: float, **shown: float):
     return _pair_modes(w * w, e * e, 4.0 * g * math.sqrt(we))
 
 
-def _effective_boson(p: DickeParams, g: float) -> tuple[float, float]:
+def _effective_boson(p: DickeParams) -> tuple[float, float]:
     """Boson frequency and coupling after absorbing the squared-displacement
     term: w_tilde = sqrt(omega*(omega+4D)), g_tilde = g/(1+4D/omega)^(1/4)."""
     if p.a2_coeff == 0:
-        return p.omega, g
+        return p.omega, p.g
     scale = 1.0 + 4.0 * p.a2_coeff / p.omega
-    return p.omega * math.sqrt(scale), g / scale**0.25
+    return p.omega * math.sqrt(scale), p.g / scale**0.25
 
 
-def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalModeData:
+def normal_modes(p: DickeParams) -> NormalModeData:
     """Normal-phase (or no-transition) mode energies and mixing angle.
 
     Evaluates
@@ -113,20 +113,16 @@ def normal_modes(p: DickeParams, g_renormalized: float | None = None) -> NormalM
                     + 16 gt^2 wt omega0)) / 2
 
     with wt, gt the effective boson frequency and coupling including any
-    squared-displacement term; ``g_renormalized``, when given, replaces p.g
-    (the diluted clean sector of ``disorder``) and must be a finite real
-    number >= 0. It judges range and phase: ValueError where wt*omega0
-    leaves the normal doubles, SuperradiantInputError beyond the critical
-    coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
+    squared-displacement term. It judges range and phase: ValueError where
+    wt*omega0 leaves the normal doubles, SuperradiantInputError beyond the
+    critical coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
     """
-    g = p.g if g_renormalized is None else finite_real("g_renormalized", g_renormalized)
-    _require(g >= 0, "g must be >= 0")
-    wt, gt = _effective_boson(p, g)
+    wt, gt = _effective_boson(p)
     what = "omega*omega0" if p.a2_coeff == 0 else "omega_tilde*omega0"
     em_sq, ep_sq, gamma = _normal_pair(what, wt, p.omega0, gt, omega=p.omega, omega0=p.omega0)
     if em_sq < 0.0:
         raise SuperradiantInputError(
-            f"superradiant input: g={g:g} lies above the critical coupling (eps_minus^2 < 0); "
+            f"superradiant input: g={p.g:g} lies above the critical coupling (eps_minus^2 < 0); "
             "these modes hold in the normal phase only (use superradiant_modes)"
         )
     return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma)
@@ -167,41 +163,32 @@ def squeezing_ratio_ground(p: DickeParams) -> SqueezingReport:
     return SqueezingReport(modes.eps_minus / min(p.omega, p.omega0))
 
 
-def thermal_squeezing_ratios(p: DickeParams, temperatures) -> list[float]:
-    """Squeezing ratio of the soft-mode quadrature at each temperature T >= 0
-    in ``temperatures``:
-
-        xi(T) = (eps_minus / min(omega, omega0)) * coth(eps_minus / (2 T)).
-
-    Row 0 of ``thermal_squeezing_map``, so every entry is bit-identical to a
-    one-temperature call. T = 0 gives the ground-state ratio. A critical
-    instance (eps_minus = 0, within _CRITICAL_CLAMP of g_c) at T > 0
-    genuinely diverges and gives xi = inf so sweeps can record it; a finite
-    T so large that eps_minus/(2T) underflows gives the large-T limit
-    2T/min(omega, omega0), inf where that overflows. ``normal_modes``
-    rejects superradiant inputs: the quadratic treatment is invalid near and
-    above the classical transition temperature there. A temperature that is
-    not a finite real number >= 0 (a NaN, +inf, a bool, a string) rejects
-    all of ``temperatures`` with a ValueError.
-    """
-    return thermal_squeezing_map((p,), temperatures)[0].tolist()
-
-
 def thermal_squeezing_map(params, temperatures) -> np.ndarray:
-    """``thermal_squeezing_ratios`` of each instance in ``params`` over one
-    temperature list, as an (instances x temperatures) float64 array.
+    """Squeezing ratio of the soft-mode quadrature of each instance in
+    ``params`` at each temperature T >= 0 in ``temperatures``,
+
+        xi(T) = (eps_minus / min(omega, omega0)) * coth(eps_minus / (2 T)),
+
+    as an (instances x temperatures) float64 array.
+
+    T = 0 gives the ground-state ratio. A critical instance (eps_minus = 0,
+    within _CRITICAL_CLAMP of g_c) at T > 0 genuinely diverges and gives
+    xi = inf so sweeps can record it; a finite T so large that eps_minus/(2T)
+    underflows gives the large-T limit 2T/min(omega, omega0), inf where that
+    overflows. Each instance's ``normal_modes`` judge its range and phase,
+    and reject superradiant inputs: the quadratic treatment is invalid near
+    and above the classical transition temperature there.
 
     The temperatures are read and checked once, before any instance and
     before the array, which would parse a string and take True as 1: a T
-    that is not a finite real number >= 0 rejects all of them. Each
-    instance's ``normal_modes``, which judge its range and phase, are solved
+    that is not a finite real number >= 0 (a NaN, +inf, a bool, a string)
+    rejects all of them with a ValueError. Each instance's modes are solved
     once; coth then runs over the whole array as coth(x) = 1 + 2/expm1(2x),
-    accurate for small x, in the same
-    IEEE operations and order as a one-cell evaluation, so every cell has the
-    bits of its one-point call. expm1 is ``math.expm1`` mapped over the
-    cells: ``np.expm1`` takes a SIMD path that differs from it by one ulp on
-    about a tenth of uniform arguments in [0, 40] (NumPy 2.4.6 on an AVX-512
-    host).
+    accurate for small x, in the same IEEE operations and order as a
+    one-cell evaluation, so every cell has the bits of its one-point call.
+    expm1 is ``math.expm1`` mapped over the cells: ``np.expm1`` takes a SIMD
+    path that differs from it by one ulp on about a tenth of uniform
+    arguments in [0, 40] (NumPy 2.4.6 on an AVX-512 host).
     """
     temps = np.array([real_at_least("temperature", t, 0.0) for t in temperatures])
     eps = np.array([normal_modes(p).eps_minus for p in params]).reshape(-1, 1)
@@ -227,8 +214,8 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
 
 
 def thermal_squeezing_ratio(p: DickeParams, temperature: float) -> SqueezingReport:
-    """``thermal_squeezing_ratios`` at one temperature."""
-    return SqueezingReport(*thermal_squeezing_ratios(p, (temperature,)))
+    """``thermal_squeezing_map`` of one instance at one temperature."""
+    return SqueezingReport(float(thermal_squeezing_map((p,), (temperature,))[0, 0]))
 
 
 def classical_critical_temperature(p: DickeParams) -> float:

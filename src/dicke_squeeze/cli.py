@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,6 +53,25 @@ EXIT_STRICT = 2
 # Every defect is held as one (omega', g') pair, built or drawn before any
 # point is solved, and a disorder_sample sweep writes a row per defect.
 MAX_DEFECTS = 10**5
+
+# Points of all grids together (the product of their lengths), judged before
+# a grid is built. The analytic-grid benchmark (fig4, 2 x 181 x 240 = 86 880
+# rows) peaks at 151.7 MB RSS, 1.75 KB a row all told; fig4 alone adds
+# 0.38 KB a row above its 62 MB start (195 MB at 2 x 724 x 240 rows). So
+# 10**6 points stay below 1.75 GB by the first measure, near 0.45 GB by the
+# second.
+MAX_GRID_POINTS = 10**6
+
+# One ED point's spin states listed (the 2^N masks of the k = 0 ring, whose
+# orbits spin_factors finds, or spin_dim otherwise) and its basis
+# (n_max + 1) * spin_dim, both judged before any is listed. Listing the ring
+# peaks at 125 B a mask (tracemalloc, N = 14-18): 131 MB at the bound. A
+# Lanczos point, build, solve and variances, peaked at 0.46-0.96 KB a basis
+# state (fig6 and fig7 points of dim 14 432 to 293 888), about 1 GB at the
+# bound; product-layout spin factors take 1.6-2.0 KB a spin state
+# (N = 14-18), and n_max >= 1 holds spin_dim to half the basis.
+MAX_SPIN_STATES = 2**20
+MAX_ED_DIM = 2**20
 
 
 class ConfigError(ValueError):
@@ -160,9 +179,13 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
             raise ConfigError(f"{section} must be an object")
     if not isinstance(cfg.get("sweep", {}).get("disorder", {}), dict):
         raise ConfigError("sweep.disorder must be an object")
+    points = 1
     for name, spec in cfg.get("grids", {}).items():
-        if len(_grid(spec, name)) == 0:
+        # each grid may take what the grids before it leave of MAX_GRID_POINTS
+        size = len(_grid(spec, name, MAX_GRID_POINTS // points))
+        if size == 0:
             raise ConfigError(f"grid {name!r} is empty")
+        points *= size
     ed = cfg.get("ed", {})
     if "n_max" in ed:
         n_max = ed["n_max"]
@@ -177,25 +200,33 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
     return cfg
 
 
-def _grid(spec, name: str) -> np.ndarray:
+def _grid(spec, name: str, limit: int = MAX_GRID_POINTS) -> np.ndarray:
     """The grid ``spec`` as a 1-D float array: a list of real numbers (NaN
     and +-inf left to the parameter they become), or a {"min", "max",
-    "count"} object with finite real ends."""
+    "count"} object with finite real ends. ConfigError, before the array is
+    built, where it would hold more than ``limit`` values."""
+    if not isinstance(spec, (dict, list, tuple)):
+        raise ConfigError(f"grid {name!r} must be a list or a min/max/count object")
     try:
         if isinstance(spec, dict):
             # linspace would truncate a fractional count, take a bool as 0 or 1
             # and span a 2-D grid between list ends
             count = integer_at_least("count", spec["count"], 0)
-            low = finite_real("min", spec["min"])
-            return np.linspace(low, finite_real("max", spec["max"]), count)
-        if isinstance(spec, (list, tuple)):
+            ends = finite_real("min", spec["min"]), finite_real("max", spec["max"])
+        else:
             # asarray would read True as 1, "0.2" as 0.2 and nested lists as 2-D
-            return np.array([real_number("a grid value", v) for v in spec], dtype=float)
+            values = [real_number("a grid value", v) for v in spec]
+            count = len(values)
     except KeyError as exc:
         raise ConfigError(f"grid {name!r} needs min/max/count") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid {name!r} must hold numbers: {exc}") from exc
-    raise ConfigError(f"grid {name!r} must be a list or a min/max/count object")
+    if count > limit:
+        raise ConfigError(
+            f"grid {name!r}: the grids would hold more than "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS} points"
+        )
+    return np.linspace(*ends, count) if isinstance(spec, dict) else np.array(values, dtype=float)
 
 
 def config_hash(cfg: dict) -> str:
@@ -297,9 +328,7 @@ def disorder_samples(seed: int, counter: int, m: int, omega_range, g_range):
 
 # -- ED presets: one task path (top-level so a worker pool can pickle it) ----
 
-def _fig3_point(p, n_max):
-    # all spins are permutation-equivalent: one collective spin J = N/2
-    basis = build_basis(p.n_spins, n_max, (p.n_spins,))
+def _fig3_point(p, basis):
     quadratures = [
         ({"quadrature": "p_tilde_minus"}, p_tilde_minus(basis), 1.0),
         ({"quadrature": "s_tilde_y"}, s_tilde_y(basis), 1.0),
@@ -307,13 +336,7 @@ def _fig3_point(p, n_max):
     return build_dicke_hamiltonian(p, basis), quadratures
 
 
-def _fig6_point(p, defects, n_max):
-    ens = disorder.DisorderEnsemble(p.n_spins, defects)
-    gbar = disorder.renormalized_coupling(p.g, p.n_spins, ens.m)
-    gamma_bar = bogoliubov.normal_modes(p, g_renormalized=gbar).gamma
-    # one collective spin holds the clean spins, one more each run of equal defects
-    runs = (len(list(run)) for _, run in itertools.groupby(ens.defects))
-    basis = build_basis(p.n_spins + ens.m, n_max, (p.n_spins, *runs))
+def _fig6_point(p, ens, gamma_bar, basis):
     q = p_d(basis, p.omega, p.omega0, gamma_bar)
     return build_dicke_hamiltonian(p, basis, disorder=ens), [({}, q, p.omega / 2.0)]
 
@@ -327,9 +350,7 @@ def _fig7_mode(p, eta):
     return ising.magnon_energy(ip, 0.0), ising.mixing_angle_k(ip, 0.0)
 
 
-def _fig7_point(p, eta, e0, gamma0, n_max):
-    # the ring, the coupling and the quadrature commute with translation: k = 0
-    basis = build_basis(p.n_spins, n_max, k0=True)
+def _fig7_point(p, eta, e0, gamma0, basis):
     q = p_minus_k0(basis, p.omega, e0, gamma0, eta)
     return build_dicke_hamiltonian(p, basis, eta=eta), [({}, q, p.omega / 2.0)]
 
@@ -339,13 +360,13 @@ def _ed_task(task):
     normalization, the residual, and whether it meets tol * ||H||_inf. A
     point the builders or the solver reject is a ConfigError naming it,
     which a worker pool hands to its parent like any result."""
-    label, point, args, n_max, tol = task
+    label, point, args, basis, tol = task
     try:
-        h, quadratures = point(*args, n_max)
+        h, quadratures = point(*args, basis)
         gs = ground_state(h, tol=tol)
         values = [(labels, variance(gs, q) / norm) for labels, q, norm in quadratures]
     except (ValueError, ConvergenceError) as exc:
-        raise ConfigError(f"{label} n_max={n_max}: {exc}") from exc
+        raise ConfigError(f"{label} n_max={basis.n_max}: {exc}") from exc
     return values, gs.residual, gs.residual <= tol * gs.norm
 
 
@@ -355,13 +376,28 @@ def _append_row(columns: dict[str, list], cells) -> None:
         column.append(cell)
 
 
+def _ed_bounds(label: str, layout, n_max: int) -> None:
+    """ConfigError unless the spin states ``layout`` lists (2^N masks on the
+    k = 0 ring, spin_dim otherwise) and its basis at ``n_max`` lie within
+    MAX_SPIN_STATES and MAX_ED_DIM, judged before either is listed."""
+    listed = 1 << layout.n_spins if layout.k0 else layout.spin_dim
+    if listed > MAX_SPIN_STATES:
+        raise ConfigError(f"{label}: more than MAX_SPIN_STATES = {MAX_SPIN_STATES} spin states")
+    if (n_max + 1) * layout.spin_dim > MAX_ED_DIM:
+        raise ConfigError(
+            f"{label} n_max={n_max}: a basis of more than MAX_ED_DIM = {MAX_ED_DIM} states"
+        )
+
+
 def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResult:
     """Solve every point at every ``ed.n_max`` on the one ED task path.
 
-    ``points`` holds one (warning label, row labels, args) per point, and
-    ``point(*args, n_max)`` returns the Hamiltonian and one (row labels,
-    quadrature, normalization) per row; ``value_field`` names the column
-    that gets the normalized variance. The header is the point labels,
+    ``points`` holds one (warning label, row labels, args, layout) per
+    point, layout being its basis at n_max = 0, which ``_ed_bounds`` judges
+    at the largest n_max before any task runs; ``point(*args, basis)``
+    returns the Hamiltonian and one (row labels, quadrature, normalization)
+    per row; ``value_field`` names the column that gets the normalized
+    variance. The header is the point labels,
     n_max, the row labels, ``value_field``, residual, residual_ok and
     method, then any column only the ``tail`` columns have; the tail's rows
     follow the ED rows, and a row has None where it has no cell. ``meta``
@@ -369,17 +405,20 @@ def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResu
     _require_no_a2(
         cfg, "the ED presets", "their quadrature angles carry no squared-displacement term"
     )
-    tol = cfg["ed"]["tol"]
-    grid = list(itertools.product(points, cfg["ed"]["n_max"]))
+    tol, n_maxes = cfg["ed"]["tol"], cfg["ed"]["n_max"]
+    for label, _, _, layout in points:
+        _ed_bounds(f"{cfg['experiment']} {label}", layout, max(n_maxes))
+    grid = list(itertools.product(points, n_maxes))
     tasks = [
-        (f"{cfg['experiment']} {label}", point, args, nm, tol) for (label, _, args), nm in grid
+        (f"{cfg['experiment']} {label}", point, args, replace(layout, n_max=nm), tol)
+        for (label, _, args, layout), nm in grid
     ]
     results = _run_tasks(_ed_task, tasks, jobs)
     row_labels = results[0][0][0][0]  # the first task's first row
     header = (*points[0][1], "n_max", *row_labels, value_field)
     columns = {name: [] for name in (*header, "residual", "residual_ok", "method")}
     violations, by_key = [], {}
-    for ((label, point_labels, _), nm), (values, residual, ok) in zip(grid, results):
+    for ((label, point_labels, _, _), nm), (values, residual, ok) in zip(grid, results):
         for labels, value in values:
             cells = (*point_labels.values(), nm, *labels.values(), value, residual, ok, "ed")
             _append_row(columns, cells)
@@ -437,7 +476,11 @@ def run_fig3(cfg: dict, jobs: int = 1) -> SweepResult:
     """Finite-size ground-state variances of the two squeezing witnesses
     against spin number, at the thermodynamic-limit critical coupling."""
     params = [_model(cfg, n_spins=v) for v in _grid(cfg["grids"]["n_spins"], "n_spins").tolist()]
-    points = [(f"N={p.n_spins}", {"n_spins": p.n_spins}, (p,)) for p in params]
+    # all spins are permutation-equivalent: one collective spin J = N/2
+    points = [
+        (f"N={p.n_spins}", {"n_spins": p.n_spins}, (p,), build_basis(p.n_spins, 0, (p.n_spins,)))
+        for p in params
+    ]
     meta = _meta(cfg)
     meta["large_n_limits"] = "var_p_tilde_minus -> 0, var_s_tilde_y -> 0.70711"
     return _run_ed(cfg, jobs, _fig3_point, points, "variance", meta)
@@ -528,22 +571,24 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
     defects = _fig6_defects(cfg)
     m = len(defects)
     fractions = [m / (p.n_spins + m) for p in params]
-    points = [
-        (f"N={p.n_spins}", {"n_clean": p.n_spins, "fraction": f}, (p, defects))
-        for p, f in zip(params, fractions)
-    ]
-    xis, valid = [], []
-    for p in params:
+    # one collective spin holds the clean spins, one more each run of equal defects
+    runs = tuple(len(list(run)) for _, run in itertools.groupby(defects))
+    points, xis, valid = [], [], []
+    for p, f in zip(params, fractions):
+        label = f"N={p.n_spins}"
         try:
-            report = disorder.disorder_xi_perturbative(
-                p, disorder.DisorderEnsemble(p.n_spins, defects)
-            )
+            ens = disorder.DisorderEnsemble(p.n_spins, defects)
+            gbar = disorder.renormalized_coupling(p.g, p.n_spins, m)
+            gamma_bar = bogoliubov.normal_modes(replace(p, g=gbar)).gamma
+            report = disorder.disorder_xi_perturbative(p, ens)
             xi, ok = report.xi, all(report.validity)
         except disorder.CriticalSectorError:
             # the ED rows still stand at the critical point; the formula has none
             xi, ok = None, False
         except ValueError as exc:
-            raise ConfigError(f"fig6 N={p.n_spins}: {exc}") from exc
+            raise ConfigError(f"fig6 {label}: {exc}") from exc
+        layout = build_basis(p.n_spins + m, 0, (p.n_spins, *runs))
+        points.append((label, {"n_clean": p.n_spins, "fraction": f}, (p, ens, gamma_bar), layout))
         xis.append(xi)
         valid.append(ok)
     analytic = {
@@ -562,8 +607,10 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
     p = _model(cfg, n_spins=cfg["model"].get("n_spins", 6))
     if p.n_spins < 2:
         raise ConfigError(f"fig7 needs model.n_spins >= 2 for the Ising ring, got {p.n_spins}")
+    # the ring, the coupling and the quadrature commute with translation: k = 0
+    layout = build_basis(p.n_spins, 0, k0=True)
     points = [
-        (f"eta={eta:g}", {"eta": eta}, (p, eta, *_checked("ising", _fig7_mode, p, eta)))
+        (f"eta={eta:g}", {"eta": eta}, (p, eta, *_checked("ising", _fig7_mode, p, eta)), layout)
         for eta in (float(v) for v in _grid(cfg["grids"]["eta"], "eta"))
     ]
     return _run_ed(cfg, jobs, _fig7_point, points, "xi", _meta(cfg))

@@ -9,10 +9,10 @@ first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bogoliubov import normal_modes
-from .core import DickeParams, _require, finite_real, integer_at_least
+from .core import DickeParams, finite_real, integer_at_least
 
 # A defect is flagged non-perturbative when alpha*cos(gammabar)*g' exceeds
 # this fraction of |omega'|.
@@ -83,11 +83,11 @@ class PerturbativeReport:
 
 def renormalized_coupling(g: float, n_clean: int, m: int) -> float:
     """Collective coupling seen by the clean spins: gbar = g*sqrt(N/(N+m)).
-    ValueError unless g is a finite real number and N, m are whole counts."""
+    ValueError unless g is a finite real number, N an integer >= 1 and m
+    one >= 0."""
     g = finite_real("g", g)
-    n_clean = integer_at_least("n_clean", n_clean, -math.inf)
-    m = integer_at_least("m", m, -math.inf)
-    _require(n_clean >= 1 and m >= 0, "need n_clean >= 1 and m >= 0")
+    n_clean = integer_at_least("n_clean", n_clean, 1)
+    m = integer_at_least("m", m, 0)
     return g * math.sqrt(n_clean / (n_clean + m))
 
 
@@ -105,7 +105,7 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
     disorder degrades the squeezing in proportion to the dilution m/(N+m).
     ValueError where a term overflows double precision.
     """
-    modes = normal_modes(p, g_renormalized=renormalized_coupling(p.g, d.n_clean, d.m))
+    modes = normal_modes(replace(p, g=renormalized_coupling(p.g, d.n_clean, d.m)))
     eps, gamma = modes.eps_minus, modes.gamma
     if eps <= 0.0:
         raise CriticalSectorError(

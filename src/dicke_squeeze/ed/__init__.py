@@ -11,11 +11,9 @@ from .hamiltonians import (
     SparseHamiltonian,
     build_dicke_hamiltonian,
     build_hopfield_hamiltonian,
-    parity_diagonal,
 )
 from .quadratures import (
     QuadratureOperator,
-    expectation_symmetric,
     hopfield_p_minus,
     p_d,
     p_minus_k0,
@@ -23,7 +21,6 @@ from .quadratures import (
     s_tilde_y,
     total_spin_expectation,
     variance,
-    variance_symmetric,
 )
 from .solver import (
     ConvergenceError,
@@ -42,17 +39,14 @@ __all__ = [
     "build_basis",
     "build_dicke_hamiltonian",
     "build_hopfield_hamiltonian",
-    "expectation_symmetric",
     "ground_state",
     "hopfield_p_minus",
     "lowest_eigenvalues",
     "p_d",
     "p_minus_k0",
     "p_tilde_minus",
-    "parity_diagonal",
     "s_tilde_y",
     "thermal_variance",
     "total_spin_expectation",
     "variance",
-    "variance_symmetric",
 ]

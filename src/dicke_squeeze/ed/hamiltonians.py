@@ -259,7 +259,9 @@ class SparseHamiltonian(KronSum):
 
     @functools.cached_property
     def parity(self) -> np.ndarray:
-        return _parity(self.terms[0][1].bits.size, self.terms[0][2].bits)
+        _, left, right = self.terms[0]
+        levels = np.arange(left.bits.size)[:, None]
+        return np.where((levels + right.bits) % 2 == 0, 1.0, -1.0).ravel()
 
     def parity_blocks(self) -> Iterator[tuple[np.ndarray, ParityBlock]]:
         """(index, block) of the nonempty even and odd blocks, in that order:
@@ -442,16 +444,3 @@ def build_hopfield_hamiltonian(
         terms.append((p.a2_coeff, a.x2, b.identity))
     return SparseHamiltonian(tuple(terms))
 
-
-def _parity(left_dim: int, bits: np.ndarray) -> np.ndarray:
-    return np.where((np.arange(left_dim)[:, None] + bits) % 2 == 0, 1.0, -1.0).ravel()
-
-
-def parity_diagonal(basis: BasisDescriptor) -> np.ndarray:
-    """Diagonal (+-1) of the conserved parity (-1)^(n + number of up spins).
-
-    All Hamiltonians built here (ideal, disordered, Ising-coupled) commute
-    with it: the coupling flips one spin while shifting n by one, and the
-    Ising term flips spins in pairs.
-    """
-    return _parity(basis.boson_dim, spin_factors(basis).bits)

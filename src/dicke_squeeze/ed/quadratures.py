@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import scipy.sparse as sp
-
 from ..core import finite_real
 from .basis import BasisDescriptor
 from .hamiltonians import KronSum, boson_factors, spin_factors, two_boson_factors
@@ -108,18 +105,6 @@ def variance(gs: GroundStateResult, q: QuadratureOperator) -> float:
         raise ValueError(f"dimension mismatch: operator {q.dim}, state {gs.vector.size}")
     mv = q.apply(gs.vector)
     return float(mv @ mv)
-
-
-def expectation_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
-    """<v|S|v> for a real-symmetric sparse operator."""
-    return float(vector @ (op @ vector))
-
-
-def variance_symmetric(vector: np.ndarray, op: sp.spmatrix) -> float:
-    """Variance of a real-symmetric observable in a real state."""
-    sv = op @ vector
-    mean = float(vector @ sv)
-    return float(sv @ sv) - mean * mean
 
 
 def total_spin_expectation(gs: GroundStateResult, basis: BasisDescriptor) -> float:

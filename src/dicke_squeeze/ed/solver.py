@@ -2,14 +2,13 @@
 
 A SparseHamiltonian is solved block by block (even, odd), each block built
 from its Kronecker factors in the block's own coordinates
-(``SparseHamiltonian.parity_blocks``); a plain sparse matrix enters as one
-block. Each block's lowest eigenpair comes from a direct solve on its band up
-to DENSE_DIM_LIMIT and from ARPACK's implicitly restarted Lanczos
-(``scipy.sparse.linalg.eigsh``) above it, on a CSR matrix built from the
-block's entries at each call. The
-flat index is boson-major (n * spin_dim + s): the coupling links n to n +- 1
-and everything else stays inside one n, so every block is a band matrix of
-small half-bandwidth b (7 for fig3 at N = 12, 10 for fig7, 14 for the
+(``SparseHamiltonian.parity_blocks``). Each block's lowest eigenpair comes
+from a direct solve on its band up to DENSE_DIM_LIMIT and from ARPACK's
+implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) above it, on a
+CSR matrix built from the block's entries at each call. The flat index is
+boson-major (n * spin_dim + s): the coupling links n to n +- 1 and
+everything else stays inside one n, so every block is a band matrix of small
+half-bandwidth b (7 for fig3 at N = 12, 10 for fig7, 14 for the
 Hopfield model at n_max = 25). The direct solve reads the block in LAPACK's
 band storage (``ParityBlock.band``: each term's unit band, prepared once per
 layout, scaled and summed) and finds the lowest level by shifted inverse iteration
@@ -149,11 +148,6 @@ class GroundStateResult:
     gap: float
     near_degenerate: bool = False
     norm: float = 1.0
-
-
-def as_hamiltonian(h) -> SparseHamiltonian:
-    """``h`` itself, or a plain sparse matrix as a one-block Hamiltonian."""
-    return h if isinstance(h, SparseHamiltonian) else SparseHamiltonian.from_matrix(h)
 
 
 def matrix_inf_norm(mat: sp.spmatrix) -> float:
@@ -322,8 +316,10 @@ def _block_lowest(item, method: str, tol: float):
     return index, GroundStateResult(energy, v, residual, matvecs, path, np.inf, norm=norm)
 
 
-def ground_state(h, tol: float = DEFAULT_TOL, method: str = "auto") -> GroundStateResult:
-    """Lowest eigenpair of ``h`` (SparseHamiltonian or sparse matrix).
+def ground_state(
+    h: SparseHamiltonian, tol: float = DEFAULT_TOL, method: str = "auto"
+) -> GroundStateResult:
+    """Lowest eigenpair of ``h``.
 
     Each parity block (``SparseHamiltonian.parity_blocks``) gives its lowest
     eigenpair: method "auto" solves a block of dim <= DENSE_DIM_LIMIT
@@ -342,7 +338,6 @@ def ground_state(h, tol: float = DEFAULT_TOL, method: str = "auto") -> GroundSta
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     tol = real_at_least("tol", tol, 0.0, strict=True)
-    h = as_hamiltonian(h)
     solve = functools.partial(_block_lowest, method=method, tol=tol)
     # map keeps no block once it is solved: one block's entries at a time
     lowest = list(map(solve, h.parity_blocks()))
@@ -364,12 +359,11 @@ def ground_state(h, tol: float = DEFAULT_TOL, method: str = "auto") -> GroundSta
     )
 
 
-def lowest_eigenvalues(h, k: int) -> np.ndarray:
+def lowest_eigenvalues(h: SparseHamiltonian, k: int) -> np.ndarray:
     """The k lowest eigenvalues of the whole matrix, each level as often as
     its multiplicity: the k lowest of each parity block from LAPACK's band
     reduction (``eig_banded``, O(n^2 b)), merged. ValueError unless k is an
     integer in 1..dim."""
-    h = as_hamiltonian(h)
     k = integer_at_least("k", k, 1)
     if k > h.dim:
         raise ValueError(f"k must be in 1..{h.dim}")

@@ -24,7 +24,8 @@ import scipy.linalg as la
 
 from ..core import real_at_least
 from .quadratures import QuadratureOperator, variance
-from .solver import as_hamiltonian, ground_state
+from .hamiltonians import SparseHamiltonian
+from .solver import ground_state
 
 # refuse dense decompositions beyond this size; a block of b states takes
 # 2*b^2*8 bytes, 1.6 GB for two blocks of 10000 and 6.4 GB for one of 20000
@@ -43,7 +44,7 @@ TAIL_BOUND = 1e-10
 BOLTZMANN_WINDOW = 40.0
 
 
-def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
+def thermal_variance(h: SparseHamiltonian, q: QuadratureOperator, temperature: float) -> float:
     """Gibbs-weighted variance of the observable i*M at the given temperature.
 
     Each parity block (``SparseHamiltonian.parity_blocks``) is diagonalized
@@ -59,7 +60,6 @@ def thermal_variance(h, q: QuadratureOperator, temperature: float) -> float:
     real number >= 0 is a ValueError.
     """
     temperature = real_at_least("temperature", temperature, 0.0)
-    h = as_hamiltonian(h)
     dim = h.dim
     if q.dim != dim:
         raise ValueError(f"dimension mismatch: operator {q.dim}, matrix {dim}")

@@ -50,26 +50,20 @@ class IsingParams:
 
 @dataclass(frozen=True)
 class MagnonMode:
-    """Magnon data at one momentum; the coupled-mode fields are filled only by
-    ``dicke_ising_modes``."""
+    """Normal-mode data of one momentum sector (``dicke_ising_modes``)."""
 
     k: float
     E_k: float
-    g_tilde_k: float | None = None
-    eps_minus_k: float | None = None
-    eps_plus_k: float | None = None
-    gamma_k: float | None = None
+    g_tilde_k: float
+    eps_minus_k: float
+    eps_plus_k: float
+    gamma_k: float
 
 
 def magnon_energy(ip: IsingParams, k: float) -> float:
     """Leading-order magnon dispersion E_k = omega0*(1 + 2 eta cos k);
     ValueError unless k is a finite real number."""
     return ip.omega0 * (1.0 + 2.0 * ip.eta * math.cos(finite_real("k", k)))
-
-
-def magnon_spectrum(ip: IsingParams, k: float) -> MagnonMode:
-    """Magnon energy at momentum k, to leading order in eta."""
-    return MagnonMode(k=k, E_k=magnon_energy(ip, k))
 
 
 def coupling_k(ip: IsingParams, k: float) -> float:

@@ -15,7 +15,6 @@ from dicke_squeeze import (
     cli,
     disorder_xi_perturbative,
     critical_coupling_k,
-    magnon_spectrum,
     mixing_angle_k,
     normal_modes,
     renormalized_coupling,
@@ -38,7 +37,7 @@ from dicke_squeeze.ed import (
     variance,
 )
 from dicke_squeeze.ed.operators import boson_x, spin_flip_total
-from dicke_squeeze.ed.quadratures import expectation_symmetric
+from dicke_squeeze.ising import magnon_energy
 
 
 def _report(label, ok, detail=""):
@@ -186,8 +185,6 @@ def test_criterion_06_finite_size_variances():
 def test_criterion_07_two_boson_oracle():
     import scipy.sparse as sp
 
-    from dicke_squeeze.ed.quadratures import variance_symmetric
-
     n_max = 80
     worst_var = 0.0
     worst_gap = 0.0
@@ -211,10 +208,10 @@ def test_criterion_07_two_boson_oracle():
             math.cos(modes.gamma) * sp.kron(boson_x(n_max) / math.sqrt(2), eye)
             - math.sin(modes.gamma) * sp.kron(eye, boson_x(n_max) / math.sqrt(2))
         ).tocsr()
-        worst_anti = max(
-            worst_anti,
-            abs(variance_symmetric(gs.vector, q_minus) - 1 / (2 * modes.eps_minus)),
-        )
+        qv = q_minus @ gs.vector
+        mean = float(gs.vector @ qv)
+        var_q = float(qv @ qv) - mean * mean
+        worst_anti = max(worst_anti, abs(var_q - 1 / (2 * modes.eps_minus)))
     ok = worst_var < 1e-5 and worst_gap < 1e-5 and worst_anti < 1e-5
     _report(
         "07 two-boson oracle",
@@ -240,7 +237,7 @@ def _disorder_ed_xi(n_clean, defects, g, n_max, tol=1e-10, collective=False):
     ens = DisorderEnsemble(n_clean, defects)
     p = DickeParams(1.0, 1.0, g, n_clean)
     gbar = renormalized_coupling(g, n_clean, ens.m)
-    gamma_bar = normal_modes(DickeParams(1.0, 1.0, g), g_renormalized=gbar).gamma
+    gamma_bar = normal_modes(DickeParams(1.0, 1.0, gbar)).gamma
     basis = build_basis(n_clean + ens.m, n_max, (n_clean,) if collective else ())
     h = build_dicke_hamiltonian(p, basis, disorder=ens)
     gs = ground_state(h, tol=tol)
@@ -336,7 +333,7 @@ def test_criterion_09b_ising_monotone_saturation():
     for eta in etas:
         ip = IsingParams(eta=float(eta), omega0=1.0, dispersion=1.0, g=0.5, n_spins=6)
         gamma0 = mixing_angle_k(ip, 0.0)
-        e0 = magnon_spectrum(ip, 0.0).E_k
+        e0 = magnon_energy(ip, 0.0)
         per_truncation = {}
         for n_max in (40, 50):
             basis = build_basis(6, n_max)
@@ -397,14 +394,9 @@ def test_criterion_10_structural_invariants(tmp_path):
     basis = build_basis(3, 30)
     h = build_dicke_hamiltonian(DickeParams(1, 1, 0.45, 3), basis)
     gs = ground_state(h)
-    x_expect = abs(
-        expectation_symmetric(gs.vector, sp.kron(boson_x(30), sp.identity(basis.spin_dim)))
-    )
-    sx_expect = abs(
-        expectation_symmetric(
-            gs.vector, sp.kron(sp.identity(basis.boson_dim), 0.5 * spin_flip_total(basis))
-        )
-    )
+    v = gs.vector
+    x_expect = abs(v @ (sp.kron(boson_x(30), sp.identity(basis.spin_dim)) @ v))
+    sx_expect = abs(v @ (sp.kron(sp.identity(basis.boson_dim), 0.5 * spin_flip_total(basis)) @ v))
     spin_dev = abs(total_spin_expectation(gs, basis) - 1.5 * 2.5)
 
     # CSV determinism

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -18,11 +19,11 @@ from dicke_squeeze import (
     normal_modes,
     squeezing_ratio_ground,
     superradiant_modes,
+    thermal_squeezing_map,
     thermal_squeezing_ratio,
-    thermal_squeezing_ratios,
 )
 from dicke_squeeze import bogoliubov, cli, core
-from dicke_squeeze.bogoliubov import _effective_boson, thermal_squeezing_map
+from dicke_squeeze.bogoliubov import _effective_boson
 from dicke_squeeze.core import critical_coupling, squared
 from dicke_squeeze.ising import (
     IsingParams,
@@ -66,24 +67,9 @@ class TestNormalModes:
             normal_modes(DickeParams(1, 1, 0.51))
 
     def test_renormalized_coupling_passthrough(self):
-        m = normal_modes(DickeParams(1, 1, 0.9), g_renormalized=0.3)
+        # a renormalized coupling enters as the instance with g = gbar
+        m = normal_modes(dataclasses.replace(DickeParams(1, 1, 0.9), g=0.3))
         assert m.eps_minus == pytest.approx(math.sqrt(1 - 0.6), abs=1e-15)
-
-    @pytest.mark.parametrize(
-        "g, message",
-        [
-            # nan and inf read as an overflow of the mode energies
-            (math.nan, "g_renormalized must be finite"),
-            (math.inf, "g_renormalized must be finite"),
-            # a bare TypeError
-            ("0.1", "g_renormalized must be a real number"),
-            (True, "g_renormalized must be a real number"),
-            (-0.1, "g must be >= 0"),
-        ],
-    )
-    def test_bad_renormalized_coupling_rejected(self, g, message):
-        with pytest.raises(ValueError, match=message):
-            normal_modes(DickeParams(1, 1, 0.3), g_renormalized=g)
 
     def test_trace_and_determinant_identities(self):
         # 1e4 random draws across detuning and squared-displacement values
@@ -355,7 +341,7 @@ class TestThermal:
         # within _CRITICAL_CLAMP above g_c the soft mode reads 0, in the
         # thermal map as in normal_modes
         p = DickeParams(1, 1, 0.5 * (1.0 + 1e-13))
-        assert thermal_squeezing_ratios(p, [0.0, 0.1]) == [0.0, math.inf]
+        assert thermal_squeezing_map([p], [0.0, 0.1]).tolist() == [[0.0, math.inf]]
 
     def test_superradiant_rejected(self):
         with pytest.raises(SuperradiantInputError):
@@ -386,7 +372,7 @@ class TestBatchedThermal:
         g = fraction * math.sqrt(omega * omega0 / 4.0 + a2_coeff * omega0)
         p = DickeParams(omega, omega0, g, a2_coeff=a2_coeff)
         assume(classify_phase(p) is not PhaseLabel.SUPERRADIANT)
-        batched = thermal_squeezing_ratios(p, temps)
+        batched = thermal_squeezing_map([p], temps)[0].tolist()
         assert batched == [thermal_squeezing_ratio(p, t).xi for t in temps]
         # and both follow the closed form, coth written through tanh here
         eps = normal_modes(p).eps_minus
@@ -403,23 +389,20 @@ class TestBatchedThermal:
         # 2T overflows, so eps/(2T) = 0: xi -> 2T/min(omega, omega0), inf where
         # that overflows too; T = inf itself is rejected (test below)
         assert thermal_squeezing_ratio(DickeParams(1, 1, 0.3), 1e308).xi == math.inf
-        assert thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e308, sys.float_info.max]) == [
-            2e307,
-            2.0 * (sys.float_info.max / 10.0),
-        ]
+        xis = thermal_squeezing_map([DickeParams(10, 10, 3)], [1e308, sys.float_info.max])
+        assert xis.tolist() == [[2e307, 2.0 * (sys.float_info.max / 10.0)]]
         # the largest T below the underflow still takes the closed form
-        xi = thermal_squeezing_ratios(DickeParams(10, 10, 3), [1e300])[0]
+        xi = thermal_squeezing_map([DickeParams(10, 10, 3)], [1e300])[0, 0]
         assert xi == pytest.approx(2e299, rel=1e-12)
 
     def test_zero_temperature_and_critical_point(self):
-        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), [0.0, 0.0]) == [0.5, 0.5]
-        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.5), [0.0, 0.1, 2.0]) == [
-            0.0,
-            math.inf,
-            math.inf,
+        resonant, critical = [DickeParams(1, 1, 0.375)], [DickeParams(1, 1, 0.5)]
+        assert thermal_squeezing_map(resonant, [0.0, 0.0]).tolist() == [[0.5, 0.5]]
+        assert thermal_squeezing_map(critical, [0.0, 0.1, 2.0]).tolist() == [
+            [0.0, math.inf, math.inf]
         ]
-        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), []) == []
-        assert thermal_squeezing_ratios(DickeParams(1, 1, 0.375), iter([0.0])) == [0.5]
+        assert thermal_squeezing_map(resonant, []).tolist() == [[]]
+        assert thermal_squeezing_map(resonant, iter([0.0])).tolist() == [[0.5]]
 
     @pytest.mark.parametrize(
         "g, temperature, error, message",
@@ -449,14 +432,14 @@ class TestBatchedThermal:
         with pytest.raises(error, match=message) as scalar:
             thermal_squeezing_ratio(p, temperature)
         with pytest.raises(error, match=message) as batched:
-            thermal_squeezing_ratios(p, [0.2, temperature])
+            thermal_squeezing_map([p], [0.2, temperature])
         with pytest.raises(error, match=message) as mapped:
             thermal_squeezing_map([DickeParams(1, 1, 0.3), p], [0.2, temperature])
         assert type(scalar.value) is type(batched.value) is type(mapped.value)
 
     def test_numpy_scalar_temperatures_accepted(self):
         p = DickeParams(1, 1, 0.3)
-        xis = thermal_squeezing_ratios(p, [np.float64(0.2), np.int64(1)])
+        xis = thermal_squeezing_map([p], [np.float64(0.2), np.int64(1)])[0].tolist()
         assert xis == [thermal_squeezing_ratio(p, 0.2).xi, thermal_squeezing_ratio(p, 1.0).xi]
         assert thermal_squeezing_ratio(p, np.float64(0.2)).xi == xis[0]
 
@@ -558,7 +541,7 @@ def _ref_pair_modes(w_a, w_b, g):
 
 
 def _ref_normal_modes(p):
-    wt, gt = _effective_boson(p, p.g)
+    wt, gt = _effective_boson(p)
     em_sq, ep_sq, gamma = _ref_pair_modes(wt, p.omega0, gt)
     if em_sq < 0.0:
         raise SuperradiantInputError("superradiant input")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from dicke_squeeze import (
 )
 from dicke_squeeze import cli
 from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, ground_state, hamiltonians
+from dicke_squeeze.ed import basis as basis_module
 from dicke_squeeze.ed.hamiltonians import KronSum
 
 
@@ -149,6 +151,34 @@ class TestConfig:
         for count in (2.7, -1, True, "3", math.inf):
             with pytest.raises(cli.ConfigError, match="count must be an integer >= 0"):
                 cli._grid({"min": 0, "max": 1, "count": count}, "x")
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"kt_over_omega": {"min": 0.01, "max": 0.6, "count": 10**13}},
+            # each grid fits, their product of 1.08e6 points does not
+            {"gc_minus_g_over_omega": {"min": 0.0, "max": 0.45, "count": 2250},
+             "kt_over_omega": {"min": 0.01, "max": 0.6, "count": 240}},
+        ],
+        ids=["count", "product"],
+    )
+    def test_grid_points_are_bounded_before_any_grid(self, tmp_path, capsys, grids):
+        # a count of 10**13 ended in an uncaught _ArrayMemoryError from linspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": {"omega0_over_omega": [1.0, 2.0], **grids}}))
+        out = tmp_path / "fig4.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["fig4", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**20
+        assert capsys.readouterr().err.startswith(
+            "error: grid 'kt_over_omega': the grids would hold more than "
+            f"MAX_GRID_POINTS = {cli.MAX_GRID_POINTS} points"
+        )
+        assert not out.exists()
 
     def test_pool_holds_no_more_workers_than_tasks(self, monkeypatch):
         import multiprocessing
@@ -922,6 +952,54 @@ class TestEDPresets:
         assert err.startswith(f"error: bad disorder parameters: {bound}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, user_cfg, error",
+        [
+            ("fig7", {"model": {"n_spins": 64}},
+             f"fig7 eta=0: more than MAX_SPIN_STATES = {2**20} spin states"),
+            ("fig3", {"ed": {"n_max": [10**13]}},
+             f"fig3 N=1 n_max={10**13}: a basis of more than MAX_ED_DIM = {2**20} states"),
+            # 24 distinct defects, each a site of its own: (N + 1) 2^24 states
+            ("fig6", _random_defects(m=24),
+             f"fig6 N=1: more than MAX_SPIN_STATES = {2**20} spin states"),
+        ],
+        ids=["fig7-ring", "fig3-n_max", "fig6-defects"],
+    )
+    def test_ed_point_size_is_bounded_before_any_basis(
+        self, tmp_path, capsys, monkeypatch, experiment, user_cfg, error
+    ):
+        # the ring of 64 spins, and n_max = 10**13, ran out of memory listing
+        # the basis; a fig7 ring of 26 spins would fill an 8 GB host
+        def refuse(*args):
+            raise AssertionError("a basis listed or a task run")
+
+        monkeypatch.setattr(basis_module, "translation_orbits", refuse)
+        monkeypatch.setattr(cli, "_run_tasks", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user_cfg))
+        out = tmp_path / f"{experiment}.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main([experiment, "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**20
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_ed_bounds_hold_at_their_edge(self):
+        # 2^20 states pass each bound, and more do not; on the ring its 2^N
+        # masks count, judged before any is listed
+        cli._ed_bounds("N=1", build_basis(1, 0), 2**19 - 1)
+        with pytest.raises(cli.ConfigError, match="MAX_ED_DIM"):
+            cli._ed_bounds("N=1", build_basis(1, 0), 2**19)
+        with pytest.raises(cli.ConfigError, match="MAX_ED_DIM"):
+            cli._ed_bounds("N=20", build_basis(20, 0), 1)
+        for layout in (build_basis(21, 0), build_basis(21, 0, k0=True)):
+            with pytest.raises(cli.ConfigError, match="MAX_SPIN_STATES"):
+                cli._ed_bounds("N=21", layout, 1)
+
     def test_fig6_without_defects_at_critical_coupling(self, tmp_path, capsys):
         # m = 0 leaves gbar = g = g_c, where the perturbative column is
         # undefined: the ED rows stay, the analytic row has an empty xi
@@ -948,14 +1026,20 @@ class TestEDPresets:
         assert err.startswith("error: fig6 N=1: ") and "superradiant input" in err
         assert not out.exists()
 
-    def test_fig6_equal_defects_form_one_block(self):
+    def test_fig6_equal_defects_form_one_block(self, monkeypatch):
         # each run of equal defects is one collective spin; distinct ones
         # stay sites: N = 6, n_max = 50
-        p = DickeParams(1.0, 1.0, 0.5, 6)
         a, b = (2.1, 2.0), (1.5, 2.0)
+        cfg = cli.resolve_config("fig6", {"grids": {"n_clean": [6]}})
+        points = []
+        monkeypatch.setattr(cli, "_run_ed", lambda cfg, jobs, point, pts, *rest: points.extend(pts))
         for defects, dim in (((a,) * 3, 7 * 4 * 51), ((a, a, b), 7 * 3 * 2 * 51),
                              ((a, b, a), 7 * 8 * 51)):
-            h, _ = cli._fig6_point(p, defects, 50)
+            monkeypatch.setattr(cli, "_fig6_defects", lambda cfg: defects)
+            points.clear()
+            cli.run_fig6(cfg)
+            (_, _, args, layout), = points
+            h, _ = cli._fig6_point(*args, dataclasses.replace(layout, n_max=50))
             assert h.dim == dim
 
     @pytest.mark.parametrize("experiment", ["fig3", "fig4", "fig6", "fig7"])

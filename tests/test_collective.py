@@ -23,7 +23,6 @@ from dicke_squeeze.ed import (
     p_d,
     p_minus_k0,
     p_tilde_minus,
-    parity_diagonal,
     s_tilde_y,
     thermal_variance,
     total_spin_expectation,
@@ -175,9 +174,10 @@ def test_parity_block_oracle_matches_full_spectrum(omega0, g_fraction, temperatu
     h = build_hopfield_hamiltonian(p, n_max, n_max)
     q = hopfield_p_minus(n_max, n_max, 1.0, omega0, normal_modes(p).gamma)
     energies, vectors = la.eigh(h.matrix.toarray())
+    plain = SparseHamiltonian.from_matrix(h.matrix)
     if math.exp(-(energies[-1] - energies[0]) / temperature) >= TAIL_BOUND:
         # the truncation holds too little of the Gibbs state: both forms refuse
-        for op in (h, h.matrix):
+        for op in (h, plain):
             with pytest.raises(ValueError, match="tail bound violated"):
                 thermal_variance(op, q, temperature)
         return
@@ -185,7 +185,7 @@ def test_parity_block_oracle_matches_full_spectrum(omega0, g_fraction, temperatu
     mv = q.matrix @ vectors
     full = float((weights / weights.sum()) @ np.einsum("ij,ij->j", mv, mv))
     assert thermal_variance(h, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
-    assert thermal_variance(h.matrix, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
+    assert thermal_variance(plain, q, temperature) == pytest.approx(full, rel=0.0, abs=1e-12)
 
 
 def test_boltzmann_window_matches_full_spectrum():
@@ -206,9 +206,16 @@ def test_boltzmann_window_matches_full_spectrum():
         weights = np.exp(-(energies - energies[0]) / temperature)
         xi_full = float((weights / weights.sum()) @ moments) / ref
         # H's factors, one plain block, and the plain matrix's two parity blocks
-        for ham in (h, h.matrix, SparseHamiltonian.from_matrix(h.matrix, h.parity)):
+        for ham in (h, SparseHamiltonian.from_matrix(h.matrix),
+                    SparseHamiltonian.from_matrix(h.matrix, h.parity)):
             xi = thermal_variance(ham, q, temperature) / ref
             assert xi == pytest.approx(xi_full, rel=0.0, abs=1e-12)
+
+
+def _parity(basis):
+    """(-1)^(n + up count) at the flat index n * spin_dim + s of ``basis``."""
+    ups = spin_z_values(basis) + 0.5 * basis.n_spins
+    return np.where((np.arange(basis.boson_dim)[:, None] + ups) % 2 == 0, 1.0, -1.0).ravel()
 
 
 def test_spin_builders_carry_the_conserved_parity():
@@ -235,7 +242,7 @@ def test_spin_builders_carry_the_conserved_parity():
         (build_dicke_hamiltonian(p, ring), ring),
     ]
     for h, basis in built:
-        assert np.array_equal(h.parity, parity_diagonal(basis))
+        assert np.array_equal(h.parity, _parity(basis))
         # conserved: H has no entry between the two parity sectors
         assert np.all(np.outer(h.parity, h.parity)[h.matrix.nonzero()] > 0)
 
@@ -279,14 +286,14 @@ class TestLayout:
         h_product = build_dicke_hamiltonian(p, product).matrix
         h_single = build_dicke_hamiltonian(p, single).matrix
         assert (h_product != h_single).nnz == 0
-        assert np.array_equal(parity_diagonal(product), parity_diagonal(single))
+        assert np.array_equal(_parity(product), _parity(single))
 
     def test_parity_counts_block_and_explicit_ups(self):
         basis = build_basis(3, 1, (2,))
         # spin index s = e * 3 + k: up count k + e
         ups = np.array([0, 1, 2, 1, 2, 3])
         expected = np.concatenate([(-1.0) ** ups, (-1.0) ** (ups + 1)])
-        assert np.array_equal(parity_diagonal(basis), expected)
+        assert np.array_equal(_parity(basis), expected)
 
     @pytest.mark.parametrize(
         "n_spins, blocks",
@@ -353,7 +360,7 @@ class TestLayout:
     def test_k0_ring_dims(self):
         assert [build_basis(n, 0, k0=True).spin_dim for n in (2, 6, 10, 12)] == [3, 14, 108, 352]
         # fig7 default at N = 6, n_max = 50: parity blocks of 358 and 356
-        parity = parity_diagonal(build_basis(6, 50, k0=True))
+        parity = _parity(build_basis(6, 50, k0=True))
         assert parity.size == 714
         assert np.count_nonzero(parity > 0) == 358
         assert np.count_nonzero(parity < 0) == 356
@@ -401,7 +408,7 @@ class TestLayout:
         assert reps.tolist() == [0, 1, 3, 5, 7, 15]
         ups = np.array([0, 1, 2, 2, 3, 4])
         expected = np.concatenate([(-1.0) ** ups, (-1.0) ** (ups + 1)])
-        assert np.array_equal(parity_diagonal(basis), expected)
+        assert np.array_equal(_parity(basis), expected)
 
     def test_k0_rejects_collective_block_and_unequal_weights(self):
         with pytest.raises(ValueError, match="k = 0"):

@@ -29,10 +29,11 @@ def test_renormalized_coupling_values():
         (0.3, math.nan, 1, "n_clean must be an integer"),
         (0.3, 4, 1.5, "m must be an integer"),
         (0.3, 4, True, "m must be an integer"),
-        (0.3, 0, 1, "need n_clean >= 1 and m >= 0"),
-        (0.3, 4, -1, "need n_clean >= 1 and m >= 0"),
+        # each count is held to its own minimum, not to -inf
+        (0.3, 0, 1, "n_clean must be an integer >= 1, got 0"),
+        (0.3, 4, -1, "m must be an integer >= 0, got -1"),
         # a whole numpy count is read as one, then held to the range
-        (0.3, np.int64(0), 1, "need n_clean >= 1 and m >= 0"),
+        (0.3, np.int64(0), 1, "n_clean must be an integer >= 1"),
         # a count that is no number is named, not compared
         (0.3, "4", 1, "n_clean must be an integer"),
         (0.3, 4, None, "m must be an integer"),
@@ -101,7 +102,7 @@ def test_decoupled_defects_pin_only():
     defects = tuple((1.5, 0.0) for _ in range(m))
     report = disorder_xi_perturbative(DickeParams(1, 1, 0.3), DisorderEnsemble(n, defects))
     gbar = renormalized_coupling(0.3, n, m)
-    eps = normal_modes(DickeParams(1, 1, 0.3), g_renormalized=gbar).eps_minus
+    eps = normal_modes(DickeParams(1, 1, gbar)).eps_minus
     assert report.term_coupling == 0.0
     assert report.xi == pytest.approx(eps + 0.5 * m / (n + m), rel=1e-13)
 
@@ -185,7 +186,7 @@ class TestPerturbativityCheck:
         p = DickeParams(1, 1, 0.45)
         d = DisorderEnsemble(12, ((2.0, 0.1), (0.3, 1.5)))
         report = disorder_xi_perturbative(p, d)
-        gamma = normal_modes(p, g_renormalized=renormalized_coupling(0.45, 12, 2)).gamma
+        gamma = normal_modes(DickeParams(1, 1, renormalized_coupling(0.45, 12, 2))).gamma
         bound = report.alpha * math.cos(gamma)
         assert report.validity == tuple(bound * gp <= 0.1 * abs(w) for w, gp in d.defects)
         assert report.validity == (True, False)

@@ -23,19 +23,16 @@ from dicke_squeeze.ed import (
     build_basis,
     build_dicke_hamiltonian,
     build_hopfield_hamiltonian,
-    expectation_symmetric,
     ground_state,
     hopfield_p_minus,
     lowest_eigenvalues,
     p_d,
     p_minus_k0,
     p_tilde_minus,
-    parity_diagonal,
     s_tilde_y,
     thermal_variance,
     total_spin_expectation,
     variance,
-    variance_symmetric,
 )
 from dicke_squeeze.ed.solver import (
     DEFAULT_TOL,
@@ -283,7 +280,7 @@ class TestBuilders:
 class TestGroundState:
     def test_diagonal_matrix_dense(self):
         mat = sp.diags(np.array([3.0, -1.0, 2.0, 7.0])).tocsr()
-        gs = ground_state(mat)
+        gs = ground_state(SparseHamiltonian.from_matrix(mat))
         assert gs.energy == -1.0
         assert np.allclose(np.abs(gs.vector), [0, 1, 0, 0])
 
@@ -304,7 +301,7 @@ class TestGroundState:
         rng = np.random.default_rng(0)
         d = rng.permutation(np.arange(3000, dtype=float))
         mat = sp.diags(d).tocsr()
-        gs = ground_state(mat, method="lanczos")
+        gs = ground_state(SparseHamiltonian.from_matrix(mat), method="lanczos")
         assert gs.energy == pytest.approx(0.0, abs=1e-8)
         assert gs.method == "lanczos"
 
@@ -642,20 +639,20 @@ class TestBandSolve:
         # is exactly doubly degenerate
         basis = build_basis(4, 30, (4,))
         block = _blocks(build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis))[0]
-        h = sp.block_diag((block, block), format="csr")
-        assert h.shape[0] <= DENSE_DIM_LIMIT
+        mat = sp.block_diag((block, block), format="csr")
+        assert mat.shape[0] <= DENSE_DIM_LIMIT
         w, v = la.eigh(block.toarray(), subset_by_index=[0, 1])
         assert w[1] - w[0] > 1e-3
-        gs = ground_state(h)
+        gs = ground_state(SparseHamiltonian.from_matrix(mat))
         assert (gs.method, gs.iterations) == ("dense", 0)
-        assert gs.residual <= DEFAULT_TOL * matrix_inf_norm(h)
+        assert gs.residual <= DEFAULT_TOL * matrix_inf_norm(mat)
         assert gs.energy == pytest.approx(w[0], abs=1e-12)
         n = block.shape[0]
         in_space = np.hypot(v[:, 0] @ gs.vector[:n], v[:, 0] @ gs.vector[n:])
         assert in_space == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_blocks_are_exact(self):
-        one = ground_state(sp.csr_matrix([[2.5]]))
+        one = ground_state(SparseHamiltonian.from_matrix([[2.5]]))
         assert (one.energy, one.residual, one.method, one.iterations) == (2.5, 0.0, "dense", 0)
         assert np.array_equal(one.vector, [1.0])
         h = SparseHamiltonian.from_matrix(
@@ -733,9 +730,9 @@ class TestBandSolve:
         mat = build_dicke_hamiltonian(DickeParams(1, 1, 0.4, 4), basis).matrix.tolil()
         mat[3, 3] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ground_state(mat.tocsr())
+            ground_state(SparseHamiltonian.from_matrix(mat))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ground_state(sp.diags([1.0, bad, 2.0]).tocsr())
+            ground_state(SparseHamiltonian.from_matrix(sp.diags([1.0, bad, 2.0])))
 
     def test_lowest_eigenvalues_from_the_band(self):
         h = build_hopfield_hamiltonian(DickeParams(1, 1.3, 0.4), 15, 15)
@@ -902,8 +899,9 @@ class TestQuadratures:
         gs = ground_state(h)
         x_op = sp.kron(boson_x(30), sp.identity(basis.spin_dim))
         sx_op = sp.kron(sp.identity(basis.boson_dim), 0.5 * spin_flip_total(basis))
-        assert abs(expectation_symmetric(gs.vector, x_op)) < 1e-8
-        assert abs(expectation_symmetric(gs.vector, sx_op)) < 1e-8
+        v = gs.vector
+        assert abs(v @ (x_op @ v)) < 1e-8
+        assert abs(v @ (sx_op @ v)) < 1e-8
 
     def test_non_finite_weights_rejected(self):
         # a NaN or infinite weight would come back as a NaN variance
@@ -994,8 +992,8 @@ class TestHopfieldOracle:
         y_part = sp.kron(
             sp.identity(61, format="csr"), boson_x(60) / math.sqrt(2.0), format="csr"
         )
-        q_minus = (c * x_part - s * y_part).tocsr()
-        assert variance_symmetric(gs.vector, q_minus) == pytest.approx(
+        qv = (c * x_part - s * y_part) @ gs.vector
+        assert qv @ qv - (gs.vector @ qv) ** 2 == pytest.approx(
             1 / (2 * modes.eps_minus), rel=1e-5
         )
 
@@ -1048,15 +1046,15 @@ def test_hopfield_band_solve_matches_normal_modes(omega0, g_fraction):
             for k in range(8)
             if (-1) ** (j + k) == parity
         )
-        levels = lowest_eigenvalues(block, 4) - gs.energy
+        levels = lowest_eigenvalues(SparseHamiltonian.from_matrix(block), 4) - gs.energy
         assert np.allclose(levels, ladder[:4], rtol=0.0, atol=LADDER_ATOL)
     q_p = hopfield_p_minus(n_max, n_max, 1.0, omega0, modes.gamma)
     assert variance(gs, q_p) == pytest.approx(modes.eps_minus / 2.0, rel=VARIANCE_RTOL)
     c, s = math.cos(modes.gamma), math.sin(modes.gamma)
     x_a = sp.kron(boson_x(n_max), sp.identity(n_max + 1), format="csr") / math.sqrt(2.0)
     x_b = sp.kron(sp.identity(n_max + 1), boson_x(n_max), format="csr") / math.sqrt(2.0 * omega0)
-    x_minus = (c * x_a - s * x_b).tocsr()
-    assert variance_symmetric(gs.vector, x_minus) == pytest.approx(
+    xv = (c * x_a - s * x_b) @ gs.vector
+    assert xv @ xv - (gs.vector @ xv) ** 2 == pytest.approx(
         1.0 / (2.0 * modes.eps_minus), rel=VARIANCE_RTOL
     )
 

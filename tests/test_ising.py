@@ -9,10 +9,10 @@ from dicke_squeeze import (
     SuperradiantInputError,
     critical_coupling_k,
     dicke_ising_modes,
-    magnon_spectrum,
     mixing_angle_k,
     normal_modes,
 )
+from dicke_squeeze.ising import magnon_energy
 
 # |exact - leading| / eta^2 approaches 1/4 at resonance; 0.3 bounds the small
 # eta grid with margin (fitted once on eta in [0.01, 0.1] and frozen)
@@ -26,19 +26,18 @@ def _ip(eta, g=0.4, omega_k=1.0, omega0=1.0, n=6):
 class TestMagnonSpectrum:
     def test_degenerate_at_zero_coupling(self):
         for k in (0.0, 1.0, math.pi):
-            assert magnon_spectrum(_ip(0.0), k).E_k == 1.0
+            assert magnon_energy(_ip(0.0), k) == 1.0
 
     def test_node_at_half_pi(self):
         for eta in (-0.3, 0.1, 0.25):
-            assert magnon_spectrum(_ip(eta), math.pi / 2).E_k == pytest.approx(1.0, abs=1e-15)
+            assert magnon_energy(_ip(eta), math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_order_values(self):
-        mode = magnon_spectrum(_ip(0.1), 0.0)
-        assert mode.E_k == pytest.approx(1.2, abs=1e-15)
+        assert magnon_energy(_ip(0.1), 0.0) == pytest.approx(1.2, abs=1e-15)
 
     def test_ferromagnetic_minimum_at_zero_momentum(self):
         ip = _ip(-0.2)
-        energies = [magnon_spectrum(ip, k).E_k for k in np.linspace(0, math.pi, 20)]
+        energies = [magnon_energy(ip, k) for k in np.linspace(0, math.pi, 20)]
         assert energies[0] == min(energies)
 
 class TestDickeIsingModes:
@@ -195,7 +194,7 @@ class TestIsingParamsValidation:
         "field, value, message",
         [
             ("omega0", 0.0, "omega0 must be > 0"),
-            # a negative dispersion constructed, and magnon_spectrum answered
+            # a negative dispersion constructed, and the magnon energy answered
             ("dispersion", -1.0, "dispersion must be > 0"),
             ("dispersion", 0.0, "dispersion must be > 0"),
             ("g", -0.1, "g must be >= 0"),
@@ -208,7 +207,7 @@ class TestIsingParamsValidation:
             IsingParams(**kwargs)
 
     @pytest.mark.parametrize(
-        "reader", [magnon_spectrum, mixing_angle_k, dicke_ising_modes, critical_coupling_k]
+        "reader", [magnon_energy, mixing_angle_k, dicke_ising_modes, critical_coupling_k]
     )
     @pytest.mark.parametrize(
         "k, message",
@@ -216,7 +215,7 @@ class TestIsingParamsValidation:
          ("0.1", "k must be a real number")],
     )
     def test_bad_momentum_rejected(self, reader, k, message):
-        # magnon_spectrum gave E_k = nan, critical_coupling_k a bare math
+        # the magnon energy was nan, critical_coupling_k a bare math
         # domain error, and mixing_angle_k blamed double precision
         with pytest.raises(ValueError, match=message):
             reader(_ip(0.1), k)
