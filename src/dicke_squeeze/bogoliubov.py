@@ -9,7 +9,7 @@ Every closed-form mode is ``_pair_modes`` on its (a^2, b^2, cross): the two
 squared frequencies and the off-diagonal term. ``superradiant_modes`` calls it
 in the displaced frame; every normal-side pair, that of ``normal_modes`` and
 that of each momentum sector of the Ising chain (``ising._sector``), comes
-from ``_normal_pair``, after the range rule ``core.normal_product``.
+from ``_normal_pair``, with the one phase verdict ``core.beyond_critical``.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DickeParams, PhaseLabel, _require, classify_phase, critical_coupling, normal_product,
-    real_at_least, squared,
+    DickeParams, PhaseLabel, _normal_sector, _require, beyond_critical, classify_phase,
+    critical_coupling, real_at_least, squared,
 )
-
-# Relative floor below which a negative soft-mode energy squared is treated as
-# exactly critical rather than superradiant (guards rounding at g = g_c).
-_CRITICAL_CLAMP = 1e-12
 
 
 class SuperradiantInputError(ValueError):
@@ -67,41 +63,31 @@ def _pair_modes(a_sq: float, b_sq: float, cross: float) -> tuple[float, float, f
     eps_pm^2 = (a_sq + b_sq -+ hypot(b_sq - a_sq, cross))/2 and
     gamma = atan2(cross, b_sq - a_sq)/2, in [0, pi/2] for cross >= 0 so the
     minus mode connects to the softer oscillator as cross -> 0.
-    eps_minus_sq may come out negative; callers decide how to treat that,
-    but one within _CRITICAL_CLAMP of the total is rounding at criticality
-    and reads 0. ValueError where eps_plus^2 overflows: it bounds the total
-    and the radical it is summed from, so an overflow anywhere in them shows
+    A negative eps_minus_sq is rounding in every pair whose energies a caller
+    reads (a normal side at or below g_c, the displaced frame above it), and
+    reads 0. ValueError where eps_plus^2 overflows: it bounds the total and
+    the radical it is summed from, so an overflow anywhere in them shows
     here, where it would otherwise come out as a nan or inf mode energy.
     """
     diff = b_sq - a_sq
     total = a_sq + b_sq
     rad = math.hypot(diff, cross)
-    em_sq = 0.5 * (total - rad)
+    em_sq = max(0.5 * (total - rad), 0.0)
     ep_sq = 0.5 * (total + rad)
     if not math.isfinite(ep_sq):
         raise ValueError(
             "mode energies overflow double precision at "
             f"a^2={a_sq:g}, b^2={b_sq:g}, cross={cross:g}"
         )
-    if -_CRITICAL_CLAMP * total <= em_sq < 0.0:
-        em_sq = 0.0
     return em_sq, ep_sq, 0.5 * math.atan2(cross, diff)
 
 
 def _normal_pair(what: str, w: float, e: float, g: float, **shown: float):
-    """``_pair_modes`` on the normal side, (w^2, e^2, 4 g sqrt(w e)), once w*e
-    passes the range rule ``core.normal_product(what, w, e, **shown)``."""
-    we = normal_product(what, w, e, **shown)
-    return _pair_modes(w * w, e * e, 4.0 * g * math.sqrt(we))
-
-
-def _effective_boson(p: DickeParams) -> tuple[float, float]:
-    """Boson frequency and coupling after absorbing the squared-displacement
-    term: w_tilde = sqrt(omega*(omega+4D)), g_tilde = g/(1+4D/omega)^(1/4)."""
-    if p.a2_coeff == 0:
-        return p.omega, p.g
-    scale = 1.0 + 4.0 * p.a2_coeff / p.omega
-    return p.omega * math.sqrt(scale), p.g / scale**0.25
+    """``_pair_modes`` on the normal side, (w^2, e^2, 4 g sqrt(w e)), and the
+    verdict ``core.beyond_critical(what, w, e, g, **shown)``, judged first:
+    (eps_minus^2, eps_plus^2, gamma, superradiant)."""
+    superradiant = beyond_critical(what, w, e, g, **shown)
+    return (*_pair_modes(w * w, e * e, 4.0 * g * math.sqrt(w * e)), superradiant)
 
 
 def normal_modes(p: DickeParams) -> NormalModeData:
@@ -113,16 +99,17 @@ def normal_modes(p: DickeParams) -> NormalModeData:
                     + 16 gt^2 wt omega0)) / 2
 
     with wt, gt the effective boson frequency and coupling including any
-    squared-displacement term. It judges range and phase: ValueError where
-    wt*omega0 leaves the normal doubles, SuperradiantInputError beyond the
-    critical coupling (eps_minus^2 < 0); use ``superradiant_modes`` there.
+    squared-displacement term. It judges range and phase as
+    ``classify_phase`` does: ValueError where wt*omega0 leaves the normal
+    doubles, SuperradiantInputError beyond the critical coupling; use
+    ``superradiant_modes`` there.
     """
-    wt, gt = _effective_boson(p)
-    what = "omega*omega0" if p.a2_coeff == 0 else "omega_tilde*omega0"
-    em_sq, ep_sq, gamma = _normal_pair(what, wt, p.omega0, gt, omega=p.omega, omega0=p.omega0)
-    if em_sq < 0.0:
+    em_sq, ep_sq, gamma, superradiant = _normal_pair(
+        *_normal_sector(p), omega=p.omega, omega0=p.omega0
+    )
+    if superradiant:
         raise SuperradiantInputError(
-            f"superradiant input: g={p.g:g} lies above the critical coupling (eps_minus^2 < 0); "
+            f"superradiant input: g={p.g:g} lies above the critical coupling; "
             "these modes hold in the normal phase only (use superradiant_modes)"
         )
     return NormalModeData(math.sqrt(em_sq), math.sqrt(ep_sq), gamma)
@@ -141,7 +128,7 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     """
     _require(p.a2_coeff == 0, "superradiant closed form requires a2_coeff = 0")
     gc = critical_coupling(p)
-    if p.g <= gc:
+    if classify_phase(p) is not PhaseLabel.SUPERRADIANT:
         raise ValueError(f"g={p.g:g} is not above the critical coupling {gc:g}")
     w_spin = squared("g/g_c", p.g / gc) * p.omega0  # spin frequency in the displaced frame
     em_sq, ep_sq, gamma = _pair_modes(
@@ -172,12 +159,12 @@ def thermal_squeezing_map(params, temperatures) -> np.ndarray:
     as an (instances x temperatures) float64 array.
 
     T = 0 gives the ground-state ratio. A critical instance (eps_minus = 0,
-    within _CRITICAL_CLAMP of g_c) at T > 0 genuinely diverges and gives
-    xi = inf so sweeps can record it; a finite T so large that eps_minus/(2T)
-    underflows gives the large-T limit 2T/min(omega, omega0), inf where that
-    overflows. Each instance's ``normal_modes`` judge its range and phase,
-    and reject superradiant inputs: the quadratic treatment is invalid near
-    and above the classical transition temperature there.
+    at or below g_c) at T > 0 genuinely diverges and gives xi = inf so
+    sweeps can record it; a finite T so large that eps_minus/(2T) underflows
+    gives the large-T limit 2T/min(omega, omega0), inf where that overflows.
+    Each instance's ``normal_modes`` judge its range and phase, and reject
+    superradiant inputs: the quadratic treatment is invalid near and above
+    the classical transition temperature there.
 
     The temperatures are read and checked once, before any instance and
     before the array, which would parse a string and take True as 1: a T
@@ -223,15 +210,15 @@ def classical_critical_temperature(p: DickeParams) -> float:
 
         T_c = omega0 / (2 atanh(omega*omega0 / (4 g^2))),
 
-    defined for a2_coeff = 0 and g > g_c (T_c -> 0 as g -> g_c from above).
-    ValueError where omega*omega0 (``core.normal_product``), g^2 or T_c
-    leaves double precision.
+    defined for a2_coeff = 0 and a superradiant ``classify_phase`` (T_c -> 0
+    as g -> g_c from above). ValueError where omega*omega0
+    (``core.normal_product``), g^2 or T_c leaves double precision.
     """
     _require(p.a2_coeff == 0, "classical critical temperature requires a2_coeff = 0")
-    product = normal_product("omega*omega0", p.omega, p.omega0, omega=p.omega, omega0=p.omega0)
-    arg = product / (4.0 * squared("g", p.g)) if p.g > 0 else math.inf
-    if arg >= 1.0:
+    if classify_phase(p) is not PhaseLabel.SUPERRADIANT:
         raise ValueError("no superradiant phase at T>0: g must exceed sqrt(omega*omega0)/2")
+    # below 1 for g > g_c (2e7 random draws at the first double above g_c)
+    arg = p.omega * p.omega0 / (4.0 * squared("g", p.g))
     # an arg below the normal doubles has lost its digits, and T_c ~ 2 g^2/omega
     t_c = p.omega0 / (2.0 * math.atanh(arg)) if arg >= sys.float_info.min else math.inf
     if t_c == math.inf:

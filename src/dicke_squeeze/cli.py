@@ -153,6 +153,17 @@ _DEFAULTS = {
 
 EXPERIMENTS = tuple(_DEFAULTS)
 
+# the keys some runner reads, by section; a fig reads the grids of its
+# defaults, a sweep those of its quantity (``_SWEEPS``), and model keys are
+# DickeParams's own
+_READ_KEYS = {
+    "": ("experiment_id", "model", "grids", "ed", "disorder", "sweep", "rng_seed", "out"),
+    "ed": ("n_max", "tol"),
+    "disorder": ("m", "omega_prime", "g_prime", "omega_prime_range", "g_prime_range", "counter"),
+    "sweep": ("quantity", "tc_mask", "ladder", "disorder", "samples"),
+    "sweep.disorder": ("m", "n_clean", "omega_prime_range", "g_prime_range"),
+}
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -168,7 +179,6 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     cfg = _merge(_DEFAULTS[experiment], user_cfg or {})
-    cfg["experiment"] = experiment
     declared = cfg.get("experiment_id")
     if declared is not None and declared != experiment:
         raise ConfigError(
@@ -177,8 +187,26 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
     for section in ("model", "grids", "ed", "disorder", "sweep"):
         if not isinstance(cfg.get(section, {}), dict):
             raise ConfigError(f"{section} must be an object")
-    if not isinstance(cfg.get("sweep", {}).get("disorder", {}), dict):
+    sweep = cfg.get("sweep", {})
+    if not isinstance(sweep.get("disorder", {}), dict):
         raise ConfigError("sweep.disorder must be an object")
+    if experiment == "sweep":
+        quantity = sweep.get("quantity")
+        if not isinstance(quantity, str) or quantity not in _SWEEPS:
+            raise ConfigError(f"sweep.quantity must be one of {', '.join(_SWEEPS)}")
+        grids = _SWEEPS[quantity][1]
+    else:
+        grids = tuple(_DEFAULTS[experiment]["grids"])
+    sections = {name: cfg.get(name, {}) for name in ("grids", "ed", "disorder", "sweep")}
+    sections.update({"": cfg, "sweep.disorder": sweep.get("disorder", {})})
+    read = {**_READ_KEYS, "grids": grids}
+    unread = sorted(
+        f"{name}.{key}" if name else str(key)
+        for name, section in sections.items() for key in section if key not in read[name]
+    )
+    if unread:
+        raise ConfigError(f"unknown config keys, read by no runner: {', '.join(unread)}")
+    cfg["experiment"] = experiment
     points = 1
     for name, spec in cfg.get("grids", {}).items():
         # each grid may take what the grids before it leave of MAX_GRID_POINTS
@@ -438,10 +466,13 @@ def _run_ed(cfg, jobs, point, points, value_field, meta, tail=None) -> SweepResu
 
 
 def _run_tasks(func, tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
+    # no more workers than tasks, nor than the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(func, tasks)
     return [func(t) for t in tasks]
 
@@ -578,13 +609,14 @@ def run_fig6(cfg: dict, jobs: int = 1) -> SweepResult:
         label = f"N={p.n_spins}"
         try:
             ens = disorder.DisorderEnsemble(p.n_spins, defects)
+            report = disorder.disorder_xi_perturbative(p, ens)
+            xi, ok, gamma_bar = report.xi, all(report.validity), report.gamma_bar
+        except disorder.CriticalSectorError:
+            # the ED rows still stand at the critical point; the formula has
+            # none, so the quadrature's angle comes from the sector itself
+            xi, ok = None, False
             gbar = disorder.renormalized_coupling(p.g, p.n_spins, m)
             gamma_bar = bogoliubov.normal_modes(replace(p, g=gbar)).gamma
-            report = disorder.disorder_xi_perturbative(p, ens)
-            xi, ok = report.xi, all(report.validity)
-        except disorder.CriticalSectorError:
-            # the ED rows still stand at the critical point; the formula has none
-            xi, ok = None, False
         except ValueError as exc:
             raise ConfigError(f"fig6 {label}: {exc}") from exc
         layout = build_basis(p.n_spins + m, 0, (p.n_spins, *runs))
@@ -617,21 +649,9 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
 
 
 def run_sweep(cfg: dict, jobs: int = 1) -> SweepResult:
-    """Generic cartesian sweeps over the analytic quantities."""
-    sweep = cfg.get("sweep", {})
-    quantity = sweep.get("quantity")
-    if quantity == "xi_ground":
-        return _sweep_xi_ground(cfg)
-    if quantity == "xi_thermal":
-        return _sweep_xi_thermal(cfg)
-    if quantity == "ladder_dispersion":
-        return _sweep_ladder(cfg)
-    if quantity == "disorder_sample":
-        return _sweep_disorder_samples(cfg)
-    raise ConfigError(
-        "sweep.quantity must be one of xi_ground, xi_thermal, "
-        "ladder_dispersion, disorder_sample"
-    )
+    """Generic cartesian sweeps over the analytic quantities: the one
+    ``sweep.quantity`` names, which ``resolve_config`` checked."""
+    return _SWEEPS[cfg["sweep"]["quantity"]][0](cfg)
 
 
 def _sweep_xi_ground(cfg):
@@ -695,6 +715,11 @@ def _sweep_ladder(cfg):
     if not ladder_cfg:
         raise ConfigError("ladder_dispersion sweep needs sweep.ladder parameters")
     params = _checked("ladder", ladder_params_from_dict, ladder_cfg)
+    if params.n_sites > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"ladder_dispersion sweep: n_sites = {params.n_sites} rows, "
+            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
     spec = _checked("ladder", map_ladder_to_dicke, params)
     modes = spec.modes
     columns = {
@@ -717,6 +742,11 @@ def _sweep_disorder_samples(cfg):
         raise ConfigError("disorder_sample sweep needs sweep.disorder parameters")
     draw = _defect_sampler(cfg, spec, 1)  # its rows are per defect
     count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
+    if count * _defect_count(spec, 1) > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"disorder_sample sweep: sweep.samples x disorder.m rows, "
+            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
     n_clean = _checked("disorder", integer_at_least, "disorder.n_clean", spec.get("n_clean", 1), 1)
     p = _model(cfg)
     header = ("sample", "defect", "omega_prime", "g_prime", "xi", "alpha", "perturbative_valid")
@@ -731,6 +761,14 @@ def _sweep_disorder_samples(cfg):
     columns["method"] = ["analytic"] * len(columns["sample"])
     return SweepResult("sweep", columns, _meta(cfg))
 
+
+# each sweep quantity's runner and the grids it reads
+_SWEEPS = {
+    "xi_ground": (_sweep_xi_ground, ("g", "omega0")),
+    "xi_thermal": (_sweep_xi_thermal, ("g", "kt")),
+    "ladder_dispersion": (_sweep_ladder, ()),
+    "disorder_sample": (_sweep_disorder_samples, ()),
+}
 
 # each experiment's runner and the columns its plot script draws (x, y);
 # a sweep plots its value column, xi or a ladder's omega_k, against its

@@ -279,16 +279,29 @@ def critical_coupling(p: DickeParams) -> float | None:
     return bare / math.sqrt(factor) if factor > 0.0 else None
 
 
-def classify_phase(p: DickeParams) -> PhaseLabel:
-    """Phase of the instance: normal, superradiant, or no transition at all.
+def _normal_sector(p: DickeParams) -> tuple[str, float, float, float]:
+    """(what, w, e, g) that ``normal_modes`` diagonalizes, any A^2 term absorbed,
+    w = sqrt(omega*(omega+4D)) and g/(1+4D/omega)^(1/4); ``what`` names w*e."""
+    if p.a2_coeff == 0:
+        return "omega*omega0", p.omega, p.omega0, p.g
+    scale = 1.0 + 4.0 * p.a2_coeff / p.omega
+    return "omega_tilde*omega0", p.omega * math.sqrt(scale), p.omega0, p.g / scale**0.25
 
-    Consistent with the normal-mode criterion: the instance is superradiant
-    exactly when g^2 > omega*omega0/4 + a2_coeff*omega0.
-    """
-    gc = critical_coupling(p)
-    if gc is None:
-        return PhaseLabel.NO_TRANSITION
-    return PhaseLabel.SUPERRADIANT if p.g > gc else PhaseLabel.NORMAL
+
+def beyond_critical(what: str, w: float, e: float, g: float, **shown: float) -> bool:
+    """The phase verdict of every closed form: g > ``bare_critical_coupling(w, e)``
+    on a normal-side sector, once ``normal_product(what, w, e, **shown)`` passes."""
+    normal_product(what, w, e, **shown)
+    return g > bare_critical_coupling(w, e)
+
+
+def classify_phase(p: DickeParams) -> PhaseLabel:
+    """Superradiant where ``beyond_critical`` says so of ``_normal_sector(p)``
+    (g^2 > omega*omega0/4 + a2_coeff*omega0 to rounding); else no transition
+    where ``critical_coupling``'s TRK form finds none; else normal."""
+    if beyond_critical(*_normal_sector(p), omega=p.omega, omega0=p.omega0):
+        return PhaseLabel.SUPERRADIANT
+    return PhaseLabel.NO_TRANSITION if critical_coupling(p) is None else PhaseLabel.NORMAL
 
 
 def ladder_params_from_dict(d: dict) -> LadderParams:

@@ -68,7 +68,8 @@ class PerturbativeReport:
     """Squeezing ratio split into its three additive contributions.
 
     xi = term_clean + term_pinned + term_coupling, with alpha the expansion
-    parameter sqrt(omega/((N+m)*eps_minus_bar)). ``validity`` holds one flag
+    parameter sqrt(omega/((N+m)*eps_minus_bar)) and gamma_bar the mixing
+    angle of the renormalized clean sector. ``validity`` holds one flag
     per defect: defect i is perturbative while alpha*cos(gammabar)*g'_i stays
     within PERTURBATIVITY_THRESHOLD*|omega'_i|, and False marks it outside.
     """
@@ -78,6 +79,7 @@ class PerturbativeReport:
     term_clean: float
     term_pinned: float
     term_coupling: float
+    gamma_bar: float
     validity: tuple[bool, ...]
 
 
@@ -107,11 +109,8 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
     """
     modes = normal_modes(replace(p, g=renormalized_coupling(p.g, d.n_clean, d.m)))
     eps, gamma = modes.eps_minus, modes.gamma
-    if eps <= 0.0:
-        raise CriticalSectorError(
-            "critical or superradiant after renormalization; "
-            "perturbation theory invalid (eps_minus_bar <= 0)"
-        )
+    if eps == 0.0:
+        raise CriticalSectorError("perturbation theory invalid: eps_minus_bar = 0")
     total = d.n_clean + d.m
     alpha = math.sqrt(p.omega / (total * eps))
     term_clean = eps / p.omega
@@ -129,6 +128,7 @@ def disorder_xi_perturbative(p: DickeParams, d: DisorderEnsemble) -> Perturbativ
         term_clean=term_clean,
         term_pinned=term_pinned,
         term_coupling=term_coupling,
+        gamma_bar=gamma,
         validity=tuple(
             alpha * math.cos(gamma) * gp <= PERTURBATIVITY_THRESHOLD * abs(w)
             for w, gp in d.defects

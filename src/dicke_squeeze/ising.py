@@ -7,7 +7,7 @@ per-momentum coupling g_k = g*(1 + eta cos k). Each momentum sector then
 diagonalizes exactly like the single-mode model: ``_sector`` hands
 ``bogoliubov._normal_pair`` the (w_k, E_k, g_k) of the sector, as
 ``normal_modes`` hands it (w_tilde, omega0, g_tilde), and every per-k
-quantity here reads that one evaluation.
+quantity here, its phase verdict included, reads that one evaluation.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def coupling_k(ip: IsingParams, k: float) -> float:
 
 
 def _sector(ip: IsingParams, k: float):
-    """(w_k, E_k, g_k, eps_minus_k^2, eps_plus_k^2, gamma_k) of the momentum-k
-    sector, gamma_k = 0 at g_k = 0. ValueError where E_k <= 0, or where
-    w_k E_k or the squared mode energies leave double precision: the angle
-    would be a nan, or a rounded-away 0."""
+    """(w_k, E_k, g_k, eps_minus_k^2, eps_plus_k^2, gamma_k, superradiant) of
+    the momentum-k sector, gamma_k = 0 at g_k = 0. ValueError where E_k <= 0,
+    or where w_k E_k or the squared mode energies leave double precision:
+    the angle would be a nan, or a rounded-away 0."""
     w_k = ip.dispersion
     e_k = magnon_energy(ip, k)
     if e_k <= 0:
@@ -84,8 +84,10 @@ def _sector(ip: IsingParams, k: float):
             f"(eta={ip.eta:g} too large in magnitude)"
         )
     g_k = coupling_k(ip, k)
-    em_sq, ep_sq, gamma = _normal_pair(f"mixing angle at k={k:g}", w_k, e_k, g_k, w_k=w_k, E_k=e_k)
-    return w_k, e_k, g_k, em_sq, ep_sq, (gamma if g_k != 0.0 else 0.0)
+    em_sq, ep_sq, gamma, superradiant = _normal_pair(
+        f"mixing angle at k={k:g}", w_k, e_k, g_k, w_k=w_k, E_k=e_k
+    )
+    return w_k, e_k, g_k, em_sq, ep_sq, (gamma if g_k != 0.0 else 0.0), superradiant
 
 
 def mixing_angle_k(ip: IsingParams, k: float) -> float:
@@ -107,14 +109,12 @@ def dicke_ising_modes(ip: IsingParams, k: float) -> MagnonMode:
     eps_{pm,k}^2 = (w_k^2 + E_k^2 -+ sqrt((w_k^2-E_k^2)^2
                     + 16 g_k^2 w_k E_k))/2.
 
-    Raises SuperradiantInputError when the sector is superradiant
-    (eps_minus_k^2 < 0).
+    SuperradiantInputError where ``core.beyond_critical`` finds the sector
+    superradiant.
     """
-    _, e_k, g_k, em_sq, ep_sq, gamma = _sector(ip, k)
-    if em_sq < 0.0:
-        raise SuperradiantInputError(
-            f"momentum k={k:g} sector is superradiant (eps_minus_k^2 < 0)"
-        )
+    _, e_k, g_k, em_sq, ep_sq, gamma, superradiant = _sector(ip, k)
+    if superradiant:
+        raise SuperradiantInputError(f"momentum k={k:g} sector is superradiant")
     return MagnonMode(k=k, E_k=e_k, g_tilde_k=g_k, eps_minus_k=math.sqrt(em_sq),
                       eps_plus_k=math.sqrt(ep_sq), gamma_k=gamma)
 

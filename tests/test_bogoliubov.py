@@ -23,8 +23,7 @@ from dicke_squeeze import (
     thermal_squeezing_ratio,
 )
 from dicke_squeeze import bogoliubov, cli, core
-from dicke_squeeze.bogoliubov import _effective_boson
-from dicke_squeeze.core import critical_coupling, squared
+from dicke_squeeze.core import _normal_sector, critical_coupling, squared
 from dicke_squeeze.ising import (
     IsingParams,
     coupling_k,
@@ -338,10 +337,11 @@ class TestThermal:
 
     def test_critical_point_diverges(self):
         assert thermal_squeezing_ratio(DickeParams(1, 1, 0.5), 0.1).xi == math.inf
-        # within _CRITICAL_CLAMP above g_c the soft mode reads 0, in the
-        # thermal map as in normal_modes
+        # just above g_c the instance is superradiant, in the thermal map as
+        # in classify_phase: no band above g_c reads eps_minus = 0
         p = DickeParams(1, 1, 0.5 * (1.0 + 1e-13))
-        assert thermal_squeezing_map([p], [0.0, 0.1]).tolist() == [[0.0, math.inf]]
+        with pytest.raises(SuperradiantInputError):
+            thermal_squeezing_map([p], [0.0, 0.1])
 
     def test_superradiant_rejected(self):
         with pytest.raises(SuperradiantInputError):
@@ -475,7 +475,8 @@ class TestBatchedThermal:
 
     def test_phase_is_classified_once_per_instance(self, monkeypatch):
         # normal_modes judges range and phase, so the map classifies nothing,
-        # and the xi_thermal sweep once per g, for its superradiant mask
+        # and the xi_thermal sweep once per g, for its superradiant mask, and
+        # once more in classical_critical_temperature for a superradiant g
         calls = []
 
         def counted(p):
@@ -491,7 +492,7 @@ class TestBatchedThermal:
             "sweep", {"grids": {"g": gs, "kt": [0.0, 0.1]}, "sweep": {"quantity": "xi_thermal"}}
         )
         cli.run_sweep(cfg)
-        assert calls == gs
+        assert calls == [*gs, 0.7]
 
 
 class TestClassicalCriticalTemperature:
@@ -515,6 +516,67 @@ class TestClassicalCriticalTemperature:
             classical_critical_temperature(DickeParams(1, 1, 0.5))
 
 
+def _raises(f, *args):
+    """The type of the ValueError f(*args) raises, or None."""
+    try:
+        f(*args)
+    except ValueError as err:
+        return type(err)
+    return None
+
+
+class TestOnePhaseVerdict:
+    """Every closed form takes its phase from one comparison, g > g_c, so
+    they agree on each instance, however far from resonance."""
+
+    DETUNINGS = [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8]  # omega/omega0
+    FRACTIONS = [0.5, 1 - 1e-13, 1.0, 1 + 1e-15, 1 + 1e-13, 1 + 1e-12, 1.01, 1.5, 50.0]  # g/g_c
+
+    @staticmethod
+    def _assert_agree(p):
+        superradiant = classify_phase(p) is PhaseLabel.SUPERRADIANT
+        error = SuperradiantInputError if superradiant else None
+        assert _raises(normal_modes, p) is error
+        assert _raises(thermal_squeezing_map, [p], [0.0, 0.1]) is error
+        return superradiant
+
+    @pytest.mark.parametrize("ratio", DETUNINGS)
+    def test_ideal_model(self, ratio):
+        gc = core.bare_critical_coupling(ratio, 1.0)
+        phases = []
+        for f in self.FRACTIONS:
+            p = DickeParams(ratio, 1.0, f * gc)
+            superradiant = self._assert_agree(p)
+            assert (_raises(superradiant_modes, p) is None) is superradiant
+            assert (_raises(classical_critical_temperature, p) is None) is superradiant
+            ip = IsingParams(eta=0.0, omega0=1.0, dispersion=ratio, g=p.g, n_spins=4)
+            assert _raises(dicke_ising_modes, ip, 0.0) is (
+                SuperradiantInputError if superradiant else None
+            )
+            phases.append(superradiant)
+        assert phases[:3] == [False] * 3 and phases[-3:] == [True] * 3
+
+    @pytest.mark.parametrize("a2_coeff", [0.05, 0.3])
+    @pytest.mark.parametrize("ratio", DETUNINGS)
+    def test_trk_boundary(self, ratio, a2_coeff):
+        # g^2 = omega omega0/4 + a2_coeff omega0, the boundary of the TRK form
+        edge = math.sqrt(ratio / 4.0 + a2_coeff)
+        phases = []
+        for f in self.FRACTIONS:
+            phases.append(self._assert_agree(DickeParams(ratio, 1.0, f * edge, a2_coeff=a2_coeff)))
+        assert phases[0] is False and phases[-3:] == [True] * 3
+
+    def test_far_detuned_superradiant_instance_is_rejected(self):
+        # eps_minus^2 cancels to 0 here, which once read as a critical instance
+        p = DickeParams(1e-8, 1.0, 1.5 * core.bare_critical_coupling(1e-8, 1.0))
+        with pytest.raises(SuperradiantInputError):
+            thermal_squeezing_map([p], [0.0, 0.1])
+
+    def test_just_above_g_c_takes_the_superradiant_branch(self):
+        xi = squeezing_ratio_ground(DickeParams(1, 1, 0.5 * (1.0 + 1e-13))).xi
+        assert xi == pytest.approx(4.47e-7, rel=1e-3)
+
+
 # -- reference derivations ---------------------------------------------------
 #
 # Each closed form used to write the two-oscillator diagonalization out on its
@@ -527,24 +589,24 @@ def _ref_finite_modes(ep_sq):
 
 
 def _ref_pair_modes(w_a, w_b, g):
+    """(eps_minus^2, eps_plus^2, gamma) of a normal-side pair at or below its
+    g_c = sqrt(w_a w_b)/2; SuperradiantInputError beyond it."""
     cross = 4.0 * g * math.sqrt(w_a * w_b)
     diff = w_b * w_b - w_a * w_a
     total = w_a * w_a + w_b * w_b
     rad = math.hypot(diff, cross)
-    em_sq = 0.5 * (total - rad)
+    em_sq = max(0.5 * (total - rad), 0.0)
     ep_sq = 0.5 * (total + rad)
     _ref_finite_modes(ep_sq)
-    if -1e-12 * total <= em_sq < 0.0:
-        em_sq = 0.0
+    if g > math.sqrt(w_a * w_b) / 2.0:
+        raise SuperradiantInputError("superradiant input")
     gamma = 0.5 * math.atan2(cross, diff)
     return em_sq, ep_sq, gamma
 
 
 def _ref_normal_modes(p):
-    wt, gt = _effective_boson(p)
-    em_sq, ep_sq, gamma = _ref_pair_modes(wt, p.omega0, gt)
-    if em_sq < 0.0:
-        raise SuperradiantInputError("superradiant input")
+    _, wt, omega0, gt = _normal_sector(p)
+    em_sq, ep_sq, gamma = _ref_pair_modes(wt, omega0, gt)
     return math.sqrt(em_sq), math.sqrt(ep_sq), gamma
 
 
@@ -558,10 +620,8 @@ def _ref_superradiant_modes(p):
     w2, s2 = squared("omega", p.omega), squared("w_spin", w_spin)
     total = w2 + s2
     rad = math.hypot(s2 - w2, 2.0 * p.omega * p.omega0)
-    em_sq, ep_sq = 0.5 * (total - rad), 0.5 * (total + rad)
+    em_sq, ep_sq = max(0.5 * (total - rad), 0.0), 0.5 * (total + rad)
     _ref_finite_modes(ep_sq)
-    if -1e-12 * total <= em_sq < 0.0:
-        em_sq = 0.0
     gamma = 0.5 * math.atan2(2.0 * p.omega * p.omega0, s2 - w2)
     return math.sqrt(em_sq), math.sqrt(ep_sq), gamma
 
@@ -576,8 +636,6 @@ def _ref_sector(ip, k):
 def _ref_dicke_ising_modes(ip, k):
     w_k, e_k, g_k = _ref_sector(ip, k)
     em_sq, ep_sq, gamma = _ref_pair_modes(w_k, e_k, g_k)
-    if em_sq < 0.0:
-        raise SuperradiantInputError("sector is superradiant")
     return math.sqrt(em_sq), math.sqrt(ep_sq), 0.0 if g_k == 0.0 else gamma
 
 
@@ -622,9 +680,10 @@ class TestClosedFormBits:
             omega0 = ratio * omega
             gc = math.sqrt(omega * omega0) / 2.0
             normal = [gc * f for f in np.linspace(0.0, 1.0, 41).tolist()]
-            clamp = [gc * (1.0 + d * 1e-15) for d in range(-100, 101, 5)]
+            # within rounding of g_c, on both sides of the verdict
+            critical = [gc * (1.0 + d * 1e-15) for d in range(-100, 101, 5)]
             superradiant = [gc * (1.0 + f) for f in np.geomspace(1e-13, 49.0, 30).tolist()]
-            for g in normal + clamp + superradiant:
+            for g in normal + critical + superradiant:
                 self._assert_same(DickeParams(omega, omega0, g))
 
     @pytest.mark.parametrize("a2_coeff", [0.05, 0.3, 1.2])

@@ -22,7 +22,7 @@ from dicke_squeeze import (
     squeezing_ratio_ground,
     thermal_squeezing_ratio,
 )
-from dicke_squeeze import cli
+from dicke_squeeze import bogoliubov, cli, disorder
 from dicke_squeeze.ed import build_basis, build_dicke_hamiltonian, ground_state, hamiltonians
 from dicke_squeeze.ed import basis as basis_module
 from dicke_squeeze.ed.hamiltonians import KronSum
@@ -130,6 +130,37 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="declares experiment 'fig3' but 'fig2'"):
             cli.resolve_config("fig2", {"experiment_id": "fig3"})
 
+    @pytest.mark.parametrize(
+        "experiment, user_cfg, unread",
+        [
+            # fig3 once ran its default 7 N x 2 n_max rows with these keys
+            ("fig3", {"ed": {"nmax": [4]}, "grid": {"n_spins": [1]}}, "ed.nmax, grid"),
+            (
+                "fig2", {"disorder": {"omega": 2.0}, "experiment": "fig2"},
+                "disorder.omega, experiment",
+            ),
+            ("fig4", {"grids": {"kt": [0.1]}}, "grids.kt"),
+            (
+                "sweep",
+                {"sweep": {"quantity": "xi_ground", "sample": 2},
+                 "grids": {"g": [0.1], "kt": [0.1]}},
+                "grids.kt, sweep.sample",
+            ),
+            ("sweep", _disorder_sweep(n_spins=4), "sweep.disorder.n_spins"),
+        ],
+        ids=["fig3", "top-and-disorder", "fig-grid", "sweep-grid-and-key", "sweep-disorder"],
+    )
+    def test_keys_no_runner_reads_are_rejected(
+        self, tmp_path, capsys, experiment, user_cfg, unread
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user_cfg))
+        out = tmp_path / f"{experiment}.csv"
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config keys, read by no runner: {unread}\n"
+        assert not out.exists()
+
     def test_truncation_delta_recorded_in_metadata(self):
         cfg = cli.resolve_config(
             "fig3", {"grids": {"n_spins": [2]}, "ed": {"n_max": [8, 10]}}
@@ -180,7 +211,10 @@ class TestConfig:
         )
         assert not out.exists()
 
-    def test_pool_holds_no_more_workers_than_tasks(self, monkeypatch):
+    @staticmethod
+    def _pool_sizes(monkeypatch, cpus):
+        """The sizes of the pools ``_run_tasks`` opens, recorded by a stand-in
+        that starts no process, on a host where ``cpus`` CPUs are usable."""
         import multiprocessing
 
         sizes = []
@@ -199,9 +233,24 @@ class TestConfig:
                 return [func(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return sizes
+
+    def test_pool_holds_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = self._pool_sizes(monkeypatch, 64)
         assert cli._run_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert sizes == [3, 2]
+
+    def test_pool_holds_no_more_workers_than_usable_cpus(self, monkeypatch):
+        sizes = self._pool_sizes(monkeypatch, 3)
+        tasks = list(range(-10, 0))
+        assert cli._run_tasks(abs, tasks, 100000) == [abs(t) for t in tasks]
+        assert sizes == [3]
+        # one usable CPU runs the tasks in this process, with no pool
+        sizes = self._pool_sizes(monkeypatch, 1)
+        assert cli._run_tasks(abs, tasks, 100000) == [abs(t) for t in tasks]
+        assert sizes == []
 
     def test_a_failed_task_reaches_the_pool_parent(self, tmp_path):
         # a worker's ConvergenceError must unpickle in the parent, or the
@@ -953,6 +1002,46 @@ class TestEDPresets:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "user_cfg, error",
+        [
+            (
+                {"sweep": {"quantity": "ladder_dispersion", "ladder": dict(
+                    j_r=10.0, j_b=0.05, j_rb_x=0.4, j_rb_y=0.0, j_rb_z=0.0,
+                    omega_r=1.0, omega_b=1.0, n_sites=10**13,
+                )}},
+                f"ladder_dispersion sweep: n_sites = {10**13} rows",
+            ),
+            (
+                _disorder_sweep(samples=10**13),
+                "disorder_sample sweep: sweep.samples x disorder.m rows",
+            ),
+        ],
+        ids=["ladder", "disorder-sample"],
+    )
+    def test_sweep_rows_are_bounded_before_any_row(
+        self, tmp_path, capsys, monkeypatch, user_cfg, error
+    ):
+        # neither sweep bounded its rows: 10**5 of them took 127-146 MB
+        def refuse(*args):
+            raise AssertionError("a mode mapped or a defect drawn")
+
+        monkeypatch.setattr(cli, "map_ladder_to_dicke", refuse)
+        monkeypatch.setattr(cli, "disorder_samples", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user_cfg))
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**20
+        bound = f"more than MAX_GRID_POINTS = {cli.MAX_GRID_POINTS}"
+        assert capsys.readouterr().err == f"error: {error}, {bound}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "experiment, user_cfg, error",
         [
             ("fig7", {"model": {"n_spins": 64}},
@@ -1025,6 +1114,24 @@ class TestEDPresets:
         err = capsys.readouterr().err
         assert err.startswith("error: fig6 N=1: ") and "superradiant input" in err
         assert not out.exists()
+
+    def test_fig6_solves_the_clean_sector_once_per_point(self, monkeypatch):
+        # fig6 reads gamma_bar from the formula's report; only the critical
+        # point (m = 0 at g = g_c), where the formula has none, solves it again
+        calls = []
+
+        def counted(p):
+            calls.append(p.g)
+            return normal_modes(p)
+
+        monkeypatch.setattr(bogoliubov, "normal_modes", counted)
+        monkeypatch.setattr(disorder, "normal_modes", counted)
+        monkeypatch.setattr(cli, "_run_ed", lambda *args: None)
+        cli.run_fig6(cli.resolve_config("fig6", {"grids": {"n_clean": [1, 2, 3]}}))
+        assert len(calls) == 3
+        calls.clear()
+        cli.run_fig6(cli.resolve_config("fig6", {"grids": {"n_clean": [2]}, "disorder": {"m": 0}}))
+        assert calls == [0.5, 0.5]
 
     def test_fig6_equal_defects_form_one_block(self, monkeypatch):
         # each run of equal defects is one collective spin; distinct ones
