@@ -128,7 +128,7 @@ def superradiant_modes(p: DickeParams) -> NormalModeData:
     """
     _require(p.a2_coeff == 0, "superradiant closed form requires a2_coeff = 0")
     gc = critical_coupling(p)
-    if classify_phase(p) is not PhaseLabel.SUPERRADIANT:
+    if not beyond_critical("omega*omega0", p.omega, p.omega0, p.g, omega=p.omega, omega0=p.omega0):
         raise ValueError(f"g={p.g:g} is not above the critical coupling {gc:g}")
     w_spin = squared("g/g_c", p.g / gc) * p.omega0  # spin frequency in the displaced frame
     em_sq, ep_sq, gamma = _pair_modes(
@@ -210,12 +210,12 @@ def classical_critical_temperature(p: DickeParams) -> float:
 
         T_c = omega0 / (2 atanh(omega*omega0 / (4 g^2))),
 
-    defined for a2_coeff = 0 and a superradiant ``classify_phase`` (T_c -> 0
-    as g -> g_c from above). ValueError where omega*omega0
+    defined for a2_coeff = 0 and g beyond g_c by ``core.beyond_critical``
+    (T_c -> 0 as g -> g_c from above). ValueError where omega*omega0
     (``core.normal_product``), g^2 or T_c leaves double precision.
     """
     _require(p.a2_coeff == 0, "classical critical temperature requires a2_coeff = 0")
-    if classify_phase(p) is not PhaseLabel.SUPERRADIANT:
+    if not beyond_critical("omega*omega0", p.omega, p.omega0, p.g, omega=p.omega, omega0=p.omega0):
         raise ValueError("no superradiant phase at T>0: g must exceed sqrt(omega*omega0)/2")
     # below 1 for g > g_c (2e7 random draws at the first double above g_c)
     arg = p.omega * p.omega0 / (4.0 * squared("g", p.g))

@@ -194,7 +194,8 @@ def resolve_config(experiment: str, user_cfg: dict | None = None) -> dict:
         quantity = sweep.get("quantity")
         if not isinstance(quantity, str) or quantity not in _SWEEPS:
             raise ConfigError(f"sweep.quantity must be one of {', '.join(_SWEEPS)}")
-        grids = _SWEEPS[quantity][1]
+        _, needed, optional = _SWEEPS[quantity]
+        grids = (*needed, *optional)
     else:
         grids = tuple(_DEFAULTS[experiment]["grids"])
     sections = {name: cfg.get(name, {}) for name in ("grids", "ed", "disorder", "sweep")}
@@ -310,9 +311,9 @@ def _defect_count(spec: dict, minimum: int) -> int:
 
 
 def _defect_sampler(cfg: dict, spec: dict, min_m: int = 0):
-    """counter -> the m defects of sample ``counter`` drawn from a random-defect
-    spec, once rng_seed is set, m is an integer >= ``min_m`` (``_defect_count``)
-    and each range holds two finite numbers."""
+    """(m, counter -> the m defects of sample ``counter``) drawn from a
+    random-defect spec, once rng_seed is set, m is an integer >= ``min_m``
+    (``_defect_count``) and each range holds two finite numbers."""
     if "omega_prime_range" not in spec or "g_prime_range" not in spec:
         raise ConfigError("random defects need both omega_prime_range and g_prime_range")
     seed = cfg.get("rng_seed")
@@ -329,7 +330,7 @@ def _defect_sampler(cfg: dict, spec: dict, min_m: int = 0):
                 f"bad disorder parameters: {name} must hold two numbers, got {bounds!r}"
             )
         ranges.append(tuple(_checked("disorder", finite_real, name, v) for v in bounds))
-    return lambda counter: disorder_samples(seed, counter, m, *ranges)
+    return m, lambda counter: disorder_samples(seed, counter, m, *ranges)
 
 
 def _philox_word(name: str, value) -> int:
@@ -585,7 +586,7 @@ def run_fig5(cfg: dict, jobs: int = 1) -> SweepResult:
 def _fig6_defects(cfg: dict) -> tuple[tuple[float, float], ...]:
     spec = cfg.get("disorder", {})
     if "omega_prime_range" in spec or "g_prime_range" in spec:
-        draw = _defect_sampler(cfg, spec)
+        _, draw = _defect_sampler(cfg, spec)
         return draw(_philox_word("disorder.counter", spec.get("counter", 0)))
     m = _defect_count(spec, 0)
     omega_prime = spec.get("omega_prime", 2.1)
@@ -650,14 +651,19 @@ def run_fig7(cfg: dict, jobs: int = 1) -> SweepResult:
 
 def run_sweep(cfg: dict, jobs: int = 1) -> SweepResult:
     """Generic cartesian sweeps over the analytic quantities: the one
-    ``sweep.quantity`` names, which ``resolve_config`` checked."""
-    return _SWEEPS[cfg["sweep"]["quantity"]][0](cfg)
+    ``sweep.quantity`` names, which ``resolve_config`` checked, once the
+    grids it needs are given."""
+    quantity = cfg["sweep"]["quantity"]
+    run, needed, _ = _SWEEPS[quantity]
+    if any(name not in cfg["grids"] for name in needed):
+        names = " and ".join(needed)
+        grids = f"a {names} grid" if len(needed) == 1 else f"{names} grids"
+        raise ConfigError(f"{quantity} sweep needs {grids}")
+    return run(cfg)
 
 
 def _sweep_xi_ground(cfg):
     grids = cfg["grids"]
-    if "g" not in grids:
-        raise ConfigError("xi_ground sweep needs a g grid")
     gs = _grid(grids["g"], "g").tolist()
     if "omega0" in grids:
         omega0s = _grid(grids["omega0"], "omega0").tolist()
@@ -679,8 +685,6 @@ def _sweep_xi_ground(cfg):
 
 def _sweep_xi_thermal(cfg):
     grids = cfg["grids"]
-    if "g" not in grids or "kt" not in grids:
-        raise ConfigError("xi_thermal sweep needs g and kt grids")
     tc_mask = cfg.get("sweep", {}).get("tc_mask", False)
     if not isinstance(tc_mask, bool):
         raise ConfigError(f"sweep.tc_mask must be true or false, got {tc_mask!r}")
@@ -740,9 +744,9 @@ def _sweep_disorder_samples(cfg):
     spec = sweep.get("disorder")
     if not spec:
         raise ConfigError("disorder_sample sweep needs sweep.disorder parameters")
-    draw = _defect_sampler(cfg, spec, 1)  # its rows are per defect
+    m, draw = _defect_sampler(cfg, spec, 1)  # its rows are per defect
     count = _checked("sweep", integer_at_least, "sweep.samples", sweep.get("samples", 1), 1)
-    if count * _defect_count(spec, 1) > MAX_GRID_POINTS:
+    if count * m > MAX_GRID_POINTS:
         raise ConfigError(
             f"disorder_sample sweep: sweep.samples x disorder.m rows, "
             f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
@@ -762,12 +766,12 @@ def _sweep_disorder_samples(cfg):
     return SweepResult("sweep", columns, _meta(cfg))
 
 
-# each sweep quantity's runner and the grids it reads
+# each sweep quantity's runner, the grids it needs and the other grids it reads
 _SWEEPS = {
-    "xi_ground": (_sweep_xi_ground, ("g", "omega0")),
-    "xi_thermal": (_sweep_xi_thermal, ("g", "kt")),
-    "ladder_dispersion": (_sweep_ladder, ()),
-    "disorder_sample": (_sweep_disorder_samples, ()),
+    "xi_ground": (_sweep_xi_ground, ("g",), ("omega0",)),
+    "xi_thermal": (_sweep_xi_thermal, ("g", "kt"), ()),
+    "ladder_dispersion": (_sweep_ladder, (), ()),
+    "disorder_sample": (_sweep_disorder_samples, (), ()),
 }
 
 # each experiment's runner and the columns its plot script draws (x, y);

@@ -248,8 +248,8 @@ def normal_product(what: str, x: float, y: float, **shown: float) -> float:
 def bare_critical_coupling(omega: float, omega0: float) -> float:
     """g_c = sqrt(omega*omega0)/2 of the model without a squared-displacement
     term; ValueError where omega*omega0 leaves the normal doubles."""
-    product = normal_product("omega*omega0", omega, omega0, omega=omega, omega0=omega0)
-    return math.sqrt(product) / 2.0
+    shown = {"omega": omega, "omega0": omega0}
+    return math.sqrt(normal_product("omega*omega0", omega, omega0, **shown)) / 2.0
 
 
 def critical_coupling(p: DickeParams) -> float | None:
@@ -289,10 +289,10 @@ def _normal_sector(p: DickeParams) -> tuple[str, float, float, float]:
 
 
 def beyond_critical(what: str, w: float, e: float, g: float, **shown: float) -> bool:
-    """The phase verdict of every closed form: g > ``bare_critical_coupling(w, e)``
-    on a normal-side sector, once ``normal_product(what, w, e, **shown)`` passes."""
-    normal_product(what, w, e, **shown)
-    return g > bare_critical_coupling(w, e)
+    """The phase verdict of every closed form: g > g_c = sqrt(w*e)/2, the
+    ``bare_critical_coupling`` of a normal-side sector (w, e, g), its range
+    rule ``normal_product(what, w, e, **shown)``."""
+    return g > math.sqrt(normal_product(what, w, e, **shown)) / 2.0
 
 
 def classify_phase(p: DickeParams) -> PhaseLabel:

@@ -475,8 +475,7 @@ class TestBatchedThermal:
 
     def test_phase_is_classified_once_per_instance(self, monkeypatch):
         # normal_modes judges range and phase, so the map classifies nothing,
-        # and the xi_thermal sweep once per g, for its superradiant mask, and
-        # once more in classical_critical_temperature for a superradiant g
+        # and the xi_thermal sweep once per g, for its superradiant mask
         calls = []
 
         def counted(p):
@@ -492,7 +491,7 @@ class TestBatchedThermal:
             "sweep", {"grids": {"g": gs, "kt": [0.0, 0.1]}, "sweep": {"quantity": "xi_thermal"}}
         )
         cli.run_sweep(cfg)
-        assert calls == [*gs, 0.7]
+        assert calls == gs
 
 
 class TestClassicalCriticalTemperature:
